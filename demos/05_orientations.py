@@ -40,5 +40,5 @@ print(f"  |Aut_I(graph)| = {aut_color_preserving(tiny).order}  "
 tiny_o = uw_orientation(tiny)
 print(f"  |Aut_I(orientation)| = {aut_color_preserving(tiny_o).order}  "
       f"(the out-star 1->{{2,3}} cannot tell 2 and 3 apart)")
-report = check_orientation_theorems(tiny)
+report = check_orientation_theorems(tiny, aut_color_preserving(tiny))
 print(f"  the orientation report flags it: {report.violations[0]}")

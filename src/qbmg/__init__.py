@@ -40,7 +40,6 @@ from .constructions import (
     n2_trivial_layer,
     n2_trivial_lift,
     random_layered_spec,
-    two_layer,
 )
 from .digraph import (
     ColoredDigraph,

@@ -16,14 +16,14 @@ from .axioms import axiom_report, is_thin, satisfies_star
 from .autgroup import aut_color_preserving, aut_full, canonical_gamma
 from .constructions import (
     blow_up,
+    default_layered_spec,
     default_n2_trivial_tables,
-    default_two_layer_tables,
     format_layered_spec,
     layered,
     n2_trivial_layer,
     parse_layered_spec,
     random_layered_spec,
-    two_layer,
+    random_n2_trivial_tables,
 )
 from .digraph import format_graph, parse_graph, to_dot, token_key
 from .errors import GraphFormatError, QbmgError, SizeCapError
@@ -184,22 +184,14 @@ def _generated_graph(args):
         if args.seed is not None:
             spec = random_layered_spec(2, args.m, args.seed)
             return layered(spec), [f"two-layer, m={args.m}, seed={args.seed}"]
-        alpha, beta, gamma = default_two_layer_tables(args.m)
-        return two_layer(args.m, alpha, beta, gamma), [f"two-layer, m={args.m}, order-paired tables"]
+        spec = default_layered_spec(2, args.m)
+        return layered(spec), [f"two-layer, m={args.m}, order-paired tables"]
     if args.family == "n2-trivial":
-        alpha, beta, gamma = default_n2_trivial_tables(args.m)
         if args.seed is not None:
-            import random as _random
-            rng = _random.Random(args.seed)
-            from .constructions import BijectionTable, default_n2_trivial_classes
-            u1, w1, w2, u2 = default_n2_trivial_classes(args.m)
-            def shuffled(dom, img):
-                img = list(img)
-                rng.shuffle(img)
-                return BijectionTable.pairing(dom, img)
-            alpha, beta, gamma = (shuffled(u1, w1), shuffled(w1, u2), shuffled(w2, u2))
-        return (n2_trivial_layer(args.m, alpha, beta, gamma),
-                [f"n2-trivial, m={args.m}" + (f", seed={args.seed}" if args.seed is not None else "")])
+            tables = random_n2_trivial_tables(args.m, args.seed)
+            return n2_trivial_layer(args.m, *tables), [f"n2-trivial, m={args.m}, seed={args.seed}"]
+        tables = default_n2_trivial_tables(args.m)
+        return n2_trivial_layer(args.m, *tables), [f"n2-trivial, m={args.m}"]
     if args.family == "layered":
         spec = parse_layered_spec(_read_text(args.spec))
         return layered(spec), [f"layered, s={spec.s}, m={spec.m}"]

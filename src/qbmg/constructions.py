@@ -1,17 +1,17 @@
 """Generators for structured 2-qBMG families and their lifted automorphisms.
 
-Three families are built from invertible tables between equal-size vertex
+Two families are built from invertible tables between equal-size vertex
 classes:
 
-* ``two_layer``: classes U1, W1, U2, W2 with maps alpha: U1->W1, beta: W1->U2,
-  gamma: U2->W2 and the composite delta = gamma . beta . alpha drawn as a
-  chord, giving a thin proper 2-qBMG.
-* ``n2_trivial_layer``: same classes but gamma runs W2->U2, so both W classes
-  feed the sinks in U2 and no three-edge walk exists. Each source, its two
-  middle vertices, and its sink form a diamond.
-* ``layered``: the s-layer generalization of ``two_layer``: diagonal maps
-  f[i][i]: U_i->W_i and step maps g[j][j+1]: W_j->U_{j+1}, with all longer
-  composites f[i][j] and g[j][i] drawn as edges.
+* ``layered``: diagonal maps f[i][i]: U_i->W_i and step maps
+  g[j][j+1]: W_j->U_{j+1}, with all longer composites f[i][j] and g[j][i]
+  drawn as edges. With s = 2 this is the two-layer family: alpha = f[1][1],
+  beta = g[1][2], gamma = f[2][2] and the chord delta = gamma . beta . alpha,
+  giving a thin proper 2-qBMG.
+* ``n2_trivial_layer``: classes U1, W1, W2, U2 with alpha: U1->W1,
+  beta: W1->U2 and gamma: W2->U2, so both W classes feed the sinks in U2 and
+  no three-edge walk exists. Each source, its two middle vertices, and its
+  sink form a diamond.
 
 Every permutation of the first class lifts to a color-preserving automorphism
 by conjugating with the composite maps; the lifts form a copy of the symmetric
@@ -32,15 +32,15 @@ __all__ = [
     "BijectionTable",
     "LayeredSpec",
     "blow_up",
-    "two_layer",
     "n2_trivial_layer",
     "n2_trivial_lift",
     "layered",
     "composite_maps",
     "lift_permutation",
     "lifted_group",
-    "default_two_layer_tables",
     "default_n2_trivial_tables",
+    "random_n2_trivial_tables",
+    "default_layered_spec",
     "random_layered_spec",
     "parse_layered_spec",
     "format_layered_spec",
@@ -127,34 +127,8 @@ def blow_up(g: ColoredDigraph, at: str, new_id: str) -> ColoredDigraph:
     return ColoredDigraph(u, w, edges)
 
 
-# -- class label conventions --------------------------------------------------
-
-
 def _int_range(start: int, count: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(start, start + count))
-
-
-def default_two_layer_classes(m: int) -> tuple[tuple[str, ...], ...]:
-    """U1, U2, W1, W2 as the consecutive integer blocks 1..4m."""
-    return (_int_range(1, m), _int_range(m + 1, m), _int_range(2 * m + 1, m),
-            _int_range(3 * m + 1, m))
-
-
-def default_n2_trivial_classes(m: int) -> tuple[tuple[str, ...], ...]:
-    """U1, W1, W2, U2 as the consecutive integer blocks 1..4m."""
-    return (_int_range(1, m), _int_range(m + 1, m), _int_range(2 * m + 1, m),
-            _int_range(3 * m + 1, m))
-
-
-def default_two_layer_tables(m: int) -> tuple[BijectionTable, BijectionTable, BijectionTable]:
-    u1, u2, w1, w2 = default_two_layer_classes(m)
-    return (BijectionTable.pairing(u1, w1), BijectionTable.pairing(w1, u2),
-            BijectionTable.pairing(u2, w2))
-
-def default_n2_trivial_tables(m: int) -> tuple[BijectionTable, BijectionTable, BijectionTable]:
-    u1, w1, w2, u2 = default_n2_trivial_classes(m)
-    return (BijectionTable.pairing(u1, w1), BijectionTable.pairing(w1, u2),
-            BijectionTable.pairing(w2, u2))
 
 
 def _check_disjoint_classes(classes: Sequence[frozenset[str]], m: int) -> None:
@@ -165,26 +139,6 @@ def _check_disjoint_classes(classes: Sequence[frozenset[str]], m: int) -> None:
         if seen & c:
             raise QbmgError(f"classes overlap on {sorted(seen & c, key=token_key)}")
         seen |= c
-
-
-def two_layer(m: int, alpha: BijectionTable, beta: BijectionTable,
-              gamma: BijectionTable) -> ColoredDigraph:
-    """Two-layer family: edges u1->alpha(u1), w1->beta(w1), u2->gamma(u2), u1->delta(u1)."""
-    if m < 1:
-        raise QbmgError("class size m must be at least 1")
-    u1, w1, u2, w2 = alpha.domain, alpha.image, beta.image, gamma.image
-    if beta.domain != w1:
-        raise QbmgError("beta must map alpha's image (W1) onto U2")
-    if gamma.domain != u2:
-        raise QbmgError("gamma must map beta's image (U2) onto W2")
-    _check_disjoint_classes([u1, w1, u2, w2], m)
-    delta = alpha.then(beta).then(gamma)
-    edges: set[tuple[str, str]] = set()
-    edges |= {(a, b) for a, b in alpha.pairs}
-    edges |= {(a, b) for a, b in beta.pairs}
-    edges |= {(a, b) for a, b in gamma.pairs}
-    edges |= {(a, b) for a, b in delta.pairs}
-    return ColoredDigraph(u1 | u2, w1 | w2, edges)
 
 
 def n2_trivial_lift(alpha: BijectionTable, beta: BijectionTable, gamma: BijectionTable,
@@ -366,6 +320,9 @@ def lifted_group(spec: LayeredSpec) -> PermGroup:
     return grp
 
 
+# -- default class labels, with order-paired and seeded tables on them --------
+
+
 def default_layered_classes(s: int, m: int) -> tuple[tuple[str, ...], ...]:
     """U_1..U_s then W_1..W_s as consecutive integer blocks 1..2sm."""
     out = []
@@ -376,22 +333,57 @@ def default_layered_classes(s: int, m: int) -> tuple[tuple[str, ...], ...]:
     return tuple(out)
 
 
+def _shuffled(rng: random.Random, image: Sequence[str]) -> list[str]:
+    out = list(image)
+    rng.shuffle(out)
+    return out
+
+
+def _n2_trivial_tables(m: int, order) -> tuple[BijectionTable, BijectionTable, BijectionTable]:
+    """alpha: U1->W1, beta: W1->U2, gamma: W2->U2, each image ordered by ``order``.
+
+    U1, W1, W2, U2 are the consecutive integer blocks 1..4m.
+    """
+    u1, w1, w2, u2 = (_int_range(k * m + 1, m) for k in range(4))
+    return (BijectionTable.pairing(u1, order(w1)), BijectionTable.pairing(w1, order(u2)),
+            BijectionTable.pairing(w2, order(u2)))
+
+
+def default_n2_trivial_tables(m: int) -> tuple[BijectionTable, BijectionTable, BijectionTable]:
+    """Order-paired tables on the default class labels."""
+    return _n2_trivial_tables(m, tuple)
+
+
+def random_n2_trivial_tables(m: int, seed: int) -> tuple[BijectionTable, BijectionTable,
+                                                         BijectionTable]:
+    """Seeded shuffled tables on the default class labels; same seed, same tables."""
+    rng = random.Random(seed)
+    return _n2_trivial_tables(m, lambda image: _shuffled(rng, image))
+
+
+def _layered_spec(s: int, m: int, order) -> LayeredSpec:
+    """A spec on the default class labels, each table's image ordered by ``order``.
+
+    The diagonal tables' images are ordered first, in layer order, then the
+    step tables' images.
+    """
+    classes = default_layered_classes(s, m)
+    u_classes, w_classes = classes[:s], classes[s:]
+    f_diag = tuple(BijectionTable.pairing(u_classes[i], order(w_classes[i])) for i in range(s))
+    g_step = tuple(BijectionTable.pairing(w_classes[j], order(u_classes[j + 1]))
+                   for j in range(s - 1))
+    return LayeredSpec(s, m, f_diag, g_step)
+
+
+def default_layered_spec(s: int, m: int) -> LayeredSpec:
+    """The order-paired spec on the default class labels; s = 2 is the two-layer family."""
+    return _layered_spec(s, m, tuple)
+
+
 def random_layered_spec(s: int, m: int, seed: int) -> LayeredSpec:
     """A seeded random spec on the default class labels; same seed, same spec."""
     rng = random.Random(seed)
-    classes = default_layered_classes(s, m)
-    u_classes, w_classes = classes[:s], classes[s:]
-    f_diag = []
-    for i in range(s):
-        img = list(w_classes[i])
-        rng.shuffle(img)
-        f_diag.append(BijectionTable.pairing(u_classes[i], img))
-    g_step = []
-    for j in range(s - 1):
-        img = list(u_classes[j + 1])
-        rng.shuffle(img)
-        g_step.append(BijectionTable.pairing(w_classes[j], img))
-    return LayeredSpec(s, m, tuple(f_diag), tuple(g_step))
+    return _layered_spec(s, m, lambda image: _shuffled(rng, image))
 
 
 # -- spec text format ---------------------------------------------------------

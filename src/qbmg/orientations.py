@@ -18,6 +18,7 @@ from .axioms import is_2qbmg, is_thin, satisfies_star
 from .autgroup import aut_color_preserving
 from .digraph import ColoredDigraph, symmetric_edges, token_key
 from .errors import PreconditionError, QbmgError, SizeCapError
+from .perms import PermGroup
 
 __all__ = [
     "uw_orientation",
@@ -130,8 +131,8 @@ class OrientationReport:
         return not self.violations
 
 
-def check_orientation_theorems(g: ColoredDigraph, vertex_cap: int = 64) -> OrientationReport:
-    """Verify the orientation facts on one 2-qBMG.
+def check_orientation_theorems(g: ColoredDigraph, aut_g: PermGroup) -> OrientationReport:
+    """Verify the orientation facts on one 2-qBMG, given ``aut_g = aut_color_preserving(g)``.
 
     (a) When symmetric edges form a matching, every orientation must again be
         a 2-qBMG, and must be acyclic with a topological order. Acyclicity is
@@ -179,8 +180,7 @@ def check_orientation_theorems(g: ColoredDigraph, vertex_cap: int = 64) -> Orien
                 all_acyclic = False
                 break
 
-    aut_g = aut_color_preserving(g, vertex_cap=vertex_cap)
-    aut_o = aut_color_preserving(uw_orientation(g), vertex_cap=vertex_cap)
+    aut_o = aut_color_preserving(uw_orientation(g))
     preserved = aut_g.elements == aut_o.elements
     if not preserved:
         violations.append(

@@ -147,13 +147,11 @@ def classical_quotient(g: ColoredDigraph) -> QuotientResult:
     return partition_quotient(g, equivalence_classes(g))
 
 
-def check_color_preserving_automorphisms(g: ColoredDigraph, grp: PermGroup,
-                                         allow_isolated_swap: bool = False) -> None:
+def check_color_preserving_automorphisms(g: ColoredDigraph, grp: PermGroup) -> None:
     """Raise unless every generator is a color-preserving automorphism of g.
 
-    With ``allow_isolated_swap`` the color condition is waived on isolated
-    vertices, which lets the product group over equivalence classes act on a
-    color-straddling isolated class.
+    The color condition is waived on isolated vertices, which lets the product
+    group over equivalence classes act on a color-straddling isolated class.
     """
     dom = tuple(sorted(g.vertices, key=token_key))
     if grp.domain != dom:
@@ -165,9 +163,7 @@ def check_color_preserving_automorphisms(g: ColoredDigraph, grp: PermGroup,
                 f"generator {p.cycle_string()} is not an automorphism: "
                 f"edge ({bad[0]}, {bad[1]}) maps to a non-edge")
         for v in dom:
-            if (v in g.color_u) != (p(v) in g.color_u):
-                if allow_isolated_swap and g.is_isolated(v):
-                    continue
+            if (v in g.color_u) != (p(v) in g.color_u) and not g.is_isolated(v):
                 raise NotAutomorphismError(
                     f"generator {p.cycle_string()} is not color-preserving: "
                     f"it moves {v} across the color classes")
@@ -175,7 +171,7 @@ def check_color_preserving_automorphisms(g: ColoredDigraph, grp: PermGroup,
 
 def gamma_quotient(g: ColoredDigraph, grp: PermGroup) -> QuotientResult:
     """Quotient over the orbit partition of a color-preserving automorphism group."""
-    check_color_preserving_automorphisms(g, grp, allow_isolated_swap=True)
+    check_color_preserving_automorphisms(g, grp)
     return partition_quotient(g, Partition.from_blocks(grp.orbit_sets()))
 
 
@@ -207,7 +203,7 @@ def verify_thin_orbit_structure(g: ColoredDigraph, grp: PermGroup) -> list[Orbit
         raise PreconditionError("input graph is not a 2-qBMG")
     if not is_thin(g):
         raise PreconditionError("input graph is not thin")
-    check_color_preserving_automorphisms(g, grp, allow_isolated_swap=True)
+    check_color_preserving_automorphisms(g, grp)
     return classify_monochromatic_orbit_pairs(g, grp.orbit_sets())
 
 
@@ -284,6 +280,7 @@ def _classify_pair(uo: frozenset[str], wo: frozenset[str],
 
 def parse_partition(text: str) -> Partition:
     blocks: list[frozenset[str]] = []
+    seen: set[str] = set()
     for i, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -291,11 +288,13 @@ def parse_partition(text: str) -> Partition:
         toks = stripped.split()
         if len(set(toks)) != len(toks):
             raise GraphFormatError("block repeats a vertex", line=i)
-        blocks.append(frozenset(toks))
-    try:
-        return Partition.from_blocks(blocks)
-    except PartitionError as exc:
-        raise GraphFormatError(str(exc), line=1) from exc
+        block = frozenset(toks)
+        if seen & block:
+            raise GraphFormatError(
+                f"blocks overlap on {sorted(seen & block, key=token_key)}", line=i)
+        seen |= block
+        blocks.append(block)
+    return Partition.from_blocks(blocks)
 
 
 def format_partition(p: Partition) -> str:

@@ -1,6 +1,7 @@
 """The theorem suite: structural facts every 2-qBMG in a corpus must satisfy.
 
-Each check returns a CheckResult; a failure means a bug somewhere in this
+Each check reads its inputs from a per-graph ``GraphFacts`` and returns
+whether it passed with a detail line; a failure means a bug somewhere in this
 package or a corpus file that is not what it claims to be, never a legitimate
 property of some 2-qBMG. The suite is what ``qbmg verify`` runs per file and
 what the acceptance tests run over the built-in corpus.
@@ -9,9 +10,10 @@ what the acceptance tests run over the built-in corpus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Callable, Iterable
 
-from .axioms import check_n1, check_n2, check_n3, check_n3star, is_2qbmg, is_thin
+from .axioms import is_2qbmg, is_thin
 from .autgroup import aut_color_preserving, aut_full, canonical_gamma, is_normal
 from .digraph import ColoredDigraph, long_induced_path_or_cycle, token_key, underlying_undirected
 from .errors import PreconditionError, QbmgError
@@ -19,6 +21,7 @@ from .orientations import check_orientation_theorems
 from .perms import PermGroup
 from .quotients import (
     Partition,
+    QuotientResult,
     classical_quotient,
     classify_monochromatic_orbit_pairs,
     equivalence_classes,
@@ -48,200 +51,178 @@ def graphs_match_up_to_rename(a: ColoredDigraph, b: ColoredDigraph,
     return {(rename[t], rename[h]) for (t, h) in a.edges} == b.edges
 
 
-def _check_membership(g: ColoredDigraph) -> CheckResult:
-    ok = is_2qbmg(g)
-    return CheckResult("membership", ok, "" if ok else "graph is not a 2-qBMG")
+class GraphFacts:
+    """The inputs the checks share for one graph, each computed at most once, on first use."""
+
+    def __init__(self, g: ColoredDigraph):
+        self.g = g
+
+    @cached_property
+    def thin(self) -> bool:
+        return is_thin(self.g)
+
+    @cached_property
+    def classes(self) -> Partition:
+        return equivalence_classes(self.g)
+
+    @cached_property
+    def classical(self) -> QuotientResult:
+        return classical_quotient(self.g)
+
+    @cached_property
+    def aut_i(self) -> PermGroup:
+        return aut_color_preserving(self.g)
+
+    @cached_property
+    def full(self) -> PermGroup:
+        return aut_full(self.g)
+
+    @cached_property
+    def gamma(self) -> PermGroup:
+        return canonical_gamma(self.g)
 
 
-def _check_route_equivalence(g: ColoredDigraph) -> CheckResult:
-    a = bool(check_n1(g)) and bool(check_n2(g)) and bool(check_n3(g))
-    b = bool(check_n1(g)) and bool(check_n2(g)) and bool(check_n3star(g))
-    return CheckResult("route_equivalence", a == b,
-                       "" if a == b else f"N3 route gives {a}, N3* route gives {b}")
+Outcome = tuple[bool, str]
 
 
-def _check_p6c6_free(g: ColoredDigraph) -> CheckResult:
-    witness = long_induced_path_or_cycle(g.vertices, underlying_undirected(g))
-    return CheckResult(
-        "underlying_p6c6_free", witness is None,
-        "" if witness is None else f"induced path/cycle {witness}")
+def _membership(f: GraphFacts) -> Outcome:
+    ok = is_2qbmg(f.g)
+    return ok, "" if ok else "graph is not a 2-qBMG"
 
 
-def _check_classical_idempotent(g: ColoredDigraph) -> CheckResult:
-    first = classical_quotient(g)
+def _route_equivalence(f: GraphFacts) -> Outcome:
+    # Runs after membership passed, and is_2qbmg raises when the N3 and N3* routes disagree.
+    return True, ""
+
+
+def _p6c6_free(f: GraphFacts) -> Outcome:
+    witness = long_induced_path_or_cycle(f.g.vertices, underlying_undirected(f.g))
+    return witness is None, "" if witness is None else f"induced path/cycle {witness}"
+
+
+def _classical_idempotent(f: GraphFacts) -> Outcome:
+    first = f.classical
     second = classical_quotient(first.quotient)
     if not is_thin(first.quotient):
-        return CheckResult("classical_idempotent", False, "classical quotient is not thin")
+        return False, "classical quotient is not thin"
     rename = {v: second.projection[v] for v in first.quotient.vertices}
     ok = graphs_match_up_to_rename(first.quotient, second.quotient, rename)
-    return CheckResult("classical_idempotent", ok,
-                       "" if ok else "second quotient is not a renaming of the first")
+    return ok, "" if ok else "second quotient is not a renaming of the first"
 
 
-def _check_classical_equals_canonical(g: ColoredDigraph, gamma: PermGroup) -> CheckResult:
-    classical = classical_quotient(g)
-    via_group = gamma_quotient(g, gamma)
-    ok = classical.quotient == via_group.quotient and classical.projection == via_group.projection
-    return CheckResult("classical_equals_canonical_gamma", ok,
-                       "" if ok else "orbit quotient differs from the equivalence quotient")
+def _classical_equals_canonical(f: GraphFacts) -> Outcome:
+    via_group = gamma_quotient(f.g, f.gamma)
+    ok = f.classical.quotient == via_group.quotient and f.classical.projection == via_group.projection
+    return ok, "" if ok else "orbit quotient differs from the equivalence quotient"
 
 
-def _check_canonical_normal(g: ColoredDigraph, gamma: PermGroup,
-                            full: PermGroup) -> CheckResult:
+def _canonical_normal(f: GraphFacts) -> Outcome:
     try:
-        ok = is_normal(gamma, full)
+        ok = is_normal(f.gamma, f.full)
     except QbmgError as exc:
-        return CheckResult("canonical_gamma_normal", False, str(exc))
-    return CheckResult("canonical_gamma_normal", ok,
-                       "" if ok else "class product group is not normal in the full group")
+        return False, str(exc)
+    return ok, "" if ok else "class product group is not normal in the full group"
 
 
-def _check_canonical_orbits(g: ColoredDigraph, gamma: PermGroup) -> CheckResult:
-    ok = Partition.from_blocks(gamma.orbit_sets()) == equivalence_classes(g)
-    return CheckResult("canonical_orbits_are_classes", ok,
-                       "" if ok else "orbits of the class product group differ from the classes")
+def _canonical_orbits(f: GraphFacts) -> Outcome:
+    ok = Partition.from_blocks(f.gamma.orbit_sets()) == f.classes
+    return ok, "" if ok else "orbits of the class product group differ from the classes"
 
 
-def _check_gamma_hereditary(g: ColoredDigraph, aut_i: PermGroup,
-                            gamma: PermGroup) -> CheckResult:
+def _gamma_hereditary(f: GraphFacts) -> Outcome:
     """Quotients by cyclic subgroups, the full group, and the class product group."""
-    samples: list[tuple[str, PermGroup]] = [("full Aut_I", aut_i), ("canonical gamma", gamma)]
+    samples: list[tuple[str, PermGroup]] = [("full Aut_I", f.aut_i), ("canonical gamma", f.gamma)]
     samples.extend((f"cyclic<{grp.generators[0].cycle_string()}>" if grp.generators else "trivial",
-                    grp) for grp in aut_i.cyclic_subgroups())
+                    grp) for grp in f.aut_i.cyclic_subgroups())
     for label, grp in samples:
-        q = gamma_quotient(g, grp).quotient
-        if not is_2qbmg(q):
-            return CheckResult("gamma_quotient_hereditary", False,
-                               f"quotient by {label} is not a 2-qBMG")
-    return CheckResult("gamma_quotient_hereditary", True)
+        if not is_2qbmg(gamma_quotient(f.g, grp).quotient):
+            return False, f"quotient by {label} is not a 2-qBMG"
+    return True, ""
 
 
-def _check_common_out_neighbor(g: ColoredDigraph, full: PermGroup) -> CheckResult:
+def _common_out_neighbor(f: GraphFacts) -> Outcome:
     # Checked against the full group's orbits, which are coarser than the
     # color-preserving group's, so this covers both statements at once.
-    classes = equivalence_classes(g)
-    for orbit in full.orbit_sets():
+    for orbit in f.full.orbit_sets():
         members = sorted(orbit, key=token_key)
         for i, x in enumerate(members):
             for y in members[i + 1:]:
-                if g.out_neighbors(x) & g.out_neighbors(y):
-                    if classes.block_of(x) != classes.block_of(y):
-                        return CheckResult(
-                            "common_out_neighbor_equivalence", False,
-                            f"orbit mates {x}, {y} share an out-neighbor but are "
-                            "not equivalent")
-    return CheckResult("common_out_neighbor_equivalence", True)
+                if f.g.out_neighbors(x) & f.g.out_neighbors(y):
+                    if f.classes.block_of(x) != f.classes.block_of(y):
+                        return False, (f"orbit mates {x}, {y} share an out-neighbor but are "
+                                       "not equivalent")
+    return True, ""
 
 
-def _check_fixed_in_neighborhood(g: ColoredDigraph, full: PermGroup) -> CheckResult:
-    if not is_thin(g):
-        return CheckResult("fixed_vertex_in_neighborhood", True, "skipped: not thin")
-    for p in full.sorted_elements:
+def _fixed_in_neighborhood(f: GraphFacts) -> Outcome:
+    if not f.thin:
+        return True, "skipped: not thin"
+    for p in f.full.sorted_elements:
         for v in p.fixed_points():
-            for x in g.in_neighbors(v):
+            for x in f.g.in_neighbors(v):
                 if p(x) != x:
-                    return CheckResult(
-                        "fixed_vertex_in_neighborhood", False,
-                        f"{p.cycle_string()} fixes {v} but moves its in-neighbor {x}")
-    return CheckResult("fixed_vertex_in_neighborhood", True)
+                    return False, f"{p.cycle_string()} fixes {v} but moves its in-neighbor {x}"
+    return True, ""
 
 
-def _check_thin_orbit_pairs(g: ColoredDigraph, aut_i: PermGroup,
-                            full: PermGroup) -> CheckResult:
-    if not is_thin(g):
-        return CheckResult("thin_orbit_pairs", True, "skipped: not thin")
+def _thin_orbit_pairs(f: GraphFacts) -> Outcome:
+    if not f.thin:
+        return True, "skipped: not thin"
     try:
-        verify_thin_orbit_structure(g, aut_i)
+        verify_thin_orbit_structure(f.g, f.aut_i)
         # The structure statement holds for monochromatic orbits of any
         # automorphism group; the full group's orbits are coarser, so this
         # is a genuinely different instance on graphs with mixed symmetries.
-        classify_monochromatic_orbit_pairs(g, full.orbit_sets())
+        classify_monochromatic_orbit_pairs(f.g, f.full.orbit_sets())
     except PreconditionError as exc:
-        return CheckResult("thin_orbit_pairs", False, str(exc))
-    return CheckResult("thin_orbit_pairs", True)
+        return False, str(exc)
+    return True, ""
 
 
-def _check_orientations(g: ColoredDigraph, vertex_cap: int) -> CheckResult:
-    report = check_orientation_theorems(g, vertex_cap=vertex_cap)
+def _orientations(f: GraphFacts) -> Outcome:
+    report = check_orientation_theorems(f.g, f.aut_i)
     detail = "; ".join(report.violations)
     acyclic_ok = report.all_orientations_acyclic in (True, None)
-    ok = report.ok and acyclic_ok
     if not acyclic_ok:
         detail = (detail + "; " if detail else "") + "an orientation of a thin graph has a cycle"
-    return CheckResult("orientation_theorems", ok, detail)
+    return report.ok and acyclic_ok, detail
 
 
-CHECK_NAMES: tuple[str, ...] = (
-    "membership",
-    "route_equivalence",
-    "underlying_p6c6_free",
-    "classical_idempotent",
-    "classical_equals_canonical_gamma",
-    "canonical_gamma_normal",
-    "canonical_orbits_are_classes",
-    "gamma_quotient_hereditary",
-    "common_out_neighbor_equivalence",
-    "fixed_vertex_in_neighborhood",
-    "thin_orbit_pairs",
-    "orientation_theorems",
-)
+# Membership runs first on every graph; the other checks presume it.
+CHECKS: dict[str, Callable[[GraphFacts], Outcome]] = {
+    "membership": _membership,
+    "route_equivalence": _route_equivalence,
+    "underlying_p6c6_free": _p6c6_free,
+    "classical_idempotent": _classical_idempotent,
+    "classical_equals_canonical_gamma": _classical_equals_canonical,
+    "canonical_gamma_normal": _canonical_normal,
+    "canonical_orbits_are_classes": _canonical_orbits,
+    "gamma_quotient_hereditary": _gamma_hereditary,
+    "common_out_neighbor_equivalence": _common_out_neighbor,
+    "fixed_vertex_in_neighborhood": _fixed_in_neighborhood,
+    "thin_orbit_pairs": _thin_orbit_pairs,
+    "orientation_theorems": _orientations,
+}
+
+CHECK_NAMES: tuple[str, ...] = tuple(CHECKS)
 
 
-def run_suite(g: ColoredDigraph, checks: Iterable[str] | None = None,
-              vertex_cap: int = 64) -> list[CheckResult]:
-    """Run the selected checks (default: all) against one graph.
+def run_suite(g: ColoredDigraph, checks: Iterable[str] | None = None) -> list[CheckResult]:
+    """Run the selected checks (default: all) against one graph, in the given order.
 
-    A graph that fails membership gets a single failing result; the remaining
-    theorems presume membership and are not run.
+    Membership is reported first, once, when selected. A graph that fails it
+    gets that single failing result; the remaining theorems presume membership
+    and are not run.
     """
     wanted = tuple(checks) if checks is not None else CHECK_NAMES
     unknown = set(wanted) - set(CHECK_NAMES)
     if unknown:
         raise QbmgError(f"unknown checks: {sorted(unknown)}; "
                         f"known: {', '.join(CHECK_NAMES)}")
-    results: list[CheckResult] = []
-
-    membership = _check_membership(g)
-    if "membership" in wanted:
-        results.append(membership)
-    if not membership.passed:
-        return results
-
-    needs_groups = {
-        "classical_equals_canonical_gamma", "canonical_gamma_normal",
-        "canonical_orbits_are_classes", "gamma_quotient_hereditary",
-        "common_out_neighbor_equivalence", "fixed_vertex_in_neighborhood",
-        "thin_orbit_pairs",
-    }
-    aut_i = full = gamma = None
-    if needs_groups & set(wanted):
-        aut_i = aut_color_preserving(g, vertex_cap=vertex_cap)
-        full = aut_full(g, vertex_cap=vertex_cap)
-        gamma = canonical_gamma(g)
-
-    for name in wanted:
-        if name == "membership":
-            continue
-        if name == "route_equivalence":
-            results.append(_check_route_equivalence(g))
-        elif name == "underlying_p6c6_free":
-            results.append(_check_p6c6_free(g))
-        elif name == "classical_idempotent":
-            results.append(_check_classical_idempotent(g))
-        elif name == "classical_equals_canonical_gamma":
-            results.append(_check_classical_equals_canonical(g, gamma))
-        elif name == "canonical_gamma_normal":
-            results.append(_check_canonical_normal(g, gamma, full))
-        elif name == "canonical_orbits_are_classes":
-            results.append(_check_canonical_orbits(g, gamma))
-        elif name == "gamma_quotient_hereditary":
-            results.append(_check_gamma_hereditary(g, aut_i, gamma))
-        elif name == "common_out_neighbor_equivalence":
-            results.append(_check_common_out_neighbor(g, full))
-        elif name == "fixed_vertex_in_neighborhood":
-            results.append(_check_fixed_in_neighborhood(g, full))
-        elif name == "thin_orbit_pairs":
-            results.append(_check_thin_orbit_pairs(g, aut_i, full))
-        elif name == "orientation_theorems":
-            results.append(_check_orientations(g, vertex_cap))
+    facts = GraphFacts(g)
+    membership = CheckResult("membership", *_membership(facts))
+    results = [membership] if "membership" in wanted else []
+    if membership.passed:
+        results.extend(CheckResult(name, *CHECKS[name](facts))
+                       for name in wanted if name != "membership")
     return results

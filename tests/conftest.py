@@ -14,9 +14,8 @@ from qbmg import (
     n2_trivial_layer,
     random_layered_spec,
     token_key,
-    two_layer,
 )
-from qbmg.constructions import default_n2_trivial_tables, default_two_layer_tables
+from qbmg.constructions import default_layered_spec, default_n2_trivial_tables
 
 from tests import refdata
 from tests.oracles import enumerate_bipartite_digraphs
@@ -29,8 +28,7 @@ def named_fixtures() -> dict[str, ColoredDigraph]:
         "blowup_base": refdata.BLOWUP_BASE,
         "blowup_once": refdata.BLOWUP_ONCE,
         "blowup_twice": refdata.BLOWUP_TWICE,
-        "two_layer_m4": two_layer(4, refdata.TWO_LAYER_M4_ALPHA,
-                                  refdata.TWO_LAYER_M4_BETA, refdata.TWO_LAYER_M4_GAMMA),
+        "two_layer_m4": layered(refdata.TWO_LAYER_M4_SPEC),
         "diamonds_m4": n2_trivial_layer(4, refdata.DIAMOND_M4_ALPHA,
                                         refdata.DIAMOND_M4_BETA, refdata.DIAMOND_M4_GAMMA),
         "layered_s3m3": layered(refdata.LAYERED_S3M3_SPEC),
@@ -54,7 +52,7 @@ def named_fixtures() -> dict[str, ColoredDigraph]:
 def _family_instances() -> dict[str, ColoredDigraph]:
     graphs: dict[str, ColoredDigraph] = {}
     for m in range(1, 5):
-        graphs[f"two_layer_m{m}_paired"] = two_layer(m, *default_two_layer_tables(m))
+        graphs[f"two_layer_m{m}_paired"] = layered(default_layered_spec(2, m))
         graphs[f"n2_trivial_m{m}_paired"] = n2_trivial_layer(m, *default_n2_trivial_tables(m))
     for s in range(2, 5):
         for m in range(1, 5):

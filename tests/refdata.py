@@ -38,16 +38,14 @@ SIMULTANEOUS_DUPLICATION = ColoredDigraph(
 
 # -- two-layer reference instance, m = 4 --------------------------------------
 # Classes U1={1..4}, U2={5..8}, W1={9..12}, W2={13..16}. Its color-preserving
-# group is exactly the lifted symmetric group on U1, of order 24.
-
-TWO_LAYER_M4_ALPHA = BijectionTable.from_mapping({"1": "10", "2": "9", "3": "12", "4": "11"})
-TWO_LAYER_M4_BETA = BijectionTable.from_mapping({"9": "8", "10": "6", "11": "7", "12": "5"})
-TWO_LAYER_M4_GAMMA = BijectionTable.from_mapping({"5": "14", "6": "13", "7": "15", "8": "16"})
+# group is exactly the lifted symmetric group on U1, of order 24. The tables
+# are alpha = f[1][1], gamma = f[2][2] and beta = g[1][2].
 
 TWO_LAYER_M4_SPEC = LayeredSpec(
     2, 4,
-    (TWO_LAYER_M4_ALPHA, TWO_LAYER_M4_GAMMA),
-    (TWO_LAYER_M4_BETA,),
+    (BijectionTable.from_mapping({"1": "10", "2": "9", "3": "12", "4": "11"}),
+     BijectionTable.from_mapping({"5": "14", "6": "13", "7": "15", "8": "16"})),
+    (BijectionTable.from_mapping({"9": "8", "10": "6", "11": "7", "12": "5"}),),
 )
 
 # -- diamond (N2-trivial) reference instance, m = 4 ---------------------------

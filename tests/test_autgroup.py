@@ -16,9 +16,9 @@ from qbmg import (
     inherited_group,
     is_automorphism,
     is_normal,
+    layered,
     lifted_group,
     orbits,
-    two_layer,
 )
 from qbmg.errors import NotAutomorphismError
 from qbmg.perms import PermGroup
@@ -29,8 +29,7 @@ from tests.oracles import brute_force_color_preserving, brute_force_full
 
 @pytest.fixture(scope="module")
 def two_layer_m4():
-    return two_layer(4, refdata.TWO_LAYER_M4_ALPHA, refdata.TWO_LAYER_M4_BETA,
-                     refdata.TWO_LAYER_M4_GAMMA)
+    return layered(refdata.TWO_LAYER_M4_SPEC)
 
 
 def test_identity_is_automorphism():

@@ -11,9 +11,9 @@ from qbmg import (
     check_n3star,
     is_2qbmg,
     is_thin,
+    layered,
     n2_trivial_layer,
     satisfies_star,
-    two_layer,
 )
 
 from tests import refdata
@@ -27,8 +27,7 @@ from tests.oracles import (
 
 @pytest.fixture(scope="module")
 def two_layer_m4():
-    return two_layer(4, refdata.TWO_LAYER_M4_ALPHA, refdata.TWO_LAYER_M4_BETA,
-                     refdata.TWO_LAYER_M4_GAMMA)
+    return layered(refdata.TWO_LAYER_M4_SPEC)
 
 
 @pytest.fixture(scope="module")

@@ -21,10 +21,9 @@ from qbmg import (
     lifted_group,
     n2_trivial_layer,
     random_layered_spec,
-    two_layer,
 )
 from qbmg.constructions import (
-    default_two_layer_tables,
+    default_layered_spec,
     format_layered_spec,
     n2_trivial_lift,
     parse_layered_spec,
@@ -84,8 +83,7 @@ def test_blow_up_creates_equivalent_pair():
 # -- two-layer -------------------------------------------------------------------
 
 def test_two_layer_reference_instance():
-    g = two_layer(4, refdata.TWO_LAYER_M4_ALPHA, refdata.TWO_LAYER_M4_BETA,
-                  refdata.TWO_LAYER_M4_GAMMA)
+    g = layered(refdata.TWO_LAYER_M4_SPEC)
     assert g.n_vertices == 16 and g.n_edges == 16
     report = axiom_report(g)
     assert report.is_2qbmg and report.proper
@@ -95,13 +93,13 @@ def test_two_layer_reference_instance():
 
 
 def test_two_layer_m1_chain_with_chord():
-    g = two_layer(1, *default_two_layer_tables(1))
+    g = layered(default_layered_spec(2, 1))
     assert g.edges == {("1", "3"), ("3", "2"), ("2", "4"), ("1", "4")}
 
 
 def test_two_layer_degree_profile():
     m = 3
-    g = two_layer(m, *default_two_layer_tables(m))
+    g = layered(default_layered_spec(2, m))
     assert g.n_edges == 4 * m
     u1 = set(str(i) for i in range(1, m + 1))
     w2 = set(str(i) for i in range(3 * m + 1, 4 * m + 1))
@@ -112,9 +110,10 @@ def test_two_layer_degree_profile():
 
 
 def test_two_layer_rejects_mismatched_tables():
-    alpha, beta, gamma = default_two_layer_tables(2)
+    spec = default_layered_spec(2, 2)
+    (alpha, gamma), (beta,) = spec.f_diag, spec.g_step
     with pytest.raises(QbmgError):
-        two_layer(2, alpha, gamma, beta)
+        LayeredSpec(2, 2, (alpha, beta), (gamma,))
 
 
 # -- diamond (N2-trivial) family --------------------------------------------------
@@ -171,12 +170,6 @@ def test_layered_edge_count_is_m_s_squared():
             g = layered(random_layered_spec(s, m, seed=5))
             assert g.n_edges == m * s * s
             assert g.n_vertices == 2 * m * s
-
-
-def test_layered_s2_equals_two_layer():
-    alpha, beta, gamma = default_two_layer_tables(3)
-    spec = LayeredSpec(2, 3, (alpha, gamma), (beta,))
-    assert layered(spec) == two_layer(3, alpha, beta, gamma)
 
 
 def test_composition_coherence_laws():
@@ -272,7 +265,7 @@ def test_spec_parse_errors():
 
 
 def test_sequential_blowup_preserves_membership():
-    for base in (two_layer(2, *default_two_layer_tables(2)),
+    for base in (layered(default_layered_spec(2, 2)),
                  layered(random_layered_spec(3, 2, seed=13))):
         assert is_2qbmg(base)
         g = blow_up(base, min(base.vertices), "x1")

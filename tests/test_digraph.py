@@ -89,9 +89,8 @@ def test_underlying_undirected():
     assert underlying_undirected(refdata.BLOWUP_BASE) == {
         frozenset(p) for p in [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5")]
     }
-    from qbmg import two_layer
-    g = two_layer(4, refdata.TWO_LAYER_M4_ALPHA, refdata.TWO_LAYER_M4_BETA,
-                  refdata.TWO_LAYER_M4_GAMMA)
+    from qbmg import layered
+    g = layered(refdata.TWO_LAYER_M4_SPEC)
     assert len(underlying_undirected(g)) == 16
 
 

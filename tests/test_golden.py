@@ -1,0 +1,71 @@
+"""Byte-for-byte CLI output on fixed inputs, frozen in fixtures/golden/cli.json.
+
+Each case is an argv run through ``qbmg.cli.main`` from the repository root;
+its exit code and stdout must match the frozen copy exactly. After a change
+that is meant to alter output, rewrite the frozen copy with
+
+    PYTHONPATH=src python -m tests.test_golden
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from qbmg.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "fixtures" / "golden" / "cli.json"
+CORPUS_FILES = sorted(p.name for p in (ROOT / "fixtures" / "corpus").glob("*.qbmg"))
+SEED = "7"
+
+
+def _cases() -> list[list[str]]:
+    cases = []
+    for name in CORPUS_FILES:
+        cases.append(["verify", f"fixtures/corpus/{name}"])
+        cases.append(["verify", f"fixtures/corpus/{name}", "--json"])
+    theorems = "thin_orbit_pairs,membership,route_equivalence,route_equivalence"
+    cases.append(["verify", "--corpus", "fixtures/corpus", "--theorems", theorems])
+    cases.append(["verify", "--corpus", "fixtures/corpus", "--theorems", theorems, "--json"])
+    for family, ms in (("two-layer", range(1, 5)), ("n2-trivial", range(1, 4))):
+        for m in ms:
+            cases.append(["generate", family, "--m", str(m)])
+            cases.append(["generate", family, "--m", str(m), "--seed", SEED])
+    return cases
+
+
+def _run(argv: list[str]) -> dict:
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    return {"argv": argv, "exit": code, "stdout": out.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict[str, dict]:
+    return {" ".join(doc["argv"]): doc for doc in json.loads(GOLDEN.read_text())}
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(" ".join(argv) for argv in _cases())
+
+
+@pytest.mark.parametrize("argv", _cases(), ids=" ".join)
+def test_cli_output_is_unchanged(golden, argv):
+    assert _run(argv) == golden[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps([_run(argv) for argv in _cases()], indent=1) + "\n")

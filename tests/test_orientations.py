@@ -10,12 +10,12 @@ from qbmg import (
     check_orientation_theorems,
     enumerate_orientations,
     is_2qbmg,
+    layered,
     symmetric_edges,
     topological_order,
-    two_layer,
     uw_orientation,
 )
-from qbmg.constructions import default_two_layer_tables
+from qbmg.constructions import default_layered_spec
 
 from tests import refdata
 
@@ -96,7 +96,8 @@ def test_topological_order_edge_free():
 
 
 def test_orientation_theorems_blowup_base():
-    report = check_orientation_theorems(refdata.BLOWUP_BASE)
+    report = check_orientation_theorems(refdata.BLOWUP_BASE,
+                                        aut_color_preserving(refdata.BLOWUP_BASE))
     assert report.ok
     assert report.star_holds
     assert report.all_orientations_are_2qbmg
@@ -105,25 +106,27 @@ def test_orientation_theorems_blowup_base():
 
 
 def test_orientation_theorems_complete_symmetric():
-    report = check_orientation_theorems(refdata.complete_symmetric(2, 3))
+    g = refdata.complete_symmetric(2, 3)
+    report = check_orientation_theorems(g, aut_color_preserving(g))
     assert report.ok
     assert not report.star_holds
     assert report.all_orientations_are_2qbmg is None
     assert report.group_order == 12
-    o = uw_orientation(refdata.complete_symmetric(2, 3))
+    o = uw_orientation(g)
     assert aut_color_preserving(o).order == 12
 
 
 def test_orientation_theorems_oriented_thin():
-    g = two_layer(3, *default_two_layer_tables(3))
-    report = check_orientation_theorems(g)
+    g = layered(default_layered_spec(2, 3))
+    report = check_orientation_theorems(g, aut_color_preserving(g))
     assert report.ok and report.orientations_checked == 1
 
 
 def test_orientation_theorems_require_membership():
     from qbmg import PreconditionError
+    g = refdata.SIMULTANEOUS_DUPLICATION
     with pytest.raises(PreconditionError):
-        check_orientation_theorems(refdata.SIMULTANEOUS_DUPLICATION)
+        check_orientation_theorems(g, aut_color_preserving(g))
 
 
 def test_all_orientations_of_matching_graphs_are_members():
@@ -147,7 +150,7 @@ def test_shared_symmetric_endpoint_skips_orientation_closure():
     from qbmg import satisfies_star
     g = refdata.BLOWUP_ONCE
     assert not satisfies_star(g).holds
-    report = check_orientation_theorems(g)
+    report = check_orientation_theorems(g, aut_color_preserving(g))
     assert report.ok
     assert report.all_orientations_are_2qbmg is None
 
@@ -183,6 +186,6 @@ def test_uw_orientation_can_gain_automorphisms():
     assert aut_color_preserving(g).order == 1
     o = uw_orientation(g)
     assert aut_color_preserving(o).order == 2
-    report = check_orientation_theorems(g)
+    report = check_orientation_theorems(g, aut_color_preserving(g))
     assert not report.uw_group_preserved
     assert any("color-preserving group" in v for v in report.violations)

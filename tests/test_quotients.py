@@ -15,6 +15,7 @@ from qbmg import (
     gamma_quotient,
     is_2qbmg,
     is_thin,
+    layered,
     lifted_group,
     parse_partition,
     partition_quotient,
@@ -42,9 +43,7 @@ def test_equivalence_classes_complete_symmetric():
 
 
 def test_equivalence_classes_thin_construction():
-    from qbmg import two_layer
-    g = two_layer(4, refdata.TWO_LAYER_M4_ALPHA, refdata.TWO_LAYER_M4_BETA,
-                  refdata.TWO_LAYER_M4_GAMMA)
+    g = layered(refdata.TWO_LAYER_M4_SPEC)
     assert all(len(b) == 1 for b in equivalence_classes(g).blocks)
 
 
@@ -293,5 +292,10 @@ def test_parse_partition_rejects_duplicates():
     from qbmg import GraphFormatError
     with pytest.raises(GraphFormatError):
         parse_partition("1 1\n")
-    with pytest.raises(GraphFormatError):
+    # An overlap is reported at the line of the block that overlaps an earlier one.
+    with pytest.raises(GraphFormatError) as exc:
         parse_partition("1 2\n2 3\n")
+    assert exc.value.line == 2
+    with pytest.raises(GraphFormatError) as exc:
+        parse_partition("1 2\n\n# comment\n3\n4 1\n")
+    assert exc.value.line == 5

@@ -1,8 +1,11 @@
 """The theorem-suite runner itself."""
 
+import sys
+from collections import Counter
+
 import pytest
 
-from qbmg import ColoredDigraph, QbmgError
+from qbmg import ColoredDigraph, QbmgError, layered
 from qbmg.verify import CHECK_NAMES, graphs_match_up_to_rename, run_suite
 
 from tests import refdata
@@ -54,3 +57,36 @@ def test_known_false_identity_is_flagged_not_crashed():
     assert "color-preserving group" in results["orientation_theorems"].detail
     others = [r for name, r in results.items() if name != "orientation_theorems"]
     assert all(r.passed for r in others)
+
+
+def _count_group_calls(monkeypatch) -> Counter:
+    """Count calls to the group builders through every qbmg module that binds them."""
+    counts: Counter = Counter()
+    modules = [m for name, m in sys.modules.items() if name.startswith("qbmg")]
+    for name in ("aut_color_preserving", "aut_full", "canonical_gamma"):
+        orig = getattr(sys.modules["qbmg.autgroup"], name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod in modules:
+            if vars(mod).get(name) is orig:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+def test_each_group_is_built_once_per_graph(monkeypatch):
+    counts = _count_group_calls(monkeypatch)
+    results = run_suite(refdata.BLOWUP_TWICE)
+    assert all(r.passed for r in results)
+    # The color-preserving group is built for g and for its UW-orientation.
+    assert counts == {"aut_color_preserving": 2, "aut_full": 1, "canonical_gamma": 1}
+
+
+def test_thin_orbit_pairs_builds_only_the_groups_it_reads(monkeypatch):
+    counts = _count_group_calls(monkeypatch)
+    results = run_suite(layered(refdata.TWO_LAYER_M4_SPEC), checks=["thin_orbit_pairs"])
+    assert [(r.name, r.passed, r.detail) for r in results] == [("thin_orbit_pairs", True, "")]
+    assert counts == {"aut_color_preserving": 1, "aut_full": 1}
+
