@@ -20,6 +20,7 @@ from .axioms import (
     satisfies_star,
 )
 from .autgroup import (
+    SearchStats,
     aut_color_preserving,
     aut_full,
     canonical_gamma,

@@ -4,11 +4,19 @@ The search backtracks over an equitable refinement of the vertex set: cells
 start from the color classes (or from one cell when color-switching maps are
 wanted), then split repeatedly on the multiset of neighbor cells until stable.
 Automorphisms map cells to themselves, so candidate images are drawn from the
-vertex's own cell and filtered by adjacency with the partial assignment. All
-elements are enumerated; orders beyond the element cap fail loudly.
+vertex's own cell and filtered by adjacency with the partial assignment.
+Vertices are assigned in connectivity order (after McKay & Piperno, "Practical
+graph isomorphism, II", 2014): the least vertex by (cell size, cell id,
+token), then always the least unplaced neighbor of a placed vertex, so each
+choice is checked against its neighbors' images at once and the choices in
+disjoint parts are not multiplied together. All elements are enumerated;
+orders beyond the element cap fail loudly.
 """
 
 from __future__ import annotations
+
+import heapq
+from dataclasses import dataclass
 
 from .digraph import ColoredDigraph, token_key
 from .errors import (
@@ -22,6 +30,7 @@ from .perms import DEFAULT_ELEMENT_CAP, PermGroup, Permutation, preserves_edges
 from .quotients import Partition, equivalence_classes, gamma_quotient
 
 __all__ = [
+    "SearchStats",
     "is_automorphism",
     "aut_color_preserving",
     "aut_full",
@@ -71,11 +80,55 @@ def _refine(g: ColoredDigraph, initial: dict[str, int]) -> dict[str, int]:
         n_cells = new_count
 
 
+@dataclass
+class SearchStats:
+    """Counts from one automorphism search.
+
+    A node is one partial assignment the search visits, the empty one
+    included; a leaf is a complete assignment (an automorphism); a dead end is
+    a partial assignment that no candidate image extends.
+    """
+
+    nodes: int = 0
+    leaves: int = 0
+    dead_ends: int = 0
+
+
+def _assignment_order(g: ColoredDigraph, cells: dict[str, int],
+                      by_cell: dict[int, list[str]]) -> list[str]:
+    """Vertices in the order the search assigns them.
+
+    Each vertex minimises (cell size, cell id, token) among the unplaced
+    vertices adjacent to a placed one; when a component is used up, the next
+    vertex is the minimum over all unplaced vertices. Choices in disjoint
+    parts then stay apart instead of multiplying out, and every assigned
+    vertex after the first of its component is constrained by a neighbor.
+    """
+    key = {v: (len(by_cell[cells[v]]), cells[v], token_key(v)) for v in g.sorted_vertices}
+    order: list[str] = []
+    placed: set[str] = set()
+    for start in sorted(key, key=key.__getitem__):
+        if start in placed:
+            continue
+        frontier = [(key[start], start)]
+        while frontier:
+            _, v = heapq.heappop(frontier)
+            if v in placed:
+                continue
+            placed.add(v)
+            order.append(v)
+            for w in g.out_neighbors(v) | g.in_neighbors(v):
+                if w not in placed:
+                    heapq.heappush(frontier, (key[w], w))
+    return order
+
+
 def _search_automorphisms(g: ColoredDigraph, *, respect_colors: bool,
-                          element_cap: int) -> list[Permutation]:
+                          stats: SearchStats) -> list[Permutation]:
+    if g.n_vertices > DEFAULT_VERTEX_CAP:
+        raise SizeCapError(
+            f"automorphism search capped at {DEFAULT_VERTEX_CAP} vertices, got {g.n_vertices}")
     vs = g.sorted_vertices
-    if not vs:
-        return [Permutation.identity(())]
     if respect_colors:
         initial = {v: (0 if v in g.color_u else 1) for v in vs}
     else:
@@ -85,26 +138,29 @@ def _search_automorphisms(g: ColoredDigraph, *, respect_colors: bool,
     by_cell: dict[int, list[str]] = {}
     for v in vs:
         by_cell.setdefault(cells[v], []).append(v)
-    # Small cells first: forced choices early, cheap failure late.
-    order = sorted(vs, key=lambda v: (len(by_cell[cells[v]]), cells[v], token_key(v)))
+    order = _assignment_order(g, cells, by_cell)
 
     out = {v: g.out_neighbors(v) for v in vs}
     inn = {v: g.in_neighbors(v) for v in vs}
-    found: list[dict[str, str]] = []
+    slot = {v: i for i, v in enumerate(vs)}
+    found: list[Permutation] = []
     assigned: list[str] = []
     images: list[str] = []
+    image_of = list(vs)
     used: set[str] = set()
 
     def backtrack(i: int) -> None:
+        stats.nodes += 1
         if i == len(order):
-            found.append(dict(zip(assigned, images)))
-            if len(found) > element_cap:
+            found.append(Permutation._trusted(vs, tuple(image_of)))
+            if len(found) > DEFAULT_ELEMENT_CAP:
                 raise SizeCapError(
-                    f"automorphism group order exceeds the element cap of {element_cap}")
+                    f"automorphism group order exceeds the element cap of {DEFAULT_ELEMENT_CAP}")
             return
         v = order[i]
         out_v = out[v]
         in_v = inn[v]
+        extended = False
         for c in by_cell[cells[v]]:
             if c in used:
                 continue
@@ -115,30 +171,33 @@ def _search_automorphisms(g: ColoredDigraph, *, respect_colors: bool,
                     break
             if not ok:
                 continue
+            extended = True
             assigned.append(v)
             images.append(c)
+            image_of[slot[v]] = c
             used.add(c)
             backtrack(i + 1)
             assigned.pop()
             images.pop()
             used.discard(c)
+        if not extended:
+            stats.dead_ends += 1
 
     backtrack(0)
-    return [Permutation.from_mapping(m, vs) for m in found]
+    stats.leaves += len(found)
+    return found
 
 
-def aut_color_preserving(g: ColoredDigraph, vertex_cap: int = DEFAULT_VERTEX_CAP,
-                         element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
-    """The full group of color-preserving automorphisms, elements enumerated."""
-    if g.n_vertices > vertex_cap:
-        raise SizeCapError(
-            f"automorphism search capped at {vertex_cap} vertices, got {g.n_vertices}")
-    elements = _search_automorphisms(g, respect_colors=True, element_cap=element_cap)
+def aut_color_preserving(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
+    """The full group of color-preserving automorphisms, elements enumerated.
+
+    When ``stats`` is given, the search adds its counts to it.
+    """
+    elements = _search_automorphisms(g, respect_colors=True, stats=stats or SearchStats())
     return PermGroup.from_elements(elements, g.vertices)
 
 
-def aut_full(g: ColoredDigraph, vertex_cap: int = DEFAULT_VERTEX_CAP,
-             element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
+def aut_full(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
     """All digraph automorphisms, color-preserving or not.
 
     On disconnected graphs an automorphism may preserve colors on one component
@@ -146,11 +205,9 @@ def aut_full(g: ColoredDigraph, vertex_cap: int = DEFAULT_VERTEX_CAP,
     gluing a switching coset onto the color-preserving group. On connected
     graphs the color-preserving subgroup has index 1 or 2; that fact is checked
     and a violation raises, since it would mean the search itself is broken.
+    When ``stats`` is given, the search adds its counts to it.
     """
-    if g.n_vertices > vertex_cap:
-        raise SizeCapError(
-            f"automorphism search capped at {vertex_cap} vertices, got {g.n_vertices}")
-    elements = _search_automorphisms(g, respect_colors=False, element_cap=element_cap)
+    elements = _search_automorphisms(g, respect_colors=False, stats=stats or SearchStats())
     grp = PermGroup.from_elements(elements, g.vertices)
     if _is_connected(g) and g.n_vertices:
         preserving = sum(
@@ -187,7 +244,7 @@ def orbits(grp: PermGroup, vertices) -> Partition:
     return Partition.from_blocks(grp.orbit_sets())
 
 
-def canonical_gamma(g: ColoredDigraph, element_cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
+def canonical_gamma(g: ColoredDigraph) -> PermGroup:
     """The product of full symmetric groups, one per equivalence class.
 
     Generated by all transpositions inside each class; the order is the
@@ -205,7 +262,7 @@ def canonical_gamma(g: ColoredDigraph, element_cap: int = DEFAULT_ELEMENT_CAP) -
             gens.append(Permutation.from_mapping({anchor: other, other: anchor}, dom))
     if not gens:
         return PermGroup.trivial(dom)
-    return PermGroup.from_generators(gens, dom, element_cap=element_cap)
+    return PermGroup.from_generators(gens, dom)
 
 
 def is_normal(sub: PermGroup, grp: PermGroup) -> bool:
@@ -223,8 +280,7 @@ def is_normal(sub: PermGroup, grp: PermGroup) -> bool:
     return True
 
 
-def inherited_group(g: ColoredDigraph, norm: PermGroup,
-                    vertex_cap: int = DEFAULT_VERTEX_CAP) -> PermGroup:
+def inherited_group(g: ColoredDigraph, norm: PermGroup) -> PermGroup:
     """The action of the color-preserving group on the orbits of a normal subgroup.
 
     Returns a group of permutations of the quotient's vertices, one per coset,
@@ -232,7 +288,7 @@ def inherited_group(g: ColoredDigraph, norm: PermGroup,
     when some element outside norm fixes every orbit (then cosets do not map
     to distinct quotient permutations and the advertised order is impossible).
     """
-    aut = aut_color_preserving(g, vertex_cap=vertex_cap)
+    aut = aut_color_preserving(g)
     if not is_normal(norm, aut):
         raise PreconditionError("the given subgroup is not normal in the color-preserving group")
     result = gamma_quotient(g, norm)

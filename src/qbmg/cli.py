@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import __version__
 from .axioms import axiom_report, is_thin, satisfies_star
-from .autgroup import aut_color_preserving, aut_full, canonical_gamma
+from .autgroup import SearchStats, aut_color_preserving, aut_full, canonical_gamma
 from .constructions import (
     blow_up,
     default_layered_spec,
@@ -124,7 +124,11 @@ def _group_doc(grp) -> dict:
 
 def cmd_aut(args) -> int:
     g = _load_graph(args.path)
-    grp = aut_full(g) if args.full else aut_color_preserving(g)
+    stats = SearchStats()
+    grp = aut_full(g, stats) if args.full else aut_color_preserving(g, stats)
+    if args.stats:
+        print(f"search: nodes {stats.nodes} leaves {stats.leaves} dead_ends {stats.dead_ends}",
+              file=sys.stderr)
     if args.json:
         _emit(_group_doc(grp))
     else:
@@ -266,6 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--color-preserving", action="store_true", default=False,
                        help="color-preserving automorphisms (default)")
     p.add_argument("--json", action="store_true")
+    p.add_argument("--stats", action="store_true",
+                   help="print the search's node, leaf and dead-end counts to stderr")
     p.set_defaults(func=cmd_aut)
 
     p = sub.add_parser("quotient", help="emit a quotient graph and its projection")

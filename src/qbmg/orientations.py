@@ -180,7 +180,8 @@ def check_orientation_theorems(g: ColoredDigraph, aut_g: PermGroup) -> Orientati
                 all_acyclic = False
                 break
 
-    aut_o = aut_color_preserving(uw_orientation(g))
+    # Without symmetric edges the UW-orientation is g itself.
+    aut_o = aut_color_preserving(uw_orientation(g)) if symmetric_edges(g) else aut_g
     preserved = aut_g.elements == aut_o.elements
     if not preserved:
         violations.append(

@@ -4,6 +4,14 @@ Groups at the scale this package targets (a few hundred vertices, orders up to
 one million) are materialized as full element sets, closed by breadth-first
 multiplication from the generators. Anything larger fails loudly instead of
 silently switching to a different representation.
+
+The canonical generating list of a group is found by a greedy scan of its
+elements; each time a generator is added, the span grows coset by coset
+(Dimino's method) rather than being closed again from the identity. The same
+scan proves an element set closed: the span may never leave the set.
+Products and inverses of permutations skip the input checks of the public
+constructor, since their images are a permutation of the same sorted domain
+by construction.
 """
 
 from __future__ import annotations
@@ -37,10 +45,20 @@ class Permutation:
             raise QbmgError("domain and image lists differ in length")
         if set(img) != set(dom):
             raise QbmgError("images are not a permutation of the domain")
-        self.domain = dom
-        self.images = img
-        self._map = dict(zip(dom, img))
-        self._hash = hash((dom, img))
+        self._set(dom, img)
+
+    def _set(self, domain: tuple[str, ...], images: tuple[str, ...]) -> None:
+        self.domain = domain
+        self.images = images
+        self._map = dict(zip(domain, images))
+        self._hash = hash((domain, images))
+
+    @classmethod
+    def _trusted(cls, domain: tuple[str, ...], images: tuple[str, ...]) -> "Permutation":
+        """Build without checks: ``domain`` is token-sorted and ``images`` a permutation of it."""
+        p = cls.__new__(cls)
+        p._set(domain, images)
+        return p
 
     @classmethod
     def identity(cls, domain: Iterable[str]) -> "Permutation":
@@ -69,14 +87,14 @@ class Permutation:
         """self after other: (self.compose(other))(v) == self(other(v))."""
         if self.domain != other.domain:
             raise QbmgError("cannot compose permutations over different domains")
-        return Permutation(self.domain, tuple(self._map[w] for w in other.images))
+        return Permutation._trusted(self.domain, tuple(self._map[w] for w in other.images))
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         return self.compose(other)
 
     def inverse(self) -> "Permutation":
         inv = {w: v for v, w in self._map.items()}
-        return Permutation(self.domain, tuple(inv[v] for v in self.domain))
+        return Permutation._trusted(self.domain, tuple(inv[v] for v in self.domain))
 
     def is_identity(self) -> bool:
         return self.domain == self.images
@@ -219,7 +237,9 @@ class PermGroup:
         ident = Permutation.identity(dom)
         if ident not in elems:
             raise QbmgError("element set does not contain the identity")
-        _verify_closed(elems)
+        if any(p.domain != dom for p in elems):
+            raise QbmgError("elements act on different domains")
+        _verify_inverses(elems)
         canonical = canonical_generators(elems, dom)
         return cls(dom, tuple(canonical), elems)
 
@@ -294,30 +314,48 @@ def _close_under_product(gens: list[Permutation], ident: Permutation,
     return frozenset(elements)
 
 
-def _verify_closed(elems: frozenset[Permutation]) -> None:
-    # A nonempty finite set closed under composition is a group; spot-check
-    # inverses directly so bad inputs fail with a clear message.
+def _verify_inverses(elems: frozenset[Permutation]) -> None:
+    # canonical_generators proves closure under composition, which implies
+    # closure under inverses; checking inverses first names an offending element.
     for p in elems:
         if p.inverse() not in elems:
             raise QbmgError(f"element set is not closed under inverse at {p!r}")
-    sample = sorted(elems, key=Permutation.sort_key)[: min(len(elems), 8)]
-    for a in sample:
-        for b in sample:
-            if a.compose(b) not in elems:
-                raise QbmgError("element set is not closed under composition")
 
 
 def canonical_generators(elements: Iterable[Permutation],
                          domain: tuple[str, ...]) -> list[Permutation]:
-    """A deterministic generating list: greedy scan in image-tuple order."""
-    ident = Permutation.identity(domain)
-    span: set[Permutation] = {ident}
+    """A deterministic generating list: greedy scan in image-tuple order.
+
+    Each element not yet in the span of the generators so far becomes a
+    generator, and the span, a group H, grows to <H, p> by whole right cosets
+    H*r (Dimino): a coset is added for each product r*s, r a coset
+    representative and s a generator, that is not yet in the span. Raises when
+    the span grows beyond ``elements``, which are then not closed under
+    composition.
+    """
+    members = frozenset(elements)
+    # The domain is token-sorted, so ranks order images as Permutation.sort_key
+    # does, with each token's key computed once instead of once per element.
+    rank = {v: i for i, v in enumerate(domain)}
+    ordered = sorted(members, key=lambda p: [rank[v] for v in p.images])
+    in_span: set[Permutation] = {Permutation.identity(domain)}
     gens: list[Permutation] = []
-    for p in sorted(elements, key=Permutation.sort_key):
-        if p in span:
+    for p in ordered:
+        if p in in_span:
             continue
         gens.append(p)
-        span = set(_close_under_product(gens, ident, DEFAULT_ELEMENT_CAP))
+        subgroup = tuple(in_span)
+        pending = [p]
+        while pending:
+            r = pending.pop()
+            if r in in_span:
+                continue
+            for h in subgroup:
+                x = h.compose(r)
+                if x not in members:
+                    raise QbmgError("element set is not closed under composition")
+                in_span.add(x)
+            pending.extend(r.compose(s) for s in gens)
     return gens
 
 

@@ -115,3 +115,15 @@ def subgroup_lattice(grp) -> list:
         frontier = fresh
     return sorted(found.values(), key=lambda s: (s.order, tuple(
         p.sort_key() for p in s.sorted_elements)))
+
+
+def networkx_color_preserving(g: ColoredDigraph) -> set[Permutation]:
+    """Color-matched self-isomorphisms found by networkx's VF2 matcher."""
+    import networkx as nx
+    from networkx.algorithms.isomorphism import DiGraphMatcher
+
+    d = nx.DiGraph()
+    d.add_nodes_from((v, {"u": v in g.color_u}) for v in g.vertices)
+    d.add_edges_from(g.edges)
+    matcher = DiGraphMatcher(d, d, node_match=lambda a, b: a["u"] == b["u"])
+    return {Permutation.from_mapping(m, g.vertices) for m in matcher.isomorphisms_iter()}

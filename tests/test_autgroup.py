@@ -1,5 +1,7 @@
 """Group search, canonical product group, normality, inherited actions."""
 
+import math
+
 import pytest
 
 from qbmg import (
@@ -7,9 +9,11 @@ from qbmg import (
     Permutation,
     PreconditionError,
     QbmgError,
+    SearchStats,
     SizeCapError,
     aut_color_preserving,
     aut_full,
+    blow_up,
     canonical_gamma,
     equivalence_classes,
     fixes_in_neighborhood_check,
@@ -19,12 +23,17 @@ from qbmg import (
     layered,
     lifted_group,
     orbits,
+    random_layered_spec,
 )
 from qbmg.errors import NotAutomorphismError
 from qbmg.perms import PermGroup
 
 from tests import refdata
-from tests.oracles import brute_force_color_preserving, brute_force_full
+from tests.oracles import (
+    brute_force_color_preserving,
+    brute_force_full,
+    networkx_color_preserving,
+)
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +94,51 @@ def test_aut_star_product_order():
 
 def test_aut_quotient_chain_order():
     assert aut_color_preserving(refdata.QUOTIENT_CHAIN).order == 6
+
+
+@pytest.mark.parametrize("s, m", [(4, 4), (2, 6)])
+def test_aut_layered_is_the_lifted_symmetric_group(s, m):
+    spec = random_layered_spec(s, m, 1)
+    grp = aut_color_preserving(layered(spec))
+    assert grp.order == math.factorial(m)
+    assert grp.elements == lifted_group(spec).elements
+
+
+# cell_order_nodes: the same counter when each cell is assigned whole before
+# the next (the order before connectivity ordering); it must stay below that.
+@pytest.mark.parametrize("s, m, nodes, cell_order_nodes",
+                         [(4, 3, 121, 4000), (3, 4, 385, 39665), (2, 5, 1301, 44006)])
+def test_search_counts_on_the_layered_ladder(s, m, nodes, cell_order_nodes):
+    stats = SearchStats()
+    aut_color_preserving(layered(random_layered_spec(s, m, 1)), stats)
+    assert stats == SearchStats(nodes=nodes, leaves=math.factorial(m), dead_ends=0)
+    assert stats.nodes < cell_order_nodes
+
+
+def test_search_counts_dead_ends():
+    # Directed cycles of lengths 8, 4 and 4: every vertex has in- and
+    # out-degree 1, so refinement keeps one cell per color, and an 8-cycle
+    # vertex sent into a 4-cycle fails only when its cycle closes.
+    def cycle(vs):
+        return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
+
+    g = ColoredDigraph([str(i) for i in range(1, 17, 2)], [str(i) for i in range(2, 17, 2)],
+                       cycle([str(i) for i in range(1, 9)]) + cycle(["9", "10", "11", "12"])
+                       + cycle(["13", "14", "15", "16"]))
+    stats = SearchStats()
+    grp = aut_color_preserving(g, stats)
+    assert grp.elements == networkx_color_preserving(g)
+    assert stats == SearchStats(nodes=237, leaves=32, dead_ends=4)
+
+
+@pytest.mark.parametrize("g", [
+    layered(random_layered_spec(4, 4, 1)),
+    layered(random_layered_spec(2, 5, 1)),
+    layered(random_layered_spec(2, 6, 1)),
+    blow_up(layered(random_layered_spec(2, 5, 1)), "1", "21"),
+], ids=["layered-s4m4", "layered-s2m5", "layered-s2m6", "blowup-s2m5"])
+def test_aut_matches_networkx_self_isomorphisms(g):
+    assert aut_color_preserving(g).elements == networkx_color_preserving(g)
 
 
 def test_aut_cap():

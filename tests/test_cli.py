@@ -89,6 +89,15 @@ def test_aut_full_flag(capsys):
     assert "order 8" in out
 
 
+def test_aut_stats_go_to_stderr_only(capsys):
+    path = str(FIXTURES / "symmetry" / "layered_s2m5_seed1.qbmg")
+    _, plain, _ = run(capsys, "aut", path, "--json")
+    code, out, err = run(capsys, "aut", path, "--json", "--stats")
+    assert code == 0
+    assert out == plain
+    assert err == "search: nodes 1301 leaves 120 dead_ends 0\n"
+
+
 def test_aut_cap_exit_3(tmp_path, capsys):
     lines = ["qbmg 1", "U: " + " ".join(str(i) for i in range(1, 41)),
              "W: " + " ".join(str(i) for i in range(41, 81))]

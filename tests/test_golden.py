@@ -22,6 +22,7 @@ from qbmg.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "fixtures" / "golden" / "cli.json"
 CORPUS_FILES = sorted(p.name for p in (ROOT / "fixtures" / "corpus").glob("*.qbmg"))
+SYMMETRY_FILES = sorted(p.name for p in (ROOT / "fixtures" / "symmetry").glob("*.qbmg"))
 SEED = "7"
 
 
@@ -37,6 +38,11 @@ def _cases() -> list[list[str]]:
         for m in ms:
             cases.append(["generate", family, "--m", str(m)])
             cases.append(["generate", family, "--m", str(m), "--seed", SEED])
+    aut_inputs = ([f"fixtures/corpus/{name}" for name in CORPUS_FILES]
+                  + [f"fixtures/symmetry/{name}" for name in SYMMETRY_FILES])
+    for path in aut_inputs:
+        for flags in ([], ["--json"], ["--full"], ["--full", "--json"]):
+            cases.append(["aut", path, *flags])
     return cases
 
 

@@ -1,5 +1,7 @@
 """Permutation algebra, text format, and group closure."""
 
+import itertools
+
 import pytest
 
 from qbmg import GraphFormatError, Permutation, QbmgError, format_permutation, parse_permutation
@@ -101,6 +103,12 @@ def test_from_elements_requires_identity_and_closure():
         PermGroup.from_elements({Permutation.identity(DOM), rot})
 
 
+def test_from_elements_rejects_mixed_domains():
+    swap = Permutation.from_mapping({"1": "2", "2": "1"}, ("1", "2", "5"))
+    with pytest.raises(QbmgError, match="different domains"):
+        PermGroup.from_elements({Permutation.identity(DOM), swap}, DOM)
+
+
 def test_cyclic_subgroups_of_sym3():
     a = Permutation.from_mapping({"1": "2", "2": "1"}, DOM)
     b = Permutation.from_mapping({"2": "3", "3": "2"}, DOM)
@@ -122,3 +130,15 @@ def test_orbit_sets():
     a = Permutation.from_mapping({"1": "2", "2": "1"}, DOM)
     grp = PermGroup.from_generators([a])
     assert grp.orbit_sets() == [frozenset({"1", "2"}), frozenset({"3"}), frozenset({"4"})]
+
+
+def test_from_elements_rejects_a_set_not_closed_under_composition():
+    # S_5 without one 5-cycle and its inverse holds the identity and every
+    # inverse, yet is no group: 118 does not divide 120.
+    dom = ("1", "2", "3", "4", "5")
+    cycle = Permutation.from_mapping({"1": "2", "2": "3", "3": "4", "4": "5", "5": "1"}, dom)
+    almost = {Permutation(dom, img) for img in itertools.permutations(dom)}
+    almost -= {cycle, cycle.inverse()}
+    assert len(almost) == 118
+    with pytest.raises(QbmgError, match="not closed under composition"):
+        PermGroup.from_elements(almost)

@@ -84,6 +84,14 @@ def test_each_group_is_built_once_per_graph(monkeypatch):
     assert counts == {"aut_color_preserving": 2, "aut_full": 1, "canonical_gamma": 1}
 
 
+def test_group_is_reused_for_an_orientation_without_symmetric_edges(monkeypatch):
+    counts = _count_group_calls(monkeypatch)
+    results = run_suite(layered(refdata.TWO_LAYER_M4_SPEC))
+    assert all(r.passed for r in results)
+    # No symmetric edges: the UW-orientation is g, so g's group is not searched again.
+    assert counts == {"aut_color_preserving": 1, "aut_full": 1, "canonical_gamma": 1}
+
+
 def test_thin_orbit_pairs_builds_only_the_groups_it_reads(monkeypatch):
     counts = _count_group_calls(monkeypatch)
     results = run_suite(layered(refdata.TWO_LAYER_M4_SPEC), checks=["thin_orbit_pairs"])
