@@ -11,6 +11,10 @@ token), then always the least unplaced neighbor of a placed vertex, so each
 choice is checked against its neighbors' images at once and the choices in
 disjoint parts are not multiplied together. All elements are enumerated;
 orders beyond the element cap fail loudly.
+
+The automorphism test itself, ``is_automorphism``, lives in ``perms`` beside
+the color predicate it shares with the index check of ``aut_full``; it is
+re-exported here under the same name.
 """
 
 from __future__ import annotations
@@ -19,14 +23,8 @@ import heapq
 from dataclasses import dataclass
 
 from .digraph import ColoredDigraph, token_key
-from .errors import (
-    InternalCheckError,
-    NotAutomorphismError,
-    PreconditionError,
-    QbmgError,
-    SizeCapError,
-)
-from .perms import DEFAULT_ELEMENT_CAP, PermGroup, Permutation, preserves_edges
+from .errors import InternalCheckError, PreconditionError, QbmgError, SizeCapError
+from .perms import DEFAULT_ELEMENT_CAP, PermGroup, Permutation, is_automorphism, preserves_colors
 from .quotients import Partition, equivalence_classes, gamma_quotient
 
 __all__ = [
@@ -42,17 +40,6 @@ __all__ = [
 ]
 
 DEFAULT_VERTEX_CAP = 64
-
-
-def is_automorphism(g: ColoredDigraph, p: Permutation, color_preserving: bool = False) -> bool:
-    """True when p maps edges to edges; with the flag, p must also fix each class setwise."""
-    if set(p.domain) != g.vertices:
-        raise NotAutomorphismError("permutation domain does not match the graph's vertex set")
-    if preserves_edges(g, p) is not None:
-        return False
-    if color_preserving:
-        return all((p(v) in g.color_u) == (v in g.color_u) for v in p.domain)
-    return True
 
 
 # -- equitable refinement -----------------------------------------------------
@@ -210,10 +197,7 @@ def aut_full(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
     elements = _search_automorphisms(g, respect_colors=False, stats=stats or SearchStats())
     grp = PermGroup.from_elements(elements, g.vertices)
     if _is_connected(g) and g.n_vertices:
-        preserving = sum(
-            1 for p in elements
-            if all((p(v) in g.color_u) == (v in g.color_u) for v in p.domain)
-        )
+        preserving = sum(1 for p in elements if preserves_colors(g, p))
         if grp.order not in (preserving, 2 * preserving):
             raise InternalCheckError(
                 f"color-preserving subgroup has index {grp.order}/{preserving} "

@@ -302,22 +302,15 @@ def lift_permutation(spec: LayeredSpec, pi: Mapping[str, str]) -> Permutation:
 
 
 def lifted_group(spec: LayeredSpec) -> PermGroup:
-    """Lifts of every permutation of U_1; order m!, orbits are the 2s classes."""
-    import itertools
+    """Lifts of every permutation of U_1; order m!, orbits are the 2s classes.
 
+    Generated by the lifts of the m-1 adjacent transpositions of U_1 and
+    bounded by the element cap.
+    """
     u1 = sorted(spec.u_class(1), key=token_key)
-    if len(u1) > 8:
-        raise QbmgError("lifted group enumeration is limited to m <= 8")
-    elements = []
-    for img in itertools.permutations(u1):
-        elements.append(lift_permutation(spec, dict(zip(u1, img))))
-    gens = []
-    for k in range(len(u1) - 1):
-        swap = {u1[k]: u1[k + 1], u1[k + 1]: u1[k]}
-        gens.append(lift_permutation(spec, {**{v: v for v in u1}, **swap}))
-    grp = PermGroup(tuple(sorted(spec.vertices, key=token_key)), tuple(gens),
-                    frozenset(elements))
-    return grp
+    fixed = {v: v for v in u1}
+    gens = [lift_permutation(spec, {**fixed, a: b, b: a}) for a, b in zip(u1, u1[1:])]
+    return PermGroup.from_generators(gens, spec.vertices)
 
 
 # -- default class labels, with order-paired and seeded tables on them --------

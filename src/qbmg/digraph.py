@@ -185,14 +185,14 @@ def underlying_undirected(g: ColoredDigraph) -> set[frozenset[str]]:
 
 
 _PATH_CYCLE_CAP = 64
+_PATH_CYCLE_MIN = 6  # a 2-qBMG's underlying graph has no induced path or cycle this long
 
 
 def long_induced_path_or_cycle(
     vertices: Iterable[str],
     undirected_edges: Iterable[frozenset[str]],
-    min_size: int = 6,
 ) -> list[str] | None:
-    """Search an undirected graph for an induced path or cycle on >= min_size vertices.
+    """Search an undirected graph for an induced path or cycle on at least 6 vertices.
 
     Returns the vertex sequence of one such subgraph (cycle witnesses close back
     to the first vertex implicitly), or None. This is a cross-check tool with a
@@ -216,7 +216,7 @@ def long_induced_path_or_cycle(
     on_path: set[str] = set()
 
     def extend() -> list[str] | None:
-        if len(path) >= min_size:
+        if len(path) >= _PATH_CYCLE_MIN:
             return list(path)
         last = path[-1]
         first = path[0]
@@ -229,7 +229,7 @@ def long_induced_path_or_cycle(
             closes = first in adj[nxt] and len(path) >= 2
             if closes:
                 # nxt touches both ends and nothing in between: induced cycle.
-                if len(path) + 1 >= min_size:
+                if len(path) + 1 >= _PATH_CYCLE_MIN:
                     return list(path) + [nxt]
                 continue
             path.append(nxt)
@@ -305,7 +305,7 @@ def parse_graph(text: str) -> ColoredDigraph:
                 raise GraphFormatError(str(exc), line=ln) from exc
             acc.add(t)
 
-    edges: list[tuple[str, str]] = []
+    edges: set[tuple[str, str]] = set()
     while idx < len(lines):
         ln, body = take("edge line")
         parts = body.split()
@@ -324,7 +324,9 @@ def parse_graph(text: str) -> ColoredDigraph:
         if (tail in u_set) == (head in u_set):
             raise GraphFormatError(
                 f"edge ({tail!r}, {head!r}) joins two vertices of the same color", line=ln)
-        edges.append((tail, head))
+        if (tail, head) in edges:
+            raise GraphFormatError(f"duplicate edge ({tail!r}, {head!r})", line=ln)
+        edges.add((tail, head))
 
     return ColoredDigraph(u_set, w_set, edges)
 
@@ -342,9 +344,9 @@ def format_graph(g: ColoredDigraph, comments: Iterable[str] = ()) -> str:
     return "\n".join(out) + "\n"
 
 
-def to_dot(g: ColoredDigraph, name: str = "qbmg") -> str:
-    """Plain DOT emission, no layout logic. U vertices are circles, W boxes."""
-    lines = [f"digraph {name} {{"]
+def to_dot(g: ColoredDigraph) -> str:
+    """Plain DOT emission, no layout logic, as ``digraph qbmg``. U vertices are circles, W boxes."""
+    lines = ["digraph qbmg {"]
     for v in sorted(g.color_u, key=token_key):
         lines.append(f'  "{v}" [shape=circle];')
     for v in sorted(g.color_w, key=token_key):

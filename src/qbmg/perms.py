@@ -1,14 +1,15 @@
 """Vertex permutations and finite permutation groups stored by explicit elements.
 
 Groups at the scale this package targets (a few hundred vertices, orders up to
-one million) are materialized as full element sets, closed by breadth-first
-multiplication from the generators. Anything larger fails loudly instead of
-silently switching to a different representation.
+one million) are materialized as full element sets. Anything larger fails
+loudly instead of silently switching to a different representation.
 
-The canonical generating list of a group is found by a greedy scan of its
-elements; each time a generator is added, the span grows coset by coset
-(Dimino's method) rather than being closed again from the identity. The same
-scan proves an element set closed: the span may never leave the set.
+One routine does all closure: a Dimino step grows the span of some
+generators, a group H, to <H, p> by whole right cosets H*r. A generator list
+is closed by repeating it under the element cap. The canonical generating
+list of an element set comes from repeating it over the elements in
+image-tuple order, and that scan also proves the set a group: the span may
+never leave the set, and a finite set closed under composition is a group.
 Products and inverses of permutations skip the input checks of the public
 constructor, since their images are a permutation of the same sorted domain
 by construction.
@@ -16,18 +17,17 @@ by construction.
 
 from __future__ import annotations
 
-from itertools import permutations as _itertools_permutations
 from typing import Iterable, Mapping
 
 from .digraph import ColoredDigraph, token_key
-from .errors import GraphFormatError, QbmgError, SizeCapError
+from .errors import GraphFormatError, NotAutomorphismError, QbmgError, SizeCapError
 
 __all__ = [
     "Permutation",
     "PermGroup",
     "parse_permutation",
     "format_permutation",
-    "preserves_edges",
+    "is_automorphism",
 ]
 
 DEFAULT_ELEMENT_CAP = 10**6
@@ -140,16 +140,23 @@ class Permutation:
         return tuple(token_key(v) for v in self.images)
 
 
-def preserves_edges(g: ColoredDigraph, p: Permutation) -> tuple[str, str] | None:
-    """Return a violated edge (one whose image is missing), or None if p maps E into E.
+def preserves_colors(g: ColoredDigraph, p: Permutation) -> bool:
+    """True when p maps each color class onto itself."""
+    return all((p(v) in g.color_u) == (v in g.color_u) for v in p.domain)
+
+
+def is_automorphism(g: ColoredDigraph, p: Permutation, color_preserving: bool = False) -> bool:
+    """True when p maps edges to edges; with the flag, p must also fix each class setwise.
 
     For a bijection on a finite vertex set, mapping edges into edges already
     makes the edge map a bijection.
     """
-    for (t, h) in g.edges:
-        if (p(t), p(h)) not in g.edges:
-            return (t, h)
-    return None
+    if p.domain != g.sorted_vertices:
+        raise NotAutomorphismError("permutation domain does not match the graph's vertex set")
+    edges = g.edges
+    if any((p(t), p(h)) not in edges for (t, h) in edges):
+        return False
+    return not color_preserving or preserves_colors(g, p)
 
 
 # -- permutation text format: ``p: a->b c->d ...`` (unlisted vertices fixed) --
@@ -218,13 +225,14 @@ class PermGroup:
                 raise QbmgError("cannot infer a domain from an empty generator list")
             domain = gens[0].domain
         ident = Permutation.identity(domain)
+        if any(p.domain != ident.domain for p in gens):
+            raise QbmgError("generators act on different domains")
+        span: set[Permutation] = {ident}
+        closing: list[Permutation] = []
         for p in gens:
-            if p.domain != ident.domain:
-                raise QbmgError("generators act on different domains")
-        gens = [p for p in gens if not p.is_identity()]
-        elements = _close_under_product(gens, ident, element_cap)
-        canonical = canonical_generators(elements, ident.domain)
-        return cls(ident.domain, tuple(canonical), elements)
+            if p not in span:
+                _dimino_step(span, closing, p, element_cap=element_cap)
+        return cls.from_elements(span, ident.domain)
 
     @classmethod
     def from_elements(cls, elements: Iterable[Permutation],
@@ -234,14 +242,11 @@ class PermGroup:
             raise QbmgError("a group needs at least the identity element")
         some = next(iter(elems))
         dom = tuple(sorted(domain, key=token_key)) if domain is not None else some.domain
-        ident = Permutation.identity(dom)
-        if ident not in elems:
+        if Permutation.identity(dom) not in elems:
             raise QbmgError("element set does not contain the identity")
         if any(p.domain != dom for p in elems):
             raise QbmgError("elements act on different domains")
-        _verify_inverses(elems)
-        canonical = canonical_generators(elems, dom)
-        return cls(dom, tuple(canonical), elems)
+        return cls(dom, tuple(canonical_generators(elems, dom)), elems)
 
     def __contains__(self, p: Permutation) -> bool:
         return p in self.elements
@@ -295,31 +300,34 @@ class PermGroup:
         return f"PermGroup(order={self.order}, generators={len(self.generators)})"
 
 
-def _close_under_product(gens: list[Permutation], ident: Permutation,
-                         element_cap: int) -> frozenset[Permutation]:
-    elements: set[Permutation] = {ident}
-    frontier: list[Permutation] = [ident]
-    while frontier:
-        nxt: list[Permutation] = []
-        for a in frontier:
-            for gen in gens:
-                c = gen.compose(a)
-                if c not in elements:
-                    elements.add(c)
-                    nxt.append(c)
-                    if len(elements) > element_cap:
-                        raise SizeCapError(
-                            f"group order exceeds the element cap of {element_cap}")
-        frontier = nxt
-    return frozenset(elements)
+def _dimino_step(span: set[Permutation], gens: list[Permutation], p: Permutation, *,
+                 members: frozenset[Permutation] | None = None,
+                 element_cap: int = DEFAULT_ELEMENT_CAP) -> None:
+    """Grow ``span``, the group generated by ``gens``, to <gens, p> in place.
 
-
-def _verify_inverses(elems: frozenset[Permutation]) -> None:
-    # canonical_generators proves closure under composition, which implies
-    # closure under inverses; checking inverses first names an offending element.
-    for p in elems:
-        if p.inverse() not in elems:
-            raise QbmgError(f"element set is not closed under inverse at {p!r}")
+    The span H grows by whole right cosets H*r (Dimino): a coset is added for
+    each product r*s, r a coset representative and s a generator, that is not
+    yet in the span; p is appended to ``gens``. With ``members`` the span must
+    stay inside that element set, and p's inverse must lie in it; otherwise the
+    span may not grow beyond ``element_cap`` elements.
+    """
+    if members is not None and p.inverse() not in members:
+        raise QbmgError(f"element set is not closed under inverse at {p!r}")
+    gens.append(p)
+    subgroup = tuple(span)
+    pending = [p]
+    while pending:
+        r = pending.pop()
+        if r in span:
+            continue
+        if members is None and len(span) + len(subgroup) > element_cap:
+            raise SizeCapError(f"group order exceeds the element cap of {element_cap}")
+        for h in subgroup:
+            x = h.compose(r)
+            if members is not None and x not in members:
+                raise QbmgError("element set is not closed under composition")
+            span.add(x)
+        pending.extend(r.compose(s) for s in gens)
 
 
 def canonical_generators(elements: Iterable[Permutation],
@@ -327,40 +335,16 @@ def canonical_generators(elements: Iterable[Permutation],
     """A deterministic generating list: greedy scan in image-tuple order.
 
     Each element not yet in the span of the generators so far becomes a
-    generator, and the span, a group H, grows to <H, p> by whole right cosets
-    H*r (Dimino): a coset is added for each product r*s, r a coset
-    representative and s a generator, that is not yet in the span. Raises when
-    the span grows beyond ``elements``, which are then not closed under
-    composition.
+    generator, and a Dimino step grows the span by it. Raises when the span
+    grows beyond ``elements``, which are then not closed under composition.
     """
     members = frozenset(elements)
     # The domain is token-sorted, so ranks order images as Permutation.sort_key
     # does, with each token's key computed once instead of once per element.
     rank = {v: i for i, v in enumerate(domain)}
-    ordered = sorted(members, key=lambda p: [rank[v] for v in p.images])
-    in_span: set[Permutation] = {Permutation.identity(domain)}
+    span: set[Permutation] = {Permutation.identity(domain)}
     gens: list[Permutation] = []
-    for p in ordered:
-        if p in in_span:
-            continue
-        gens.append(p)
-        subgroup = tuple(in_span)
-        pending = [p]
-        while pending:
-            r = pending.pop()
-            if r in in_span:
-                continue
-            for h in subgroup:
-                x = h.compose(r)
-                if x not in members:
-                    raise QbmgError("element set is not closed under composition")
-                in_span.add(x)
-            pending.extend(r.compose(s) for s in gens)
+    for p in sorted(members, key=lambda p: [rank[v] for v in p.images]):
+        if p not in span:
+            _dimino_step(span, gens, p, members=members)
     return gens
-
-
-def all_permutations_of(tokens: Iterable[str]):
-    """Yield every bijection of a token set onto itself, as dicts (oracle helper)."""
-    toks = sorted(tokens, key=token_key)
-    for img in _itertools_permutations(toks):
-        yield dict(zip(toks, img))

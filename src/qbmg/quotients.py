@@ -3,6 +3,12 @@
 Two vertices are equivalent when they have the same out-neighbors and the same
 in-neighbors. All isolated vertices therefore fall into one class, which may
 straddle the two colors; it is the only class allowed to do so.
+
+That waiver is stated once, in the block rule of ``partition_quotient``: a
+block may mix colors only when all its vertices are isolated. Orbit quotients
+check their group's generators with ``perms.is_automorphism`` and leave the
+colors to that rule, since an automorphism that moves an edge-bearing vertex
+across the classes puts it in a mixed orbit.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from typing import Iterable
 from .axioms import is_2qbmg, is_thin
 from .digraph import ColoredDigraph, token_key
 from .errors import GraphFormatError, NotAutomorphismError, PartitionError, PreconditionError, QbmgError
-from .perms import PermGroup, preserves_edges
+from .perms import PermGroup, is_automorphism
 
 __all__ = [
     "Partition",
@@ -147,31 +153,17 @@ def classical_quotient(g: ColoredDigraph) -> QuotientResult:
     return partition_quotient(g, equivalence_classes(g))
 
 
-def check_color_preserving_automorphisms(g: ColoredDigraph, grp: PermGroup) -> None:
-    """Raise unless every generator is a color-preserving automorphism of g.
-
-    The color condition is waived on isolated vertices, which lets the product
-    group over equivalence classes act on a color-straddling isolated class.
-    """
-    dom = tuple(sorted(g.vertices, key=token_key))
-    if grp.domain != dom:
-        raise NotAutomorphismError("group domain does not match the graph's vertex set")
-    for p in grp.generators:
-        bad = preserves_edges(g, p)
-        if bad is not None:
-            raise NotAutomorphismError(
-                f"generator {p.cycle_string()} is not an automorphism: "
-                f"edge ({bad[0]}, {bad[1]}) maps to a non-edge")
-        for v in dom:
-            if (v in g.color_u) != (p(v) in g.color_u) and not g.is_isolated(v):
-                raise NotAutomorphismError(
-                    f"generator {p.cycle_string()} is not color-preserving: "
-                    f"it moves {v} across the color classes")
-
-
 def gamma_quotient(g: ColoredDigraph, grp: PermGroup) -> QuotientResult:
-    """Quotient over the orbit partition of a color-preserving automorphism group."""
-    check_color_preserving_automorphisms(g, grp)
+    """Quotient over the orbit partition of a color-preserving automorphism group.
+
+    Every generator must be an automorphism of g. The colors are left to the
+    block rule of ``partition_quotient``: an orbit may mix colors only when
+    all its vertices are isolated, which lets the product group over the
+    equivalence classes act on a color-straddling isolated class.
+    """
+    for p in grp.generators:
+        if not is_automorphism(g, p):
+            raise NotAutomorphismError(f"generator {p.cycle_string()} is not an automorphism")
     return partition_quotient(g, Partition.from_blocks(grp.orbit_sets()))
 
 
@@ -194,16 +186,21 @@ class OrbitPairShape:
 def verify_thin_orbit_structure(g: ColoredDigraph, grp: PermGroup) -> list[OrbitPairShape]:
     """Classify every edged orbit pair of a thin 2-qBMG under a group action.
 
-    Raises PreconditionError when g is not a thin 2-qBMG or grp is not a group
-    of color-preserving automorphisms, and also when a pair fits neither
-    shape, since that would contradict the structure theorem for thin graphs
-    and points at a bug in either the checker or the input corpus.
+    Raises PreconditionError when g is not a thin 2-qBMG, and also when a pair
+    fits neither shape, since that would contradict the structure theorem for
+    thin graphs and points at a bug in either the checker or the input corpus.
+    Raises NotAutomorphismError when a generator of grp is not a
+    color-preserving automorphism; a thin graph has at most one isolated
+    vertex, so no color rule is waived here.
     """
     if not is_2qbmg(g):
         raise PreconditionError("input graph is not a 2-qBMG")
     if not is_thin(g):
         raise PreconditionError("input graph is not thin")
-    check_color_preserving_automorphisms(g, grp)
+    for p in grp.generators:
+        if not is_automorphism(g, p, color_preserving=True):
+            raise NotAutomorphismError(
+                f"generator {p.cycle_string()} is not a color-preserving automorphism")
     return classify_monochromatic_orbit_pairs(g, grp.orbit_sets())
 
 

@@ -26,7 +26,6 @@ from .quotients import (
     classify_monochromatic_orbit_pairs,
     equivalence_classes,
     gamma_quotient,
-    verify_thin_orbit_structure,
 )
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_suite", "graphs_match_up_to_rename"]
@@ -169,10 +168,12 @@ def _thin_orbit_pairs(f: GraphFacts) -> Outcome:
     if not f.thin:
         return True, "skipped: not thin"
     try:
-        verify_thin_orbit_structure(f.g, f.aut_i)
-        # The structure statement holds for monochromatic orbits of any
-        # automorphism group; the full group's orbits are coarser, so this
-        # is a genuinely different instance on graphs with mixed symmetries.
+        # Membership and thinness are established, and Aut_I's generators are
+        # color-preserving automorphisms by construction. The structure
+        # statement holds for monochromatic orbits of any automorphism group;
+        # the full group's orbits are coarser, so this is a genuinely
+        # different instance on graphs with mixed symmetries.
+        classify_monochromatic_orbit_pairs(f.g, f.aut_i.orbit_sets())
         classify_monochromatic_orbit_pairs(f.g, f.full.orbit_sets())
     except PreconditionError as exc:
         return False, str(exc)

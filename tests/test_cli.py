@@ -55,6 +55,15 @@ def test_check_parse_error_exit_2(tmp_path, capsys):
     assert "line 4" in err
 
 
+def test_check_duplicate_edge_exit_2(tmp_path, capsys):
+    bad = tmp_path / "dup.qbmg"
+    bad.write_text("qbmg 1\nU: 1\nW: 2\ne 1 2\ne 1 2\n")
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "duplicate edge" in err and "line 5" in err
+
+
 def test_check_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "check", "no_such_file.qbmg")
     assert code == 2

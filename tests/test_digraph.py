@@ -170,6 +170,12 @@ def test_parse_rejects_same_color_edge_with_line():
     assert exc.value.line == 4
 
 
+def test_parse_rejects_duplicate_edge_at_the_repeat():
+    with pytest.raises(GraphFormatError, match="duplicate edge") as exc:
+        parse_graph("qbmg 1\nU: 1\nW: 2\ne 1 2\ne 2 1\n# again\ne 1 2\n")
+    assert exc.value.line == 7
+
+
 def test_dot_output_is_deterministic():
     d1 = to_dot(refdata.BLOWUP_BASE)
     d2 = to_dot(refdata.BLOWUP_BASE)

@@ -1,8 +1,11 @@
 """Permutation algebra, text format, and group closure."""
 
 import itertools
+import random
 
 import pytest
+from sympy.combinatorics import Permutation as SympyPermutation
+from sympy.combinatorics import PermutationGroup as SympyGroup
 
 from qbmg import GraphFormatError, Permutation, QbmgError, format_permutation, parse_permutation
 from qbmg.errors import SizeCapError
@@ -142,3 +145,22 @@ def test_from_elements_rejects_a_set_not_closed_under_composition():
     assert len(almost) == 118
     with pytest.raises(QbmgError, match="not closed under composition"):
         PermGroup.from_elements(almost)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_from_generators_matches_sympy(seed):
+    # Independent oracle: sympy's group generated by the same images on points 0..n-1.
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    dom = tuple(str(i) for i in range(1, n + 1))
+    arrays = []
+    for _ in range(rng.randint(1, 3)):
+        arr = list(range(n))
+        rng.shuffle(arr)
+        arrays.append(arr)
+    grp = PermGroup.from_generators([Permutation(dom, [dom[i] for i in arr]) for arr in arrays],
+                                    dom)
+    oracle = SympyGroup([SympyPermutation(arr) for arr in arrays])
+    assert grp.order == oracle.order()
+    assert {p.images for p in grp.elements} == {
+        tuple(dom[i] for i in q.array_form) for q in oracle.generate()}

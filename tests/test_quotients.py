@@ -179,12 +179,24 @@ def test_gamma_quotient_rejects_non_automorphism():
         gamma_quotient(g, grp)
 
 
-def test_gamma_quotient_rejects_color_switching_generator():
+def _symmetric_edge_with_swap():
     g = ColoredDigraph({"1"}, {"2"}, [("1", "2"), ("2", "1")])
     swap = Permutation.from_mapping({"1": "2", "2": "1"}, g.vertices)
-    grp = PermGroup(swap.domain, (swap,), frozenset({swap, Permutation.identity(g.vertices)}))
-    with pytest.raises(NotAutomorphismError, match="color"):
+    return g, PermGroup(swap.domain, (swap,), frozenset({swap, Permutation.identity(g.vertices)}))
+
+
+def test_gamma_quotient_rejects_color_switching_generator():
+    # The swap is an automorphism; its orbit mixes the colors of edge-bearing
+    # vertices, which the partition block rule rejects.
+    g, grp = _symmetric_edge_with_swap()
+    with pytest.raises(PartitionError, match="mixes colors"):
         gamma_quotient(g, grp)
+
+
+def test_thin_orbit_structure_rejects_color_switching_generator():
+    g, grp = _symmetric_edge_with_swap()
+    with pytest.raises(NotAutomorphismError, match="color"):
+        verify_thin_orbit_structure(g, grp)
 
 
 def test_nonorbit_partition_quotient_breaks_bitransitivity():

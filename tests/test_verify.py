@@ -59,12 +59,12 @@ def test_known_false_identity_is_flagged_not_crashed():
     assert all(r.passed for r in others)
 
 
-def _count_group_calls(monkeypatch) -> Counter:
-    """Count calls to the group builders through every qbmg module that binds them."""
+def _count_calls(monkeypatch, module: str, names: tuple[str, ...]) -> Counter:
+    """Count calls to the named functions through every qbmg module that binds them."""
     counts: Counter = Counter()
     modules = [m for name, m in sys.modules.items() if name.startswith("qbmg")]
-    for name in ("aut_color_preserving", "aut_full", "canonical_gamma"):
-        orig = getattr(sys.modules["qbmg.autgroup"], name)
+    for name in names:
+        orig = getattr(sys.modules[module], name)
 
         def counted(*args, _orig=orig, _name=name, **kwargs):
             counts[_name] += 1
@@ -74,6 +74,11 @@ def _count_group_calls(monkeypatch) -> Counter:
             if vars(mod).get(name) is orig:
                 monkeypatch.setattr(mod, name, counted)
     return counts
+
+
+def _count_group_calls(monkeypatch) -> Counter:
+    return _count_calls(monkeypatch, "qbmg.autgroup",
+                        ("aut_color_preserving", "aut_full", "canonical_gamma"))
 
 
 def test_each_group_is_built_once_per_graph(monkeypatch):
@@ -98,3 +103,10 @@ def test_thin_orbit_pairs_builds_only_the_groups_it_reads(monkeypatch):
     assert [(r.name, r.passed, r.detail) for r in results] == [("thin_orbit_pairs", True, "")]
     assert counts == {"aut_color_preserving": 1, "aut_full": 1}
 
+
+
+def test_thin_orbit_pairs_reuses_the_membership_verdict(monkeypatch):
+    counts = _count_calls(monkeypatch, "qbmg.axioms", ("is_2qbmg",))
+    results = run_suite(layered(refdata.TWO_LAYER_M4_SPEC), checks=["thin_orbit_pairs"])
+    assert [(r.name, r.passed) for r in results] == [("thin_orbit_pairs", True)]
+    assert counts == {"is_2qbmg": 1}
