@@ -12,8 +12,7 @@ choice is checked against its neighbors' images at once and the choices in
 disjoint parts are not multiplied together. All elements are enumerated;
 orders beyond the element cap fail loudly.
 
-The automorphism test itself, ``is_automorphism``, lives in ``perms`` beside
-the color predicate it shares with the index check of ``aut_full``; it is
+The automorphism test itself, ``is_automorphism``, lives in ``perms``; it is
 re-exported here under the same name.
 """
 
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 
 from .digraph import ColoredDigraph, token_key
 from .errors import InternalCheckError, PreconditionError, QbmgError, SizeCapError
-from .perms import DEFAULT_ELEMENT_CAP, PermGroup, Permutation, is_automorphism, preserves_colors
+from .perms import DEFAULT_ELEMENT_CAP, PermGroup, Permutation, is_automorphism
 from .quotients import Partition, equivalence_classes, gamma_quotient
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "canonical_gamma",
     "is_normal",
     "inherited_group",
-    "fixes_in_neighborhood_check",
 ]
 
 DEFAULT_VERTEX_CAP = 64
@@ -190,18 +188,19 @@ def aut_full(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
     On disconnected graphs an automorphism may preserve colors on one component
     and switch them on another, so this runs a color-blind search rather than
     gluing a switching coset onto the color-preserving group. On connected
-    graphs the color-preserving subgroup has index 1 or 2; that fact is checked
-    and a violation raises, since it would mean the search itself is broken.
+    graphs each generator must preserve both color classes or swap them, so
+    the color-preserving subgroup has index 1 or 2; a generator that does
+    neither raises, since it would mean the search itself is broken.
     When ``stats`` is given, the search adds its counts to it.
     """
     elements = _search_automorphisms(g, respect_colors=False, stats=stats or SearchStats())
     grp = PermGroup.from_elements(elements, g.vertices)
-    if _is_connected(g) and g.n_vertices:
-        preserving = sum(1 for p in elements if preserves_colors(g, p))
-        if grp.order not in (preserving, 2 * preserving):
-            raise InternalCheckError(
-                f"color-preserving subgroup has index {grp.order}/{preserving} "
-                "in the full group of a connected graph; expected 1 or 2")
+    if _is_connected(g):
+        for p in grp.generators:
+            if {p(v) for v in g.color_u} not in (g.color_u, g.color_w):
+                raise InternalCheckError(
+                    f"generator {p.cycle_string()} of the full group of a connected graph "
+                    "neither preserves nor swaps the color classes")
     return grp
 
 
@@ -250,27 +249,23 @@ def canonical_gamma(g: ColoredDigraph) -> PermGroup:
 
 
 def is_normal(sub: PermGroup, grp: PermGroup) -> bool:
-    """Conjugation test; requires sub's elements to be contained in grp's."""
+    """Conjugation test on generators; requires sub's generators to lie in grp."""
     if sub.domain != grp.domain:
         raise QbmgError("subgroup and group act on different domains")
-    if not sub.elements <= grp.elements:
+    if any(s not in grp for s in sub.generators):
         raise QbmgError("claimed subgroup is not contained in the group")
-    conjugators = grp.generators or tuple(grp.elements)
-    for a in conjugators:
-        a_inv = a.inverse()
-        for s in (sub.generators or tuple(sub.elements)):
-            if a.compose(s).compose(a_inv) not in sub.elements:
-                return False
-    return True
+    return all(a.compose(s).compose(a.inverse()) in sub
+               for a in grp.generators for s in sub.generators)
 
 
 def inherited_group(g: ColoredDigraph, norm: PermGroup) -> PermGroup:
     """The action of the color-preserving group on the orbits of a normal subgroup.
 
-    Returns a group of permutations of the quotient's vertices, one per coset,
-    with order |Aut_I| / |norm|. Raises when norm is not normal in Aut_I, or
-    when some element outside norm fixes every orbit (then cosets do not map
-    to distinct quotient permutations and the advertised order is impossible).
+    Returns a group of permutations of the quotient's vertices, generated by
+    the orbit images of Aut_I's generators, with order |Aut_I| / |norm|.
+    Raises when norm is not normal in Aut_I, or when some element outside norm
+    fixes every orbit (then cosets do not map to distinct quotient
+    permutations and the advertised order is impossible).
     """
     aut = aut_color_preserving(g)
     if not is_normal(norm, aut):
@@ -279,39 +274,18 @@ def inherited_group(g: ColoredDigraph, norm: PermGroup) -> PermGroup:
     project = result.projection
     q = result.quotient
     q_dom = tuple(sorted(q.vertices, key=token_key))
-    induced: dict[Permutation, Permutation] = {}
-    seen: set[Permutation] = set()
-    for a in aut.sorted_elements:
-        block_map = {project[v]: project[a(v)] for v in a.domain}
-        qp = Permutation.from_mapping(block_map, q_dom)
-        if qp in seen:
-            continue
-        seen.add(qp)
-        induced[qp] = a
+    images = [Permutation.from_mapping({project[v]: project[a(v)] for v in a.domain}, q_dom)
+              for a in aut.generators]
+    induced = PermGroup.from_generators(images, q_dom)
     expected = aut.order // norm.order
-    if len(induced) != expected:
+    if induced.order != expected:
         raise PreconditionError(
-            f"the orbit action has {len(induced)} distinct permutations but "
+            f"the orbit action has {induced.order} distinct permutations but "
             f"|Aut_I|/|norm| = {expected}: some element outside the subgroup "
             "fixes every orbit, so the inherited group is not faithful here")
-    for qp in induced:
+    for qp in images:
         if not is_automorphism(q, qp, color_preserving=True):
             raise InternalCheckError(
                 f"induced permutation {qp.cycle_string()} is not a color-preserving "
                 "automorphism of the quotient")
-    return PermGroup.from_elements(induced.keys(), q_dom)
-
-
-def fixes_in_neighborhood_check(g: ColoredDigraph, p: Permutation) -> bool:
-    """On a thin 2-qBMG: does p fix all in-neighbors of each of its fixed points?"""
-    from .axioms import is_2qbmg, is_thin
-
-    if not is_2qbmg(g) or not is_thin(g):
-        raise PreconditionError("this check applies to thin 2-qBMGs only")
-    if not is_automorphism(g, p):
-        raise PreconditionError("the permutation is not an automorphism of the graph")
-    for v in p.fixed_points():
-        for x in g.in_neighbors(v):
-            if p(x) != x:
-                return False
-    return True
+    return induced

@@ -335,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and not args.path and not args.corpus:
-        parser.error("verify needs a graph file or --corpus DIR")
+    if args.command == "verify" and bool(args.path) == bool(args.corpus):
+        parser.error("verify needs a graph file or --corpus DIR, not both")
     try:
         return args.func(args)
     except GraphFormatError as exc:

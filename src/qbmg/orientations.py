@@ -56,10 +56,8 @@ def enumerate_orientations(g: ColoredDigraph) -> Iterator[ColoredDigraph]:
         raise SizeCapError(
             f"orientation enumeration capped at {ORIENTATION_CAP} symmetric edges, "
             f"got {len(pairs)}")
-    base = {
-        (t, h) for (t, h) in g.edges
-        if frozenset((t, h)) not in {frozenset(p) for p in pairs}
-    }
+    symmetric = {frozenset(p) for p in pairs}
+    base = {(t, h) for (t, h) in g.edges if frozenset((t, h)) not in symmetric}
     for mask in range(1 << len(pairs)):
         edges = set(base)
         for k, (a, b) in enumerate(pairs):
@@ -157,27 +155,19 @@ def check_orientation_theorems(g: ColoredDigraph, aut_g: PermGroup) -> Orientati
     thin = is_thin(g)
 
     checked = 0
-    all_member: bool | None = None
-    all_acyclic: bool | None = None
+    all_member: bool | None = True if star else None
+    all_acyclic: bool | None = True if star or thin else None
     if star or thin:
-        all_acyclic = True
-    if star:
-        all_member = True
         for o in enumerate_orientations(g):
             checked += 1
-            if not is_2qbmg(o):
+            if star and not is_2qbmg(o):
                 all_member = False
                 violations.append(f"orientation #{checked} is not a 2-qBMG")
                 break
             if topological_order(o).order is None:
                 all_acyclic = False
-                violations.append(f"orientation #{checked} has a directed cycle")
-                break
-    elif thin:
-        for o in enumerate_orientations(g):
-            checked += 1
-            if topological_order(o).order is None:
-                all_acyclic = False
+                if star:
+                    violations.append(f"orientation #{checked} has a directed cycle")
                 break
 
     # Without symmetric edges the UW-orientation is g itself.

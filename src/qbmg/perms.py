@@ -140,11 +140,6 @@ class Permutation:
         return tuple(token_key(v) for v in self.images)
 
 
-def preserves_colors(g: ColoredDigraph, p: Permutation) -> bool:
-    """True when p maps each color class onto itself."""
-    return all((p(v) in g.color_u) == (v in g.color_u) for v in p.domain)
-
-
 def is_automorphism(g: ColoredDigraph, p: Permutation, color_preserving: bool = False) -> bool:
     """True when p maps edges to edges; with the flag, p must also fix each class setwise.
 
@@ -156,7 +151,7 @@ def is_automorphism(g: ColoredDigraph, p: Permutation, color_preserving: bool = 
     edges = g.edges
     if any((p(t), p(h)) not in edges for (t, h) in edges):
         return False
-    return not color_preserving or preserves_colors(g, p)
+    return not color_preserving or {p(v) for v in g.color_u} == g.color_u
 
 
 # -- permutation text format: ``p: a->b c->d ...`` (unlisted vertices fixed) --
@@ -251,9 +246,6 @@ class PermGroup:
     def __contains__(self, p: Permutation) -> bool:
         return p in self.elements
 
-    def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self.domain == other.domain and self.elements <= other.elements
-
     def orbit_sets(self) -> list[frozenset[str]]:
         """Orbits of the group on its domain, via union over the generators."""
         parent = {v: v for v in self.domain}
@@ -264,7 +256,7 @@ class PermGroup:
                 x = parent[x]
             return x
 
-        for p in self.generators or self.elements:
+        for p in self.generators:
             for v in self.domain:
                 a, b = find(v), find(p(v))
                 if a != b:
@@ -274,27 +266,6 @@ class PermGroup:
             buckets.setdefault(find(v), set()).add(v)
         return sorted((frozenset(s) for s in buckets.values()),
                       key=lambda s: token_key(min(s, key=token_key)))
-
-    def cyclic_subgroups(self) -> list["PermGroup"]:
-        """All distinct cyclic subgroups, including the trivial one."""
-        seen: dict[frozenset[Permutation], PermGroup] = {}
-        ident = Permutation.identity(self.domain)
-        seen[frozenset((ident,))] = PermGroup(self.domain, (), frozenset((ident,)))
-        for a in self.sorted_elements:
-            if a.is_identity():
-                continue
-            elems = {ident}
-            cur = a
-            while not cur.is_identity():
-                elems.add(cur)
-                cur = cur.compose(a)
-            key = frozenset(elems)
-            if key not in seen:
-                seen[key] = PermGroup(self.domain, (a,), key)
-        return sorted(
-            seen.values(),
-            key=lambda grp: (grp.order, tuple(p.sort_key() for p in grp.sorted_elements)),
-        )
 
     def __repr__(self) -> str:
         return f"PermGroup(order={self.order}, generators={len(self.generators)})"

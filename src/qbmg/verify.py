@@ -26,6 +26,7 @@ from .quotients import (
     classify_monochromatic_orbit_pairs,
     equivalence_classes,
     gamma_quotient,
+    partition_quotient,
 )
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_suite", "graphs_match_up_to_rename"]
@@ -129,13 +130,27 @@ def _canonical_orbits(f: GraphFacts) -> Outcome:
 
 
 def _gamma_hereditary(f: GraphFacts) -> Outcome:
-    """Quotients by cyclic subgroups, the full group, and the class product group."""
-    samples: list[tuple[str, PermGroup]] = [("full Aut_I", f.aut_i), ("canonical gamma", f.gamma)]
-    samples.extend((f"cyclic<{grp.generators[0].cycle_string()}>" if grp.generators else "trivial",
-                    grp) for grp in f.aut_i.cyclic_subgroups())
-    for label, grp in samples:
+    """Quotients by Aut_I, by the class product group, and by each cyclic subgroup of Aut_I.
+
+    ``gamma_quotient`` checks the two groups' generators, so every element of
+    Aut_I is an automorphism. The orbits of <a> are the cycles of a, so each
+    cyclic subgroup is quotiented by a's cycle partition, once per distinct
+    partition; the identity is skipped, since its quotient is g itself.
+    """
+    seen: set[Partition] = set()
+    for label, grp in (("full Aut_I", f.aut_i), ("canonical gamma", f.gamma)):
         if not is_2qbmg(gamma_quotient(f.g, grp).quotient):
             return False, f"quotient by {label} is not a 2-qBMG"
+        seen.add(Partition.from_blocks(grp.orbit_sets()))
+    for a in f.aut_i.sorted_elements:
+        if a.is_identity():
+            continue
+        cycles = Partition.from_blocks([*a.cycles(), *((v,) for v in a.fixed_points())])
+        if cycles in seen:
+            continue
+        seen.add(cycles)
+        if not is_2qbmg(partition_quotient(f.g, cycles).quotient):
+            return False, f"quotient by cyclic<{a.cycle_string()}> is not a 2-qBMG"
     return True, ""
 
 

@@ -97,8 +97,9 @@ def subgroup_lattice(grp) -> list:
 
     elements = sorted(grp.elements, key=lambda p: p.sort_key())
     found: dict[frozenset, PermGroup] = {}
-    for sub in grp.cyclic_subgroups():
-        found[frozenset(sub.elements)] = sub
+    for a in elements:
+        cyclic = PermGroup.from_generators([a], grp.domain)
+        found.setdefault(frozenset(cyclic.elements), cyclic)
     frontier = list(found.values())
     while frontier:
         fresh = []

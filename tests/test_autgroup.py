@@ -16,7 +16,6 @@ from qbmg import (
     blow_up,
     canonical_gamma,
     equivalence_classes,
-    fixes_in_neighborhood_check,
     inherited_group,
     is_automorphism,
     is_normal,
@@ -27,6 +26,7 @@ from qbmg import (
 )
 from qbmg.errors import NotAutomorphismError
 from qbmg.perms import PermGroup
+from qbmg.verify import GraphFacts, run_suite
 
 from tests import refdata
 from tests.oracles import (
@@ -308,21 +308,24 @@ def test_inherited_group_detects_unfaithful_action():
         inherited_group(g, alternating)
 
 
-def test_fixes_in_neighborhood_identity(two_layer_m4):
-    ident = Permutation.identity(two_layer_m4.vertices)
-    assert fixes_in_neighborhood_check(two_layer_m4, ident)
+def _fixed_in_neighborhood(g) -> tuple[bool, str]:
+    (result,) = run_suite(g, checks=["fixed_vertex_in_neighborhood"])
+    return result.passed, result.detail
+
+
+def test_fixes_in_neighborhood_identity(two_layer_m4, monkeypatch):
+    # With only the identity acting, every fixed point's in-neighbors stay fixed.
+    monkeypatch.setattr(GraphFacts, "full", PermGroup.trivial(two_layer_m4.vertices))
+    assert _fixed_in_neighborhood(two_layer_m4) == (True, "")
 
 
 def test_fixes_in_neighborhood_all_elements(two_layer_m4):
-    for p in aut_color_preserving(two_layer_m4).sorted_elements:
-        assert fixes_in_neighborhood_check(two_layer_m4, p)
+    assert _fixed_in_neighborhood(two_layer_m4) == (True, "")
 
 
 def test_fixes_in_neighborhood_requires_thin():
     g = refdata.complete_symmetric(2, 2)
-    swap = Permutation.from_mapping({"1": "2", "2": "1"}, g.vertices)
-    with pytest.raises(PreconditionError):
-        fixes_in_neighborhood_check(g, swap)
+    assert _fixed_in_neighborhood(g) == (True, "skipped: not thin")
 
 
 def test_planted_symmetric_subgroup_forces_equivalence():

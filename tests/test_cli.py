@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from qbmg import parse_graph
 from qbmg.cli import main
 
@@ -298,6 +300,17 @@ def test_verify_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["all_passed"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["verify", str(CORPUS / "k23.qbmg"), "--corpus", str(CORPUS)],
+], ids=["neither", "both"])
+def test_verify_needs_exactly_one_of_graph_and_corpus(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "verify needs a graph file or --corpus DIR" in capsys.readouterr().err
 
 
 def test_verify_unknown_theorem_exit_2(capsys):

@@ -23,6 +23,10 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "fixtures" / "golden" / "cli.json"
 CORPUS_FILES = sorted(p.name for p in (ROOT / "fixtures" / "corpus").glob("*.qbmg"))
 SYMMETRY_FILES = sorted(p.name for p in (ROOT / "fixtures" / "symmetry").glob("*.qbmg"))
+NEGATIVE_FILES = sorted(p.name for p in (ROOT / "fixtures" / "negative").glob("*.qbmg"))
+SPEC_FILES = sorted(p.name for p in (ROOT / "fixtures" / "specs").glob("*.spec"))
+PARTITION_CASES = (("nonorbit_base.qbmg", "nonorbit_blocks.txt"),
+                   ("star_product.qbmg", "star_product_orbits.txt"))
 SEED = "7"
 
 
@@ -43,6 +47,23 @@ def _cases() -> list[list[str]]:
     for path in aut_inputs:
         for flags in ([], ["--json"], ["--full"], ["--full", "--json"]):
             cases.append(["aut", path, *flags])
+    check_inputs = ([f"fixtures/corpus/{name}" for name in CORPUS_FILES]
+                    + [f"fixtures/negative/{name}" for name in NEGATIVE_FILES])
+    for path in check_inputs:
+        cases.append(["check", path])
+        cases.append(["check", path, "--json"])
+    for name in CORPUS_FILES:
+        for mode in ("--classical", "--canonical-gamma"):
+            for flags in ([], ["--json"], ["--dot"]):
+                cases.append(["quotient", f"fixtures/corpus/{name}", mode, *flags])
+    for graph, blocks in PARTITION_CASES:
+        for flags in ([], ["--json"], ["--dot"]):
+            cases.append(["quotient", f"fixtures/corpus/{graph}",
+                          "--partition", f"fixtures/partitions/{blocks}", *flags])
+    for name in SPEC_FILES:
+        cases.append(["generate", "layered", "--spec", f"fixtures/specs/{name}"])
+    cases.append(["generate", "random", "--s", "3", "--m", "3", "--seed", SEED])
+    cases.append(["generate", "layered", "--spec", f"fixtures/specs/{SPEC_FILES[0]}", "--dot"])
     return cases
 
 

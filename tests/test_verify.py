@@ -5,8 +5,8 @@ from collections import Counter
 
 import pytest
 
-from qbmg import ColoredDigraph, QbmgError, layered
-from qbmg.verify import CHECK_NAMES, graphs_match_up_to_rename, run_suite
+from qbmg import ColoredDigraph, PermGroup, Permutation, QbmgError, layered
+from qbmg.verify import CHECK_NAMES, GraphFacts, graphs_match_up_to_rename, run_suite
 
 from tests import refdata
 
@@ -104,9 +104,29 @@ def test_thin_orbit_pairs_builds_only_the_groups_it_reads(monkeypatch):
     assert counts == {"aut_color_preserving": 1, "aut_full": 1}
 
 
-
 def test_thin_orbit_pairs_reuses_the_membership_verdict(monkeypatch):
     counts = _count_calls(monkeypatch, "qbmg.axioms", ("is_2qbmg",))
     results = run_suite(layered(refdata.TWO_LAYER_M4_SPEC), checks=["thin_orbit_pairs"])
     assert [(r.name, r.passed) for r in results] == [("thin_orbit_pairs", True)]
     assert counts == {"is_2qbmg": 1}
+
+
+def test_gamma_hereditary_quotients_each_cycle_partition_once(monkeypatch):
+    # Aut_I of K_{2,3} is S_2 x S_3: nine cyclic subgroups besides the trivial
+    # one, but eight distinct cycle partitions outside the two orbit partitions
+    # already quotiented. Membership, the two groups, and those eight.
+    counts = _count_calls(monkeypatch, "qbmg.axioms", ("is_2qbmg",))
+    results = run_suite(refdata.complete_symmetric(2, 3), checks=["gamma_quotient_hereditary"])
+    assert [(r.name, r.passed) for r in results] == [("gamma_quotient_hereditary", True)]
+    assert counts == {"is_2qbmg": 11}
+
+
+def test_fixed_vertex_in_neighborhood_reports_a_moved_in_neighbor(monkeypatch):
+    # A thin member 1 -> 2 -> 3 with a planted full group <(1 3)>: (1 3) fixes
+    # 2 but moves 1, an in-neighbor of 2.
+    g = ColoredDigraph(("1", "3"), ("2",), [("1", "2"), ("2", "3")])
+    swap = Permutation.from_mapping({"1": "3", "3": "1"}, g.vertices)
+    monkeypatch.setattr(GraphFacts, "full", PermGroup.from_generators([swap]))
+    results = run_suite(g, checks=["fixed_vertex_in_neighborhood"])
+    assert [(r.name, r.passed, r.detail) for r in results] == [
+        ("fixed_vertex_in_neighborhood", False, "(1 3) fixes 2 but moves its in-neighbor 1")]
