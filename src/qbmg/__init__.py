@@ -80,6 +80,5 @@ from .quotients import (
     gamma_quotient,
     parse_partition,
     partition_quotient,
-    verify_thin_orbit_structure,
 )
 from .verify import CHECK_NAMES, CheckResult, run_suite

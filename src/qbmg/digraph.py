@@ -106,14 +106,6 @@ class ColoredDigraph:
     def __contains__(self, v: str) -> bool:
         return v in self._out
 
-    def color_of(self, v: str) -> str:
-        """Return "U" or "W" for a vertex of this graph."""
-        if v in self.color_u:
-            return "U"
-        if v in self.color_w:
-            return "W"
-        raise UnknownVertexError(v)
-
     def out_neighbors(self, v: str) -> frozenset[str]:
         try:
             return self._out[v]
@@ -125,9 +117,6 @@ class ColoredDigraph:
             return self._in[v]
         except KeyError:
             raise UnknownVertexError(v) from None
-
-    def has_edge(self, tail: str, head: str) -> bool:
-        return (tail, head) in self.edges
 
     def is_isolated(self, v: str) -> bool:
         return not self.out_neighbors(v) and not self.in_neighbors(v)

@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple
 from .axioms import is_2qbmg, is_thin, satisfies_star
 from .autgroup import aut_color_preserving
 from .digraph import ColoredDigraph, symmetric_edges, token_key
-from .errors import PreconditionError, QbmgError, SizeCapError
+from .errors import QbmgError, SizeCapError
 from .perms import PermGroup
 
 __all__ = [
@@ -132,6 +132,9 @@ class OrientationReport:
 def check_orientation_theorems(g: ColoredDigraph, aut_g: PermGroup) -> OrientationReport:
     """Verify the orientation facts on one 2-qBMG, given ``aut_g = aut_color_preserving(g)``.
 
+    The caller vouches for both: ``g`` is a 2-qBMG and ``aut_g`` is its
+    color-preserving group; neither is re-checked here.
+
     (a) When symmetric edges form a matching, every orientation must again be
         a 2-qBMG, and must be acyclic with a topological order. Acyclicity is
         also required when the graph is thin, even without the matching
@@ -140,16 +143,15 @@ def check_orientation_theorems(g: ColoredDigraph, aut_g: PermGroup) -> Orientati
     (b) Always: the UW-orientation is checked for having exactly the same
         color-preserving automorphisms as the graph itself. Containment in
         one direction is guaranteed (an automorphism maps symmetric pairs to
-        symmetric pairs, and colors pick the kept direction), but the reverse
-        containment can genuinely fail: dropping the back-edges can make
-        previously distinguishable vertices interchangeable. The smallest
-        example is 1->{2,3} with 2->1, where the orientation gains (2 3).
+        symmetric pairs, and colors pick the kept direction), so equal orders
+        decide it. The reverse containment can genuinely fail: dropping the
+        back-edges can make previously distinguishable vertices
+        interchangeable. The smallest example is 1->{2,3} with 2->1, where
+        the orientation gains (2 3).
 
     A failure of (a), or of the acyclicity checks, indicates a bug in this
     package rather than a property of the input.
     """
-    if not is_2qbmg(g):
-        raise PreconditionError("orientation checks apply to 2-qBMGs only")
     violations: list[str] = []
     star = bool(satisfies_star(g))
     thin = is_thin(g)
@@ -172,7 +174,7 @@ def check_orientation_theorems(g: ColoredDigraph, aut_g: PermGroup) -> Orientati
 
     # Without symmetric edges the UW-orientation is g itself.
     aut_o = aut_color_preserving(uw_orientation(g)) if symmetric_edges(g) else aut_g
-    preserved = aut_g.elements == aut_o.elements
+    preserved = aut_g.order == aut_o.order
     if not preserved:
         violations.append(
             f"UW-orientation changes the color-preserving group: "

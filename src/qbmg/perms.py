@@ -4,12 +4,16 @@ Groups at the scale this package targets (a few hundred vertices, orders up to
 one million) are materialized as full element sets. Anything larger fails
 loudly instead of silently switching to a different representation.
 
+A group's elements have one order: image tuples, compared by each image's
+rank in the token-sorted domain. ``from_elements`` sorts once and keeps the
+result as the group's ``sorted_elements``.
+
 One routine does all closure: a Dimino step grows the span of some
 generators, a group H, to <H, p> by whole right cosets H*r. A generator list
 is closed by repeating it under the element cap. The canonical generating
-list of an element set comes from repeating it over the elements in
-image-tuple order, and that scan also proves the set a group: the span may
-never leave the set, and a finite set closed under composition is a group.
+list of an element set comes from repeating it over the elements in that
+order, and that scan also proves the set a group: the span may never leave
+the set, and a finite set closed under composition is a group.
 Products and inverses of permutations skip the input checks of the public
 constructor, since their images are a permutation of the same sorted domain
 by construction.
@@ -136,9 +140,6 @@ class Permutation:
     def __repr__(self) -> str:
         return f"Permutation{self.cycle_string()}"
 
-    def sort_key(self) -> tuple:
-        return tuple(token_key(v) for v in self.images)
-
 
 def is_automorphism(g: ColoredDigraph, p: Permutation, color_preserving: bool = False) -> bool:
     """True when p maps edges to edges; with the flag, p must also fix each class setwise.
@@ -202,7 +203,7 @@ class PermGroup:
     @property
     def sorted_elements(self) -> tuple[Permutation, ...]:
         if self._sorted_elements is None:
-            self._sorted_elements = tuple(sorted(self.elements, key=Permutation.sort_key))
+            self._sorted_elements = _by_rank(self.elements, self.domain)
         return self._sorted_elements
 
     @classmethod
@@ -212,8 +213,7 @@ class PermGroup:
 
     @classmethod
     def from_generators(cls, generators: Iterable[Permutation],
-                        domain: Iterable[str] | None = None,
-                        element_cap: int = DEFAULT_ELEMENT_CAP) -> "PermGroup":
+                        domain: Iterable[str] | None = None) -> "PermGroup":
         gens = list(generators)
         if domain is None:
             if not gens:
@@ -226,7 +226,7 @@ class PermGroup:
         closing: list[Permutation] = []
         for p in gens:
             if p not in span:
-                _dimino_step(span, closing, p, element_cap=element_cap)
+                _dimino_step(span, closing, p)
         return cls.from_elements(span, ident.domain)
 
     @classmethod
@@ -241,7 +241,10 @@ class PermGroup:
             raise QbmgError("element set does not contain the identity")
         if any(p.domain != dom for p in elems):
             raise QbmgError("elements act on different domains")
-        return cls(dom, tuple(canonical_generators(elems, dom)), elems)
+        ordered = _by_rank(elems, dom)
+        grp = cls(dom, tuple(canonical_generators(ordered, elems)), elems)
+        grp._sorted_elements = ordered
+        return grp
 
     def __contains__(self, p: Permutation) -> bool:
         return p in self.elements
@@ -272,15 +275,14 @@ class PermGroup:
 
 
 def _dimino_step(span: set[Permutation], gens: list[Permutation], p: Permutation, *,
-                 members: frozenset[Permutation] | None = None,
-                 element_cap: int = DEFAULT_ELEMENT_CAP) -> None:
+                 members: frozenset[Permutation] | None = None) -> None:
     """Grow ``span``, the group generated by ``gens``, to <gens, p> in place.
 
     The span H grows by whole right cosets H*r (Dimino): a coset is added for
     each product r*s, r a coset representative and s a generator, that is not
     yet in the span; p is appended to ``gens``. With ``members`` the span must
     stay inside that element set, and p's inverse must lie in it; otherwise the
-    span may not grow beyond ``element_cap`` elements.
+    span may not grow beyond ``DEFAULT_ELEMENT_CAP`` elements, read at call time.
     """
     if members is not None and p.inverse() not in members:
         raise QbmgError(f"element set is not closed under inverse at {p!r}")
@@ -291,8 +293,8 @@ def _dimino_step(span: set[Permutation], gens: list[Permutation], p: Permutation
         r = pending.pop()
         if r in span:
             continue
-        if members is None and len(span) + len(subgroup) > element_cap:
-            raise SizeCapError(f"group order exceeds the element cap of {element_cap}")
+        if members is None and len(span) + len(subgroup) > DEFAULT_ELEMENT_CAP:
+            raise SizeCapError(f"group order exceeds the element cap of {DEFAULT_ELEMENT_CAP}")
         for h in subgroup:
             x = h.compose(r)
             if members is not None and x not in members:
@@ -301,21 +303,24 @@ def _dimino_step(span: set[Permutation], gens: list[Permutation], p: Permutation
         pending.extend(r.compose(s) for s in gens)
 
 
-def canonical_generators(elements: Iterable[Permutation],
-                         domain: tuple[str, ...]) -> list[Permutation]:
-    """A deterministic generating list: greedy scan in image-tuple order.
-
-    Each element not yet in the span of the generators so far becomes a
-    generator, and a Dimino step grows the span by it. Raises when the span
-    grows beyond ``elements``, which are then not closed under composition.
-    """
-    members = frozenset(elements)
-    # The domain is token-sorted, so ranks order images as Permutation.sort_key
-    # does, with each token's key computed once instead of once per element.
+def _by_rank(elements: Iterable[Permutation], domain: tuple[str, ...]) -> tuple[Permutation, ...]:
+    """The elements in image-tuple order, each token compared by its rank in ``domain``."""
     rank = {v: i for i, v in enumerate(domain)}
-    span: set[Permutation] = {Permutation.identity(domain)}
+    return tuple(sorted(elements, key=lambda p: [rank[v] for v in p.images]))
+
+
+def canonical_generators(ordered: tuple[Permutation, ...],
+                         members: frozenset[Permutation]) -> list[Permutation]:
+    """A deterministic generating list: greedy scan over ``ordered``, the elements by rank.
+
+    ``members`` holds the same elements. Each element not yet in the span of
+    the generators so far becomes a generator, and a Dimino step grows the
+    span by it. Raises when the span grows beyond ``members``, which are then
+    not closed under composition.
+    """
+    span: set[Permutation] = {ordered[0]}  # the identity, whose images are the domain, sorts first
     gens: list[Permutation] = []
-    for p in sorted(members, key=lambda p: [rank[v] for v in p.images]):
+    for p in ordered:
         if p not in span:
             _dimino_step(span, gens, p, members=members)
     return gens

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .axioms import is_2qbmg, is_thin
 from .digraph import ColoredDigraph, token_key
 from .errors import GraphFormatError, NotAutomorphismError, PartitionError, PreconditionError, QbmgError
 from .perms import PermGroup, is_automorphism
@@ -29,7 +28,6 @@ __all__ = [
     "classical_quotient",
     "gamma_quotient",
     "OrbitPairShape",
-    "verify_thin_orbit_structure",
     "classify_monochromatic_orbit_pairs",
     "parse_partition",
     "format_partition",
@@ -82,9 +80,6 @@ class Partition:
 
     def __iter__(self):
         return iter(self.blocks)
-
-    def is_refinement_of(self, coarser: "Partition") -> bool:
-        return all(any(b <= c for c in coarser.blocks) for b in self.blocks)
 
 
 @dataclass(frozen=True)
@@ -183,35 +178,16 @@ class OrbitPairShape:
     source_side: str | None  # "U" or "W" for STARS, None for matchings
 
 
-def verify_thin_orbit_structure(g: ColoredDigraph, grp: PermGroup) -> list[OrbitPairShape]:
-    """Classify every edged orbit pair of a thin 2-qBMG under a group action.
-
-    Raises PreconditionError when g is not a thin 2-qBMG, and also when a pair
-    fits neither shape, since that would contradict the structure theorem for
-    thin graphs and points at a bug in either the checker or the input corpus.
-    Raises NotAutomorphismError when a generator of grp is not a
-    color-preserving automorphism; a thin graph has at most one isolated
-    vertex, so no color rule is waived here.
-    """
-    if not is_2qbmg(g):
-        raise PreconditionError("input graph is not a 2-qBMG")
-    if not is_thin(g):
-        raise PreconditionError("input graph is not thin")
-    for p in grp.generators:
-        if not is_automorphism(g, p, color_preserving=True):
-            raise NotAutomorphismError(
-                f"generator {p.cycle_string()} is not a color-preserving automorphism")
-    return classify_monochromatic_orbit_pairs(g, grp.orbit_sets())
-
-
 def classify_monochromatic_orbit_pairs(g: ColoredDigraph,
                                        orbit_sets: Iterable[frozenset[str]]
                                        ) -> list[OrbitPairShape]:
-    """Shape classification over all edged (U-orbit, W-orbit) pairs.
+    """Shape classification over all edged (U-orbit, W-orbit) pairs of a thin 2-qBMG.
 
-    The orbits must come from some group of automorphisms of g; orbits that
+    The caller vouches that g is a thin 2-qBMG and that the orbits come from
+    some group of automorphisms of g, color-preserving or not; orbits that
     straddle the color classes are not eligible as a pair side and are
-    skipped. Used directly when the acting group is not color-preserving.
+    skipped. Raises PreconditionError when a pair fits neither shape, since
+    that contradicts the structure theorem for thin graphs.
     """
     orbits = list(orbit_sets)
     u_orbits = [o for o in orbits if o <= g.color_u]

@@ -95,7 +95,8 @@ def subgroup_lattice(grp) -> list:
     """
     from qbmg.perms import PermGroup
 
-    elements = sorted(grp.elements, key=lambda p: p.sort_key())
+    elements = grp.sorted_elements
+    rank = {p: i for i, p in enumerate(elements)}
     found: dict[frozenset, PermGroup] = {}
     for a in elements:
         cyclic = PermGroup.from_generators([a], grp.domain)
@@ -115,7 +116,7 @@ def subgroup_lattice(grp) -> list:
                     fresh.append(bigger)
         frontier = fresh
     return sorted(found.values(), key=lambda s: (s.order, tuple(
-        p.sort_key() for p in s.sorted_elements)))
+        rank[p] for p in s.sorted_elements)))
 
 
 def networkx_color_preserving(g: ColoredDigraph) -> set[Permutation]:

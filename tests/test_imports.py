@@ -1,0 +1,80 @@
+"""Static import rules for the package sources, checked with the standard library's ``ast``.
+
+- Every import is relative, ``__future__``, or of a standard-library module:
+  the package has no runtime dependencies.
+- Every imported name is used, except the re-exports of ``__init__.py`` and
+  names a module lists in ``__all__``.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "qbmg").glob("*.py"))
+
+
+def _imports(tree: ast.Module):
+    """(node, bound name) for every name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node, alias.asname or alias.name
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            yield node.returns
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names read anywhere in the module, quoted annotations included."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return used
+
+
+def _declared_all(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_stdlib_or_relative(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    foreign = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots = [node.module.split(".")[0]]
+        else:
+            continue
+        foreign += [f"line {node.lineno}: {root}" for root in roots
+                    if root != "__future__" and root not in sys.stdlib_module_names]
+    assert not foreign, f"{path.name} imports outside the standard library: {foreign}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_imported_names_are_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used_names(tree) | _declared_all(tree)
+    unused = [f"line {node.lineno}: {name}" for node, name in _imports(tree) if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

@@ -122,13 +122,6 @@ def test_orientation_theorems_oriented_thin():
     assert report.ok and report.orientations_checked == 1
 
 
-def test_orientation_theorems_require_membership():
-    from qbmg import PreconditionError
-    g = refdata.SIMULTANEOUS_DUPLICATION
-    with pytest.raises(PreconditionError):
-        check_orientation_theorems(g, aut_color_preserving(g))
-
-
 def test_all_orientations_of_matching_graphs_are_members():
     from qbmg import satisfies_star
     matching_cases = [

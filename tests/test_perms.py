@@ -90,11 +90,12 @@ def test_group_from_two_transpositions():
     assert grp.order == 6
 
 
-def test_group_element_cap():
+def test_group_element_cap(monkeypatch):
     a = Permutation.from_mapping({"1": "2", "2": "1"}, DOM)
     b = Permutation.from_mapping({"2": "3", "3": "2"}, DOM)
+    monkeypatch.setattr("qbmg.perms.DEFAULT_ELEMENT_CAP", 4)
     with pytest.raises(SizeCapError):
-        PermGroup.from_generators([a, b], element_cap=4)
+        PermGroup.from_generators([a, b])
 
 
 def test_from_elements_requires_identity_and_closure():

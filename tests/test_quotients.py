@@ -6,7 +6,6 @@ from qbmg import (
     ColoredDigraph,
     PartitionError,
     Partition,
-    PreconditionError,
     aut_color_preserving,
     canonical_gamma,
     classical_quotient,
@@ -19,10 +18,10 @@ from qbmg import (
     lifted_group,
     parse_partition,
     partition_quotient,
-    verify_thin_orbit_structure,
 )
 from qbmg.errors import NotAutomorphismError
 from qbmg.perms import PermGroup, Permutation
+from qbmg.quotients import classify_monochromatic_orbit_pairs
 from qbmg.verify import graphs_match_up_to_rename
 
 from tests import refdata
@@ -193,12 +192,6 @@ def test_gamma_quotient_rejects_color_switching_generator():
         gamma_quotient(g, grp)
 
 
-def test_thin_orbit_structure_rejects_color_switching_generator():
-    g, grp = _symmetric_edge_with_swap()
-    with pytest.raises(NotAutomorphismError, match="color"):
-        verify_thin_orbit_structure(g, grp)
-
-
 def test_nonorbit_partition_quotient_breaks_bitransitivity():
     g = refdata.NONORBIT_BASE
     assert is_2qbmg(g)
@@ -212,24 +205,18 @@ def test_thin_orbit_structure_two_layer():
     spec = refdata.TWO_LAYER_M4_SPEC
     from qbmg import layered
     g = layered(spec)
-    shapes = verify_thin_orbit_structure(g, lifted_group(spec))
+    shapes = classify_monochromatic_orbit_pairs(g, lifted_group(spec).orbit_sets())
     assert len(shapes) == 4
     for shape in shapes:
         assert shape.kind == "STARS"
         assert shape.fan_out == 1
 
 
-def test_thin_orbit_structure_rejects_non_thin():
-    g = refdata.complete_symmetric(2, 3)
-    with pytest.raises(PreconditionError, match="thin"):
-        verify_thin_orbit_structure(g, aut_color_preserving(g))
-
-
 def test_thin_orbit_structure_symmetric_matching():
     g = ColoredDigraph(("1", "2"), ("3", "4"),
                        [("1", "3"), ("3", "1"), ("2", "4"), ("4", "2")])
     grp = aut_color_preserving(g)
-    shapes = verify_thin_orbit_structure(g, grp)
+    shapes = classify_monochromatic_orbit_pairs(g, grp.orbit_sets())
     assert [s.kind for s in shapes] == ["SYMMETRIC_MATCHING"]
 
 

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from qbmg import ColoredDigraph, PermGroup, Permutation, QbmgError, layered
+from qbmg.constructions import default_layered_spec
 from qbmg.verify import CHECK_NAMES, GraphFacts, graphs_match_up_to_rename, run_suite
 
 from tests import refdata
@@ -109,6 +110,15 @@ def test_thin_orbit_pairs_reuses_the_membership_verdict(monkeypatch):
     results = run_suite(layered(refdata.TWO_LAYER_M4_SPEC), checks=["thin_orbit_pairs"])
     assert [(r.name, r.passed) for r in results] == [("thin_orbit_pairs", True)]
     assert counts == {"is_2qbmg": 1}
+
+
+def test_orientation_theorems_reuse_the_membership_verdict(monkeypatch):
+    # layered(2, 3) is oriented, so it has one orientation, itself: membership
+    # and that orientation, and no second membership test of g.
+    counts = _count_calls(monkeypatch, "qbmg.axioms", ("is_2qbmg",))
+    results = run_suite(layered(default_layered_spec(2, 3)), checks=["orientation_theorems"])
+    assert [(r.name, r.passed) for r in results] == [("orientation_theorems", True)]
+    assert counts == {"is_2qbmg": 2}
 
 
 def test_gamma_hereditary_quotients_each_cycle_partition_once(monkeypatch):
