@@ -9,8 +9,14 @@ Vertices are assigned in connectivity order (after McKay & Piperno, "Practical
 graph isomorphism, II", 2014): the least vertex by (cell size, cell id,
 token), then always the least unplaced neighbor of a placed vertex, so each
 choice is checked against its neighbors' images at once and the choices in
-disjoint parts are not multiplied together. All elements are enumerated;
-orders beyond the element cap fail loudly.
+disjoint parts are not multiplied together.
+
+That order is also the base of the search, which looks for a strong
+generating set rather than for every element (Leon, "Permutation group
+algorithms based on partitions, I", 1991): level by level from the last base
+point to the first, one automorphism per new orbit point, so a group of any
+order costs a few leaves per level. The group itself is a stabilizer chain
+built from those generators (see ``perms``).
 
 The automorphism test itself, ``is_automorphism``, lives in ``perms``; it is
 re-exported here under the same name.
@@ -19,11 +25,12 @@ re-exported here under the same name.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 from .digraph import ColoredDigraph, token_key
 from .errors import PreconditionError, QbmgError, SizeCapError
-from .perms import DEFAULT_ELEMENT_CAP, PermGroup, Permutation, is_automorphism
+from .perms import PermGroup, Permutation, _orbit, is_automorphism
 from .quotients import Partition, equivalence_classes, gamma_quotient
 
 __all__ = [
@@ -43,15 +50,17 @@ DEFAULT_VERTEX_CAP = 64
 # -- equitable refinement -----------------------------------------------------
 
 
-def _refine(g: ColoredDigraph, initial: dict[str, int]) -> dict[str, int]:
+def _refine(g: ColoredDigraph, initial: dict[str, int],
+            stats: SearchStats) -> dict[str, int]:
     """Split cells on (cell, sorted neighbor-cell multisets) until stable.
 
     Cell ids are assigned by sorting the signatures, so they are canonical for
-    the graph and the initial coloring.
+    the graph and the initial coloring. Each pass counts as one round.
     """
     cells = dict(initial)
     n_cells = len(set(cells.values()))
     while True:
+        stats.refinement_rounds += 1
         sigs = {}
         for v in g.sorted_vertices:
             out_sig = tuple(sorted(cells[x] for x in g.out_neighbors(v)))
@@ -69,14 +78,20 @@ def _refine(g: ColoredDigraph, initial: dict[str, int]) -> dict[str, int]:
 class SearchStats:
     """Counts from one automorphism search.
 
-    A node is one partial assignment the search visits, the empty one
-    included; a leaf is a complete assignment (an automorphism); a dead end is
-    a partial assignment that no candidate image extends.
+    A node is one assignment the search visits below a fixed base prefix; a
+    leaf is a complete assignment, that is, a strong generator; a dead end is
+    a partial assignment that no candidate image extends. The base is the
+    assignment order cut after its last point with an orbit longer than 1,
+    and ``orbit_lengths`` are its fundamental orbit lengths, whose product is
+    the order. A refinement round is one pass of the equitable refinement.
     """
 
     nodes: int = 0
     leaves: int = 0
     dead_ends: int = 0
+    base_length: int = 0
+    orbit_lengths: tuple[int, ...] = ()
+    refinement_rounds: int = 0
 
 
 def _assignment_order(g: ColoredDigraph, cells: dict[str, int],
@@ -109,77 +124,120 @@ def _assignment_order(g: ColoredDigraph, cells: dict[str, int],
 
 
 def _search_automorphisms(g: ColoredDigraph, *, respect_colors: bool,
-                          stats: SearchStats) -> list[Permutation]:
-    if g.n_vertices > DEFAULT_VERTEX_CAP:
+                          stats: SearchStats) -> PermGroup:
+    """The automorphism group from a strong generating set for the assignment order.
+
+    Vertices are numbered by token rank, and the assignment order is the base
+    v_0..v_{n-1}. Going from level n-1 down to 0, the generators S found so
+    far all fix v_0..v_{i-1}. A candidate image c of v_i is tried only when it
+    is not among v_0..v_{i-1}, not in v_i's S-orbit and not in an S-orbit
+    already found dead; the search then looks for one leaf that fixes
+    v_0..v_{i-1} and maps v_i to c. A leaf joins S; without one, c's S-orbit
+    is dead. S is then a strong generating set, and v_i's S-orbit at the end
+    of level i is its fundamental orbit.
+    """
+    n = g.n_vertices
+    if n > DEFAULT_VERTEX_CAP:
         raise SizeCapError(
-            f"automorphism search capped at {DEFAULT_VERTEX_CAP} vertices, got {g.n_vertices}")
+            f"automorphism search capped at {DEFAULT_VERTEX_CAP} vertices, got {n}")
     vs = g.sorted_vertices
     if respect_colors:
         initial = {v: (0 if v in g.color_u else 1) for v in vs}
     else:
         initial = {v: 0 for v in vs}
-    cells = _refine(g, initial)
+    cells = _refine(g, initial, stats)
 
     by_cell: dict[int, list[str]] = {}
     for v in vs:
         by_cell.setdefault(cells[v], []).append(v)
-    order = _assignment_order(g, cells, by_cell)
+    rank = {v: i for i, v in enumerate(vs)}
+    base = [rank[v] for v in _assignment_order(g, cells, by_cell)]
+    ranked = {cell: [rank[w] for w in members] for cell, members in by_cell.items()}
+    cell_of = [ranked[cells[v]] for v in vs]
+    out = [sorted(rank[w] for w in g.out_neighbors(v)) for v in vs]
+    inn = [sorted(rank[w] for w in g.in_neighbors(v)) for v in vs]
+    out_mask = [sum(1 << w for w in ws) for ws in out]
+    in_mask = [sum(1 << w for w in ws) for ws in inn]
 
-    out = {v: g.out_neighbors(v) for v in vs}
-    inn = {v: g.in_neighbors(v) for v in vs}
-    slot = {v: i for i, v in enumerate(vs)}
-    found: list[Permutation] = []
-    assigned: list[str] = []
-    images: list[str] = []
-    image_of = list(vs)
-    used: set[str] = set()
+    image = list(range(n))
+    placed = [False] * n
+    used = 0  # bitmask of the images of the placed vertices
 
-    def backtrack(i: int) -> None:
+    def fits(v: int, c: int) -> bool:
+        # Every placed a must satisfy a -> v iff image(a) -> c, both ways.
+        # Placed neighbors of v must map to neighbors of c, and c may have no
+        # more placed-image neighbors than v has placed neighbors.
+        for nbrs, mask_c in ((out[v], out_mask[c]), (inn[v], in_mask[c])):
+            count = 0
+            for a in nbrs:
+                if placed[a]:
+                    if not mask_c >> image[a] & 1:
+                        return False
+                    count += 1
+            if (mask_c & used).bit_count() != count:
+                return False
+        return True
+
+    def extend(k: int) -> bool:
+        nonlocal used
         stats.nodes += 1
-        if i == len(order):
-            found.append(Permutation._trusted(vs, tuple(image_of)))
-            if len(found) > DEFAULT_ELEMENT_CAP:
-                raise SizeCapError(
-                    f"automorphism group order exceeds the element cap of {DEFAULT_ELEMENT_CAP}")
-            return
-        v = order[i]
-        out_v = out[v]
-        in_v = inn[v]
+        if k == n:
+            stats.leaves += 1
+            return True
+        v = base[k]
         extended = False
-        for c in by_cell[cells[v]]:
-            if c in used:
-                continue
-            ok = True
-            for a, b in zip(assigned, images):
-                if ((a in out_v) != (b in out[c])) or ((a in in_v) != (b in inn[c])):
-                    ok = False
-                    break
-            if not ok:
+        placed[v] = True
+        for c in cell_of[v]:
+            if used >> c & 1 or not fits(v, c):
                 continue
             extended = True
-            assigned.append(v)
-            images.append(c)
-            image_of[slot[v]] = c
-            used.add(c)
-            backtrack(i + 1)
-            assigned.pop()
-            images.pop()
-            used.discard(c)
+            image[v] = c
+            used |= 1 << c
+            if extend(k + 1):
+                return True
+            used &= ~(1 << c)
+        placed[v] = False
         if not extended:
             stats.dead_ends += 1
+        return False
 
-    backtrack(0)
-    stats.leaves += len(found)
-    return found
+    strong: list[tuple[int, ...]] = []
+    lengths = [1] * n
+    for i in range(n - 1, -1, -1):
+        v = base[i]
+        prefix = sum(1 << a for a in base[:i])
+        orbit = _orbit(v, strong)
+        dead: set[int] = set()
+        for c in cell_of[v]:
+            if c in orbit or c in dead or prefix >> c & 1:
+                continue
+            for k, a in enumerate(base):
+                placed[a] = k < i
+                image[a] = a
+            used = prefix
+            if fits(v, c):
+                placed[v] = True
+                image[v] = c
+                used |= 1 << c
+                if extend(i + 1):
+                    strong.append(tuple(image))
+                    orbit = _orbit(v, strong)
+                    continue
+            dead |= _orbit(c, strong)
+        lengths[i] = len(orbit)
+
+    stats.base_length = max((i + 1 for i, size in enumerate(lengths) if size > 1), default=0)
+    stats.orbit_lengths = tuple(lengths[:stats.base_length])
+    return PermGroup._from_ranks(vs, strong, math.prod(lengths))
 
 
 def aut_color_preserving(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
-    """The full group of color-preserving automorphisms, elements enumerated.
+    """The full group of color-preserving automorphisms.
 
-    When ``stats`` is given, the search adds its counts to it.
+    When ``stats`` is given, the search adds its counts to it and sets the
+    base and orbit fields.
     """
-    elements = _search_automorphisms(g, respect_colors=True, stats=stats or SearchStats())
-    return PermGroup.from_elements(elements, g.vertices)
+    return _search_automorphisms(g, respect_colors=True, stats=stats or SearchStats())
 
 
 def aut_full(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
@@ -192,10 +250,10 @@ def aut_full(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
     assigned pair in both directions; on a connected graph it maps U onto U
     or onto W, since all edges cross U-W and a connected bipartite graph has
     one bipartition, so there the color-preserving subgroup has index 1 or 2.
-    When ``stats`` is given, the search adds its counts to it.
+    When ``stats`` is given, the search adds its counts to it and sets the
+    base and orbit fields.
     """
-    elements = _search_automorphisms(g, respect_colors=False, stats=stats or SearchStats())
-    return PermGroup.from_elements(elements, g.vertices)
+    return _search_automorphisms(g, respect_colors=False, stats=stats or SearchStats())
 
 
 def orbits(grp: PermGroup, vertices) -> Partition:
@@ -209,22 +267,24 @@ def orbits(grp: PermGroup, vertices) -> Partition:
 def canonical_gamma(g: ColoredDigraph) -> PermGroup:
     """The product of full symmetric groups, one per equivalence class.
 
-    Generated by all transpositions inside each class; the order is the
-    product of the class factorials and the orbits are exactly the classes.
-    When isolated vertices of both colors share the isolated class, some
-    generators swap vertices across colors; they are still automorphisms.
+    Generated by the transpositions of token-adjacent members of each class;
+    the order is the product of the class factorials and the orbits are
+    exactly the classes. When isolated vertices of both colors share the
+    isolated class, some generators swap vertices across colors; they are
+    still automorphisms.
     """
-    classes = equivalence_classes(g)
     dom = g.sorted_vertices
-    gens: list[Permutation] = []
-    for block in classes.blocks:
-        members = sorted(block, key=token_key)
-        anchor = members[0]
-        for other in members[1:]:
-            gens.append(Permutation.from_mapping({anchor: other, other: anchor}, dom))
-    if not gens:
-        return PermGroup.trivial(dom)
-    return PermGroup.from_generators(gens, dom)
+    rank = {v: i for i, v in enumerate(dom)}
+    gens: list[tuple[int, ...]] = []
+    order = 1
+    for block in equivalence_classes(g).blocks:
+        members = sorted(rank[v] for v in block)
+        order *= math.factorial(len(members))
+        for a, b in zip(members, members[1:]):
+            swap = list(range(len(dom)))
+            swap[a], swap[b] = b, a
+            gens.append(tuple(swap))
+    return PermGroup._from_ranks(dom, gens, order)
 
 
 def is_normal(sub: PermGroup, grp: PermGroup) -> bool:

@@ -7,6 +7,7 @@ Exit codes: 0 success / property holds, 1 a checked property fails,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -127,8 +128,10 @@ def cmd_aut(args) -> int:
     stats = SearchStats()
     grp = aut_full(g, stats) if args.full else aut_color_preserving(g, stats)
     if args.stats:
-        print(f"search: nodes {stats.nodes} leaves {stats.leaves} dead_ends {stats.dead_ends}",
-              file=sys.stderr)
+        lengths = ",".join(map(str, stats.orbit_lengths)) or "-"
+        print(f"search: nodes {stats.nodes} leaves {stats.leaves} dead_ends {stats.dead_ends} "
+              f"base_length {stats.base_length} orbit_lengths {lengths} "
+              f"refinement_rounds {stats.refinement_rounds}", file=sys.stderr)
     if args.json:
         _emit(_group_doc(grp))
     else:
@@ -271,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="color-preserving automorphisms (default)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--stats", action="store_true",
-                   help="print the search's node, leaf and dead-end counts to stderr")
+                   help="print the search's counts, base and orbit lengths to stderr")
     p.set_defaults(func=cmd_aut)
 
     p = sub.add_parser("quotient", help="emit a quotient graph and its projection")
@@ -332,8 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "verify" and bool(args.path) == bool(args.corpus):
         parser.error("verify needs a graph file or --corpus DIR, not both")

@@ -304,8 +304,9 @@ def lift_permutation(spec: LayeredSpec, pi: Mapping[str, str]) -> Permutation:
 def lifted_group(spec: LayeredSpec) -> PermGroup:
     """Lifts of every permutation of U_1; order m!, orbits are the 2s classes.
 
-    Generated by the lifts of the m-1 adjacent transpositions of U_1 and
-    bounded by the element cap.
+    Generated by the lifts of the m-1 adjacent transpositions of U_1; the
+    group is a stabilizer chain, so m is not bounded by the element cap.
+    Its ``generators`` are the canonical list, not the transposition lifts.
     """
     u1 = sorted(spec.u_class(1), key=token_key)
     fixed = {v: v for v in u1}

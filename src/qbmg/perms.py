@@ -1,27 +1,28 @@
-"""Vertex permutations and finite permutation groups stored by explicit elements.
+"""Vertex permutations and finite permutation groups stored as stabilizer chains.
 
-Groups at the scale this package targets (a few hundred vertices, orders up to
-one million) are materialized as full element sets. Anything larger fails
-loudly instead of silently switching to a different representation.
+A group keeps a stabilizer chain whose base is its whole domain in token
+order (Sims; Seress, *Permutation Group Algorithms*, 2003). The chain works on
+rank tuples, a vertex's rank being its position in the token-sorted domain:
+level i holds the orbit of rank i under the pointwise stabilizer of ranks
+0..i-1, with one coset representative per orbit point. Levels whose orbit is
+a single point are kept; domains are small. A deterministic Schreier-Sims
+builds the chain from any generators, membership is a sift through the
+levels, and the order is the product of the orbit lengths.
 
 A group's elements have one order: image tuples, compared by each image's
-rank in the token-sorted domain. ``from_elements`` sorts once and keeps the
-result as the group's ``sorted_elements``.
-
-One routine does all closure: a Dimino step grows the span of some
-generators, a group H, to <H, p> by whole right cosets H*r. A generator list
-is closed by repeating it under the element cap. The canonical generating
-list of an element set comes from repeating it over the elements in that
-order, and that scan also proves the set a group: the span may never leave
-the set, and a finite set closed under composition is a group.
-Products and inverses of permutations skip the input checks of the public
-constructor, since their images are a permutation of the same sorted domain
-by construction.
+rank. The generator list is canonical: each next generator is the least
+element outside the span of those before, found by one greedy descent
+through the chain. The elements themselves are enumerated only on request,
+already in that order, and only up to ``DEFAULT_ELEMENT_CAP``; beyond it the
+request fails loudly. Products and inverses of permutations skip the input
+checks of the public constructor, since their images are a permutation of the
+same sorted domain by construction.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+import math
+from typing import Iterable, Iterator, Mapping
 
 from .digraph import ColoredDigraph, token_key
 from .errors import GraphFormatError, NotAutomorphismError, QbmgError, SizeCapError
@@ -35,6 +36,8 @@ __all__ = [
 ]
 
 DEFAULT_ELEMENT_CAP = 10**6
+
+_Ranks = tuple[int, ...]
 
 
 class Permutation:
@@ -185,31 +188,49 @@ def format_permutation(p: Permutation) -> str:
 
 
 class PermGroup:
-    """A finite permutation group: generators plus the enumerated element set."""
+    """A finite permutation group: canonical generators plus a stabilizer chain.
 
-    __slots__ = ("domain", "generators", "elements", "_sorted_elements")
+    ``levels[i]`` maps each point b of the orbit of rank i under the
+    pointwise stabilizer of ranks 0..i-1 to a pair (u, u^-1), where u maps i
+    to b and fixes ranks 0..i-1; a point is a vertex's rank in ``domain``.
+    """
+
+    __slots__ = ("domain", "generators", "levels", "_sorted_elements")
 
     def __init__(self, domain: tuple[str, ...], generators: tuple[Permutation, ...],
-                 elements: frozenset[Permutation]):
+                 levels: tuple[dict[int, tuple[_Ranks, _Ranks]], ...]):
         self.domain = domain
         self.generators = generators
-        self.elements = elements
+        self.levels = levels
         self._sorted_elements: tuple[Permutation, ...] | None = None
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return math.prod(len(level) for level in self.levels)
 
     @property
     def sorted_elements(self) -> tuple[Permutation, ...]:
+        """Every element in image-tuple order by rank, enumerated on first use.
+
+        Raises ``SizeCapError`` when the order exceeds ``DEFAULT_ELEMENT_CAP``,
+        read at call time.
+        """
         if self._sorted_elements is None:
-            self._sorted_elements = _by_rank(self.elements, self.domain)
+            if self.order > DEFAULT_ELEMENT_CAP:
+                raise SizeCapError(
+                    f"group order exceeds the element cap of {DEFAULT_ELEMENT_CAP}")
+            self._sorted_elements = tuple(_to_permutation(self.domain, x)
+                                          for x in _walk(self.levels))
         return self._sorted_elements
+
+    @property
+    def elements(self) -> frozenset[Permutation]:
+        return frozenset(self.sorted_elements)
 
     @classmethod
     def trivial(cls, domain: Iterable[str]) -> "PermGroup":
-        ident = Permutation.identity(domain)
-        return cls(ident.domain, (), frozenset((ident,)))
+        dom = tuple(sorted(domain, key=token_key))
+        return cls(dom, (), _schreier_sims(len(dom), ()))
 
     @classmethod
     def from_generators(cls, generators: Iterable[Permutation],
@@ -219,19 +240,32 @@ class PermGroup:
             if not gens:
                 raise QbmgError("cannot infer a domain from an empty generator list")
             domain = gens[0].domain
-        ident = Permutation.identity(domain)
-        if any(p.domain != ident.domain for p in gens):
+        dom = tuple(sorted(domain, key=token_key))
+        if any(p.domain != dom for p in gens):
             raise QbmgError("generators act on different domains")
-        span: set[Permutation] = {ident}
-        closing: list[Permutation] = []
-        for p in gens:
-            if p not in span:
-                _dimino_step(span, closing, p)
-        return cls.from_elements(span, ident.domain)
+        rank = {v: i for i, v in enumerate(dom)}
+        return cls._from_ranks(dom, [tuple(rank[v] for v in p.images) for p in gens])
+
+    @classmethod
+    def _from_ranks(cls, domain: tuple[str, ...], generators: Iterable[_Ranks],
+                    order: int | None = None) -> "PermGroup":
+        """The group generated by rank tuples over ``domain``.
+
+        ``order``, when the caller knows it, ends Schreier-Sims as soon as the
+        chain reaches it: a chain whose orbits are all full is complete.
+        """
+        levels = _schreier_sims(len(domain), generators, order)
+        gens = tuple(_to_permutation(domain, x) for x in canonical_generators(levels))
+        return cls(domain, gens, levels)
 
     @classmethod
     def from_elements(cls, elements: Iterable[Permutation],
                       domain: Iterable[str] | None = None) -> "PermGroup":
+        """The group whose elements are exactly ``elements``; raises when they are no group.
+
+        Every element sifts into the chain of the group the set generates, and
+        the set is that group iff the two have the same size.
+        """
         elems = frozenset(elements)
         if not elems:
             raise QbmgError("a group needs at least the identity element")
@@ -242,12 +276,19 @@ class PermGroup:
         if any(p.domain != dom for p in elems):
             raise QbmgError("elements act on different domains")
         ordered = _by_rank(elems, dom)
-        grp = cls(dom, tuple(canonical_generators(ordered, elems)), elems)
-        grp._sorted_elements = ordered
+        grp = cls.from_generators(ordered, dom)
+        if grp.order != len(elems):
+            for p in ordered:
+                if p.inverse() not in elems:
+                    raise QbmgError(f"element set is not closed under inverse at {p!r}")
+            raise QbmgError("element set is not closed under composition")
         return grp
 
     def __contains__(self, p: Permutation) -> bool:
-        return p in self.elements
+        if p.domain != self.domain:
+            return False
+        rank = {v: i for i, v in enumerate(self.domain)}
+        return _sift(self.levels, tuple(rank[v] for v in p.images)) is None
 
     def orbit_sets(self) -> list[frozenset[str]]:
         """Orbits of the group on its domain, via union over the generators."""
@@ -274,53 +315,171 @@ class PermGroup:
         return f"PermGroup(order={self.order}, generators={len(self.generators)})"
 
 
-def _dimino_step(span: set[Permutation], gens: list[Permutation], p: Permutation, *,
-                 members: frozenset[Permutation] | None = None) -> None:
-    """Grow ``span``, the group generated by ``gens``, to <gens, p> in place.
+# -- stabilizer chains on rank tuples: x[i] is the rank of the image of rank i --
 
-    The span H grows by whole right cosets H*r (Dimino): a coset is added for
-    each product r*s, r a coset representative and s a generator, that is not
-    yet in the span; p is appended to ``gens``. With ``members`` the span must
-    stay inside that element set, and p's inverse must lie in it; otherwise the
-    span may not grow beyond ``DEFAULT_ELEMENT_CAP`` elements, read at call time.
+
+def _compose(a: _Ranks, b: _Ranks) -> _Ranks:
+    """a after b."""
+    return tuple(map(a.__getitem__, b))
+
+
+def _invert(a: _Ranks) -> _Ranks:
+    inv = [0] * len(a)
+    for i, x in enumerate(a):
+        inv[x] = i
+    return tuple(inv)
+
+
+def _to_permutation(domain: tuple[str, ...], x: _Ranks) -> Permutation:
+    return Permutation._trusted(domain, tuple(map(domain.__getitem__, x)))
+
+
+def _sift(levels, x: _Ranks, start: int = 0) -> tuple[_Ranks, int] | None:
+    """Strip x through ``levels[start:]``.
+
+    Returns None when x is a member, else the residue and the level whose
+    orbit misses the residue's image; the residue fixes every point before
+    that level.
     """
-    if members is not None and p.inverse() not in members:
-        raise QbmgError(f"element set is not closed under inverse at {p!r}")
-    gens.append(p)
-    subgroup = tuple(span)
-    pending = [p]
-    while pending:
-        r = pending.pop()
-        if r in span:
+    for i in range(start, len(levels)):
+        b = x[i]
+        if b != i:
+            pair = levels[i].get(b)
+            if pair is None:
+                return x, i
+            x = _compose(pair[1], x)
+    return None
+
+
+def _orbit(x: int, gens: Iterable[_Ranks]) -> set[int]:
+    """The orbit of point x under the group the rank tuples ``gens`` generate."""
+    orbit, todo = {x}, [x]
+    while todo:
+        y = todo.pop()
+        for s in gens:
+            z = s[y]
+            if z not in orbit:
+                orbit.add(z)
+                todo.append(z)
+    return orbit
+
+
+def _schreier_sims(n: int, generators: Iterable[_Ranks], order: int | None = None):
+    """The levels of a complete chain of <generators> with base 0..n-1.
+
+    A generator that does not sift becomes a strong generator; one that fixes
+    0..j-1 and moves j belongs to levels 0..j. Then, deepest level first,
+    every Schreier generator u_c^-1 s u_b of a level is sifted through the
+    levels below it; a residue becomes a strong generator, and the scan
+    resumes at the level where the residue stopped. ``tested`` keeps each
+    level's (orbit point, generator) pairs, so none is sifted twice. With
+    ``order`` the scan ends once the orbit lengths multiply to it: every
+    orbit is then full, so the chain is complete.
+    """
+    ident = tuple(range(n))
+    levels = tuple({i: (ident, ident)} for i in range(n))
+    strong: list[tuple[_Ranks, int]] = []
+    tested: list[set[tuple[int, int]]] = [set() for _ in range(n)]
+
+    def adjoin(x: _Ranks, j: int) -> bool:
+        strong.append((x, j))
+        for i in range(j + 1):
+            level = levels[i]
+            gens = [s for s, first in strong if first >= i]
+            fresh = []
+            for b, (u, _) in list(level.items()):
+                if x[b] not in level:
+                    v = _compose(x, u)
+                    level[x[b]] = (v, _invert(v))
+                    fresh.append(x[b])
+            while fresh:
+                u = level[fresh.pop()][0]
+                for s in gens:
+                    c = s[u[i]]
+                    if c not in level:
+                        v = _compose(s, u)
+                        level[c] = (v, _invert(v))
+                        fresh.append(c)
+        return math.prod(len(level) for level in levels) == order
+
+    top = -1
+    for x in generators:
+        stripped = _sift(levels, x)
+        if stripped is not None:
+            top = max(top, stripped[1])
+            if adjoin(*stripped):
+                return levels
+    i = top
+    while i >= 0:
+        level, done = levels[i], tested[i]
+        resume = None
+        for b, (u, _) in list(level.items()):
+            for k, (s, first) in enumerate(strong):
+                if first < i or (b, k) in done:
+                    continue
+                done.add((b, k))
+                su = _compose(s, u)
+                stripped = _sift(levels, _compose(level[su[i]][1], su), i + 1)
+                if stripped is not None:
+                    if adjoin(*stripped):
+                        return levels
+                    resume = stripped[1]
+                    break
+            if resume is not None:
+                break
+        i = i - 1 if resume is None else resume
+    return levels
+
+
+def _walk(levels) -> Iterator[_Ranks]:
+    """Every element of the chain's group, in image-tuple order.
+
+    An element is u_0 u_1 ... u_{n-1} with u_i from level i; every point
+    before level i is already placed by the factors before u_i, so ordering
+    each level's choices by the image they give point i orders the elements.
+    """
+    moving = [level for level in levels if len(level) > 1]
+
+    def walk(k: int, x: _Ranks) -> Iterator[_Ranks]:
+        if k == len(moving):
+            yield x
+            return
+        level = moving[k]
+        for b in sorted(level, key=x.__getitem__):
+            yield from walk(k + 1, _compose(x, level[b][0]))
+
+    return walk(0, tuple(range(len(levels))))
+
+
+def canonical_generators(levels) -> list[_Ranks]:
+    """The deterministic generating list of the chain's group G, as rank tuples.
+
+    Each next generator is min_lex(G∖H), H the span of those before. Let L be
+    the least level with G_(L) <= H, G_(i) being the stabilizer of points
+    0..i-1. Every generator so far fixes 0..L-2, so G_(L) <= H <= G_(L-1),
+    and H holds u_b G_(L) exactly for the points b of the H-orbit of L-1.
+    Choosing images point by point, the least element of G∖H takes the
+    least image at every level except L-1; there it takes the least point
+    outside that orbit. So no chain of H is needed, only one orbit.
+    """
+    n = len(levels)
+    gens: list[_Ranks] = []
+    deep = n
+    while deep > 0:
+        level = levels[deep - 1]
+        orbit = _orbit(deep - 1, gens)
+        if len(orbit) == len(level):
+            deep -= 1
             continue
-        if members is None and len(span) + len(subgroup) > DEFAULT_ELEMENT_CAP:
-            raise SizeCapError(f"group order exceeds the element cap of {DEFAULT_ELEMENT_CAP}")
-        for h in subgroup:
-            x = h.compose(r)
-            if members is not None and x not in members:
-                raise QbmgError("element set is not closed under composition")
-            span.add(x)
-        pending.extend(r.compose(s) for s in gens)
+        x = level[min(b for b in level if b not in orbit)][0]
+        for below in levels[deep:]:
+            if len(below) > 1:
+                x = _compose(x, below[min(below, key=x.__getitem__)][0])
+        gens.append(x)
+    return gens
 
 
 def _by_rank(elements: Iterable[Permutation], domain: tuple[str, ...]) -> tuple[Permutation, ...]:
     """The elements in image-tuple order, each token compared by its rank in ``domain``."""
     rank = {v: i for i, v in enumerate(domain)}
     return tuple(sorted(elements, key=lambda p: [rank[v] for v in p.images]))
-
-
-def canonical_generators(ordered: tuple[Permutation, ...],
-                         members: frozenset[Permutation]) -> list[Permutation]:
-    """A deterministic generating list: greedy scan over ``ordered``, the elements by rank.
-
-    ``members`` holds the same elements. Each element not yet in the span of
-    the generators so far becomes a generator, and a Dimino step grows the
-    span by it. Raises when the span grows beyond ``members``, which are then
-    not closed under composition.
-    """
-    span: set[Permutation] = {ordered[0]}  # the identity, whose images are the domain, sorts first
-    gens: list[Permutation] = []
-    for p in ordered:
-        if p not in span:
-            _dimino_step(span, gens, p, members=members)
-    return gens

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from sympy.combinatorics import Permutation as SympyPermutation
+from sympy.combinatorics import PermutationGroup as SympyGroup
 
 from qbmg import (
     ColoredDigraph,
@@ -20,6 +22,7 @@ from qbmg import (
     is_automorphism,
     is_normal,
     layered,
+    lift_permutation,
     lifted_group,
     orbits,
     random_layered_spec,
@@ -104,15 +107,34 @@ def test_aut_layered_is_the_lifted_symmetric_group(s, m):
     assert grp.elements == lifted_group(spec).elements
 
 
-# cell_order_nodes: the same counter when each cell is assigned whole before
-# the next (the order before connectivity ordering); it must stay below that.
-@pytest.mark.parametrize("s, m, nodes, cell_order_nodes",
-                         [(4, 3, 121, 4000), (3, 4, 385, 39665), (2, 5, 1301, 44006)])
-def test_search_counts_on_the_layered_ladder(s, m, nodes, cell_order_nodes):
+# A leaf is a strong generator, one per level whose fundamental orbit grows:
+# m-1 of them for the lifted symmetric group, with fundamental orbits of
+# lengths m, m-1, ..., 2 spread over the base. enumerating_nodes: the same
+# counter when the search enumerated every element in the same assignment
+# order; it must stay below that.
+@pytest.mark.parametrize("s, m, nodes, orbit_lengths, enumerating_nodes", [
+    (4, 3, 40, (3, 1, 1, 1, 1, 1, 1, 1, 2), 121),
+    (3, 4, 54, (4, 1, 1, 1, 1, 1, 3, 1, 1, 1, 1, 1, 2), 385),
+    (2, 5, 56, (5, 1, 1, 1, 4, 1, 1, 1, 3, 1, 1, 1, 2), 1301),
+])
+def test_search_counts_on_the_layered_ladder(s, m, nodes, orbit_lengths, enumerating_nodes):
     stats = SearchStats()
     aut_color_preserving(layered(random_layered_spec(s, m, 1)), stats)
-    assert stats == SearchStats(nodes=nodes, leaves=math.factorial(m), dead_ends=0)
-    assert stats.nodes < cell_order_nodes
+    assert stats == SearchStats(nodes=nodes, leaves=m - 1, dead_ends=0,
+                                base_length=len(orbit_lengths), orbit_lengths=orbit_lengths,
+                                refinement_rounds=2)
+    assert sorted(x for x in orbit_lengths if x > 1) == list(range(2, m + 1))
+    assert stats.nodes < enumerating_nodes
+
+
+def test_search_counts_on_layered_s4m8():
+    # 64 vertices, order 8! = 40,320: the enumerating search visited 876,801
+    # nodes here.
+    stats = SearchStats()
+    grp = aut_color_preserving(layered(random_layered_spec(4, 8, 1)), stats)
+    assert grp.order == math.factorial(8)
+    assert stats.leaves == 7
+    assert stats.nodes <= 280
 
 
 def test_search_counts_dead_ends():
@@ -128,7 +150,9 @@ def test_search_counts_dead_ends():
     stats = SearchStats()
     grp = aut_color_preserving(g, stats)
     assert grp.elements == networkx_color_preserving(g)
-    assert stats == SearchStats(nodes=237, leaves=32, dead_ends=4)
+    assert stats == SearchStats(nodes=39, leaves=4, dead_ends=1, base_length=13,
+                                orbit_lengths=(4, 1, 1, 1, 1, 1, 1, 1, 4, 1, 1, 1, 2),
+                                refinement_rounds=1)
 
 
 @pytest.mark.parametrize("g", [
@@ -139,6 +163,58 @@ def test_search_counts_dead_ends():
 ], ids=["layered-s4m4", "layered-s2m5", "layered-s2m6", "blowup-s2m5"])
 def test_aut_matches_networkx_self_isomorphisms(g):
     assert aut_color_preserving(g).elements == networkx_color_preserving(g)
+
+
+def _sympy_group(dom, perms):
+    rank = {v: i for i, v in enumerate(dom)}
+    return SympyGroup([SympyPermutation([rank[p(v)] for v in dom]) for p in perms])
+
+
+def _sifts_both_ways(grp, oracle, oracle_gens):
+    dom = grp.domain
+    rank = {v: i for i, v in enumerate(dom)}
+    assert all(oracle.contains(SympyPermutation([rank[p(v)] for v in dom]))
+               for p in grp.generators)
+    assert all(p in grp for p in oracle_gens)
+
+
+def _adjacent_lifts(spec, points):
+    # Lifts of the adjacent transpositions of ``points`` (a part of U_1),
+    # built by the construction alone, not by the search.
+    u1 = sorted(spec.u_class(1), key=int)
+    fixed = {v: v for v in u1}
+    return [lift_permutation(spec, {**fixed, a: b, b: a}) for a, b in zip(points, points[1:])]
+
+
+@pytest.mark.parametrize("s, m, seed", [(4, 5, 3), (4, 8, 1), (2, 16, 2), (8, 4, 5), (3, 10, 4)])
+def test_aut_layered_matches_sympy(s, m, seed):
+    # Independent oracle up to the 64-vertex cap: sympy's Schreier-Sims on the
+    # lifted transpositions of U_1 gives order m!, and the two groups contain
+    # each other's generators.
+    spec = random_layered_spec(s, m, seed)
+    grp = aut_color_preserving(layered(spec))
+    lifts = _adjacent_lifts(spec, sorted(spec.u_class(1), key=int))
+    oracle = _sympy_group(grp.domain, lifts)
+    assert grp.order == oracle.order() == math.factorial(m)
+    _sifts_both_ways(grp, oracle, lifts)
+
+
+@pytest.mark.parametrize("s, m, seed", [(4, 7, 1), (2, 15, 6), (3, 10, 2)])
+def test_aut_blow_up_matches_sympy(s, m, seed):
+    # Blowing up vertex 1 makes {1, new} the one class of size 2, so the
+    # group is the swap of the twins times the lifts that fix 1: order
+    # 2 (m-1)!.
+    spec = random_layered_spec(s, m, seed)
+    new = str(2 * s * m + 1)
+    g = blow_up(layered(spec), "1", new)
+    grp = aut_color_preserving(g)
+    dom = grp.domain
+    gens = [Permutation.from_mapping({"1": new, new: "1"}, dom)]
+    for p in _adjacent_lifts(spec, sorted(spec.u_class(1) - {"1"}, key=int)):
+        gens.append(Permutation.from_mapping(p.as_dict(), dom))
+    oracle = _sympy_group(dom, gens)
+    assert grp.order == oracle.order() == 2 * math.factorial(m - 1)
+    _sifts_both_ways(grp, oracle, gens)
 
 
 def test_aut_cap():

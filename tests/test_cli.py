@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from qbmg import parse_graph
+from qbmg import ColoredDigraph, format_graph, parse_graph
 from qbmg.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -106,7 +106,38 @@ def test_aut_stats_go_to_stderr_only(capsys):
     code, out, err = run(capsys, "aut", path, "--json", "--stats")
     assert code == 0
     assert out == plain
-    assert err == "search: nodes 1301 leaves 120 dead_ends 0\n"
+    assert err == ("search: nodes 56 leaves 4 dead_ends 0 base_length 13 "
+                   "orbit_lengths 5,1,1,1,4,1,1,1,3,1,1,1,2 refinement_rounds 2\n")
+    code, _, err = run(capsys, "aut", str(CORPUS / "empty.qbmg"), "--stats")
+    assert code == 0
+    assert err == ("search: nodes 0 leaves 0 dead_ends 0 base_length 0 orbit_lengths - "
+                   "refinement_rounds 1\n")
+
+
+def _write(tmp_path, name, u, w, edges) -> str:
+    path = tmp_path / name
+    path.write_text(format_graph(ColoredDigraph(u, w, edges)))
+    return str(path)
+
+
+def test_aut_twelve_edge_matching(tmp_path, capsys):
+    # Order 12! is far above the element cap; aut reads the chain only.
+    u = [str(i) for i in range(1, 13)]
+    w = [str(i) for i in range(13, 25)]
+    pairs = list(zip(u, w))
+    path = _write(tmp_path, "matching12.qbmg", u, w, pairs + [(b, a) for a, b in pairs])
+    code, out, _ = run(capsys, "aut", path)
+    assert code == 0
+    assert out.startswith("color-preserving automorphisms: order 479001600\n")
+
+
+def test_aut_full_k66(tmp_path, capsys):
+    u = [str(i) for i in range(1, 7)]
+    w = [str(i) for i in range(7, 13)]
+    edges = [(a, b) for a in u for b in w] + [(b, a) for a in u for b in w]
+    code, out, _ = run(capsys, "aut", "--full", _write(tmp_path, "k66.qbmg", u, w, edges))
+    assert code == 0
+    assert out.startswith("all automorphisms: order 1036800\n")
 
 
 def test_aut_cap_exit_3(tmp_path, capsys):
@@ -311,6 +342,20 @@ def test_verify_needs_exactly_one_of_graph_and_corpus(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "verify needs a graph file or --corpus DIR" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [
+    ["aut", "--nonsense", str(CORPUS / "k23.qbmg")],
+    ["verify"],
+], ids=["argparse", "main"])
+def test_usage_error_leaves_the_parser_reusable(capsys, bad):
+    argv = ["verify", "--json", str(CORPUS / "k23.qbmg")]
+    before = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *argv) == before
 
 
 def test_verify_unknown_theorem_exit_2(capsys):

@@ -91,11 +91,16 @@ def test_group_from_two_transpositions():
 
 
 def test_group_element_cap(monkeypatch):
+    # The chain holds any order; only enumerating the elements is capped.
     a = Permutation.from_mapping({"1": "2", "2": "1"}, DOM)
     b = Permutation.from_mapping({"2": "3", "3": "2"}, DOM)
     monkeypatch.setattr("qbmg.perms.DEFAULT_ELEMENT_CAP", 4)
+    grp = PermGroup.from_generators([a, b])
+    assert grp.order == 6
     with pytest.raises(SizeCapError):
-        PermGroup.from_generators([a, b])
+        grp.elements
+    with pytest.raises(SizeCapError):
+        grp.sorted_elements
 
 
 def test_from_elements_requires_identity_and_closure():
@@ -157,3 +162,46 @@ def test_from_generators_matches_sympy(seed):
     assert grp.order == oracle.order()
     assert {p.images for p in grp.elements} == {
         tuple(dom[i] for i in q.array_form) for q in oracle.generate()}
+    # Membership is a sift through the chain: it must agree with sympy on
+    # every permutation of the domain.
+    for img in itertools.permutations(range(n)):
+        p = Permutation(dom, [dom[i] for i in img])
+        assert (p in grp) == oracle.contains(SympyPermutation(list(img)))
+
+
+def _span(gens, ident):
+    """Closure of ``gens`` by breadth-first search over products."""
+    span, todo = {ident}, [ident]
+    while todo:
+        x = todo.pop()
+        for s in gens:
+            y = s * x
+            if y not in span:
+                span.add(y)
+                todo.append(y)
+    return span
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_canonical_generators_are_the_greedy_scan(seed):
+    # Reference: scan the elements in rank order and take each one outside
+    # the span of the generators taken so far.
+    rng = random.Random(100 + seed)
+    n = rng.randint(1, 6)
+    dom = tuple(str(i) for i in range(1, n + 1))
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        arr = list(dom)
+        rng.shuffle(arr)
+        gens.append(Permutation(dom, arr))
+    grp = PermGroup.from_generators(gens, dom)
+    ident = Permutation.identity(dom)
+    expected: list[Permutation] = []
+    span = {ident}
+    for p in sorted(_span(gens, ident), key=lambda p: [int(v) for v in p.images]):
+        if p not in span:
+            expected.append(p)
+            span = _span(expected, ident)
+    assert list(grp.generators) == expected
+    assert list(grp.sorted_elements) == sorted(
+        span, key=lambda p: [int(v) for v in p.images])

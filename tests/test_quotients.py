@@ -173,7 +173,7 @@ def test_gamma_quotient_full_group_complete_symmetric():
 def test_gamma_quotient_rejects_non_automorphism():
     g = refdata.BLOWUP_BASE
     bad = Permutation.from_mapping({"1": "3", "3": "1"}, g.vertices)
-    grp = PermGroup(bad.domain, (bad,), frozenset({bad, Permutation.identity(g.vertices)}))
+    grp = PermGroup.from_generators([bad])
     with pytest.raises(NotAutomorphismError, match="not an automorphism"):
         gamma_quotient(g, grp)
 
@@ -181,7 +181,7 @@ def test_gamma_quotient_rejects_non_automorphism():
 def _symmetric_edge_with_swap():
     g = ColoredDigraph({"1"}, {"2"}, [("1", "2"), ("2", "1")])
     swap = Permutation.from_mapping({"1": "2", "2": "1"}, g.vertices)
-    return g, PermGroup(swap.domain, (swap,), frozenset({swap, Permutation.identity(g.vertices)}))
+    return g, PermGroup.from_generators([swap])
 
 
 def test_gamma_quotient_rejects_color_switching_generator():
