@@ -4,10 +4,11 @@ The search backtracks over an equitable refinement of the vertex set: cells
 start from the color classes (or from one cell when color-switching maps are
 wanted), then split repeatedly on the multiset of neighbor cells until stable.
 Automorphisms map cells to themselves, so candidate images are drawn from the
-vertex's own cell and filtered by adjacency with the partial assignment.
+vertex's own cell and filtered by adjacency with the partial assignment. The
+search works on vertex ranks, the numbering ``perms`` uses, from start to end.
 Vertices are assigned in connectivity order (after McKay & Piperno, "Practical
 graph isomorphism, II", 2014): the least vertex by (cell size, cell id,
-token), then always the least unplaced neighbor of a placed vertex, so each
+rank), then always the least unplaced neighbor of a placed vertex, so each
 choice is checked against its neighbors' images at once and the choices in
 disjoint parts are not multiplied together.
 
@@ -26,11 +27,12 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 
-from .digraph import ColoredDigraph, token_key
+from .digraph import ColoredDigraph
 from .errors import PreconditionError, QbmgError, SizeCapError
-from .perms import PermGroup, Permutation, _orbit, is_automorphism
+from .perms import PermGroup, Permutation, _orbit, _rank_index, is_automorphism
 from .quotients import Partition, equivalence_classes, gamma_quotient
 
 __all__ = [
@@ -50,28 +52,25 @@ DEFAULT_VERTEX_CAP = 64
 # -- equitable refinement -----------------------------------------------------
 
 
-def _refine(g: ColoredDigraph, initial: dict[str, int],
-            stats: SearchStats) -> dict[str, int]:
+def _refine(out: list[list[int]], inn: list[list[int]], cells: list[int],
+            stats: SearchStats) -> list[int]:
     """Split cells on (cell, sorted neighbor-cell multisets) until stable.
 
-    Cell ids are assigned by sorting the signatures, so they are canonical for
-    the graph and the initial coloring. Each pass counts as one round.
+    ``cells[v]`` is the cell id of rank v, and ``out``/``inn`` are the rank
+    adjacency lists. Cell ids are assigned by sorting the signatures, so they
+    are canonical for the graph and the initial coloring. Each pass counts as
+    one round.
     """
-    cells = dict(initial)
-    n_cells = len(set(cells.values()))
+    n_cells = len(set(cells))
     while True:
         stats.refinement_rounds += 1
-        sigs = {}
-        for v in g.sorted_vertices:
-            out_sig = tuple(sorted(cells[x] for x in g.out_neighbors(v)))
-            in_sig = tuple(sorted(cells[x] for x in g.in_neighbors(v)))
-            sigs[v] = (cells[v], out_sig, in_sig)
-        fresh = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
-        cells = {v: fresh[sigs[v]] for v in sigs}
-        new_count = len(fresh)
-        if new_count == n_cells:
+        sigs = [(c, tuple(sorted(cells[x] for x in o)), tuple(sorted(cells[x] for x in i)))
+                for c, o, i in zip(cells, out, inn)]
+        fresh = {s: k for k, s in enumerate(sorted(set(sigs)))}
+        cells = [fresh[s] for s in sigs]
+        if len(fresh) == n_cells:
             return cells
-        n_cells = new_count
+        n_cells = len(fresh)
 
 
 @dataclass
@@ -94,32 +93,31 @@ class SearchStats:
     refinement_rounds: int = 0
 
 
-def _assignment_order(g: ColoredDigraph, cells: dict[str, int],
-                      by_cell: dict[int, list[str]]) -> list[str]:
-    """Vertices in the order the search assigns them.
+def _assignment_order(out: list[list[int]], inn: list[list[int]],
+                      cells: list[int]) -> list[int]:
+    """Ranks in the order the search assigns them.
 
-    Each vertex minimises (cell size, cell id, token) among the unplaced
+    Each vertex minimises (cell size, cell id, rank) among the unplaced
     vertices adjacent to a placed one; when a component is used up, the next
     vertex is the minimum over all unplaced vertices. Choices in disjoint
     parts then stay apart instead of multiplying out, and every assigned
     vertex after the first of its component is constrained by a neighbor.
     """
-    key = {v: (len(by_cell[cells[v]]), cells[v], token_key(v)) for v in g.sorted_vertices}
-    order: list[str] = []
-    placed: set[str] = set()
-    for start in sorted(key, key=key.__getitem__):
-        if start in placed:
-            continue
-        frontier = [(key[start], start)]
+    size = Counter(cells)
+    key = [(size[c], c, v) for v, c in enumerate(cells)]
+    order: list[int] = []
+    placed = [False] * len(cells)
+    for start in sorted(key):
+        frontier = [start]
         while frontier:
-            _, v = heapq.heappop(frontier)
-            if v in placed:
+            v = heapq.heappop(frontier)[2]
+            if placed[v]:
                 continue
-            placed.add(v)
+            placed[v] = True
             order.append(v)
-            for w in g.out_neighbors(v) | g.in_neighbors(v):
-                if w not in placed:
-                    heapq.heappush(frontier, (key[w], w))
+            for w in out[v] + inn[v]:
+                if not placed[w]:
+                    heapq.heappush(frontier, key[w])
     return order
 
 
@@ -141,21 +139,15 @@ def _search_automorphisms(g: ColoredDigraph, *, respect_colors: bool,
         raise SizeCapError(
             f"automorphism search capped at {DEFAULT_VERTEX_CAP} vertices, got {n}")
     vs = g.sorted_vertices
-    if respect_colors:
-        initial = {v: (0 if v in g.color_u else 1) for v in vs}
-    else:
-        initial = {v: 0 for v in vs}
-    cells = _refine(g, initial, stats)
-
-    by_cell: dict[int, list[str]] = {}
-    for v in vs:
-        by_cell.setdefault(cells[v], []).append(v)
-    rank = {v: i for i, v in enumerate(vs)}
-    base = [rank[v] for v in _assignment_order(g, cells, by_cell)]
-    ranked = {cell: [rank[w] for w in members] for cell, members in by_cell.items()}
-    cell_of = [ranked[cells[v]] for v in vs]
+    rank = _rank_index(vs)
     out = [sorted(rank[w] for w in g.out_neighbors(v)) for v in vs]
     inn = [sorted(rank[w] for w in g.in_neighbors(v)) for v in vs]
+    cells = _refine(out, inn, [respect_colors and v in g.color_w for v in vs], stats)
+    by_cell: dict[int, list[int]] = {}
+    for v, c in enumerate(cells):
+        by_cell.setdefault(c, []).append(v)
+    cell_of = [by_cell[c] for c in cells]
+    base = _assignment_order(out, inn, cells)
     out_mask = [sum(1 << w for w in ws) for ws in out]
     in_mask = [sum(1 << w for w in ws) for ws in inn]
 
@@ -246,10 +238,12 @@ def aut_full(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
     On disconnected graphs an automorphism may preserve colors on one component
     and switch them on another, so this runs a color-blind search rather than
     gluing a switching coset onto the color-preserving group. Each leaf is a
-    digraph automorphism, since every assignment is tested against every
-    assigned pair in both directions; on a connected graph it maps U onto U
-    or onto W, since all edges cross U-W and a connected bipartite graph has
-    one bipartition, so there the color-preserving subgroup has index 1 or 2.
+    digraph automorphism, since every assignment maps the vertex's placed out-
+    and in-neighbors to neighbors of its image, and one popcount per direction
+    bars the image from having more placed neighbors. On a connected graph a
+    leaf maps U onto U or onto W, since all edges cross U-W and a connected
+    bipartite graph has one bipartition, so there the color-preserving
+    subgroup has index 1 or 2.
     When ``stats`` is given, the search adds its counts to it and sets the
     base and orbit fields.
     """
@@ -274,7 +268,7 @@ def canonical_gamma(g: ColoredDigraph) -> PermGroup:
     still automorphisms.
     """
     dom = g.sorted_vertices
-    rank = {v: i for i, v in enumerate(dom)}
+    rank = _rank_index(dom)
     gens: list[tuple[int, ...]] = []
     order = 1
     for block in equivalence_classes(g).blocks:
@@ -314,7 +308,7 @@ def inherited_group(g: ColoredDigraph, norm: PermGroup) -> PermGroup:
         raise PreconditionError("the given subgroup is not normal in the color-preserving group")
     result = gamma_quotient(g, norm)
     project = result.projection
-    q_dom = tuple(sorted(result.quotient.vertices, key=token_key))
+    q_dom = result.quotient.sorted_vertices
     images = [Permutation.from_mapping({project[v]: project[a(v)] for v in a.domain}, q_dom)
               for a in aut.generators]
     induced = PermGroup.from_generators(images, q_dom)

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .digraph import ColoredDigraph, token_key
+from .digraph import ColoredDigraph, _token_column, token_key
 from .errors import GraphFormatError, QbmgError, UnknownVertexError
 from .perms import PermGroup, Permutation
 
@@ -388,9 +388,10 @@ def random_layered_spec(s: int, m: int, seed: int) -> LayeredSpec:
 
 
 def parse_layered_spec(text: str) -> LayeredSpec:
+    """Parse the spec format; a repeated line or a table outside the layers is an error."""
     s = m = None
-    f_tables: dict[int, BijectionTable] = {}
-    g_tables: dict[int, BijectionTable] = {}
+    first: dict[tuple[str, int], int] = {}  # ("layers", 0), ("f", i) or ("g", i) -> line
+    tables: dict[tuple[str, int], BijectionTable] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
@@ -402,8 +403,8 @@ def parse_layered_spec(text: str) -> LayeredSpec:
                 s, m = int(kv["s"]), int(kv["m"])
             except (ValueError, KeyError) as exc:
                 raise GraphFormatError(f"bad layers line {body!r}", line=ln) from exc
-            continue
-        if parts[0] in ("f", "g"):
+            key = ("layers", 0)
+        elif parts[0] in ("f", "g"):
             if len(parts) < 4 or not parts[2].endswith(":"):
                 raise GraphFormatError(
                     f"expected '{parts[0]} <i> <j>: a->b ...', got {body!r}", line=ln)
@@ -412,33 +413,38 @@ def parse_layered_spec(text: str) -> LayeredSpec:
             except ValueError as exc:
                 raise GraphFormatError(f"bad table indices in {body!r}", line=ln) from exc
             pairs = []
-            for tok in parts[3:]:
+            for k, tok in enumerate(parts[3:], start=3):
                 if "->" not in tok:
                     raise GraphFormatError(f"bad mapping token {tok!r}", line=ln,
-                                           column=body.find(tok) + 1)
+                                           column=_token_column(raw, k))
                 a, b = tok.split("->", 1)
                 pairs.append((a, b))
             try:
                 table = BijectionTable(tuple(pairs))
             except QbmgError as exc:
                 raise GraphFormatError(str(exc), line=ln) from exc
-            if parts[0] == "f":
-                if i != j:
-                    raise GraphFormatError("only diagonal f tables may be given", line=ln)
-                f_tables[i] = table
-            else:
-                if j != i + 1:
-                    raise GraphFormatError("g tables must step one layer forward", line=ln)
-                g_tables[i] = table
-            continue
-        raise GraphFormatError(f"unrecognized line {body!r}", line=ln)
+            if parts[0] == "f" and i != j:
+                raise GraphFormatError("only diagonal f tables may be given", line=ln)
+            if parts[0] == "g" and j != i + 1:
+                raise GraphFormatError("g tables must step one layer forward", line=ln)
+            key = (parts[0], i)
+            tables[key] = table
+        else:
+            raise GraphFormatError(f"unrecognized line {body!r}", line=ln)
+        if key in first:
+            raise GraphFormatError(f"{body.split(':')[0]!r} repeats line {first[key]}", line=ln)
+        first[key] = ln
     if s is None or m is None:
         raise GraphFormatError("missing 'layers s=<int> m=<int>' line", line=1)
+    for (kind, i), ln in first.items():
+        if kind != "layers" and not 1 <= i <= s - (kind == "g"):
+            raise GraphFormatError(
+                f"table '{kind} {i} {i + (kind == 'g')}' lies outside layers 1..{s}", line=ln)
     try:
-        f_diag = tuple(f_tables[i] for i in range(1, s + 1))
-        g_step = tuple(g_tables[j] for j in range(1, s))
+        f_diag = tuple(tables["f", i] for i in range(1, s + 1))
+        g_step = tuple(tables["g", j] for j in range(1, s))
     except KeyError as exc:
-        raise GraphFormatError(f"missing table for layer {exc.args[0]}", line=1) from exc
+        raise GraphFormatError(f"missing table for layer {exc.args[0][1]}", line=1) from exc
     try:
         return LayeredSpec(s, m, f_diag, g_step)
     except QbmgError as exc:

@@ -8,6 +8,7 @@ threads and to use as dict keys.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
 from .errors import GraphFormatError, QbmgError, SizeCapError, UnknownVertexError
@@ -32,6 +33,11 @@ def token_key(token: str) -> tuple:
     if token.isdigit():
         return (0, len(token), token)
     return (1, 0, token)
+
+
+def _token_column(line: str, k: int) -> int:
+    """The 1-based column of token k (from 0) of ``line``; a trailing comment moves none."""
+    return [m.start() + 1 for m in re.finditer(r"\S+", line)][k]
 
 
 def _check_token(token: str) -> str:
@@ -252,7 +258,8 @@ def long_induced_path_or_cycle(
 def parse_graph(text: str) -> ColoredDigraph:
     """Parse the qbmg text format; raise GraphFormatError with the offending line."""
     lines: list[tuple[int, str]] = []
-    for i, raw in enumerate(text.splitlines(), start=1):
+    raw_lines = text.splitlines()
+    for i, raw in enumerate(raw_lines, start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
             lines.append((i, stripped))
@@ -301,13 +308,14 @@ def parse_graph(text: str) -> ColoredDigraph:
         if parts[0] != "e":
             raise GraphFormatError(f"expected edge line 'e <tail> <head>', got {body!r}", line=ln)
         if len(parts) != 3:
+            column = _token_column(raw_lines[ln - 1], 3) if len(parts) > 3 else None
             raise GraphFormatError(f"edge line needs exactly two endpoints, got {body!r}",
-                                   line=ln, column=3)
+                                   line=ln, column=column)
         tail, head = parts[1], parts[2]
         for v in (tail, head):
             if v not in u_set and v not in w_set:
-                raise GraphFormatError(f"edge references undeclared vertex {v!r}",
-                                       line=ln, column=body.find(v) + 1)
+                raise GraphFormatError(f"edge references undeclared vertex {v!r}", line=ln,
+                                       column=_token_column(raw_lines[ln - 1], parts.index(v, 1)))
         if tail == head:
             raise GraphFormatError(f"loop edge at {tail!r}", line=ln)
         if (tail in u_set) == (head in u_set):

@@ -1,30 +1,34 @@
 """Vertex permutations and finite permutation groups stored as stabilizer chains.
 
-A group keeps a stabilizer chain whose base is its whole domain in token
-order (Sims; Seress, *Permutation Group Algorithms*, 2003). The chain works on
-rank tuples, a vertex's rank being its position in the token-sorted domain:
-level i holds the orbit of rank i under the pointwise stabilizer of ranks
-0..i-1, with one coset representative per orbit point. Levels whose orbit is
-a single point are kept; domains are small. A deterministic Schreier-Sims
-builds the chain from any generators, membership is a sift through the
-levels, and the order is the product of the orbit lengths.
+A permutation is a rank tuple over its token-sorted domain: a vertex's rank
+is its position in the domain, and ``ranks[i]`` is the rank of the image of
+rank i, the image-array form over points 0..n-1. Tokens are read through one
+rank index per domain, shared by every permutation over that domain, so
+products, inverses and group elements never touch a token.
 
-A group's elements have one order: image tuples, compared by each image's
-rank. The generator list is canonical: each next generator is the least
-element outside the span of those before, found by one greedy descent
-through the chain. The elements themselves are enumerated only on request,
-already in that order, and only up to ``DEFAULT_ELEMENT_CAP``; beyond it the
-request fails loudly. Products and inverses of permutations skip the input
-checks of the public constructor, since their images are a permutation of the
-same sorted domain by construction.
+A group keeps a stabilizer chain whose base is its whole domain in rank
+order (Sims; Seress, *Permutation Group Algorithms*, 2003): level i holds the
+orbit of rank i under the pointwise stabilizer of ranks 0..i-1, with one
+coset representative per orbit point. Levels whose orbit is a single point
+are kept; domains are small. A deterministic Schreier-Sims builds the chain
+from any generators, membership is a sift through the levels, and the order
+is the product of the orbit lengths.
+
+A group's elements have one order: their rank tuples, compared
+lexicographically. The generator list is canonical: each next generator is
+the least element outside the span of those before, found by one greedy
+descent through the chain. The elements themselves are enumerated only on
+request, already in that order, and only up to ``DEFAULT_ELEMENT_CAP``;
+beyond it the request fails loudly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Iterator, Mapping
 
-from .digraph import ColoredDigraph, token_key
+from .digraph import ColoredDigraph, _token_column, token_key
 from .errors import GraphFormatError, NotAutomorphismError, QbmgError, SizeCapError
 
 __all__ = [
@@ -40,37 +44,46 @@ DEFAULT_ELEMENT_CAP = 10**6
 _Ranks = tuple[int, ...]
 
 
-class Permutation:
-    """A bijection on a fixed vertex domain."""
+@functools.lru_cache(maxsize=256)
+def _rank_index(domain: tuple[str, ...]) -> dict[str, int]:
+    """Each token of the token-sorted ``domain`` to its rank; shared, never mutated."""
+    return {v: i for i, v in enumerate(domain)}
 
-    __slots__ = ("domain", "images", "_map", "_hash")
+
+class Permutation:
+    """A bijection on a fixed vertex domain, stored as a rank tuple.
+
+    ``domain`` is token-sorted and ``ranks[i]`` is the rank of the image of
+    ``domain[i]``; every other view is derived from the two.
+    """
+
+    __slots__ = ("domain", "ranks", "_index")
 
     def __init__(self, domain: Iterable[str], images: Iterable[str]):
-        dom = tuple(sorted(domain, key=token_key))
-        img = tuple(images)
-        if len(dom) != len(img):
-            raise QbmgError("domain and image lists differ in length")
-        if set(img) != set(dom):
-            raise QbmgError("images are not a permutation of the domain")
-        self._set(dom, img)
+        self._set_images(tuple(sorted(domain, key=token_key)), tuple(images))
 
-    def _set(self, domain: tuple[str, ...], images: tuple[str, ...]) -> None:
-        self.domain = domain
-        self.images = images
-        self._map = dict(zip(domain, images))
-        self._hash = hash((domain, images))
+    def _set_images(self, domain: tuple[str, ...], images: tuple[str, ...]) -> None:
+        """Set the fields from token images, which must permute the sorted ``domain``."""
+        if len(domain) != len(images):
+            raise QbmgError("domain and image lists differ in length")
+        index = _rank_index(domain)
+        ranks = tuple(index.get(v, -1) for v in images)
+        if -1 in ranks or len(set(ranks)) != len(domain):
+            raise QbmgError("images are not a permutation of the domain")
+        self.domain, self.ranks, self._index = domain, ranks, index
 
     @classmethod
-    def _trusted(cls, domain: tuple[str, ...], images: tuple[str, ...]) -> "Permutation":
-        """Build without checks: ``domain`` is token-sorted and ``images`` a permutation of it."""
+    def _trusted(cls, domain: tuple[str, ...], ranks: _Ranks,
+                 index: dict[str, int]) -> "Permutation":
+        """Build without checks: ``ranks`` permutes 0..n-1 and ``index`` is ``domain``'s."""
         p = cls.__new__(cls)
-        p._set(domain, images)
+        p.domain, p.ranks, p._index = domain, ranks, index
         return p
 
     @classmethod
     def identity(cls, domain: Iterable[str]) -> "Permutation":
         dom = tuple(sorted(domain, key=token_key))
-        return cls(dom, dom)
+        return cls._trusted(dom, tuple(range(len(dom))), _rank_index(dom))
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str], domain: Iterable[str]) -> "Permutation":
@@ -79,51 +92,56 @@ class Permutation:
         extra = set(mapping) - set(dom)
         if extra:
             raise QbmgError(f"mapping moves vertices outside the domain: {sorted(extra, key=token_key)}")
-        return cls(dom, tuple(mapping.get(v, v) for v in dom))
+        p = cls.__new__(cls)
+        p._set_images(dom, tuple(mapping.get(v, v) for v in dom))
+        return p
+
+    @property
+    def images(self) -> tuple[str, ...]:
+        """The image of each domain vertex, in domain order."""
+        return tuple(map(self.domain.__getitem__, self.ranks))
 
     def __call__(self, v: str) -> str:
         try:
-            return self._map[v]
+            return self.domain[self.ranks[self._index[v]]]
         except KeyError:
             raise QbmgError(f"vertex {v!r} is not in this permutation's domain") from None
 
     def as_dict(self) -> dict[str, str]:
-        return dict(self._map)
+        return dict(zip(self.domain, self.images))
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self.compose(other))(v) == self(other(v))."""
         if self.domain != other.domain:
             raise QbmgError("cannot compose permutations over different domains")
-        return Permutation._trusted(self.domain, tuple(self._map[w] for w in other.images))
+        return Permutation._trusted(self.domain, _compose(self.ranks, other.ranks), self._index)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         return self.compose(other)
 
     def inverse(self) -> "Permutation":
-        inv = {w: v for v, w in self._map.items()}
-        return Permutation._trusted(self.domain, tuple(inv[v] for v in self.domain))
+        return Permutation._trusted(self.domain, _invert(self.ranks), self._index)
 
     def is_identity(self) -> bool:
-        return self.domain == self.images
+        return all(i == x for i, x in enumerate(self.ranks))
 
     def fixed_points(self) -> frozenset[str]:
-        return frozenset(v for v in self.domain if self._map[v] == v)
+        return frozenset(self.domain[i] for i, x in enumerate(self.ranks) if i == x)
 
     def cycles(self) -> list[tuple[str, ...]]:
         """Nontrivial cycles, each starting at its least vertex, sorted."""
-        seen: set[str] = set()
+        seen = [False] * len(self.ranks)
         out: list[tuple[str, ...]] = []
-        for v in self.domain:
-            if v in seen or self._map[v] == v:
+        for i, x in enumerate(self.ranks):
+            if seen[i] or x == i:
                 continue
-            cyc = [v]
-            seen.add(v)
-            w = self._map[v]
-            while w != v:
-                cyc.append(w)
-                seen.add(w)
-                w = self._map[w]
-            out.append(tuple(cyc))
+            cyc = [i]
+            seen[i] = True
+            while x != i:
+                cyc.append(x)
+                seen[x] = True
+                x = self.ranks[x]
+            out.append(tuple(map(self.domain.__getitem__, cyc)))
         return out
 
     def cycle_string(self) -> str:
@@ -135,10 +153,10 @@ class Permutation:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Permutation):
             return NotImplemented
-        return self.domain == other.domain and self.images == other.images
+        return self.ranks == other.ranks and self.domain == other.domain
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.ranks)
 
     def __repr__(self) -> str:
         return f"Permutation{self.cycle_string()}"
@@ -152,10 +170,10 @@ def is_automorphism(g: ColoredDigraph, p: Permutation, color_preserving: bool = 
     """
     if p.domain != g.sorted_vertices:
         raise NotAutomorphismError("permutation domain does not match the graph's vertex set")
-    edges = g.edges
-    if any((p(t), p(h)) not in edges for (t, h) in edges):
+    edges, image = g.edges, p.as_dict()
+    if any((image[t], image[h]) not in edges for (t, h) in edges):
         return False
-    return not color_preserving or {p(v) for v in g.color_u} == g.color_u
+    return not color_preserving or {image[v] for v in g.color_u} == g.color_u
 
 
 # -- permutation text format: ``p: a->b c->d ...`` (unlisted vertices fixed) --
@@ -166,10 +184,10 @@ def parse_permutation(text: str, domain: Iterable[str]) -> Permutation:
     if not body.startswith("p:"):
         raise GraphFormatError(f"expected permutation line 'p: a->b ...', got {text!r}", line=1)
     mapping: dict[str, str] = {}
-    for tok in body[2:].split():
+    for k, tok in enumerate(body[2:].split()):
         if "->" not in tok:
-            raise GraphFormatError(f"bad mapping token {tok!r}, expected 'a->b'",
-                                   line=1, column=text.find(tok) + 1)
+            raise GraphFormatError(f"bad mapping token {tok!r}, expected 'a->b'", line=1,
+                                   column=_token_column(text.replace("p:", "  ", 1), k))
         a, b = tok.split("->", 1)
         if not a or not b:
             raise GraphFormatError(f"bad mapping token {tok!r}", line=1)
@@ -183,8 +201,8 @@ def parse_permutation(text: str, domain: Iterable[str]) -> Permutation:
 
 
 def format_permutation(p: Permutation) -> str:
-    moved = [v for v in p.domain if p(v) != v]
-    return "p: " + " ".join(f"{v}->{p(v)}" for v in moved)
+    dom = p.domain
+    return "p: " + " ".join(f"{dom[i]}->{dom[x]}" for i, x in enumerate(p.ranks) if i != x)
 
 
 class PermGroup:
@@ -210,7 +228,7 @@ class PermGroup:
 
     @property
     def sorted_elements(self) -> tuple[Permutation, ...]:
-        """Every element in image-tuple order by rank, enumerated on first use.
+        """Every element in rank-tuple order, enumerated on first use.
 
         Raises ``SizeCapError`` when the order exceeds ``DEFAULT_ELEMENT_CAP``,
         read at call time.
@@ -219,18 +237,14 @@ class PermGroup:
             if self.order > DEFAULT_ELEMENT_CAP:
                 raise SizeCapError(
                     f"group order exceeds the element cap of {DEFAULT_ELEMENT_CAP}")
-            self._sorted_elements = tuple(_to_permutation(self.domain, x)
+            dom, index = self.domain, _rank_index(self.domain)
+            self._sorted_elements = tuple(Permutation._trusted(dom, x, index)
                                           for x in _walk(self.levels))
         return self._sorted_elements
 
     @property
     def elements(self) -> frozenset[Permutation]:
         return frozenset(self.sorted_elements)
-
-    @classmethod
-    def trivial(cls, domain: Iterable[str]) -> "PermGroup":
-        dom = tuple(sorted(domain, key=token_key))
-        return cls(dom, (), _schreier_sims(len(dom), ()))
 
     @classmethod
     def from_generators(cls, generators: Iterable[Permutation],
@@ -243,8 +257,7 @@ class PermGroup:
         dom = tuple(sorted(domain, key=token_key))
         if any(p.domain != dom for p in gens):
             raise QbmgError("generators act on different domains")
-        rank = {v: i for i, v in enumerate(dom)}
-        return cls._from_ranks(dom, [tuple(rank[v] for v in p.images) for p in gens])
+        return cls._from_ranks(dom, [p.ranks for p in gens])
 
     @classmethod
     def _from_ranks(cls, domain: tuple[str, ...], generators: Iterable[_Ranks],
@@ -255,61 +268,24 @@ class PermGroup:
         chain reaches it: a chain whose orbits are all full is complete.
         """
         levels = _schreier_sims(len(domain), generators, order)
-        gens = tuple(_to_permutation(domain, x) for x in canonical_generators(levels))
+        index = _rank_index(domain)
+        gens = tuple(Permutation._trusted(domain, x, index) for x in canonical_generators(levels))
         return cls(domain, gens, levels)
 
-    @classmethod
-    def from_elements(cls, elements: Iterable[Permutation],
-                      domain: Iterable[str] | None = None) -> "PermGroup":
-        """The group whose elements are exactly ``elements``; raises when they are no group.
-
-        Every element sifts into the chain of the group the set generates, and
-        the set is that group iff the two have the same size.
-        """
-        elems = frozenset(elements)
-        if not elems:
-            raise QbmgError("a group needs at least the identity element")
-        some = next(iter(elems))
-        dom = tuple(sorted(domain, key=token_key)) if domain is not None else some.domain
-        if Permutation.identity(dom) not in elems:
-            raise QbmgError("element set does not contain the identity")
-        if any(p.domain != dom for p in elems):
-            raise QbmgError("elements act on different domains")
-        ordered = _by_rank(elems, dom)
-        grp = cls.from_generators(ordered, dom)
-        if grp.order != len(elems):
-            for p in ordered:
-                if p.inverse() not in elems:
-                    raise QbmgError(f"element set is not closed under inverse at {p!r}")
-            raise QbmgError("element set is not closed under composition")
-        return grp
-
     def __contains__(self, p: Permutation) -> bool:
-        if p.domain != self.domain:
-            return False
-        rank = {v: i for i, v in enumerate(self.domain)}
-        return _sift(self.levels, tuple(rank[v] for v in p.images)) is None
+        return p.domain == self.domain and _sift(self.levels, p.ranks) is None
 
     def orbit_sets(self) -> list[frozenset[str]]:
-        """Orbits of the group on its domain, via union over the generators."""
-        parent = {v: v for v in self.domain}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for p in self.generators:
-            for v in self.domain:
-                a, b = find(v), find(p(v))
-                if a != b:
-                    parent[a] = b
-        buckets: dict[str, set[str]] = {}
-        for v in self.domain:
-            buckets.setdefault(find(v), set()).add(v)
-        return sorted((frozenset(s) for s in buckets.values()),
-                      key=lambda s: token_key(min(s, key=token_key)))
+        """Orbits of the group on its domain, in order of their least vertex."""
+        gens = [p.ranks for p in self.generators]
+        seen: set[int] = set()
+        out: list[frozenset[str]] = []
+        for i in range(len(self.domain)):
+            if i not in seen:
+                orbit = _orbit(i, gens)
+                seen |= orbit
+                out.append(frozenset(map(self.domain.__getitem__, orbit)))
+        return out
 
     def __repr__(self) -> str:
         return f"PermGroup(order={self.order}, generators={len(self.generators)})"
@@ -328,10 +304,6 @@ def _invert(a: _Ranks) -> _Ranks:
     for i, x in enumerate(a):
         inv[x] = i
     return tuple(inv)
-
-
-def _to_permutation(domain: tuple[str, ...], x: _Ranks) -> Permutation:
-    return Permutation._trusted(domain, tuple(map(domain.__getitem__, x)))
 
 
 def _sift(levels, x: _Ranks, start: int = 0) -> tuple[_Ranks, int] | None:
@@ -478,8 +450,3 @@ def canonical_generators(levels) -> list[_Ranks]:
         gens.append(x)
     return gens
 
-
-def _by_rank(elements: Iterable[Permutation], domain: tuple[str, ...]) -> tuple[Permutation, ...]:
-    """The elements in image-tuple order, each token compared by its rank in ``domain``."""
-    rank = {v: i for i, v in enumerate(domain)}
-    return tuple(sorted(elements, key=lambda p: [rank[v] for v in p.images]))

@@ -256,7 +256,7 @@ def test_aut_full_contains_color_preserving(two_layer_m4):
 
 def test_orbits_trivial_group():
     g = refdata.BLOWUP_BASE
-    p = orbits(PermGroup.trivial(g.vertices), g.vertices)
+    p = orbits(PermGroup.from_generators([], g.vertices), g.vertices)
     assert all(len(b) == 1 for b in p.blocks)
 
 
@@ -285,7 +285,7 @@ def test_orbits_diamonds_three_orbits():
 def test_orbits_requires_matching_domain():
     g = refdata.BLOWUP_BASE
     with pytest.raises(QbmgError):
-        orbits(PermGroup.trivial({"1", "2"}), g.vertices)
+        orbits(PermGroup.from_generators([], {"1", "2"}), g.vertices)
 
 
 def test_canonical_gamma_complete_symmetric():
@@ -321,7 +321,7 @@ def test_canonical_gamma_normal_in_full():
 def test_is_normal_trivial_subgroup():
     g = refdata.STAR_PRODUCT
     grp = aut_color_preserving(g)
-    assert is_normal(PermGroup.trivial(g.vertices), grp)
+    assert is_normal(PermGroup.from_generators([], g.vertices), grp)
 
 
 def test_is_normal_rejects_non_subgroup():
@@ -329,7 +329,7 @@ def test_is_normal_rejects_non_subgroup():
     other = PermGroup.from_generators(
         [Permutation.from_mapping({"1": "3", "3": "1"}, g.vertices)])
     with pytest.raises(QbmgError, match="not contained"):
-        is_normal(other, PermGroup.trivial(g.vertices))
+        is_normal(other, PermGroup.from_generators([], g.vertices))
 
 
 def test_non_normal_subgroup_detected():
@@ -354,7 +354,7 @@ def test_inherited_group_full_norm_is_trivial():
 
 def test_inherited_group_trivial_norm_mirrors_aut():
     g = refdata.QUOTIENT_CHAIN
-    grp = inherited_group(g, PermGroup.trivial(g.vertices))
+    grp = inherited_group(g, PermGroup.from_generators([], g.vertices))
     assert grp.order == aut_color_preserving(g).order
 
 
@@ -391,7 +391,7 @@ def _fixed_in_neighborhood(g) -> tuple[bool, str]:
 
 def test_fixes_in_neighborhood_identity(two_layer_m4, monkeypatch):
     # With only the identity acting, every fixed point's in-neighbors stay fixed.
-    monkeypatch.setattr(GraphFacts, "full", PermGroup.trivial(two_layer_m4.vertices))
+    monkeypatch.setattr(GraphFacts, "full", PermGroup.from_generators([], two_layer_m4.vertices))
     assert _fixed_in_neighborhood(two_layer_m4) == (True, "")
 
 

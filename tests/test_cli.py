@@ -274,6 +274,14 @@ def test_generate_bad_spec_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_generate_spec_with_a_repeated_table_exit_2(tmp_path, capsys):
+    spec = (FIXTURES / "specs" / "layered_s3m3.spec").read_text()
+    bad = tmp_path / "repeat.spec"
+    bad.write_text(spec + "f 1 1: 1->10 2->11 3->12\n")
+    code, _, err = run(capsys, "generate", "layered", "--spec", str(bad))
+    assert code == 2 and "line 8" in err
+
+
 def test_generate_dot_output(capsys):
     code, out, _ = run(capsys, "generate", "two-layer", "--m", "1", "--dot")
     assert code == 0

@@ -264,6 +264,31 @@ def test_spec_parse_errors():
         parse_layered_spec("layers s=2 m=1\nf 1 2: 1->2\n")
 
 
+def test_spec_error_column_is_the_token_in_the_raw_line():
+    from qbmg import GraphFormatError
+    with pytest.raises(GraphFormatError) as exc:
+        parse_layered_spec("layers s=2 m=2\ng 1 2: 3->2 2\n")
+    assert (exc.value.line, exc.value.column) == (2, 13)
+
+
+S2 = "layers s=2 m=1\nf 1 1: 1->3\nf 2 2: 2->4\ng 1 2: 3->2\n"
+
+
+@pytest.mark.parametrize("extra, line, match", [
+    ("f 1 1: 1->3\n", 5, "'f 1 1' repeats line 2"),
+    ("g 1 2: 3->2\n", 5, "'g 1 2' repeats line 4"),
+    ("layers s=2 m=1\n", 5, "'layers s=2 m=1' repeats line 1"),
+    ("f 3 3: 5->7\n", 5, "'f 3 3' lies outside layers 1..2"),
+    ("g 2 3: 4->5\n", 5, "'g 2 3' lies outside layers 1..2"),
+])
+def test_spec_rejects_repeats_and_tables_outside_the_layers(extra, line, match):
+    from qbmg import GraphFormatError
+    assert parse_layered_spec(S2).s == 2
+    with pytest.raises(GraphFormatError, match=match) as exc:
+        parse_layered_spec(S2 + extra)
+    assert exc.value.line == line
+
+
 def test_sequential_blowup_preserves_membership():
     for base in (layered(default_layered_spec(2, 2)),
                  layered(random_layered_spec(3, 2, seed=13))):

@@ -164,6 +164,18 @@ def test_parse_errors_carry_line_numbers():
     assert exc.value.line == 5
 
 
+@pytest.mark.parametrize("u_class, edge_line, column", [
+    ("11", "e 11 1", 6),
+    ("1", "  e 1 9   # x", 7),
+    ("11", "   e 11 2 3", 11),
+    ("11", "e 11", None),
+])
+def test_parse_error_column_is_the_token_in_the_raw_line(u_class, edge_line, column):
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph(f"qbmg 1\nU: {u_class}\nW: 2\n{edge_line}\n")
+    assert (exc.value.line, exc.value.column) == (4, column)
+
+
 def test_parse_rejects_same_color_edge_with_line():
     with pytest.raises(GraphFormatError) as exc:
         parse_graph("qbmg 1\nU: 1 3\nW: 2\ne 1 3\n")

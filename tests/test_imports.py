@@ -4,17 +4,22 @@
   the package has no runtime dependencies.
 - Every imported name is used, except the re-exports of ``__init__.py`` and
   names a module lists in ``__all__``.
+- Every third-party module the tests import is declared in the ``test``
+  extra of ``pyproject.toml``.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "qbmg").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "qbmg").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imports(tree: ast.Module):
@@ -78,3 +83,27 @@ def test_imported_names_are_used(path):
     used = _used_names(tree) | _declared_all(tree)
     unused = [f"line {node.lineno}: {name}" for node, name in _imports(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _roots(tree: ast.Module):
+    """(line, top-level module) for every absolute import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name.split(".")[0]) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_test_imports_are_declared_in_the_test_extra():
+    import tomllib
+
+    extra = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"][
+        "optional-dependencies"]["test"]
+    declared = {re.match(r"[\w.-]+", req).group().lower().replace("-", "_") for req in extra}
+    local = {"qbmg", "tests", "__future__"} | {p.stem for p in TESTS}
+    missing = [f"{path.name} line {line}: {root}"
+               for path in TESTS for line, root in _roots(ast.parse(path.read_text()))
+               if root not in local and root not in sys.stdlib_module_names
+               and root.lower() not in declared]
+    assert not missing, f"tests import modules missing from the test extra: {missing}"

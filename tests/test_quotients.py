@@ -148,7 +148,7 @@ def test_classical_quotient_complete_symmetric():
 
 def test_gamma_quotient_trivial_group():
     g = refdata.BLOWUP_BASE
-    result = gamma_quotient(g, PermGroup.trivial(g.vertices))
+    result = gamma_quotient(g, PermGroup.from_generators([], g.vertices))
     assert graphs_match_up_to_rename(g, result.quotient, result.projection)
 
 
