@@ -5,7 +5,8 @@ start from the color classes (or from one cell when color-switching maps are
 wanted), then split repeatedly on the multiset of neighbor cells until stable.
 Automorphisms map cells to themselves, so candidate images are drawn from the
 vertex's own cell and filtered by adjacency with the partial assignment. The
-search works on vertex ranks, the numbering ``perms`` uses, from start to end.
+search works on the graph's vertex ranks and neighbor masks, the numbering
+``perms`` shares, from start to end.
 Vertices are assigned in connectivity order (after McKay & Piperno, "Practical
 graph isomorphism, II", 2014): the least vertex by (cell size, cell id,
 rank), then always the least unplaced neighbor of a placed vertex, so each
@@ -30,9 +31,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .digraph import ColoredDigraph
+from .digraph import ColoredDigraph, bits
 from .errors import PreconditionError, QbmgError, SizeCapError
-from .perms import PermGroup, Permutation, _orbit, _rank_index, is_automorphism
+from .perms import PermGroup, Permutation, _orbit, is_automorphism
 from .quotients import Partition, equivalence_classes, gamma_quotient
 
 __all__ = [
@@ -52,20 +53,19 @@ DEFAULT_VERTEX_CAP = 64
 # -- equitable refinement -----------------------------------------------------
 
 
-def _refine(out: list[list[int]], inn: list[list[int]], cells: list[int],
-            stats: SearchStats) -> list[int]:
+def _refine(g: ColoredDigraph, cells: list[int], stats: SearchStats) -> list[int]:
     """Split cells on (cell, sorted neighbor-cell multisets) until stable.
 
-    ``cells[v]`` is the cell id of rank v, and ``out``/``inn`` are the rank
-    adjacency lists. Cell ids are assigned by sorting the signatures, so they
-    are canonical for the graph and the initial coloring. Each pass counts as
-    one round.
+    ``cells[v]`` is the cell id of rank v. Cell ids are assigned by sorting
+    the signatures, so they are canonical for the graph and the initial
+    coloring. Each pass counts as one round.
     """
     n_cells = len(set(cells))
     while True:
         stats.refinement_rounds += 1
-        sigs = [(c, tuple(sorted(cells[x] for x in o)), tuple(sorted(cells[x] for x in i)))
-                for c, o, i in zip(cells, out, inn)]
+        sigs = [(c, tuple(sorted(cells[x] for x in bits(o))),
+                 tuple(sorted(cells[x] for x in bits(i))))
+                for c, o, i in zip(cells, g.out_masks, g.in_masks)]
         fresh = {s: k for k, s in enumerate(sorted(set(sigs)))}
         cells = [fresh[s] for s in sigs]
         if len(fresh) == n_cells:
@@ -93,8 +93,7 @@ class SearchStats:
     refinement_rounds: int = 0
 
 
-def _assignment_order(out: list[list[int]], inn: list[list[int]],
-                      cells: list[int]) -> list[int]:
+def _assignment_order(g: ColoredDigraph, cells: list[int]) -> list[int]:
     """Ranks in the order the search assigns them.
 
     Each vertex minimises (cell size, cell id, rank) among the unplaced
@@ -106,18 +105,17 @@ def _assignment_order(out: list[list[int]], inn: list[list[int]],
     size = Counter(cells)
     key = [(size[c], c, v) for v, c in enumerate(cells)]
     order: list[int] = []
-    placed = [False] * len(cells)
+    placed = 0
     for start in sorted(key):
         frontier = [start]
         while frontier:
             v = heapq.heappop(frontier)[2]
-            if placed[v]:
+            if placed >> v & 1:
                 continue
-            placed[v] = True
+            placed |= 1 << v
             order.append(v)
-            for w in out[v] + inn[v]:
-                if not placed[w]:
-                    heapq.heappush(frontier, key[w])
+            for w in bits((g.out_masks[v] | g.in_masks[v]) & ~placed):
+                heapq.heappush(frontier, key[w])
     return order
 
 
@@ -138,47 +136,40 @@ def _search_automorphisms(g: ColoredDigraph, *, respect_colors: bool,
     if n > DEFAULT_VERTEX_CAP:
         raise SizeCapError(
             f"automorphism search capped at {DEFAULT_VERTEX_CAP} vertices, got {n}")
-    vs = g.sorted_vertices
-    rank = _rank_index(vs)
-    out = [sorted(rank[w] for w in g.out_neighbors(v)) for v in vs]
-    inn = [sorted(rank[w] for w in g.in_neighbors(v)) for v in vs]
-    cells = _refine(out, inn, [respect_colors and v in g.color_w for v in vs], stats)
+    cells = _refine(g, [respect_colors and not g.u_mask >> v & 1 for v in range(n)], stats)
     by_cell: dict[int, list[int]] = {}
     for v, c in enumerate(cells):
         by_cell.setdefault(c, []).append(v)
     cell_of = [by_cell[c] for c in cells]
-    base = _assignment_order(out, inn, cells)
-    out_mask = [sum(1 << w for w in ws) for ws in out]
-    in_mask = [sum(1 << w for w in ws) for ws in inn]
+    base = _assignment_order(g, cells)
+    out_mask, in_mask = g.out_masks, g.in_masks
 
     image = list(range(n))
-    placed = [False] * n
+    placed = 0  # bitmask of the placed vertices
     used = 0  # bitmask of the images of the placed vertices
 
     def fits(v: int, c: int) -> bool:
         # Every placed a must satisfy a -> v iff image(a) -> c, both ways.
         # Placed neighbors of v must map to neighbors of c, and c may have no
         # more placed-image neighbors than v has placed neighbors.
-        for nbrs, mask_c in ((out[v], out_mask[c]), (inn[v], in_mask[c])):
-            count = 0
-            for a in nbrs:
-                if placed[a]:
-                    if not mask_c >> image[a] & 1:
-                        return False
-                    count += 1
-            if (mask_c & used).bit_count() != count:
+        for nbrs, mask_c in ((out_mask[v] & placed, out_mask[c]),
+                             (in_mask[v] & placed, in_mask[c])):
+            for a in bits(nbrs):
+                if not mask_c >> image[a] & 1:
+                    return False
+            if (mask_c & used).bit_count() != nbrs.bit_count():
                 return False
         return True
 
     def extend(k: int) -> bool:
-        nonlocal used
+        nonlocal placed, used
         stats.nodes += 1
         if k == n:
             stats.leaves += 1
             return True
         v = base[k]
         extended = False
-        placed[v] = True
+        placed |= 1 << v
         for c in cell_of[v]:
             if used >> c & 1 or not fits(v, c):
                 continue
@@ -188,7 +179,7 @@ def _search_automorphisms(g: ColoredDigraph, *, respect_colors: bool,
             if extend(k + 1):
                 return True
             used &= ~(1 << c)
-        placed[v] = False
+        placed &= ~(1 << v)
         if not extended:
             stats.dead_ends += 1
         return False
@@ -203,12 +194,10 @@ def _search_automorphisms(g: ColoredDigraph, *, respect_colors: bool,
         for c in cell_of[v]:
             if c in orbit or c in dead or prefix >> c & 1:
                 continue
-            for k, a in enumerate(base):
-                placed[a] = k < i
-                image[a] = a
-            used = prefix
+            image[:] = range(n)
+            placed = used = prefix
             if fits(v, c):
-                placed[v] = True
+                placed |= 1 << v
                 image[v] = c
                 used |= 1 << c
                 if extend(i + 1):
@@ -220,7 +209,7 @@ def _search_automorphisms(g: ColoredDigraph, *, respect_colors: bool,
 
     stats.base_length = max((i + 1 for i, size in enumerate(lengths) if size > 1), default=0)
     stats.orbit_lengths = tuple(lengths[:stats.base_length])
-    return PermGroup._from_ranks(vs, strong, math.prod(lengths))
+    return PermGroup._from_ranks(g.sorted_vertices, strong, math.prod(lengths))
 
 
 def aut_color_preserving(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
@@ -268,11 +257,10 @@ def canonical_gamma(g: ColoredDigraph) -> PermGroup:
     still automorphisms.
     """
     dom = g.sorted_vertices
-    rank = _rank_index(dom)
     gens: list[tuple[int, ...]] = []
     order = 1
     for block in equivalence_classes(g).blocks:
-        members = sorted(rank[v] for v in block)
+        members = sorted(g.rank[v] for v in block)
         order *= math.factorial(len(members))
         for a, b in zip(members, members[1:]):
             swap = list(range(len(dom)))

@@ -13,7 +13,9 @@ or v->x->u) must have equal in-neighborhoods and nested out-neighborhoods.
 would indicate a checker bug rather than bad input.
 
 Witnesses are the lexicographically first violating tuple under vertex-token
-order, so reports are reproducible across runs.
+order, so reports are reproducible across runs. The checks run on the graph's
+neighborhood masks, whose bit order is token order, so the first witness is
+always the least set bit.
 
 Quantification note: in a bipartite digraph the only possible coincidences in
 the N2 walk are u = w and v = t, and both make the chord an edge of the walk
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import ColoredDigraph, token_key
+from .digraph import ColoredDigraph, bits, low_bit
 from .errors import InternalCheckError
 
 __all__ = [
@@ -62,28 +64,21 @@ class Verdict:
 _TRUE = Verdict(True)
 
 
-def _independent(g: ColoredDigraph, u: str, v: str) -> bool:
-    """Distinct vertices with no edge between them in either direction."""
-    return u != v and (u, v) not in g.edges and (v, u) not in g.edges
-
-
 def check_n1(g: ColoredDigraph) -> Verdict:
     """No pattern u->t, v->w, t->w over an independent pair u, v.
 
     Witness: lexicographically first violating (u, v, w, t).
     """
-    vs = g.sorted_vertices
-    for u in vs:
-        out_u = g.out_neighbors(u)
+    vs, out, inn = g.sorted_vertices, g.out_masks, g.in_masks
+    everyone = (1 << len(vs)) - 1
+    for u, out_u in enumerate(out):
         if not out_u:
             continue
-        for v in vs:
-            if not _independent(g, u, v):
-                continue
-            for w in sorted(g.out_neighbors(v), key=token_key):
-                ts = g.in_neighbors(w) & out_u
+        for v in bits(everyone & ~(out_u | inn[u] | 1 << u)):
+            for w in bits(out[v]):
+                ts = inn[w] & out_u
                 if ts:
-                    return Verdict(False, (u, v, w, min(ts, key=token_key)))
+                    return Verdict(False, (vs[u], vs[v], vs[w], vs[low_bit(ts)]))
     return _TRUE
 
 
@@ -92,17 +87,13 @@ def check_n2(g: ColoredDigraph) -> Verdict:
 
     Witness: lexicographically first chordless (u, v, w, t).
     """
-    for u in g.sorted_vertices:
-        out_u = g.out_neighbors(u)
-        if not out_u:
-            continue
-        for v in sorted(out_u, key=token_key):
-            for w in sorted(g.out_neighbors(v), key=token_key):
-                out_w = g.out_neighbors(w)
-                if out_w <= out_u:
-                    continue
-                t = min(out_w - out_u, key=token_key)
-                return Verdict(False, (u, v, w, t))
+    vs, out = g.sorted_vertices, g.out_masks
+    for u, out_u in enumerate(out):
+        for v in bits(out_u):
+            for w in bits(out[v]):
+                missing = out[w] & ~out_u
+                if missing:
+                    return Verdict(False, (vs[u], vs[v], vs[w], vs[low_bit(missing)]))
     return _TRUE
 
 
@@ -111,15 +102,14 @@ def check_n3(g: ColoredDigraph) -> Verdict:
 
     Witness: first pair (u, v) with overlapping, incomparable out-sets.
     """
-    vs = g.sorted_vertices
-    for i, u in enumerate(vs):
-        out_u = g.out_neighbors(u)
+    vs, out = g.sorted_vertices, g.out_masks
+    for u, out_u in enumerate(out):
         if not out_u:
             continue
-        for v in vs[i + 1:]:
-            out_v = g.out_neighbors(v)
-            if out_u & out_v and not (out_u <= out_v or out_v <= out_u):
-                return Verdict(False, (u, v))
+        for v in range(u + 1, len(vs)):
+            common = out_u & out[v]
+            if common and common not in (out_u, out[v]):
+                return Verdict(False, (vs[u], vs[v]))
     return _TRUE
 
 
@@ -129,23 +119,20 @@ def check_n3star(g: ColoredDigraph) -> Verdict:
     For such u, v: equal in-neighborhoods and nested out-neighborhoods.
     Witness: first violating pair (u, v).
     """
-    vs = g.sorted_vertices
-    for i, u in enumerate(vs):
-        out_u = g.out_neighbors(u)
+    vs, out, inn, u_mask = g.sorted_vertices, g.out_masks, g.in_masks, g.u_mask
+    for u, out_u in enumerate(out):
         if not out_u:
             continue
-        in_u = g.in_neighbors(u)
-        u_color = u in g.color_u
-        for v in vs[i + 1:]:
-            if (v in g.color_u) != u_color:
+        in_u, u_color = inn[u], u_mask >> u & 1
+        for v in range(u + 1, len(vs)):
+            out_v, in_v = out[v], inn[v]
+            common = out_u & out_v
+            if (u_mask >> v & 1) != u_color or not common:
                 continue
-            out_v = g.out_neighbors(v)
-            if not (out_u & out_v):
+            if (out_u & in_v) or (out_v & in_u):
                 continue
-            if (out_u & g.in_neighbors(v)) or (out_v & in_u):
-                continue
-            if in_u != g.in_neighbors(v) or not (out_u <= out_v or out_v <= out_u):
-                return Verdict(False, (u, v))
+            if in_u != in_v or common not in (out_u, out_v):
+                return Verdict(False, (vs[u], vs[v]))
     return _TRUE
 
 
@@ -154,10 +141,9 @@ def satisfies_star(g: ColoredDigraph) -> Verdict:
 
     Witness: the first vertex lying on two or more symmetric edges.
     """
-    for v in g.sorted_vertices:
-        partners = g.out_neighbors(v) & g.in_neighbors(v)
-        if len(partners) >= 2:
-            return Verdict(False, (v,))
+    for v, (o, i) in enumerate(zip(g.out_masks, g.in_masks)):
+        if (o & i).bit_count() >= 2:
+            return Verdict(False, (g.sorted_vertices[v],))
     return _TRUE
 
 
@@ -166,30 +152,25 @@ def is_thin(g: ColoredDigraph) -> bool:
 
     Two isolated vertices already make a graph non-thin.
     """
-    seen: set[tuple[frozenset[str], frozenset[str]]] = set()
-    for v in g.sorted_vertices:
-        sig = (g.out_neighbors(v), g.in_neighbors(v))
-        if sig in seen:
-            return False
-        seen.add(sig)
-    return True
+    return len(set(zip(g.out_masks, g.in_masks))) == g.n_vertices
 
 
 def _n1_trivial(g: ColoredDigraph) -> bool:
     # The hypothesis pattern u->t, v->w, t->w exists iff some directed
     # two-edge walk exists (take v to be the walk's middle vertex).
-    return not any(g.in_neighbors(v) and g.out_neighbors(v) for v in g.sorted_vertices)
+    return not any(o and i for o, i in zip(g.out_masks, g.in_masks))
 
 
 def _n2_trivial(g: ColoredDigraph) -> bool:
     # A three-edge walk exists iff some edge has an in-neighbor before it
     # and an out-neighbor after it.
-    return not any(g.in_neighbors(t) and g.out_neighbors(h) for (t, h) in g.edges)
+    has_out = sum(1 << v for v, o in enumerate(g.out_masks) if o)
+    return not any(i and o & has_out for o, i in zip(g.out_masks, g.in_masks))
 
 
 def _n3_trivial(g: ColoredDigraph) -> bool:
     # Two distinct vertices share an out-neighbor iff some in-degree is >= 2.
-    return all(len(g.in_neighbors(v)) <= 1 for v in g.sorted_vertices)
+    return all(i.bit_count() <= 1 for i in g.in_masks)
 
 
 @dataclass(frozen=True)

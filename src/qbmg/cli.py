@@ -224,6 +224,8 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.corpus:
+        if not Path(args.corpus).is_dir():
+            raise QbmgError(f"corpus {args.corpus} is not a directory")
         paths = sorted(Path(args.corpus).glob("*.qbmg"))
         if not paths:
             print("warning: empty corpus, nothing checked", file=sys.stderr)
@@ -234,7 +236,12 @@ def cmd_verify(args) -> int:
     any_fail = False
     docs = []
     for path in paths:
-        g = parse_graph(path.read_text())
+        try:
+            g = parse_graph(path.read_text())
+        except GraphFormatError as exc:
+            if not args.corpus:
+                raise
+            raise QbmgError(f"{path.name}: {exc}") from exc
         results = run_suite(g, checks=checks)
         for r in results:
             any_fail = any_fail or not r.passed
@@ -348,16 +355,10 @@ def main(argv=None) -> int:
         parser.error("verify needs a graph file or --corpus DIR, not both")
     try:
         return args.func(args)
-    except GraphFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except QbmgError as exc:
+    except (FileNotFoundError, QbmgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -4,12 +4,19 @@ Vertices are opaque text tokens. The bipartition into color classes U and W is
 part of the value, never inferred, and every edge must cross the two classes.
 All values are immutable after construction, so they are safe to share between
 threads and to use as dict keys.
+
+A graph numbers its vertices once: a vertex's rank is its position in token
+order, and the rank index is shared with every graph and permutation over the
+same vertex set (``rank_index``). Neighborhoods are stored as ``int`` masks
+over the ranks, so the graph algorithms run on bit operations, and since rank
+order is token order, the least set bit of a mask is its least token.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import GraphFormatError, QbmgError, SizeCapError, UnknownVertexError
 
@@ -35,6 +42,25 @@ def token_key(token: str) -> tuple:
     return (1, 0, token)
 
 
+@functools.lru_cache(maxsize=256)
+def rank_index(domain: tuple[str, ...]) -> dict[str, int]:
+    """Each token of the token-sorted ``domain`` to its rank; shared, never mutated."""
+    return {v: i for i, v in enumerate(domain)}
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, least first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def low_bit(mask: int) -> int:
+    """The least set bit of a non-zero ``mask``."""
+    return (mask & -mask).bit_length() - 1
+
+
 def _token_column(line: str, k: int) -> int:
     """The 1-based column of token k (from 0) of ``line``; a trailing comment moves none."""
     return [m.start() + 1 for m in re.finditer(r"\S+", line)][k]
@@ -52,11 +78,14 @@ class ColoredDigraph:
     """A loopless digraph on two disjoint color classes, all edges cross-color.
 
     Symmetric edges (both directions present) are allowed; parallel edges are
-    not representable. Isolated vertices are permitted. Forward and reverse
-    adjacency are both materialized so neighborhood queries are O(1) lookups.
+    not representable. Isolated vertices are permitted. The value is
+    ``color_u``, ``color_w`` and ``edges``. Vertex i is ``sorted_vertices[i]``,
+    ``rank`` maps it back to i, and bit j of ``out_masks[i]``/``in_masks[i]``
+    is set when j is an out-/in-neighbor of i; ``u_mask`` holds U's ranks.
     """
 
-    __slots__ = ("color_u", "color_w", "edges", "_out", "_in", "_sorted")
+    __slots__ = ("color_u", "color_w", "edges", "sorted_vertices", "rank", "u_mask",
+                 "out_masks", "in_masks")
 
     def __init__(
         self,
@@ -70,26 +99,31 @@ class ColoredDigraph:
         if overlap:
             raise QbmgError(f"color classes overlap on {sorted(overlap, key=token_key)}")
         e = frozenset((str(t), str(h)) for (t, h) in edges)
-        vertices = u | w
-        out: dict[str, set[str]] = {v: set() for v in vertices}
-        inn: dict[str, set[str]] = {v: set() for v in vertices}
+        vs = tuple(sorted(u | w, key=token_key))
+        rank = rank_index(vs)
+        u_mask = sum(1 << rank[v] for v in u)
+        out = [0] * len(vs)
+        inn = [0] * len(vs)
         for (t, h) in e:
-            if t not in vertices:
+            if t not in rank:
                 raise UnknownVertexError(t)
-            if h not in vertices:
+            if h not in rank:
                 raise UnknownVertexError(h)
             if t == h:
                 raise QbmgError(f"loop edge at {t!r}")
-            if (t in u) == (h in u):
+            a, b = rank[t], rank[h]
+            if (u_mask >> a & 1) == (u_mask >> b & 1):
                 raise QbmgError(f"edge ({t!r}, {h!r}) joins two vertices of the same color")
-            out[t].add(h)
-            inn[h].add(t)
+            out[a] |= 1 << b
+            inn[b] |= 1 << a
         self.color_u = u
         self.color_w = w
         self.edges = e
-        self._out = {v: frozenset(s) for v, s in out.items()}
-        self._in = {v: frozenset(s) for v, s in inn.items()}
-        self._sorted = tuple(sorted(vertices, key=token_key))
+        self.sorted_vertices = vs
+        self.rank = rank
+        self.u_mask = u_mask
+        self.out_masks = tuple(out)
+        self.in_masks = tuple(inn)
 
     # -- basic queries ------------------------------------------------------
 
@@ -98,37 +132,34 @@ class ColoredDigraph:
         return self.color_u | self.color_w
 
     @property
-    def sorted_vertices(self) -> tuple[str, ...]:
-        return self._sorted
-
-    @property
     def n_vertices(self) -> int:
-        return len(self._sorted)
+        return len(self.sorted_vertices)
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
 
     def __contains__(self, v: str) -> bool:
-        return v in self._out
+        return v in self.rank
+
+    def _rank_of(self, v: str) -> int:
+        try:
+            return self.rank[v]
+        except KeyError:
+            raise UnknownVertexError(v) from None
+
+    def _tokens(self, mask: int) -> frozenset[str]:
+        return frozenset(map(self.sorted_vertices.__getitem__, bits(mask)))
 
     def out_neighbors(self, v: str) -> frozenset[str]:
-        try:
-            return self._out[v]
-        except KeyError:
-            raise UnknownVertexError(v) from None
+        return self._tokens(self.out_masks[self._rank_of(v)])
 
     def in_neighbors(self, v: str) -> frozenset[str]:
-        try:
-            return self._in[v]
-        except KeyError:
-            raise UnknownVertexError(v) from None
+        return self._tokens(self.in_masks[self._rank_of(v)])
 
     def is_isolated(self, v: str) -> bool:
-        return not self.out_neighbors(v) and not self.in_neighbors(v)
-
-    def isolated_vertices(self) -> frozenset[str]:
-        return frozenset(v for v in self._sorted if not self._out[v] and not self._in[v])
+        i = self._rank_of(v)
+        return not (self.out_masks[i] | self.in_masks[i])
 
     # -- derived graphs -----------------------------------------------------
 
@@ -136,7 +167,7 @@ class ColoredDigraph:
         """Restrict to a vertex subset, keeping edges with both endpoints inside."""
         keep = frozenset(vs)
         for v in keep:
-            if v not in self._out:
+            if v not in self.rank:
                 raise UnknownVertexError(v)
         return ColoredDigraph(
             self.color_u & keep,
@@ -183,65 +214,52 @@ _PATH_CYCLE_CAP = 64
 _PATH_CYCLE_MIN = 6  # a 2-qBMG's underlying graph has no induced path or cycle this long
 
 
-def long_induced_path_or_cycle(
-    vertices: Iterable[str],
-    undirected_edges: Iterable[frozenset[str]],
-) -> list[str] | None:
-    """Search an undirected graph for an induced path or cycle on at least 6 vertices.
+def long_induced_path_or_cycle(g: ColoredDigraph) -> list[str] | None:
+    """Search g's underlying graph for an induced path or cycle on at least 6 vertices.
 
     Returns the vertex sequence of one such subgraph (cycle witnesses close back
     to the first vertex implicitly), or None. This is a cross-check tool with a
-    bounded DFS over induced paths; inputs are capped at 64 vertices.
+    bounded DFS over induced paths, in rank order; inputs are capped at 64
+    vertices.
     """
-    verts = sorted(set(vertices), key=token_key)
-    if len(verts) > _PATH_CYCLE_CAP:
-        raise SizeCapError(f"induced path search capped at {_PATH_CYCLE_CAP} vertices, got {len(verts)}")
-    adj: dict[str, set[str]] = {v: set() for v in verts}
-    for pair in undirected_edges:
-        pair = tuple(pair)
-        if len(pair) != 2:
-            raise QbmgError(f"undirected edge must join two distinct vertices, got {pair!r}")
-        a, b = pair
-        if a not in adj or b not in adj:
-            raise UnknownVertexError(a if a not in adj else b)
-        adj[a].add(b)
-        adj[b].add(a)
+    n = g.n_vertices
+    if n > _PATH_CYCLE_CAP:
+        raise SizeCapError(f"induced path search capped at {_PATH_CYCLE_CAP} vertices, got {n}")
+    adj = [o | i for o, i in zip(g.out_masks, g.in_masks)]
 
-    path: list[str] = []
-    on_path: set[str] = set()
+    path: list[int] = []
+    on_path = 0
 
-    def extend() -> list[str] | None:
+    def extend() -> list[int] | None:
+        nonlocal on_path
         if len(path) >= _PATH_CYCLE_MIN:
             return list(path)
         last = path[-1]
         first = path[0]
-        for nxt in sorted(adj[last], key=token_key):
-            if nxt in on_path:
+        ends = 1 << last | 1 << first
+        for nxt in bits(adj[last] & ~on_path):
+            if adj[nxt] & on_path & ~ends:
                 continue
-            earlier = adj[nxt] & on_path
-            if earlier - {last, first}:
-                continue
-            closes = first in adj[nxt] and len(path) >= 2
-            if closes:
+            if adj[nxt] >> first & 1 and len(path) >= 2:
                 # nxt touches both ends and nothing in between: induced cycle.
                 if len(path) + 1 >= _PATH_CYCLE_MIN:
-                    return list(path) + [nxt]
+                    return path + [nxt]
                 continue
             path.append(nxt)
-            on_path.add(nxt)
+            on_path |= 1 << nxt
             found = extend()
             path.pop()
-            on_path.discard(nxt)
+            on_path &= ~(1 << nxt)
             if found:
                 return found
         return None
 
-    for start in verts:
+    for start in range(n):
         path = [start]
-        on_path = {start}
+        on_path = 1 << start
         found = extend()
         if found:
-            return found
+            return [g.sorted_vertices[v] for v in found]
     return None
 
 

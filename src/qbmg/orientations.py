@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple
 
 from .axioms import is_2qbmg, is_thin, satisfies_star
 from .autgroup import aut_color_preserving
-from .digraph import ColoredDigraph, symmetric_edges, token_key
+from .digraph import ColoredDigraph, bits, low_bit, symmetric_edges
 from .errors import QbmgError, SizeCapError
 from .perms import PermGroup
 
@@ -48,16 +48,14 @@ def enumerate_orientations(g: ColoredDigraph) -> Iterator[ColoredDigraph]:
     counter where bit k = 0 keeps the direction leaving the pair's smaller
     token. Lazy, so a property test can stop at the first failure.
     """
-    pairs = sorted(
-        (tuple(sorted(p, key=token_key)) for p in symmetric_edges(g)),
-        key=lambda p: (token_key(p[0]), token_key(p[1])),
-    )
+    vs = g.sorted_vertices
+    pairs = [(vs[a], vs[b]) for a, o in enumerate(g.out_masks)
+             for b in bits(o & g.in_masks[a]) if a < b]
     if len(pairs) > ORIENTATION_CAP:
         raise SizeCapError(
             f"orientation enumeration capped at {ORIENTATION_CAP} symmetric edges, "
             f"got {len(pairs)}")
-    symmetric = {frozenset(p) for p in pairs}
-    base = {(t, h) for (t, h) in g.edges if frozenset((t, h)) not in symmetric}
+    base = {(t, h) for (t, h) in g.edges if (h, t) not in g.edges}
     for mask in range(1 << len(pairs)):
         edges = set(base)
         for k, (a, b) in enumerate(pairs):
@@ -76,39 +74,35 @@ def topological_order(g: ColoredDigraph) -> TopoResult:
     """Kahn's procedure with token-order tie-breaking; input must be oriented."""
     if symmetric_edges(g):
         raise QbmgError("topological order is defined for oriented graphs only")
-    indeg = {v: len(g.in_neighbors(v)) for v in g.sorted_vertices}
-    heap = [token_key(v) + (v,) for v in g.sorted_vertices if indeg[v] == 0]
-    heapq.heapify(heap)
-    order: list[str] = []
+    indeg = [i.bit_count() for i in g.in_masks]
+    heap = [v for v, d in enumerate(indeg) if d == 0]  # ascending, so already a heap
+    order: list[int] = []
     while heap:
-        v = heapq.heappop(heap)[-1]
+        v = heapq.heappop(heap)
         order.append(v)
-        for w in g.out_neighbors(v):
+        for w in bits(g.out_masks[v]):
             indeg[w] -= 1
             if indeg[w] == 0:
-                heapq.heappush(heap, token_key(w) + (w,))
+                heapq.heappush(heap, w)
     if len(order) == len(indeg):
-        return TopoResult(tuple(order), None)
-    return TopoResult(None, _find_cycle(g, {v for v, d in indeg.items() if d > 0}))
+        return TopoResult(tuple(g.sorted_vertices[v] for v in order), None)
+    return TopoResult(None, _find_cycle(g, sum(1 << v for v, d in enumerate(indeg) if d > 0)))
 
 
-def _find_cycle(g: ColoredDigraph, inside: set[str]) -> tuple[str, ...]:
-    """Find a directed cycle among the vertices Kahn's procedure never released.
+def _find_cycle(g: ColoredDigraph, inside: int) -> tuple[str, ...]:
+    """Find a directed cycle among the ranks Kahn's procedure never released.
 
     Every such vertex keeps an unprocessed in-neighbor, which is itself
     unreleased, so walking backward must eventually repeat a vertex.
     """
-    start = min(inside, key=token_key)
-    seen: dict[str, int] = {}
-    path: list[str] = []
-    v = start
-    while v not in seen:
-        seen[v] = len(path)
+    path: list[int] = []
+    v = low_bit(inside)
+    while v not in path:
         path.append(v)
-        v = min((w for w in g.in_neighbors(v) if w in inside), key=token_key)
-    cycle = path[seen[v]:]
+        v = low_bit(g.in_masks[v] & inside)
+    cycle = path[path.index(v):]
     cycle.reverse()
-    return tuple(cycle)
+    return tuple(g.sorted_vertices[v] for v in cycle)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 A permutation is a rank tuple over its token-sorted domain: a vertex's rank
 is its position in the domain, and ``ranks[i]`` is the rank of the image of
 rank i, the image-array form over points 0..n-1. Tokens are read through one
-rank index per domain, shared by every permutation over that domain, so
-products, inverses and group elements never touch a token.
+rank index per domain (``digraph.rank_index``), shared by every permutation
+and graph over that domain, so products, inverses, group elements and the
+automorphism test never touch a token.
 
 A group keeps a stabilizer chain whose base is its whole domain in rank
 order (Sims; Seress, *Permutation Group Algorithms*, 2003): level i holds the
@@ -24,11 +25,10 @@ beyond it the request fails loudly.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Iterable, Iterator, Mapping
 
-from .digraph import ColoredDigraph, _token_column, token_key
+from .digraph import ColoredDigraph, _token_column, bits, rank_index, token_key
 from .errors import GraphFormatError, NotAutomorphismError, QbmgError, SizeCapError
 
 __all__ = [
@@ -42,12 +42,6 @@ __all__ = [
 DEFAULT_ELEMENT_CAP = 10**6
 
 _Ranks = tuple[int, ...]
-
-
-@functools.lru_cache(maxsize=256)
-def _rank_index(domain: tuple[str, ...]) -> dict[str, int]:
-    """Each token of the token-sorted ``domain`` to its rank; shared, never mutated."""
-    return {v: i for i, v in enumerate(domain)}
 
 
 class Permutation:
@@ -66,7 +60,7 @@ class Permutation:
         """Set the fields from token images, which must permute the sorted ``domain``."""
         if len(domain) != len(images):
             raise QbmgError("domain and image lists differ in length")
-        index = _rank_index(domain)
+        index = rank_index(domain)
         ranks = tuple(index.get(v, -1) for v in images)
         if -1 in ranks or len(set(ranks)) != len(domain):
             raise QbmgError("images are not a permutation of the domain")
@@ -83,7 +77,7 @@ class Permutation:
     @classmethod
     def identity(cls, domain: Iterable[str]) -> "Permutation":
         dom = tuple(sorted(domain, key=token_key))
-        return cls._trusted(dom, tuple(range(len(dom))), _rank_index(dom))
+        return cls._trusted(dom, tuple(range(len(dom))), rank_index(dom))
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str], domain: Iterable[str]) -> "Permutation":
@@ -170,10 +164,10 @@ def is_automorphism(g: ColoredDigraph, p: Permutation, color_preserving: bool = 
     """
     if p.domain != g.sorted_vertices:
         raise NotAutomorphismError("permutation domain does not match the graph's vertex set")
-    edges, image = g.edges, p.as_dict()
-    if any((image[t], image[h]) not in edges for (t, h) in edges):
+    x, out = p.ranks, g.out_masks
+    if any(not out[x[t]] >> x[h] & 1 for t, m in enumerate(out) for h in bits(m)):
         return False
-    return not color_preserving or {image[v] for v in g.color_u} == g.color_u
+    return not color_preserving or all(g.u_mask >> x[v] & 1 for v in bits(g.u_mask))
 
 
 # -- permutation text format: ``p: a->b c->d ...`` (unlisted vertices fixed) --
@@ -237,7 +231,7 @@ class PermGroup:
             if self.order > DEFAULT_ELEMENT_CAP:
                 raise SizeCapError(
                     f"group order exceeds the element cap of {DEFAULT_ELEMENT_CAP}")
-            dom, index = self.domain, _rank_index(self.domain)
+            dom, index = self.domain, rank_index(self.domain)
             self._sorted_elements = tuple(Permutation._trusted(dom, x, index)
                                           for x in _walk(self.levels))
         return self._sorted_elements
@@ -268,7 +262,7 @@ class PermGroup:
         chain reaches it: a chain whose orbits are all full is complete.
         """
         levels = _schreier_sims(len(domain), generators, order)
-        index = _rank_index(domain)
+        index = rank_index(domain)
         gens = tuple(Permutation._trusted(domain, x, index) for x in canonical_generators(levels))
         return cls(domain, gens, levels)
 

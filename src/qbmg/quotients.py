@@ -92,9 +92,9 @@ class QuotientResult:
 
 def equivalence_classes(g: ColoredDigraph) -> Partition:
     """Partition vertices by (out-neighborhood, in-neighborhood)."""
-    groups: dict[tuple[frozenset[str], frozenset[str]], set[str]] = {}
-    for v in g.sorted_vertices:
-        groups.setdefault((g.out_neighbors(v), g.in_neighbors(v)), set()).add(v)
+    groups: dict[tuple[int, int], set[str]] = {}
+    for v, sig in zip(g.sorted_vertices, zip(g.out_masks, g.in_masks)):
+        groups.setdefault(sig, set()).add(v)
     return Partition.from_blocks(groups.values())
 
 

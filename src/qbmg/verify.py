@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 
 from .axioms import is_2qbmg, is_thin
 from .autgroup import aut_color_preserving, aut_full, canonical_gamma, is_normal
-from .digraph import ColoredDigraph, long_induced_path_or_cycle, token_key, underlying_undirected
+from .digraph import ColoredDigraph, long_induced_path_or_cycle, low_bit
 from .errors import PreconditionError, QbmgError
 from .orientations import check_orientation_theorems
 from .perms import PermGroup
@@ -96,7 +96,7 @@ def _route_equivalence(f: GraphFacts) -> Outcome:
 
 
 def _p6c6_free(f: GraphFacts) -> Outcome:
-    witness = long_induced_path_or_cycle(f.g.vertices, underlying_undirected(f.g))
+    witness = long_induced_path_or_cycle(f.g)
     return witness is None, "" if witness is None else f"induced path/cycle {witness}"
 
 
@@ -157,25 +157,29 @@ def _gamma_hereditary(f: GraphFacts) -> Outcome:
 def _common_out_neighbor(f: GraphFacts) -> Outcome:
     # Checked against the full group's orbits, which are coarser than the
     # color-preserving group's, so this covers both statements at once.
+    vs, rank, out, inn = f.g.sorted_vertices, f.g.rank, f.g.out_masks, f.g.in_masks
     for orbit in f.full.orbit_sets():
-        members = sorted(orbit, key=token_key)
+        members = sorted(rank[v] for v in orbit)
         for i, x in enumerate(members):
             for y in members[i + 1:]:
-                if f.g.out_neighbors(x) & f.g.out_neighbors(y):
-                    if f.classes.block_of(x) != f.classes.block_of(y):
-                        return False, (f"orbit mates {x}, {y} share an out-neighbor but are "
-                                       "not equivalent")
+                if out[x] & out[y] and (out[x], inn[x]) != (out[y], inn[y]):
+                    return False, (f"orbit mates {vs[x]}, {vs[y]} share an out-neighbor but "
+                                   "are not equivalent")
     return True, ""
 
 
 def _fixed_in_neighborhood(f: GraphFacts) -> Outcome:
+    # The first failure names the least fixed vertex and its least moved
+    # in-neighbor, in token order.
     if not f.thin:
         return True, "skipped: not thin"
+    vs, inn = f.g.sorted_vertices, f.g.in_masks
     for p in f.full.sorted_elements:
-        for v in p.fixed_points():
-            for x in f.g.in_neighbors(v):
-                if p(x) != x:
-                    return False, f"{p.cycle_string()} fixes {v} but moves its in-neighbor {x}"
+        moved = sum(1 << v for v, x in enumerate(p.ranks) if v != x)
+        for v, x in enumerate(p.ranks):
+            if v == x and inn[v] & moved:
+                return False, (f"{p.cycle_string()} fixes {vs[v]} but moves its "
+                               f"in-neighbor {vs[low_bit(inn[v] & moved)]}")
     return True, ""
 
 

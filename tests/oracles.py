@@ -6,9 +6,9 @@ raw dicts and sets) so they can certify the production implementations.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 
-from qbmg import ColoredDigraph, Permutation
+from qbmg import ColoredDigraph, Permutation, token_key
 
 
 def brute_force_color_preserving(g: ColoredDigraph) -> set[Permutation]:
@@ -85,6 +85,68 @@ def n3star_witness_violates(g: ColoredDigraph, witness: tuple[str, ...]) -> bool
 def star_witness_violates(g: ColoredDigraph, witness: tuple[str, ...]) -> bool:
     (v,) = witness
     return len(g.out_neighbors(v) & g.in_neighbors(v)) >= 2
+
+
+# -- first witnesses: a scan over vertex tuples in token order -----------------
+
+
+def first_witnesses(g: ColoredDigraph) -> dict[str, tuple[str, ...] | None]:
+    """The first violating tuple of each axiom, or None, from the edge set alone.
+
+    Tuples are scanned in lexicographic order over the token-sorted vertices,
+    so each entry is the lexicographically first witness: (u, v, w, t) for
+    N1 and N2, (u, v) for N3 and N3*, (v,) for the matching condition.
+    """
+    vs = sorted(g.vertices, key=token_key)
+    e = g.edges
+
+    def out(a):
+        return {b for b in vs if (a, b) in e}
+
+    def inn(a):
+        return {b for b in vs if (b, a) in e}
+
+    def nested(a, b):
+        return a <= b or b <= a
+
+    def first(arity, violates):
+        return next((t for t in product(vs, repeat=arity) if violates(*t)), None)
+
+    def n1(u, v, w, t):
+        independent = u != v and (u, v) not in e and (v, u) not in e
+        return independent and (u, t) in e and (v, w) in e and (t, w) in e
+
+    def n2(u, v, w, t):
+        return (u, v) in e and (v, w) in e and (w, t) in e and (u, t) not in e
+
+    def n3(u, v):
+        return u != v and bool(out(u) & out(v)) and not nested(out(u), out(v))
+
+    def n3star(u, v):
+        if u == v or (u in g.color_u) != (v in g.color_u) or not out(u) & out(v):
+            return False
+        if any((u, x) in e and (x, v) in e or (v, x) in e and (x, u) in e for x in vs):
+            return False
+        return inn(u) != inn(v) or not nested(out(u), out(v))
+
+    def star(v):
+        return sum((v, x) in e and (x, v) in e for x in vs) >= 2
+
+    return {"n1": first(4, n1), "n2": first(4, n2), "n3": first(2, n3),
+            "n3star": first(2, n3star), "star": first(1, star)}
+
+
+def kahn_least_token(g: ColoredDigraph) -> tuple[str, ...] | None:
+    """Kahn's algorithm taking the least token among the sources; None on a cycle."""
+    left = sorted(g.vertices, key=token_key)
+    order = []
+    while left:
+        sources = [v for v in left if not any((t, v) in g.edges for t in left)]
+        if not sources:
+            return None
+        order.append(sources[0])
+        left.remove(sources[0])
+    return tuple(order)
 
 
 def subgroup_lattice(grp) -> list:

@@ -334,6 +334,26 @@ def test_verify_empty_corpus_warns(tmp_path, capsys):
     assert "empty corpus" in err
 
 
+@pytest.mark.parametrize("corpus", [CORPUS / "no_such_dir", CORPUS / "k23.qbmg"],
+                         ids=["missing", "file"])
+def test_verify_corpus_must_be_a_directory(capsys, corpus):
+    code, out, err = run(capsys, "verify", "--corpus", str(corpus))
+    assert code == 2 and out == ""
+    assert err == f"error: corpus {corpus} is not a directory\n"
+
+
+def test_verify_corpus_names_the_malformed_file(tmp_path, capsys):
+    (tmp_path / "a.qbmg").write_text((CORPUS / "k23.qbmg").read_text())
+    (tmp_path / "b.qbmg").write_text("qbmg 1\nU: 1\nW: 2\ne 1 3\n")
+    code, _, err = run(capsys, "verify", "--corpus", str(tmp_path))
+    assert code == 2
+    assert err == ("error: b.qbmg: edge references undeclared vertex '3' "
+                   "(line 4, column 5)\n")
+    code, _, err = run(capsys, "verify", str(tmp_path / "b.qbmg"))
+    assert code == 2
+    assert err == "error: edge references undeclared vertex '3' (line 4, column 5)\n"
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--json", str(CORPUS / "empty.qbmg"))
     assert code == 0

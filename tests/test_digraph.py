@@ -94,41 +94,40 @@ def test_underlying_undirected():
     assert len(underlying_undirected(g)) == 16
 
 
+def _path_graph(n: int, extra=()) -> ColoredDigraph:
+    """Vertices 1..n, odd ones in U, with edges i->i+1 plus ``extra``."""
+    vs = [str(i) for i in range(1, n + 1)]
+    edges = [(str(i), str(i + 1)) for i in range(1, n)] + list(extra)
+    return ColoredDigraph(vs[0::2], vs[1::2], edges)
+
+
 def test_long_induced_path_detects_p6():
-    vs = [str(i) for i in range(1, 7)]
-    edges = [frozenset((str(i), str(i + 1))) for i in range(1, 6)]
-    witness = long_induced_path_or_cycle(vs, edges)
+    witness = long_induced_path_or_cycle(_path_graph(6))
     assert witness is not None and len(witness) == 6
 
 
 def test_long_induced_path_detects_c6():
-    vs = [str(i) for i in range(1, 7)]
-    edges = [frozenset((str(i), str(i % 6 + 1))) for i in range(1, 7)]
-    witness = long_induced_path_or_cycle(vs, edges)
+    witness = long_induced_path_or_cycle(_path_graph(6, [("6", "1")]))
     assert witness is not None and len(witness) >= 6
 
 
 def test_long_induced_path_none_on_p5():
-    vs = [str(i) for i in range(1, 6)]
-    edges = [frozenset((str(i), str(i + 1))) for i in range(1, 5)]
-    assert long_induced_path_or_cycle(vs, edges) is None
+    assert long_induced_path_or_cycle(_path_graph(5)) is None
 
 
 def test_long_induced_path_ignores_chorded_path():
     # A 6-path plus a chord is not an induced 6-path; the chord splits it
     # into shorter induced pieces.
-    vs = [str(i) for i in range(1, 7)]
-    edges = [frozenset((str(i), str(i + 1))) for i in range(1, 6)]
-    edges.append(frozenset(("1", "6")))  # now a 6-cycle: still a witness
-    assert long_induced_path_or_cycle(vs, edges) is not None
-    edges.append(frozenset(("1", "4")))  # chord kills both P6 and C6
-    assert long_induced_path_or_cycle(vs, edges) is None
+    cycle = [("1", "6")]  # now a 6-cycle: still a witness
+    assert long_induced_path_or_cycle(_path_graph(6, cycle)) is not None
+    chorded = cycle + [("1", "4")]  # chord kills both P6 and C6
+    assert long_induced_path_or_cycle(_path_graph(6, chorded)) is None
 
 
 def test_long_induced_path_cap():
     vs = [str(i) for i in range(100)]
     with pytest.raises(SizeCapError):
-        long_induced_path_or_cycle(vs, [])
+        long_induced_path_or_cycle(ColoredDigraph(vs[:50], vs[50:], []))
 
 
 def test_parse_format_roundtrip():

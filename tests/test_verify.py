@@ -1,7 +1,10 @@
 """The theorem-suite runner itself."""
 
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,8 @@ from qbmg.constructions import default_layered_spec
 from qbmg.verify import CHECK_NAMES, GraphFacts, graphs_match_up_to_rename, run_suite
 
 from tests import refdata
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_all_checks_pass_on_reference_member():
@@ -140,3 +145,28 @@ def test_fixed_vertex_in_neighborhood_reports_a_moved_in_neighbor(monkeypatch):
     results = run_suite(g, checks=["fixed_vertex_in_neighborhood"])
     assert [(r.name, r.passed, r.detail) for r in results] == [
         ("fixed_vertex_in_neighborhood", False, "(1 3) fixes 2 but moves its in-neighbor 1")]
+
+
+# Not an automorphism: the group is planted so that the check fails. The
+# detail must name the least fixed vertex and its least moved in-neighbor
+# whatever the hash seed, which orders the sets a token-set scan reads.
+_PLANTED_FAILURE = """
+from qbmg import ColoredDigraph, PermGroup, Permutation
+from qbmg.verify import CHECKS, GraphFacts
+g = ColoredDigraph("abef", "cdxy", [("c", "a"), ("d", "b"), ("x", "a"), ("y", "b"),
+                                    ("e", "x"), ("f", "c"), ("e", "d"), ("f", "y")])
+facts = GraphFacts(g)
+assert facts.thin
+swap = Permutation.from_mapping({"c": "d", "d": "c", "x": "y", "y": "x"}, g.vertices)
+facts.full = PermGroup.from_generators([swap])
+print(CHECKS["fixed_vertex_in_neighborhood"](facts))
+"""
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fixed_vertex_witness_is_the_least_in_token_order(seed):
+    env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", _PLANTED_FAILURE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "(False, '(c d)(x y) fixes a but moves its in-neighbor c')\n"
