@@ -6,6 +6,7 @@ from qbmg import (
     check_orientation_theorems,
     enumerate_orientations,
     is_2qbmg,
+    orientation_representatives,
     satisfies_star,
     symmetric_edges,
     topological_order,
@@ -25,9 +26,25 @@ print()
 
 print("When symmetric edges form a matching, every one of the 2^s orientations")
 print("is again a member, and all of them are acyclic:")
-for i, orientation in enumerate(enumerate_orientations(base)):
-    print(f"  orientation {i}: member={is_2qbmg(orientation)}, "
+for n, orientation in enumerate(enumerate_orientations(base), 1):
+    print(f"  orientation #{n}: member={is_2qbmg(orientation)}, "
           f"order={topological_order(orientation).order}")
+print()
+
+print("An automorphism maps an orientation onto an isomorphic one, so the")
+print("theorem check tests only the least orientation (by flip mask) of each")
+print("orbit of Aut_I. On a matching of k symmetric edges that is one")
+print("orientation per number of reversed edges:")
+for k in (1, 4, 8):
+    matching = ColoredDigraph(
+        [str(i) for i in range(1, k + 1)], [str(i) for i in range(k + 1, 2 * k + 1)],
+        [e for i in range(1, k + 1) for e in ((str(i), str(i + k)), (str(i + k), str(i)))])
+    reps = orientation_representatives(matching, aut_color_preserving(matching))
+    print(f"  k = {k}: {len(reps)} representatives of 2^{k} = {2 ** k} orientations, "
+          f"flip masks {reps}")
+report = check_orientation_theorems(base, aut_color_preserving(base))
+print(f"  the base graph: {report.orientations_checked} representatives of "
+      f"{report.orientations_total} orientations")
 print()
 
 print("Color-preserving automorphisms always survive the UW-orientation, but")

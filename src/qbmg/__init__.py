@@ -66,6 +66,7 @@ from .orientations import (
     TopoResult,
     check_orientation_theorems,
     enumerate_orientations,
+    orientation_representatives,
     topological_order,
     uw_orientation,
 )

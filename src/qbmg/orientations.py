@@ -1,35 +1,52 @@
 """Orientations of colored digraphs: the UW-orientation, enumeration, topological order.
 
 An orientation keeps exactly one direction from each symmetric edge and all
-other edges unchanged. The UW-orientation keeps the direction running from
-color class U to color class W; it never loses a color-preserving
-automorphism, though it can gain some. ``check_orientation_theorems`` tests
-the group identity together with membership of every orientation when the
-symmetric edges form a matching.
+other edges unchanged. Symmetric pair k is (a, b), a's token before b's,
+pairs in token order; flip mask bit k set reverses pair k to run b -> a, and
+orientation #N is the one with flip mask N - 1. The UW-orientation keeps the
+direction running from color class U to color class W; it never loses a
+color-preserving automorphism, though it can gain some.
+
+``check_orientation_theorems`` tests the group identity together with
+membership and acyclicity of every orientation when the symmetric edges form
+a matching. A color-preserving automorphism h maps orientation o onto the
+isomorphic orientation h(o), so both properties hold on all 2^s orientations
+iff they hold on one orientation per orbit of the group on flip masks. The
+check tests the least mask of each orbit only, in ascending order, and the
+least failing mask is the least of its orbit: the first failing
+representative is the first failing orientation. The representatives are
+generated orderly (Read, "Every one a winner", 1978) with a smallest-image
+search over a stabilizer chain of the action on pairs (Linton, "Finding the
+smallest image of a set", 2004), never by a walk over all 2^s masks.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .axioms import is_2qbmg, is_thin, satisfies_star
 from .autgroup import aut_color_preserving
-from .digraph import ColoredDigraph, bits, low_bit, symmetric_edges
+from .digraph import ColoredDigraph, bits, low_bit
 from .errors import QbmgError, SizeCapError
-from .perms import PermGroup
+from .perms import PermGroup, _schreier_sims, _sift
 
 __all__ = [
     "uw_orientation",
     "enumerate_orientations",
+    "orientation_representatives",
     "TopoResult",
     "topological_order",
     "OrientationReport",
     "check_orientation_theorems",
 ]
 
-ORIENTATION_CAP = 20
+# Orientations one call may build: 2^s in enumerate_orientations, orbit
+# representatives in check_orientation_theorems.
+ORIENTATION_CAP = 4096
+# Partial images the search for the representatives may build (about 4 s).
+IMAGE_CAP = 500_000
 
 
 def uw_orientation(g: ColoredDigraph) -> ColoredDigraph:
@@ -41,26 +58,161 @@ def uw_orientation(g: ColoredDigraph) -> ColoredDigraph:
     return g.with_edges(edges)
 
 
-def enumerate_orientations(g: ColoredDigraph) -> Iterator[ColoredDigraph]:
-    """Yield all 2^s orientations, s the number of symmetric edges (capped at 20).
+def _symmetric_pairs(g: ColoredDigraph) -> list[tuple[int, int]]:
+    """The symmetric edges as rank pairs (a, b), a < b, in order: pair k is flip mask bit k."""
+    return [(a, b) for a, o in enumerate(g.out_masks) for b in bits(o & g.in_masks[a]) if a < b]
 
-    Deterministic order: symmetric pairs sorted by token, then a binary
-    counter where bit k = 0 keeps the direction leaving the pair's smaller
-    token. Lazy, so a property test can stop at the first failure.
+
+def _orienter(g: ColoredDigraph, pairs: list[tuple[int, int]]) -> Callable[[int], ColoredDigraph]:
+    """The map from a flip mask to its orientation of g."""
+    vs, out, inn = g.sorted_vertices, g.out_masks, g.in_masks
+    base = frozenset((vs[t], vs[h]) for t, o in enumerate(out) for h in bits(o & ~inn[t]))
+
+    def orient(mask: int) -> ColoredDigraph:
+        return g.with_edges(base.union(
+            (vs[b], vs[a]) if mask >> k & 1 else (vs[a], vs[b])
+            for k, (a, b) in enumerate(pairs)))
+
+    return orient
+
+
+def enumerate_orientations(g: ColoredDigraph) -> Iterator[ColoredDigraph]:
+    """Yield all 2^s orientations, s the number of symmetric edges, by flip mask.
+
+    The masks count up from 0, so the k-th orientation yielded (from 1) is
+    #k. Lazy, so a property test can stop at the first failure. Raises
+    ``SizeCapError`` when 2^s exceeds ``ORIENTATION_CAP``.
     """
-    vs = g.sorted_vertices
-    pairs = [(vs[a], vs[b]) for a, o in enumerate(g.out_masks)
-             for b in bits(o & g.in_masks[a]) if a < b]
-    if len(pairs) > ORIENTATION_CAP:
+    pairs = _symmetric_pairs(g)
+    if 1 << len(pairs) > ORIENTATION_CAP:
         raise SizeCapError(
-            f"orientation enumeration capped at {ORIENTATION_CAP} symmetric edges, "
-            f"got {len(pairs)}")
-    base = {(t, h) for (t, h) in g.edges if (h, t) not in g.edges}
-    for mask in range(1 << len(pairs)):
-        edges = set(base)
-        for k, (a, b) in enumerate(pairs):
-            edges.add((b, a) if mask >> k & 1 else (a, b))
-        yield g.with_edges(edges)
+            f"orientation enumeration capped at {ORIENTATION_CAP} orientations, "
+            f"got 2^{len(pairs)}")
+    return map(_orienter(g, pairs), range(1 << len(pairs)))
+
+
+def orientation_representatives(g: ColoredDigraph, aut_g: PermGroup) -> list[int]:
+    """The least flip mask of each orbit of ``aut_g`` on g's orientations, ascending.
+
+    ``aut_g`` must consist of color-preserving automorphisms of g. Raises
+    ``SizeCapError`` beyond ``ORIENTATION_CAP`` orbits or ``IMAGE_CAP``
+    partial images.
+
+    The search runs on points, most significant first: point i is pair
+    s-1-i. A point set c holds the pairs that run W -> U. A color-preserving
+    automorphism permutes the points, and bit s-1-i of a flip mask is point
+    i of c xor of ``flip``, which holds the pairs whose first end is in W.
+
+    The least sets c of the orbits come first, orderly: when c is least and
+    not full, c with its last missing point added is least too, because
+    complements reverse the order and a greatest set stays greatest without
+    its last point. So they grow as a tree from the full set, a node's
+    children dropping one point after its last missing one, and only least
+    children are kept. Each is then mapped to its orbit's least mask.
+    """
+    pairs = _symmetric_pairs(g)
+    s = len(pairs)
+    point = {pair: s - 1 - k for k, pair in enumerate(pairs)}
+    gens, moved = [], 0
+    for p in aut_g.generators:
+        x, img = p.ranks, [0] * s
+        for (a, b), i in point.items():
+            img[i] = point[(x[a], x[b]) if x[a] < x[b] else (x[b], x[a])]
+        gens.append(tuple(img))
+        moved |= sum(1 << v for v, y in enumerate(x) if v != y)
+    # When every moved vertex lies on a pair, only the identity fixes all
+    # pairs, so the action has the group's order.
+    ends = sum(1 << a | 1 << b for a, b in pairs)
+    chain = _Chain(_schreier_sims(s, gens, None if moved & ~ends else aut_g.order))
+    full = (1 << s) - 1
+    least, todo = [], [full]
+    while todo:
+        c = todo.pop()
+        least.append(c)
+        if len(least) > ORIENTATION_CAP:
+            raise SizeCapError(
+                f"orientation check capped at {ORIENTATION_CAP} orbit representatives, "
+                f"on {s} symmetric edges")
+        for i in range((full & ~c).bit_length(), s):
+            child = c & ~(1 << i)
+            if chain.is_least(child):
+                todo.append(child)
+    flip = sum(1 << i for (a, _), i in point.items() if not g.u_mask >> a & 1)
+    masks = []
+    for c in least:
+        m = (chain.least_image(c, flip) if flip else c) ^ flip
+        masks.append(sum(1 << (s - 1 - i) for i in bits(m)))
+    return sorted(masks)
+
+
+class _Chain:
+    """Least images of point sets under the group of a stabilizer chain with base 0..n-1.
+
+    Sets compare as their membership bits, point 0 first. The search picks
+    the preimage of point 0, 1, ... in turn from the level's orbit and keeps
+    every distinct partial image that is least so far (Linton). Points x, y
+    with (x y) in the group form blocks. Two preimages in one block that a
+    partial image marks alike lead to the same images, since the swap of
+    the two fixes every point before them; so the search tries one
+    preimage per block and bit.
+    """
+
+    def __init__(self, levels):
+        n = len(levels)
+        self.levels = levels
+        self.images = 0
+        self.block = [0] * n  # the block of each point, as a mask
+        for x in range(n):
+            if not self.block[x]:
+                mask = 1 << x
+                for y in range(x + 1, n):
+                    swap = list(range(n))
+                    swap[x], swap[y] = y, x
+                    if not self.block[y] and _sift(levels, tuple(swap)) is None:
+                        mask |= 1 << y
+                for y in bits(mask):
+                    self.block[y] = mask
+        self.blocks = [b for b in set(self.block) if b & (b - 1)]
+
+    def is_least(self, c: int) -> bool:
+        """Whether c is least in its orbit.
+
+        It is not when a block has a point of c before a point outside c:
+        swapping the two gives a lesser image.
+        """
+        for mask in self.blocks:
+            ones, zeros = c & mask, mask & ~c
+            if ones and zeros.bit_length() - 1 > low_bit(ones):
+                return False
+        return self.least_image(c) == c
+
+    def least_image(self, c: int, flip: int = 0) -> int:
+        """The least image of c when point i compares as its bit xor bit i of ``flip``.
+
+        Raises ``SizeCapError`` once the calls on this chain have kept more
+        than ``IMAGE_CAP`` partial images.
+        """
+        block, todo = self.block, {c}
+        for i, level in enumerate(self.levels):
+            want = flip >> i & 1
+            hit: set[int] = set()
+            miss: set[int] = set()
+            for t in todo:
+                seen = set()
+                for b, (_, inv) in level.items():
+                    key = (block[b], t >> b & 1)
+                    if key not in seen:
+                        seen.add(key)
+                        image = t if b == i else sum(1 << inv[q] for q in bits(t))
+                        (hit if key[1] == want else miss).add(image)
+            self.images += len(todo)
+            if self.images > IMAGE_CAP:
+                raise SizeCapError(
+                    f"orientation check capped at {IMAGE_CAP} partial images "
+                    f"in the search for orbit representatives")
+            todo = hit or miss
+        (least,) = todo
+        return least
 
 
 class TopoResult(NamedTuple):
@@ -72,7 +224,7 @@ class TopoResult(NamedTuple):
 
 def topological_order(g: ColoredDigraph) -> TopoResult:
     """Kahn's procedure with token-order tie-breaking; input must be oriented."""
-    if symmetric_edges(g):
+    if any(o & i for o, i in zip(g.out_masks, g.in_masks)):
         raise QbmgError("topological order is defined for oriented graphs only")
     indeg = [i.bit_count() for i in g.in_masks]
     heap = [v for v, d in enumerate(indeg) if d == 0]  # ascending, so already a heap
@@ -111,7 +263,8 @@ class OrientationReport:
 
     star_holds: bool
     thin: bool
-    orientations_checked: int
+    orientations_checked: int  # orbit representatives built and tested
+    orientations_total: int    # 2^s, s the number of symmetric edges
     all_orientations_are_2qbmg: bool | None  # None when (*) fails and the check is skipped
     all_orientations_acyclic: bool | None    # None when neither (*) nor thinness holds
     uw_group_preserved: bool
@@ -133,7 +286,11 @@ def check_orientation_theorems(g: ColoredDigraph, aut_g: PermGroup) -> Orientati
         a 2-qBMG, and must be acyclic with a topological order. Acyclicity is
         also required when the graph is thin, even without the matching
         property; a failure there is reported but only counts as a violation
-        in the matching case.
+        in the matching case. Both are tested on the least orientation of
+        each orbit of ``aut_g`` only, in flip-mask order, stopping at the
+        first failure; a violation names it as ``orientation #N``, N its
+        flip mask plus one, which is also the first failing orientation of
+        ``enumerate_orientations``.
     (b) Always: the UW-orientation is checked for having exactly the same
         color-preserving automorphisms as the graph itself. Containment in
         one direction is guaranteed (an automorphism maps symmetric pairs to
@@ -150,24 +307,27 @@ def check_orientation_theorems(g: ColoredDigraph, aut_g: PermGroup) -> Orientati
     star = bool(satisfies_star(g))
     thin = is_thin(g)
 
+    pairs = _symmetric_pairs(g)
+    orient = _orienter(g, pairs)
     checked = 0
     all_member: bool | None = True if star else None
     all_acyclic: bool | None = True if star or thin else None
     if star or thin:
-        for o in enumerate_orientations(g):
+        for mask in orientation_representatives(g, aut_g):
+            o = orient(mask)
             checked += 1
             if star and not is_2qbmg(o):
                 all_member = False
-                violations.append(f"orientation #{checked} is not a 2-qBMG")
+                violations.append(f"orientation #{mask + 1} is not a 2-qBMG")
                 break
             if topological_order(o).order is None:
                 all_acyclic = False
                 if star:
-                    violations.append(f"orientation #{checked} has a directed cycle")
+                    violations.append(f"orientation #{mask + 1} has a directed cycle")
                 break
 
     # Without symmetric edges the UW-orientation is g itself.
-    aut_o = aut_color_preserving(uw_orientation(g)) if symmetric_edges(g) else aut_g
+    aut_o = aut_color_preserving(uw_orientation(g)) if pairs else aut_g
     preserved = aut_g.order == aut_o.order
     if not preserved:
         violations.append(
@@ -177,6 +337,7 @@ def check_orientation_theorems(g: ColoredDigraph, aut_g: PermGroup) -> Orientati
         star_holds=star,
         thin=thin,
         orientations_checked=checked,
+        orientations_total=1 << len(pairs),
         all_orientations_are_2qbmg=all_member,
         all_orientations_acyclic=all_acyclic,
         uw_group_preserved=preserved,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .digraph import ColoredDigraph, token_key
-from .errors import GraphFormatError, NotAutomorphismError, PartitionError, PreconditionError, QbmgError
+from .errors import GraphFormatError, NotAutomorphismError, PartitionError, PreconditionError
 from .perms import PermGroup, is_automorphism
 
 __all__ = [
@@ -55,7 +55,6 @@ class Partition:
             seen |= b
         ordered = tuple(sorted(self.blocks, key=_block_key))
         object.__setattr__(self, "blocks", ordered)
-        object.__setattr__(self, "_index", {v: b for b in ordered for v in b})
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[str]]) -> "Partition":
@@ -68,12 +67,6 @@ class Partition:
     @property
     def support(self) -> frozenset[str]:
         return frozenset().union(*self.blocks) if self.blocks else frozenset()
-
-    def block_of(self, v: str) -> frozenset[str]:
-        try:
-            return self._index[v]
-        except KeyError:
-            raise QbmgError(f"vertex {v!r} is not covered by this partition") from None
 
     def __len__(self) -> int:
         return len(self.blocks)

@@ -119,3 +119,40 @@ NONORBIT_BASE = ColoredDigraph(
     [("4", "1"), ("4", "2"), ("2", "5"), ("6", "3")],
 )
 NONORBIT_BLOCKS = (("1",), ("2",), ("3",), ("4",), ("5", "6"))
+
+# -- a member past the orientation cap ----------------------------------------
+
+# Thirteen connected members, pairwise non-isomorphic and each without a
+# nontrivial color-preserving automorphism: a symmetric edge u0 <-> w0 plus
+# the one-way edges listed ("u1w0" is u1 -> w0). Their disjoint union has a
+# trivial Aut_I and a symmetric matching of 13 edges, so every one of its
+# 2^13 orientations is its own orbit.
+_RIGID_PIECES = (
+    "", "u0w1", "u0w1 w2u0", "u1w0", "u1w0 u1w1", "u0w1 u1w0 u1w1",
+    "u1w1 w2u0 w2u1", "u0w2 u1w0 u1w1 u1w2", "u0w1 u0w2 u1w1 w0u1 w2u1",
+    "u1w0 w0u2", "u1w1 u2w0 u2w1", "u0w1 u1w0 u1w1 w0u2",
+    "u0w1 u1w0 u1w1 u2w1 w0u2",
+)
+RIGID_MATCHING = ColoredDigraph(
+    {f"{v}c{c}" for c, piece in enumerate(_RIGID_PIECES)
+     for v in ("u0", *(e[i:i + 2] for e in piece.split() for i in (0, 2))) if v[0] == "u"},
+    {f"{v}c{c}" for c, piece in enumerate(_RIGID_PIECES)
+     for v in ("w0", *(e[i:i + 2] for e in piece.split() for i in (0, 2))) if v[0] == "w"},
+    [(f"{e[:2]}c{c}", f"{e[2:]}c{c}") for c, piece in enumerate(_RIGID_PIECES)
+     for e in ("u0w0", "w0u0", *piece.split())],
+)
+
+# Twelve copies of a member with no nontrivial color-preserving automorphism
+# and two symmetric edges: u0 <-> w0, u1 <-> w1, u0 -> w1 and w0 -> u1.
+# Aut_I permutes the copies (order 12!) and so moves symmetric edges two at
+# a time, never just two. Copy c is u0 = c+1, u1 = c+13, w0 = c+25 and
+# w1 = c+37, so all u0 <-> w0 edges come first in token order. Finding the
+# least orientation of each of its 455 orbits then keeps up to C(12, 6)
+# partial images a step, past the orientation check's image cap.
+COPIED_PAIRS = ColoredDigraph(
+    [str(c + k) for c in range(1, 13) for k in (0, 12)],
+    [str(c + k) for c in range(1, 13) for k in (24, 36)],
+    [e for c in range(1, 13) for e in (
+        (str(c), str(c + 24)), (str(c + 24), str(c)), (str(c + 12), str(c + 36)),
+        (str(c + 36), str(c + 12)), (str(c), str(c + 36)), (str(c + 24), str(c + 12)))],
+)

@@ -1,6 +1,10 @@
 """UW-orientation, orientation enumeration, topological order, orientation facts."""
 
+import time
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qbmg import (
     ColoredDigraph,
@@ -9,12 +13,18 @@ from qbmg import (
     aut_color_preserving,
     check_orientation_theorems,
     enumerate_orientations,
+    format_graph,
     is_2qbmg,
+    is_thin,
     layered,
+    orientation_representatives,
+    satisfies_star,
     symmetric_edges,
+    token_key,
     topological_order,
     uw_orientation,
 )
+from qbmg.cli import main
 from qbmg.constructions import default_layered_spec
 
 from tests import refdata
@@ -66,6 +76,8 @@ def test_enumerate_orientations_cap():
     g = refdata.complete_symmetric(5, 5)  # 25 symmetric edges
     with pytest.raises(SizeCapError):
         list(enumerate_orientations(g))
+    with pytest.raises(SizeCapError, match="got 2.13"):
+        enumerate_orientations(refdata.RIGID_MATCHING)
 
 
 def test_topological_order_uw_blowup_base():
@@ -182,3 +194,162 @@ def test_uw_orientation_can_gain_automorphisms():
     report = check_orientation_theorems(g, aut_color_preserving(g))
     assert not report.uw_group_preserved
     assert any("color-preserving group" in v for v in report.violations)
+
+
+# -- one orientation per orbit ------------------------------------------------
+
+
+def _flip_images(g, p):
+    """Each flip mask's image under the automorphism p, computed on tokens."""
+    pairs = sorted((tuple(sorted(e, key=token_key)) for e in symmetric_edges(g)),
+                   key=lambda e: (token_key(e[0]), token_key(e[1])))
+    index = {frozenset(e): k for k, e in enumerate(pairs)}
+
+    def image(mask):
+        out = 0
+        for k, (a, b) in enumerate(pairs):
+            t, h = (p(b), p(a)) if mask >> k & 1 else (p(a), p(b))
+            if token_key(t) > token_key(h):
+                out |= 1 << index[frozenset((t, h))]
+        return out
+
+    return [image(m) for m in range(1 << len(pairs))]
+
+
+def _orbit_minima_and_count(g, grp):
+    """The least mask of each orbit, by brute force, and Burnside's orbit count."""
+    images = [_flip_images(g, p) for p in grp.sorted_elements]
+    minima = [m for m in range(len(images[0])) if all(img[m] >= m for img in images)]
+    fixed = 0
+    for p in grp.sorted_elements:
+        pairs = {frozenset(e) for e in symmetric_edges(g)}
+        cycles = 0
+        while pairs:
+            cycles += 1
+            e = frozenset(map(p, pairs.pop()))
+            while e in pairs:
+                pairs.remove(e)
+                e = frozenset(map(p, e))
+        fixed += 2 ** cycles
+    assert fixed % grp.order == 0
+    return minima, fixed // grp.order
+
+
+def _scan(g):
+    """A scan of every orientation: its orientation violation and the two flags."""
+    star, thin = bool(satisfies_star(g)), is_thin(g)
+    if not (star or thin):
+        return [], None, None
+    for n, o in enumerate(enumerate_orientations(g), 1):
+        if star and not is_2qbmg(o):
+            return [f"orientation #{n} is not a 2-qBMG"], False, True
+        if topological_order(o).order is None:
+            if star:
+                return [f"orientation #{n} has a directed cycle"], True, False
+            return [], None, False
+    return [], True if star else None, True
+
+
+def _agrees_with_brute_force(g):
+    grp = aut_color_preserving(g)
+    minima, orbits = _orbit_minima_and_count(g, grp)
+    reps = orientation_representatives(g, grp)
+    assert reps == minima
+    assert len(reps) == orbits
+    report = check_orientation_theorems(g, grp)
+    assert report.orientations_total == 2 ** len(symmetric_edges(g))
+    assert ([v for v in report.violations if v.startswith("orientation #")],
+            report.all_orientations_are_2qbmg, report.all_orientations_acyclic) == _scan(g)
+    return report
+
+
+def test_representatives_are_orbit_minima_on_the_corpus(corpus):
+    tested = 0
+    for g in corpus.values():
+        if len(symmetric_edges(g)) <= 9 and aut_color_preserving(g).order <= 10**4:
+            report = _agrees_with_brute_force(g)
+            assert report.all_orientations_are_2qbmg in (True, None)
+            assert report.all_orientations_acyclic in (True, None)
+            tested += 1
+    assert tested > 100
+
+
+@st.composite
+def shuffled_digraphs(draw):
+    """Graphs on up to 3+3 vertices, with the tokens dealt to the classes at random."""
+    r, s = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    tokens = draw(st.permutations([str(i) for i in range(1, r + s + 1)]))
+    u, w = tokens[:r], tokens[r:]
+    kinds = draw(st.lists(st.integers(0, 3), min_size=r * s, max_size=r * s))
+    edges = []
+    for (a, b), kind in zip([(a, b) for a in u for b in w], kinds):
+        edges += [(a, b)] * (kind & 1) + [(b, a)] * (kind >> 1)
+    return ColoredDigraph(u, w, edges)
+
+
+@given(shuffled_digraphs())
+def test_representatives_are_orbit_minima_on_random_graphs(g):
+    # Most of these graphs are not members, which breaks the caller's
+    # contract on purpose: the first failing orientation must still be the
+    # one a scan of all of them names.
+    _agrees_with_brute_force(g)
+
+
+@pytest.mark.parametrize("g, violation, representatives", [
+    # Aut_I is <(1 2)(3 4)>, which swaps masks 1 and 2: mask 3 (#4) fails
+    # and is the third orientation tested.
+    (ColoredDigraph(("1", "2"), ("3", "4"),
+                    [("1", "3"), ("1", "4"), ("2", "3"), ("2", "4"), ("3", "1"), ("4", "2")]),
+     "orientation #4 is not a 2-qBMG", [0, 1, 3]),
+    # Aut_I is <(1 6)(3 4)>, and pair (3, 6) has its smaller token in W.
+    # Masks 4 (#5) and 6 (#7) fail and are least in their orbits.
+    (ColoredDigraph(("1", "2", "6"), ("3", "4", "5"),
+                    [("1", "4"), ("4", "1"), ("2", "5"), ("5", "2"),
+                     ("3", "6"), ("6", "3"), ("3", "1"), ("4", "6")]),
+     "orientation #5 is not a 2-qBMG", [0, 1, 2, 3, 4, 6]),
+], ids=["swapped-pairs", "pair-with-w-first"])
+def test_non_member_names_the_first_failing_orientation(g, violation, representatives):
+    assert satisfies_star(g) and not is_2qbmg(g)
+    report = _agrees_with_brute_force(g)
+    assert report.violations[0] == violation
+    assert orientation_representatives(g, aut_color_preserving(g)) == representatives
+
+
+def _verify_orientations(tmp_path, capsys, g):
+    path = tmp_path / "graph.qbmg"
+    path.write_text(format_graph(g))
+    start = time.perf_counter()
+    code = main(["verify", "--theorems", "orientation_theorems", str(path)])
+    return code, time.perf_counter() - start, capsys.readouterr().err
+
+
+def test_matching_checks_one_orientation_per_number_of_reversed_edges(tmp_path, capsys):
+    u = [str(i) for i in range(1, 21)]
+    w = [str(i) for i in range(21, 41)]
+    g = ColoredDigraph(u, w, [e for a, b in zip(u, w) for e in ((a, b), (b, a))])
+    report = check_orientation_theorems(g, aut_color_preserving(g))
+    assert report.ok
+    assert report.orientations_checked == 21
+    assert report.orientations_total == 2 ** 20
+    code, elapsed, _ = _verify_orientations(tmp_path, capsys, g)
+    assert code == 0
+    assert elapsed < 1.0
+
+
+def test_orientation_cap_counts_representatives(tmp_path, capsys):
+    g = refdata.RIGID_MATCHING
+    assert is_2qbmg(g) and satisfies_star(g) and aut_color_preserving(g).order == 1
+    code, elapsed, err = _verify_orientations(tmp_path, capsys, g)
+    assert code == 3
+    assert "capped at 4096 orbit representatives" in err
+    assert elapsed < 5.0
+
+
+def test_orientation_cap_counts_partial_images(tmp_path, capsys):
+    g = refdata.COPIED_PAIRS
+    assert is_2qbmg(g) and satisfies_star(g)
+    assert aut_color_preserving(g).order == 479001600
+    code, elapsed, err = _verify_orientations(tmp_path, capsys, g)
+    assert code == 3
+    assert "capped at 500000 partial images" in err
+    assert elapsed < 15.0
