@@ -27,7 +27,6 @@ from .autgroup import (
     inherited_group,
     is_automorphism,
     is_normal,
-    orbits,
 )
 from .constructions import (
     BijectionTable,

@@ -34,14 +34,13 @@ from dataclasses import dataclass
 from .digraph import ColoredDigraph, bits
 from .errors import PreconditionError, QbmgError, SizeCapError
 from .perms import PermGroup, Permutation, _orbit, is_automorphism
-from .quotients import Partition, equivalence_classes, gamma_quotient
+from .quotients import equivalence_classes, gamma_quotient
 
 __all__ = [
     "SearchStats",
     "is_automorphism",
     "aut_color_preserving",
     "aut_full",
-    "orbits",
     "canonical_gamma",
     "is_normal",
     "inherited_group",
@@ -237,14 +236,6 @@ def aut_full(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
     base and orbit fields.
     """
     return _search_automorphisms(g, respect_colors=False, stats=stats or SearchStats())
-
-
-def orbits(grp: PermGroup, vertices) -> Partition:
-    """Orbit partition of a group on the given vertex set (= its domain)."""
-    verts = frozenset(vertices)
-    if verts != set(grp.domain):
-        raise QbmgError("orbit computation needs the group's own domain")
-    return Partition.from_blocks(grp.orbit_sets())
 
 
 def canonical_gamma(g: ColoredDigraph) -> PermGroup:

@@ -72,8 +72,7 @@ def cmd_check(args) -> int:
     if args.json:
         _emit({
             "schema": SCHEMA,
-            "vertices": {"U": sorted(g.color_u, key=token_key),
-                         "W": sorted(g.color_w, key=token_key)},
+            "vertices": {"U": g.tokens(g.u_mask), "W": g.tokens(g.w_mask)},
             "n_edges": g.n_edges,
             "is_2qbmg": report.is_2qbmg,
             "axioms": {
@@ -159,22 +158,21 @@ def cmd_quotient(args) -> int:
     else:
         result = classical_quotient(g)
         how = "classical"
+    q = result.quotient
     if args.json:
         _emit({
             "schema": SCHEMA,
             "mode": how,
             "quotient": {
-                "U": sorted(result.quotient.color_u, key=token_key),
-                "W": sorted(result.quotient.color_w, key=token_key),
-                "edges": sorted(([t, h] for (t, h) in result.quotient.edges),
-                                key=lambda e: (token_key(e[0]), token_key(e[1]))),
+                "U": q.tokens(q.u_mask),
+                "W": q.tokens(q.w_mask),
+                "edges": [[t, h] for (t, h) in q.edge_list()],
             },
-            "projection": {v: result.projection[v]
-                           for v in sorted(result.projection, key=token_key)},
+            "projection": {v: result.projection[v] for v in g.sorted_vertices},
         })
         return EXIT_OK
     if args.dot:
-        sys.stdout.write(to_dot(result.quotient))
+        sys.stdout.write(to_dot(q))
         return EXIT_OK
     comments = [
         f"{name} <- " + " ".join(
@@ -182,7 +180,7 @@ def cmd_quotient(args) -> int:
                    key=token_key))
         for name in sorted({*result.projection.values()}, key=lambda n: token_key(n[2:]))
     ]
-    sys.stdout.write(format_graph(result.quotient, comments=comments))
+    sys.stdout.write(format_graph(q, comments=comments))
     return EXIT_OK
 
 
@@ -232,7 +230,7 @@ def cmd_verify(args) -> int:
             return EXIT_OK
     else:
         paths = [Path(args.path)]
-    checks = args.theorems.split(",") if args.theorems else None
+    checks = args.theorems.split(",") if args.theorems is not None else None
     any_fail = False
     docs = []
     for path in paths:

@@ -7,9 +7,13 @@ threads and to use as dict keys.
 
 A graph numbers its vertices once: a vertex's rank is its position in token
 order, and the rank index is shared with every graph and permutation over the
-same vertex set (``rank_index``). Neighborhoods are stored as ``int`` masks
-over the ranks, so the graph algorithms run on bit operations, and since rank
-order is token order, the least set bit of a mask is its least token.
+same vertex set (``rank_index``). The graph is stored as ``int`` masks over the
+ranks and nothing else: the color class U and each vertex's out- and
+in-neighborhood. The token sets ``color_u``, ``color_w`` and ``edges`` are
+views derived from the masks. Since rank order is token order, the least set
+bit of a mask is its least token, and walking the masks emits the edges
+sorted. Only the token constructor validates; derived graphs are built from
+masks.
 """
 
 from __future__ import annotations
@@ -78,14 +82,17 @@ class ColoredDigraph:
     """A loopless digraph on two disjoint color classes, all edges cross-color.
 
     Symmetric edges (both directions present) are allowed; parallel edges are
-    not representable. Isolated vertices are permitted. The value is
-    ``color_u``, ``color_w`` and ``edges``. Vertex i is ``sorted_vertices[i]``,
-    ``rank`` maps it back to i, and bit j of ``out_masks[i]``/``in_masks[i]``
-    is set when j is an out-/in-neighbor of i; ``u_mask`` holds U's ranks.
+    not representable. Isolated vertices are permitted. A graph is its masks:
+    vertex i is ``sorted_vertices[i]``, ``rank`` maps it back to i, bit j of
+    ``out_masks[i]``/``in_masks[i]`` is set when j is an out-/in-neighbor of
+    i, and ``u_mask`` holds U's ranks. ``color_u``, ``color_w``, ``edges``
+    and ``vertices`` are token views derived from the masks on each access.
+
+    Only the token constructor validates. Derived graphs are built from masks
+    by ``_from_masks``; both end in the one setter, ``_set_masks``.
     """
 
-    __slots__ = ("color_u", "color_w", "edges", "sorted_vertices", "rank", "u_mask",
-                 "out_masks", "in_masks")
+    __slots__ = ("sorted_vertices", "rank", "u_mask", "out_masks", "in_masks")
 
     def __init__(
         self,
@@ -95,16 +102,14 @@ class ColoredDigraph:
     ):
         u = frozenset(_check_token(t) for t in color_u)
         w = frozenset(_check_token(t) for t in color_w)
-        overlap = u & w
-        if overlap:
+        if overlap := u & w:
             raise QbmgError(f"color classes overlap on {sorted(overlap, key=token_key)}")
-        e = frozenset((str(t), str(h)) for (t, h) in edges)
         vs = tuple(sorted(u | w, key=token_key))
         rank = rank_index(vs)
         u_mask = sum(1 << rank[v] for v in u)
         out = [0] * len(vs)
-        inn = [0] * len(vs)
-        for (t, h) in e:
+        for (t, h) in edges:
+            t, h = str(t), str(h)
             if t not in rank:
                 raise UnknownVertexError(t)
             if h not in rank:
@@ -115,21 +120,61 @@ class ColoredDigraph:
             if (u_mask >> a & 1) == (u_mask >> b & 1):
                 raise QbmgError(f"edge ({t!r}, {h!r}) joins two vertices of the same color")
             out[a] |= 1 << b
-            inn[b] |= 1 << a
-        self.color_u = u
-        self.color_w = w
-        self.edges = e
+        self._set_masks(vs, u_mask, out)
+
+    @classmethod
+    def _from_masks(cls, vs: tuple[str, ...], u_mask: int, out: list[int]) -> "ColoredDigraph":
+        """Build without checks: ``vs`` is token-sorted and ``out``'s edges cross ``u_mask``."""
+        g = cls.__new__(cls)
+        g._set_masks(vs, u_mask, out)
+        return g
+
+    def _set_masks(self, vs: tuple[str, ...], u_mask: int, out: list[int]) -> None:
+        inn = [0] * len(vs)
+        for a, o in enumerate(out):  # ``bits`` inlined: this runs for every edge built
+            bit = 1 << a
+            while o:
+                low = o & -o
+                inn[low.bit_length() - 1] |= bit
+                o ^= low
         self.sorted_vertices = vs
-        self.rank = rank
+        self.rank = rank_index(vs)
         self.u_mask = u_mask
         self.out_masks = tuple(out)
         self.in_masks = tuple(inn)
 
-    # -- basic queries ------------------------------------------------------
+    # -- token views ----------------------------------------------------------
+
+    @property
+    def color_u(self) -> frozenset[str]:
+        return frozenset(self.tokens(self.u_mask))
+
+    @property
+    def color_w(self) -> frozenset[str]:
+        return frozenset(self.tokens(self.w_mask))
+
+    @property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        return frozenset(self.edge_list())
 
     @property
     def vertices(self) -> frozenset[str]:
-        return self.color_u | self.color_w
+        return frozenset(self.sorted_vertices)
+
+    @property
+    def w_mask(self) -> int:
+        return ~self.u_mask & ((1 << len(self.sorted_vertices)) - 1)
+
+    def tokens(self, mask: int) -> list[str]:
+        """The tokens of the ranks in ``mask``, in rank (= token) order."""
+        return list(map(self.sorted_vertices.__getitem__, bits(mask)))
+
+    def edge_list(self) -> list[tuple[str, str]]:
+        """Every edge as a token pair, in rank (= token) order of tail, then head."""
+        vs = self.sorted_vertices
+        return [(vs[a], vs[b]) for a, o in enumerate(self.out_masks) for b in bits(o)]
+
+    # -- basic queries ------------------------------------------------------
 
     @property
     def n_vertices(self) -> int:
@@ -137,7 +182,7 @@ class ColoredDigraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return sum(o.bit_count() for o in self.out_masks)
 
     def __contains__(self, v: str) -> bool:
         return v in self.rank
@@ -148,66 +193,59 @@ class ColoredDigraph:
         except KeyError:
             raise UnknownVertexError(v) from None
 
-    def _tokens(self, mask: int) -> frozenset[str]:
-        return frozenset(map(self.sorted_vertices.__getitem__, bits(mask)))
-
     def out_neighbors(self, v: str) -> frozenset[str]:
-        return self._tokens(self.out_masks[self._rank_of(v)])
+        return frozenset(self.tokens(self.out_masks[self._rank_of(v)]))
 
     def in_neighbors(self, v: str) -> frozenset[str]:
-        return self._tokens(self.in_masks[self._rank_of(v)])
-
-    def is_isolated(self, v: str) -> bool:
-        i = self._rank_of(v)
-        return not (self.out_masks[i] | self.in_masks[i])
+        return frozenset(self.tokens(self.in_masks[self._rank_of(v)]))
 
     # -- derived graphs -----------------------------------------------------
 
     def induced_subgraph(self, vs: Iterable[str]) -> "ColoredDigraph":
         """Restrict to a vertex subset, keeping edges with both endpoints inside."""
-        keep = frozenset(vs)
-        for v in keep:
-            if v not in self.rank:
-                raise UnknownVertexError(v)
-        return ColoredDigraph(
-            self.color_u & keep,
-            self.color_w & keep,
-            ((t, h) for (t, h) in self.edges if t in keep and h in keep),
+        keep = sorted({self._rank_of(v) for v in vs})
+        new = {a: i for i, a in enumerate(keep)}
+        inside = sum(1 << a for a in keep)
+        return ColoredDigraph._from_masks(
+            tuple(self.sorted_vertices[a] for a in keep),
+            sum(1 << i for i, a in enumerate(keep) if self.u_mask >> a & 1),
+            [sum(1 << new[b] for b in bits(self.out_masks[a] & inside)) for a in keep],
         )
 
-    def with_edges(self, edges: Iterable[tuple[str, str]]) -> "ColoredDigraph":
-        """Same vertex classes, different edge set."""
-        return ColoredDigraph(self.color_u, self.color_w, edges)
+    def with_out_masks(self, out: list[int]) -> "ColoredDigraph":
+        """Same vertices and colors, the edges of ``out``, which must cross the colors."""
+        return ColoredDigraph._from_masks(self.sorted_vertices, self.u_mask, out)
 
     # -- equality -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ColoredDigraph):
             return NotImplemented
-        return (
-            self.color_u == other.color_u
-            and self.color_w == other.color_w
-            and self.edges == other.edges
-        )
+        return (self.sorted_vertices, self.u_mask, self.out_masks) == (
+            other.sorted_vertices, other.u_mask, other.out_masks)
 
     def __hash__(self) -> int:
-        return hash((self.color_u, self.color_w, self.edges))
+        return hash((self.sorted_vertices, self.u_mask, self.out_masks))
 
     def __repr__(self) -> str:
-        return (
-            f"ColoredDigraph(|U|={len(self.color_u)}, |W|={len(self.color_w)}, "
-            f"|E|={len(self.edges)})"
-        )
+        return (f"ColoredDigraph(|U|={self.u_mask.bit_count()}, "
+                f"|W|={self.w_mask.bit_count()}, |E|={self.n_edges})")
+
+
+def symmetric_pairs(g: ColoredDigraph) -> list[tuple[int, int]]:
+    """The symmetric edges as rank pairs (a, b), a < b, in rank order."""
+    return [(a, b) for a, o in enumerate(g.out_masks) for b in bits(o & g.in_masks[a]) if a < b]
 
 
 def symmetric_edges(g: ColoredDigraph) -> set[frozenset[str]]:
     """All unordered pairs {u, w} with both directed edges present."""
-    return {frozenset((t, h)) for (t, h) in g.edges if (h, t) in g.edges}
+    vs = g.sorted_vertices
+    return {frozenset((vs[a], vs[b])) for a, b in symmetric_pairs(g)}
 
 
 def underlying_undirected(g: ColoredDigraph) -> set[frozenset[str]]:
     """Undirected edge set: each directed or symmetric edge collapses to one pair."""
-    return {frozenset((t, h)) for (t, h) in g.edges}
+    return set(map(frozenset, g.edge_list()))
 
 
 _PATH_CYCLE_CAP = 64
@@ -352,21 +390,17 @@ def format_graph(g: ColoredDigraph, comments: Iterable[str] = ()) -> str:
     for c in comments:
         out.append(f"# {c}")
     out.append("qbmg 1")
-    out.append(("U: " + " ".join(sorted(g.color_u, key=token_key))).rstrip())
-    out.append(("W: " + " ".join(sorted(g.color_w, key=token_key))).rstrip())
-    for (t, h) in sorted(g.edges, key=lambda e: (token_key(e[0]), token_key(e[1]))):
-        out.append(f"e {t} {h}")
+    out.append(("U: " + " ".join(g.tokens(g.u_mask))).rstrip())
+    out.append(("W: " + " ".join(g.tokens(g.w_mask))).rstrip())
+    out.extend(f"e {t} {h}" for (t, h) in g.edge_list())
     return "\n".join(out) + "\n"
 
 
 def to_dot(g: ColoredDigraph) -> str:
     """Plain DOT emission, no layout logic, as ``digraph qbmg``. U vertices are circles, W boxes."""
     lines = ["digraph qbmg {"]
-    for v in sorted(g.color_u, key=token_key):
-        lines.append(f'  "{v}" [shape=circle];')
-    for v in sorted(g.color_w, key=token_key):
-        lines.append(f'  "{v}" [shape=box];')
-    for (t, h) in sorted(g.edges, key=lambda e: (token_key(e[0]), token_key(e[1]))):
-        lines.append(f'  "{t}" -> "{h}";')
+    lines.extend(f'  "{v}" [shape=circle];' for v in g.tokens(g.u_mask))
+    lines.extend(f'  "{v}" [shape=box];' for v in g.tokens(g.w_mask))
+    lines.extend(f'  "{t}" -> "{h}";' for (t, h) in g.edge_list())
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .axioms import is_2qbmg, is_thin, satisfies_star
 from .autgroup import aut_color_preserving
-from .digraph import ColoredDigraph, bits, low_bit
+from .digraph import ColoredDigraph, bits, low_bit, symmetric_pairs
 from .errors import QbmgError, SizeCapError
 from .perms import PermGroup, _schreier_sims, _sift
 
@@ -51,27 +51,20 @@ IMAGE_CAP = 500_000
 
 def uw_orientation(g: ColoredDigraph) -> ColoredDigraph:
     """Drop the W-to-U direction of every symmetric edge; idempotent."""
-    edges = {
-        (t, h) for (t, h) in g.edges
-        if not ((h, t) in g.edges and t in g.color_w)
-    }
-    return g.with_edges(edges)
-
-
-def _symmetric_pairs(g: ColoredDigraph) -> list[tuple[int, int]]:
-    """The symmetric edges as rank pairs (a, b), a < b, in order: pair k is flip mask bit k."""
-    return [(a, b) for a, o in enumerate(g.out_masks) for b in bits(o & g.in_masks[a]) if a < b]
+    return g.with_out_masks([o if g.u_mask >> t & 1 else o & ~i
+                             for t, (o, i) in enumerate(zip(g.out_masks, g.in_masks))])
 
 
 def _orienter(g: ColoredDigraph, pairs: list[tuple[int, int]]) -> Callable[[int], ColoredDigraph]:
     """The map from a flip mask to its orientation of g."""
-    vs, out, inn = g.sorted_vertices, g.out_masks, g.in_masks
-    base = frozenset((vs[t], vs[h]) for t, o in enumerate(out) for h in bits(o & ~inn[t]))
+    base = [o & ~i for o, i in zip(g.out_masks, g.in_masks)]
 
     def orient(mask: int) -> ColoredDigraph:
-        return g.with_edges(base.union(
-            (vs[b], vs[a]) if mask >> k & 1 else (vs[a], vs[b])
-            for k, (a, b) in enumerate(pairs)))
+        out = base.copy()
+        for k, (a, b) in enumerate(pairs):
+            t, h = (b, a) if mask >> k & 1 else (a, b)
+            out[t] |= 1 << h
+        return g.with_out_masks(out)
 
     return orient
 
@@ -83,7 +76,7 @@ def enumerate_orientations(g: ColoredDigraph) -> Iterator[ColoredDigraph]:
     #k. Lazy, so a property test can stop at the first failure. Raises
     ``SizeCapError`` when 2^s exceeds ``ORIENTATION_CAP``.
     """
-    pairs = _symmetric_pairs(g)
+    pairs = symmetric_pairs(g)
     if 1 << len(pairs) > ORIENTATION_CAP:
         raise SizeCapError(
             f"orientation enumeration capped at {ORIENTATION_CAP} orientations, "
@@ -110,7 +103,7 @@ def orientation_representatives(g: ColoredDigraph, aut_g: PermGroup) -> list[int
     children dropping one point after its last missing one, and only least
     children are kept. Each is then mapped to its orbit's least mask.
     """
-    pairs = _symmetric_pairs(g)
+    pairs = symmetric_pairs(g)
     s = len(pairs)
     point = {pair: s - 1 - k for k, pair in enumerate(pairs)}
     gens, moved = [], 0
@@ -307,7 +300,7 @@ def check_orientation_theorems(g: ColoredDigraph, aut_g: PermGroup) -> Orientati
     star = bool(satisfies_star(g))
     thin = is_thin(g)
 
-    pairs = _symmetric_pairs(g)
+    pairs = symmetric_pairs(g)
     orient = _orienter(g, pairs)
     checked = 0
     all_member: bool | None = True if star else None

@@ -9,6 +9,9 @@ block may mix colors only when all its vertices are isolated. Orbit quotients
 check their group's generators with ``perms.is_automorphism`` and leave the
 colors to that rule, since an automorphism that moves an edge-bearing vertex
 across the classes puts it in a mixed orbit.
+
+Quotients and orbit-pair shapes are computed on the graph's rank masks, and a
+quotient is built from its own masks, without revalidation.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .digraph import ColoredDigraph, token_key
+from .digraph import ColoredDigraph, bits, low_bit, rank_index, token_key
 from .errors import GraphFormatError, NotAutomorphismError, PartitionError, PreconditionError
 from .perms import PermGroup, is_automorphism
 
@@ -91,16 +94,13 @@ def equivalence_classes(g: ColoredDigraph) -> Partition:
     return Partition.from_blocks(groups.values())
 
 
-def _quotient_name(block: frozenset[str]) -> str:
-    return "q_" + min(block, key=token_key)
-
-
 def partition_quotient(g: ColoredDigraph, partition: Partition) -> QuotientResult:
     """Collapse each block to one vertex; blocks are adjacent when any members are.
 
-    Every block must lie inside one color class, except a block of isolated
-    vertices, which may mix colors and is then colored U in the quotient.
-    Monochromatic blocks keep their color.
+    The vertex of a block is ``q_x``, x its least token. Every block must lie
+    inside one color class, except a block of isolated vertices, which may
+    mix colors and is then colored U in the quotient. Monochromatic blocks
+    keep their color.
     """
     if partition.support != g.vertices:
         missing = g.vertices - partition.support
@@ -112,28 +112,28 @@ def partition_quotient(g: ColoredDigraph, partition: Partition) -> QuotientResul
             detail.append(f"unknown vertices {sorted(extra, key=token_key)}")
         raise PartitionError("partition does not match the vertex set: " + "; ".join(detail))
 
-    name_of: dict[str, str] = {}
-    q_u: list[str] = []
-    q_w: list[str] = []
-    for block in partition.blocks:
-        name = _quotient_name(block)
-        in_u = block & g.color_u
-        in_w = block & g.color_w
-        if in_u and in_w:
-            if any(not g.is_isolated(v) for v in block):
-                raise PartitionError(
-                    f"block {sorted(block, key=token_key)} mixes colors and "
-                    "contains an edge-bearing vertex")
-            q_u.append(name)
-        elif in_u:
-            q_u.append(name)
-        else:
-            q_w.append(name)
-        for v in block:
-            name_of[v] = name
-
-    q_edges = {(name_of[t], name_of[h]) for (t, h) in g.edges}
-    return QuotientResult(ColoredDigraph(q_u, q_w, q_edges), name_of)
+    vs, rank, out, inn, u_mask = g.sorted_vertices, g.rank, g.out_masks, g.in_masks, g.u_mask
+    masks = [sum(1 << rank[v] for v in block) for block in partition.blocks]
+    names = ["q_" + vs[low_bit(m)] for m in masks]
+    q_vs = tuple(sorted(names, key=token_key))
+    q_rank = rank_index(q_vs)
+    to_q = [0] * len(vs)  # each rank's quotient rank
+    q_u = 0
+    for m, name in zip(masks, names):
+        q = q_rank[name]
+        for a in bits(m):
+            to_q[a] = q
+        if m & u_mask and m & ~u_mask and any(out[a] | inn[a] for a in bits(m)):
+            raise PartitionError(
+                f"block {g.tokens(m)} mixes colors and contains an edge-bearing vertex")
+        if m & u_mask:
+            q_u |= 1 << q
+    q_out = [0] * len(q_vs)
+    for a, o in enumerate(out):
+        for b in bits(o):
+            q_out[to_q[a]] |= 1 << to_q[b]
+    return QuotientResult(ColoredDigraph._from_masks(q_vs, q_u, q_out),
+                          {v: q_vs[to_q[a]] for a, v in enumerate(vs)})
 
 
 def classical_quotient(g: ColoredDigraph) -> QuotientResult:
@@ -182,63 +182,47 @@ def classify_monochromatic_orbit_pairs(g: ColoredDigraph,
     skipped. Raises PreconditionError when a pair fits neither shape, since
     that contradicts the structure theorem for thin graphs.
     """
-    orbits = list(orbit_sets)
-    u_orbits = [o for o in orbits if o <= g.color_u]
-    w_orbits = [o for o in orbits if o <= g.color_w]
-    shapes: list[OrbitPairShape] = []
-    for uo in u_orbits:
-        for wo in w_orbits:
-            forward = {(t, h) for (t, h) in g.edges if t in uo and h in wo}
-            backward = {(t, h) for (t, h) in g.edges if t in wo and h in uo}
-            if not forward and not backward:
-                continue
-            shapes.append(_classify_pair(uo, wo, forward, backward))
-    return shapes
+    u_orbits, w_orbits = [], []
+    for orbit in orbit_sets:
+        m = sum(1 << g.rank[v] for v in orbit)
+        if not m & g.w_mask:
+            u_orbits.append((orbit, m))
+        elif not m & g.u_mask:
+            w_orbits.append((orbit, m))
+    shapes = [_classify_pair(g, uo, um, wo, wm) for uo, um in u_orbits for wo, wm in w_orbits]
+    return [shape for shape in shapes if shape is not None]
 
 
-def _classify_pair(uo: frozenset[str], wo: frozenset[str],
-                   forward: set[tuple[str, str]],
-                   backward: set[tuple[str, str]]) -> OrbitPairShape:
-    sym = {(t, h) for (t, h) in forward if (h, t) in backward}
-    if sym:
-        # Must be a perfect symmetric matching between the two orbits.
-        if len(forward) == len(backward) == len(sym) == len(uo) == len(wo):
-            tails = {t for (t, _) in sym}
-            heads = {h for (_, h) in sym}
-            if tails == uo and heads == wo:
-                return OrbitPairShape(uo, wo, "SYMMETRIC_MATCHING", None, None)
+_BUG = "; this contradicts the thin structure theorem and indicates a bug"
+
+
+def _classify_pair(g: ColoredDigraph, uo: frozenset[str], um: int,
+                   wo: frozenset[str], wm: int) -> OrbitPairShape | None:
+    """The shape of the edges between a U-orbit and a W-orbit (rank masks um, wm), if any."""
+    out, inn = g.out_masks, g.in_masks
+    forward = [out[a] & wm for a in bits(um)]
+    backward = [out[b] & um for b in bits(wm)]
+    if not any(forward) and not any(backward):
+        return None
+    pair = f"orbit pair ({g.tokens(um)}, {g.tokens(wm)})"
+    if any(out[a] & inn[a] & wm for a in bits(um)):
+        # A perfect symmetric matching: one edge each way at every vertex, all symmetric.
+        if (len(forward) == len(backward)
+                and all(m.bit_count() == 1 for m in forward + backward)
+                and all(out[a] & inn[a] & wm for a in bits(um))):
+            return OrbitPairShape(uo, wo, "SYMMETRIC_MATCHING", None, None)
         raise PreconditionError(
-            f"orbit pair ({sorted(uo, key=token_key)}, {sorted(wo, key=token_key)}) "
-            "has symmetric edges but is not a perfect symmetric matching; this "
-            "contradicts the thin structure theorem and indicates a bug")
-    if forward and backward:
-        raise PreconditionError(
-            f"orbit pair ({sorted(uo, key=token_key)}, {sorted(wo, key=token_key)}) "
-            "has oriented edges in both directions; this contradicts the thin "
-            "structure theorem and indicates a bug")
-    edges = forward or backward
-    src_orbit, dst_orbit = (uo, wo) if forward else (wo, uo)
-    side = "U" if forward else "W"
-    degrees = {}
-    for (t, _) in edges:
-        degrees[t] = degrees.get(t, 0) + 1
-    fan_outs = set(degrees.values())
-    in_degs: dict[str, int] = {}
-    for (_, h) in edges:
-        in_degs[h] = in_degs.get(h, 0) + 1
-    if (
-        len(fan_outs) == 1
-        and set(degrees) == set(src_orbit)
-        and set(in_degs) == set(dst_orbit)
-        and set(in_degs.values()) == {1}
-    ):
-        d = fan_outs.pop()
-        if d * len(src_orbit) == len(dst_orbit):
-            return OrbitPairShape(uo, wo, "STARS", d, side)
+            f"{pair} has symmetric edges but is not a perfect symmetric matching{_BUG}")
+    if any(forward) and any(backward):
+        raise PreconditionError(f"{pair} has oriented edges in both directions{_BUG}")
+    # Stars: every source has the same fan-out and every sink one in-edge from the sources.
+    fans, side, srcs, sinks = (forward, "U", um, wm) if any(forward) else (backward, "W", wm, um)
+    d = fans[0].bit_count()
+    if (all(m.bit_count() == d for m in fans)
+            and all((inn[b] & srcs).bit_count() == 1 for b in bits(sinks))):
+        return OrbitPairShape(uo, wo, "STARS", d, side)
     raise PreconditionError(
-        f"orbit pair ({sorted(uo, key=token_key)}, {sorted(wo, key=token_key)}) "
-        "is not a disjoint union of stars covering the sink orbit; this "
-        "contradicts the thin structure theorem and indicates a bug")
+        f"{pair} is not a disjoint union of stars covering the sink orbit{_BUG}")
 
 
 # -- partition text format: one line per block, whitespace-separated tokens --

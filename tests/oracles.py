@@ -191,3 +191,39 @@ def networkx_color_preserving(g: ColoredDigraph) -> set[Permutation]:
     d.add_edges_from(g.edges)
     matcher = DiGraphMatcher(d, d, node_match=lambda a, b: a["u"] == b["u"])
     return {Permutation.from_mapping(m, g.vertices) for m in matcher.isomorphisms_iter()}
+
+
+def derived_graphs(g: ColoredDigraph, max_orientations: int = 64):
+    """The graphs the package builds from g's masks without validating them.
+
+    The UW-orientation, up to ``max_orientations`` orientations (none past
+    the orientation cap), and the classical quotient and the quotients by
+    Aut_I and by the class product group.
+    """
+    from itertools import islice
+
+    from qbmg import (aut_color_preserving, canonical_gamma, classical_quotient,
+                      enumerate_orientations, gamma_quotient, symmetric_edges,
+                      uw_orientation)
+    from qbmg.orientations import ORIENTATION_CAP
+
+    yield uw_orientation(g)
+    if 1 << len(symmetric_edges(g)) <= ORIENTATION_CAP:
+        yield from islice(enumerate_orientations(g), max_orientations)
+    yield classical_quotient(g).quotient
+    yield gamma_quotient(g, aut_color_preserving(g)).quotient
+    yield gamma_quotient(g, canonical_gamma(g)).quotient
+
+
+def assert_as_if_validated(h: ColoredDigraph) -> None:
+    """h equals its rebuild through the validating token constructor, masks and all,
+    and each in-mask is the transpose of the out-masks."""
+    rebuilt = ColoredDigraph(h.color_u, h.color_w, h.edges)
+    assert h == rebuilt
+    assert (h.sorted_vertices, h.rank, h.u_mask, h.out_masks, h.in_masks) == (
+        rebuilt.sorted_vertices, rebuilt.rank, rebuilt.u_mask, rebuilt.out_masks,
+        rebuilt.in_masks)
+    n = h.n_vertices
+    assert len(h.in_masks) == len(h.out_masks) == n
+    assert all((h.in_masks[b] >> a & 1) == (h.out_masks[a] >> b & 1)
+               for a, b in product(range(n), repeat=2))

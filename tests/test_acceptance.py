@@ -15,6 +15,7 @@ import time
 from collections import Counter
 
 from qbmg import (
+    Partition,
     PermGroup,
     Permutation,
     aut_color_preserving,
@@ -25,7 +26,6 @@ from qbmg import (
     is_automorphism,
     layered,
     lifted_group,
-    orbits,
     random_layered_spec,
     token_key,
 )
@@ -88,7 +88,7 @@ def test_criterion_3_two_layer_reference():
     report = axiom_report(g)
     lifted = lifted_group(spec)
     grp = aut_color_preserving(g)
-    orbit_blocks = set(orbits(grp, g.vertices).blocks)
+    orbit_blocks = set(Partition.from_blocks(grp.orbit_sets()).blocks)
     ok = (
         report.is_2qbmg and report.proper and is_thin(g)
         and lifted.order == 24
@@ -153,7 +153,7 @@ def test_criterion_5_diamond_reference():
     assert report.is_2qbmg and report.n2_trivial
     grp = aut_color_preserving(g)
     assert grp.order == 384
-    assert set(orbits(grp, g.vertices).blocks) == {
+    assert set(Partition.from_blocks(grp.orbit_sets()).blocks) == {
         frozenset({"1", "2", "3", "4"}),
         frozenset({"13", "14", "15", "16"}),
         frozenset({"5", "6", "7", "8", "9", "10", "11", "12"}),

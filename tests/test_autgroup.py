@@ -9,6 +9,7 @@ from sympy.combinatorics import PermutationGroup as SympyGroup
 from qbmg import (
     ColoredDigraph,
     Permutation,
+    Partition,
     PreconditionError,
     QbmgError,
     SearchStats,
@@ -24,7 +25,6 @@ from qbmg import (
     layered,
     lift_permutation,
     lifted_group,
-    orbits,
     random_layered_spec,
 )
 from qbmg.errors import NotAutomorphismError
@@ -256,12 +256,12 @@ def test_aut_full_contains_color_preserving(two_layer_m4):
 
 def test_orbits_trivial_group():
     g = refdata.BLOWUP_BASE
-    p = orbits(PermGroup.from_generators([], g.vertices), g.vertices)
+    p = Partition.from_blocks(PermGroup.from_generators([], g.vertices).orbit_sets())
     assert all(len(b) == 1 for b in p.blocks)
 
 
 def test_orbits_two_layer_lifted(two_layer_m4):
-    p = orbits(lifted_group(refdata.TWO_LAYER_M4_SPEC), two_layer_m4.vertices)
+    p = Partition.from_blocks(lifted_group(refdata.TWO_LAYER_M4_SPEC).orbit_sets())
     assert set(p.blocks) == {
         frozenset({"1", "2", "3", "4"}), frozenset({"5", "6", "7", "8"}),
         frozenset({"9", "10", "11", "12"}), frozenset({"13", "14", "15", "16"}),
@@ -274,18 +274,12 @@ def test_orbits_diamonds_three_orbits():
                          refdata.DIAMOND_M4_GAMMA)
     grp = aut_color_preserving(g)
     assert grp.order == 384
-    p = orbits(grp, g.vertices)
+    p = Partition.from_blocks(grp.orbit_sets())
     assert set(p.blocks) == {
         frozenset({"1", "2", "3", "4"}),
         frozenset({"13", "14", "15", "16"}),
         frozenset({"5", "6", "7", "8", "9", "10", "11", "12"}),
     }
-
-
-def test_orbits_requires_matching_domain():
-    g = refdata.BLOWUP_BASE
-    with pytest.raises(QbmgError):
-        orbits(PermGroup.from_generators([], {"1", "2"}), g.vertices)
 
 
 def test_canonical_gamma_complete_symmetric():
@@ -299,7 +293,7 @@ def test_canonical_gamma_thin_graph_trivial(two_layer_m4):
 def test_canonical_gamma_single_blowup():
     grp = canonical_gamma(refdata.BLOWUP_ONCE)
     assert grp.order == 2
-    p = orbits(grp, refdata.BLOWUP_ONCE.vertices)
+    p = Partition.from_blocks(grp.orbit_sets())
     assert p == equivalence_classes(refdata.BLOWUP_ONCE)
 
 

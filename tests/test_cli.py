@@ -391,3 +391,10 @@ def test_verify_unknown_theorem_exit_2(capsys):
                        str(CORPUS / "empty.qbmg"))
     assert code == 2
     assert "unknown checks" in err
+
+
+@pytest.mark.parametrize("theorems", ["", "membership,"], ids=["empty", "trailing-comma"])
+def test_verify_empty_theorem_name_exit_2(capsys, theorems):
+    code, out, err = run(capsys, "verify", "--theorems", theorems, str(CORPUS / "empty.qbmg"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: unknown checks: ['']; known: membership,")

@@ -63,7 +63,7 @@ def test_blow_up_isolated_vertex():
     g = ColoredDigraph(("1",), ("2",), [("1", "2")])
     g = ColoredDigraph(("1", "3"), ("2",), [("1", "2")])
     out = blow_up(g, "3", "9")
-    assert out.is_isolated("9")
+    assert not out.out_neighbors("9") and not out.in_neighbors("9")
 
 
 def test_blow_up_rejects_existing_or_unknown():

@@ -17,7 +17,7 @@ from qbmg import (
 )
 from qbmg.errors import SizeCapError
 
-from tests import refdata
+from tests import oracles, refdata
 
 
 def test_token_key_orders_numerics_by_value():
@@ -192,3 +192,12 @@ def test_dot_output_is_deterministic():
     d2 = to_dot(refdata.BLOWUP_BASE)
     assert d1 == d2
     assert '"1" -> "2";' in d1 and '"2" [shape=box];' in d1
+
+
+def test_derived_graphs_equal_their_validated_rebuild(corpus):
+    count = 0
+    for g in corpus.values():
+        for h in oracles.derived_graphs(g):
+            oracles.assert_as_if_validated(h)
+            count += 1
+    assert count > len(corpus) * 4

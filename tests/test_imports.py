@@ -6,6 +6,8 @@
   names a module lists in ``__all__``.
 - Every third-party module the tests import is declared in the ``test``
   extra of ``pyproject.toml``.
+- The modules that derive graphs from graphs read masks, never a graph's
+  token views: how a graph is stored stays inside ``digraph``.
 """
 
 from __future__ import annotations
@@ -107,3 +109,15 @@ def test_test_imports_are_declared_in_the_test_extra():
                if root not in local and root not in sys.stdlib_module_names
                and root.lower() not in declared]
     assert not missing, f"tests import modules missing from the test extra: {missing}"
+
+
+TOKEN_VIEWS = {"edges", "color_u", "color_w"}
+
+
+@pytest.mark.parametrize("name", ["orientations.py", "quotients.py"])
+def test_graph_builders_do_not_read_token_views(name):
+    path = ROOT / "src" / "qbmg" / name
+    reads = [f"line {node.lineno}: .{node.attr}"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr in TOKEN_VIEWS]
+    assert not reads, f"{name} reads token views of a graph: {reads}"

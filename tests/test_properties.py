@@ -115,6 +115,13 @@ def test_uw_orientation_properties(g):
     assert o.vertices == g.vertices
 
 
+@settings(deadline=None)
+@given(colored_digraphs())
+def test_derived_graphs_equal_their_validated_rebuild(g):
+    for h in oracles.derived_graphs(g):
+        oracles.assert_as_if_validated(h)
+
+
 @settings(max_examples=25, deadline=None)
 @given(layered_specs())
 def test_layered_construction_invariants(spec):

@@ -19,7 +19,7 @@ from qbmg import (
     parse_partition,
     partition_quotient,
 )
-from qbmg.errors import NotAutomorphismError
+from qbmg.errors import NotAutomorphismError, PreconditionError
 from qbmg.perms import PermGroup, Permutation
 from qbmg.quotients import classify_monochromatic_orbit_pairs
 from qbmg.verify import graphs_match_up_to_rename
@@ -218,6 +218,34 @@ def test_thin_orbit_structure_symmetric_matching():
     grp = aut_color_preserving(g)
     shapes = classify_monochromatic_orbit_pairs(g, grp.orbit_sets())
     assert [s.kind for s in shapes] == ["SYMMETRIC_MATCHING"]
+
+
+_BUG = "; this contradicts the thin structure theorem and indicates a bug"
+
+
+@pytest.mark.parametrize("u, w, edges, message", [
+    (("1",), ("2", "3"), [("1", "2"), ("2", "1"), ("1", "3"), ("3", "1")],
+     "orbit pair (['1'], ['2', '3']) has symmetric edges but is not a perfect symmetric matching"),
+    (("1", "2"), ("3", "4"), [("1", "3"), ("3", "1"), ("2", "4"), ("4", "2"), ("2", "3")],
+     "orbit pair (['1', '2'], ['3', '4']) has symmetric edges but is not a perfect symmetric "
+     "matching"),
+    (("1",), ("2", "3"), [("1", "2"), ("3", "1")],
+     "orbit pair (['1'], ['2', '3']) has oriented edges in both directions"),
+    (("1", "2"), ("3",), [("1", "3"), ("2", "3")],
+     "orbit pair (['1', '2'], ['3']) is not a disjoint union of stars covering the sink orbit"),
+    (("1", "2"), ("3", "4", "5"), [("1", "3"), ("2", "4"), ("2", "5")],
+     "orbit pair (['1', '2'], ['3', '4', '5']) is not a disjoint union of stars covering the "
+     "sink orbit"),
+    (("1", "2"), ("3", "4", "5", "6"), [("4", "1"), ("5", "2"), ("3", "1"), ("6", "1")],
+     "orbit pair (['1', '2'], ['3', '4', '5', '6']) is not a disjoint union of stars covering "
+     "the sink orbit"),
+], ids=["sym-star", "sym-extra-edge", "both-directions", "shared-sink", "uneven-fans",
+        "w-side-uneven-fans"])
+def test_thin_orbit_structure_rejects_each_misfit(u, w, edges, message):
+    g = ColoredDigraph(u, w, edges)
+    with pytest.raises(PreconditionError) as exc:
+        classify_monochromatic_orbit_pairs(g, [frozenset(u), frozenset(w)])
+    assert str(exc.value) == message + _BUG
 
 
 def test_canonical_gamma_quotient_matches_classical():
