@@ -17,6 +17,18 @@ order, so reports are reproducible across runs. The checks run on the graph's
 neighborhood masks, whose bit order is token order, so the first witness is
 always the least set bit.
 
+N1 and N2 are decided by unions of masks, each built with one OR per edge.
+Let co[t] be the union of in(w) over w in out(t): the vertices sharing an
+out-neighbor with t. N1 fails at u iff the union of co[t] over t in out(u)
+meets the vertices independent of u. Let two[v] be the union of out(w) over
+w in out(v). N2 fails at u iff the union of two[v] over v in out(u) leaves
+out(u). A union has a bit exactly when some term of the scan over v, then w,
+then t does, so the first failing u is the one the scan would find. The
+witness is then read off at that u alone, least bit first: the scan's tuple.
+
+N3 and N3* stay scans over pairs u < v: each pair costs two mask tests, and
+building co to skip the pairs without a common out-neighbor costs more.
+
 Quantification note: in a bipartite digraph the only possible coincidences in
 the N2 walk are u = w and v = t, and both make the chord an edge of the walk
 itself, so reading the quantifiers over distinct or arbitrary vertices gives
@@ -28,6 +40,7 @@ one is never N2-trivial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from .digraph import ColoredDigraph, bits, low_bit
 from .errors import InternalCheckError
@@ -64,21 +77,30 @@ class Verdict:
 _TRUE = Verdict(True)
 
 
+def _joins(sets: Sequence[int], masks: Sequence[int]) -> Iterator[int]:
+    """Entry i: the union of ``masks[j]`` over the set bits j of ``sets[i]``, lazily."""
+    for s in sets:  # ``bits`` inlined: this runs once per edge
+        acc = 0
+        while s:
+            low = s & -s
+            acc |= masks[low.bit_length() - 1]
+            s ^= low
+        yield acc
+
+
 def check_n1(g: ColoredDigraph) -> Verdict:
     """No pattern u->t, v->w, t->w over an independent pair u, v.
 
     Witness: lexicographically first violating (u, v, w, t).
     """
     vs, out, inn = g.sorted_vertices, g.out_masks, g.in_masks
-    everyone = (1 << len(vs)) - 1
-    for u, out_u in enumerate(out):
-        if not out_u:
-            continue
-        for v in bits(everyone & ~(out_u | inn[u] | 1 << u)):
-            for w in bits(out[v]):
-                ts = inn[w] & out_u
-                if ts:
-                    return Verdict(False, (vs[u], vs[v], vs[w], vs[low_bit(ts)]))
+    co = list(_joins(out, inn))  # co[t]: every v with v->w and t->w for some w
+    for u, reach in enumerate(_joins(out, co)):
+        bad = reach & ~(out[u] | inn[u] | 1 << u)
+        if bad:
+            v, out_u = low_bit(bad), out[u]
+            w = next(w for w in bits(out[v]) if inn[w] & out_u)
+            return Verdict(False, (vs[u], vs[v], vs[w], vs[low_bit(inn[w] & out_u)]))
     return _TRUE
 
 
@@ -88,12 +110,12 @@ def check_n2(g: ColoredDigraph) -> Verdict:
     Witness: lexicographically first chordless (u, v, w, t).
     """
     vs, out = g.sorted_vertices, g.out_masks
-    for u, out_u in enumerate(out):
-        for v in bits(out_u):
-            for w in bits(out[v]):
-                missing = out[w] & ~out_u
-                if missing:
-                    return Verdict(False, (vs[u], vs[v], vs[w], vs[low_bit(missing)]))
+    two = list(_joins(out, out))  # two[v]: every t with v->w->t for some w
+    for u, (out_u, three) in enumerate(zip(out, _joins(out, two))):
+        if three & ~out_u:
+            v = next(v for v in bits(out_u) if two[v] & ~out_u)
+            w = next(w for w in bits(out[v]) if out[w] & ~out_u)
+            return Verdict(False, (vs[u], vs[v], vs[w], vs[low_bit(out[w] & ~out_u)]))
     return _TRUE
 
 

@@ -12,8 +12,9 @@ ranks and nothing else: the color class U and each vertex's out- and
 in-neighborhood. The token sets ``color_u``, ``color_w`` and ``edges`` are
 views derived from the masks. Since rank order is token order, the least set
 bit of a mask is its least token, and walking the masks emits the edges
-sorted. Only the token constructor validates; derived graphs are built from
-masks.
+sorted. Outside input is validated once, by the token constructor or, for
+text, by ``parse_graph`` as it reads the lines; parsed and derived graphs are
+built from masks.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ class ColoredDigraph:
     i, and ``u_mask`` holds U's ranks. ``color_u``, ``color_w``, ``edges``
     and ``vertices`` are token views derived from the masks on each access.
 
-    Only the token constructor validates. Derived graphs are built from masks
-    by ``_from_masks``; both end in the one setter, ``_set_masks``.
+    Only the token constructor validates. Parsed and derived graphs are built
+    from masks by ``_from_masks``; both end in the one setter, ``_set_masks``.
     """
 
     __slots__ = ("sorted_vertices", "rank", "u_mask", "out_masks", "in_masks")
@@ -345,21 +346,19 @@ def parse_graph(text: str) -> ColoredDigraph:
 
     u_ln, u_tokens = class_line("U")
     w_ln, w_tokens = class_line("W")
-    u_set: set[str] = set()
-    w_set: set[str] = set()
-    for ln, toks, acc in ((u_ln, u_tokens, u_set), (w_ln, w_tokens, w_set)):
+    # Tokens come from str.split() on comment-free lines: non-empty, without
+    # whitespace or '#', so _check_token could not fail on them.
+    declared: set[str] = set()
+    for ln, toks in ((u_ln, u_tokens), (w_ln, w_tokens)):
         for t in toks:
-            if t in u_set or t in w_set:
+            if t in declared:
                 raise GraphFormatError(f"duplicate vertex {t!r}", line=ln)
-            try:
-                _check_token(t)
-            except QbmgError as exc:
-                raise GraphFormatError(str(exc), line=ln) from exc
-            acc.add(t)
-
-    edges: set[tuple[str, str]] = set()
-    while idx < len(lines):
-        ln, body = take("edge line")
+            declared.add(t)
+    vs = tuple(sorted(declared, key=token_key))
+    rank = rank_index(vs)
+    u_mask = sum(1 << rank[t] for t in u_tokens)
+    out = [0] * len(vs)
+    for ln, body in lines[idx:]:
         parts = body.split()
         if parts[0] != "e":
             raise GraphFormatError(f"expected edge line 'e <tail> <head>', got {body!r}", line=ln)
@@ -369,19 +368,20 @@ def parse_graph(text: str) -> ColoredDigraph:
                                    line=ln, column=column)
         tail, head = parts[1], parts[2]
         for v in (tail, head):
-            if v not in u_set and v not in w_set:
+            if v not in rank:
                 raise GraphFormatError(f"edge references undeclared vertex {v!r}", line=ln,
                                        column=_token_column(raw_lines[ln - 1], parts.index(v, 1)))
         if tail == head:
             raise GraphFormatError(f"loop edge at {tail!r}", line=ln)
-        if (tail in u_set) == (head in u_set):
+        a, b = rank[tail], rank[head]
+        if (u_mask >> a & 1) == (u_mask >> b & 1):
             raise GraphFormatError(
                 f"edge ({tail!r}, {head!r}) joins two vertices of the same color", line=ln)
-        if (tail, head) in edges:
+        if out[a] >> b & 1:
             raise GraphFormatError(f"duplicate edge ({tail!r}, {head!r})", line=ln)
-        edges.add((tail, head))
+        out[a] |= 1 << b
 
-    return ColoredDigraph(u_set, w_set, edges)
+    return ColoredDigraph._from_masks(vs, u_mask, out)
 
 
 def format_graph(g: ColoredDigraph, comments: Iterable[str] = ()) -> str:

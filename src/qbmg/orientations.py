@@ -113,6 +113,10 @@ def orientation_representatives(g: ColoredDigraph, aut_g: PermGroup) -> list[int
             img[i] = point[(x[a], x[b]) if x[a] < x[b] else (x[b], x[a])]
         gens.append(tuple(img))
         moved |= sum(1 << v for v, y in enumerate(x) if v != y)
+    if all(img == tuple(range(s)) for img in gens):  # every orbit is one mask
+        if 1 << s > ORIENTATION_CAP:
+            raise _representatives_capped(s)
+        return list(range(1 << s))
     # When every moved vertex lies on a pair, only the identity fixes all
     # pairs, so the action has the group's order.
     ends = sum(1 << a | 1 << b for a, b in pairs)
@@ -123,9 +127,7 @@ def orientation_representatives(g: ColoredDigraph, aut_g: PermGroup) -> list[int
         c = todo.pop()
         least.append(c)
         if len(least) > ORIENTATION_CAP:
-            raise SizeCapError(
-                f"orientation check capped at {ORIENTATION_CAP} orbit representatives, "
-                f"on {s} symmetric edges")
+            raise _representatives_capped(s)
         for i in range((full & ~c).bit_length(), s):
             child = c & ~(1 << i)
             if chain.is_least(child):
@@ -136,6 +138,11 @@ def orientation_representatives(g: ColoredDigraph, aut_g: PermGroup) -> list[int
         m = (chain.least_image(c, flip) if flip else c) ^ flip
         masks.append(sum(1 << (s - 1 - i) for i in bits(m)))
     return sorted(masks)
+
+
+def _representatives_capped(s: int) -> SizeCapError:
+    return SizeCapError(f"orientation check capped at {ORIENTATION_CAP} orbit representatives, "
+                        f"on {s} symmetric edges")
 
 
 class _Chain:

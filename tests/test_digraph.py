@@ -1,6 +1,10 @@
 """Core graph type, neighborhood queries, and the text format."""
 
+import re
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
 
 from qbmg import (
     ColoredDigraph,
@@ -18,6 +22,9 @@ from qbmg import (
 from qbmg.errors import SizeCapError
 
 from tests import oracles, refdata
+from tests.test_first_witnesses import relabeled_digraphs
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_token_key_orders_numerics_by_value():
@@ -43,6 +50,20 @@ def test_constructor_rejects_overlapping_classes():
 def test_constructor_rejects_unknown_endpoint():
     with pytest.raises(UnknownVertexError):
         ColoredDigraph({"1"}, {"2"}, [("1", "9")])
+
+
+@pytest.mark.parametrize("token, message", [
+    ("", "vertex token must be non-empty text, got ''"),
+    ("a b", "vertex token 'a b' may not contain whitespace or '#'"),
+    ("a\tb", "vertex token 'a\\tb' may not contain whitespace or '#'"),
+    ("a#b", "vertex token 'a#b' may not contain whitespace or '#'"),
+    (7, "vertex token must be non-empty text, got 7"),
+], ids=["empty", "space", "tab", "hash", "int"])
+def test_constructor_rejects_bad_tokens(token, message):
+    with pytest.raises(QbmgError, match=f"^{re.escape(message)}$"):
+        ColoredDigraph({"1", token}, {"2"}, [])
+    with pytest.raises(QbmgError, match=f"^{re.escape(message)}$"):
+        ColoredDigraph({"1"}, {token}, [])
 
 
 def test_out_neighbors_on_blowup_base():
@@ -173,6 +194,26 @@ def test_parse_error_column_is_the_token_in_the_raw_line(u_class, edge_line, col
     with pytest.raises(GraphFormatError) as exc:
         parse_graph(f"qbmg 1\nU: {u_class}\nW: 2\n{edge_line}\n")
     assert (exc.value.line, exc.value.column) == (4, column)
+
+
+def test_parse_rejects_a_vertex_in_both_classes_on_the_w_line():
+    with pytest.raises(GraphFormatError, match="duplicate vertex '2'") as exc:
+        parse_graph("qbmg 1\nU: 1 2\nW: 3 2\ne 1 3\n")
+    assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("**/*.qbmg")),
+                         ids=lambda p: str(p.relative_to(FIXTURES)))
+def test_parsed_fixtures_equal_their_validated_rebuild(path):
+    oracles.assert_as_if_validated(parse_graph(path.read_text()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabeled_digraphs(side=6))
+def test_parsed_graphs_equal_their_validated_rebuild(g):
+    h = parse_graph(format_graph(g))
+    oracles.assert_as_if_validated(h)
+    assert h == g
 
 
 def test_parse_rejects_same_color_edge_with_line():

@@ -3,27 +3,36 @@
 The production checks read neighborhood masks over vertex ranks and take the
 least set bit; these tests pin that the result is the first tuple in token
 order. Vertices are relabeled to mixed tokens, so that token order, text
-order and insertion order all differ.
+order and insertion order all differ. Beyond 3+3, dense graphs whose first
+vertices in token order have no out-edges make N1 and N2 fail at a late u,
+and layered members and their blow-ups make every scan run to the end.
 """
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbmg import (
     ColoredDigraph,
+    blow_up,
     check_n1,
     check_n2,
     check_n3,
     check_n3star,
+    layered,
+    random_layered_spec,
     satisfies_star,
     symmetric_edges,
+    token_key,
     topological_order,
 )
 
 from tests.oracles import enumerate_bipartite_digraphs, first_witnesses, kahn_least_token
 
-# Token order: 9 02 10 B a x1; text order: 02 10 9 B a x1.
-TOKENS = ("a", "9", "10", "B", "x1", "02")
+# Token order: 7 9 02 10 007 100 A B a b x1 x10;
+# text order: 007 02 10 100 7 9 A B a b x1 x10.
+TOKENS = ("a", "9", "10", "B", "x1", "02", "100", "b", "x10", "7", "A", "007")
 
 CHECKS = {"n1": check_n1, "n2": check_n2, "n3": check_n3, "n3star": check_n3star,
           "star": satisfies_star}
@@ -63,22 +72,36 @@ def test_topological_order_on_every_oriented_2x2_graph():
             assert_kahn_order(relabel(g, POOL_NAMES))
 
 
-@st.composite
-def relabeled_digraphs(draw, oriented=False):
-    r = draw(st.integers(1, 3))
-    s = draw(st.integers(1, 3))
-    names = draw(st.permutations(TOKENS))
-    u, w = names[:r], names[r:r + s]
-    pairs = [(a, b) for a in u for b in w]
+EDGE_KINDS = ("none", "forward", "backward", "both")
+
+
+def _digraph(u, w, kinds, quiet=0):
+    """The graph on classes u, w with one edge kind per pair (a, b) of U x W.
+
+    The first ``quiet`` vertices in token order get no out-edges.
+    """
+    silent = set(sorted((*u, *w), key=token_key)[:quiet])
     edges = set()
-    for a, b in pairs:
-        kind = draw(st.sampled_from(("none", "forward", "backward") if oriented
-                                    else ("none", "forward", "backward", "both")))
-        if kind in ("forward", "both"):
+    for (a, b), kind in zip([(a, b) for a in u for b in w], kinds):
+        if kind in ("forward", "both") and a not in silent:
             edges.add((a, b))
-        if kind in ("backward", "both"):
+        if kind in ("backward", "both") and b not in silent:
             edges.add((b, a))
     return ColoredDigraph(u, w, edges)
+
+
+@st.composite
+def relabeled_digraphs(draw, oriented=False, side=3, late=False):
+    r = draw(st.integers(1, side))
+    s = draw(st.integers(1, side))
+    names = draw(st.permutations(TOKENS))
+    u, w = names[:r], names[r:r + s]
+    kinds = EDGE_KINDS[:3] if oriented else EDGE_KINDS
+    if late:  # dense: "none" is one draw in seven
+        kinds += kinds[1:]
+    quiet = draw(st.integers(0, r + s - 1)) if late else 0
+    return _digraph(u, w, draw(st.lists(st.sampled_from(kinds), min_size=r * s,
+                                        max_size=r * s)), quiet)
 
 
 @settings(max_examples=200, deadline=None)
@@ -91,3 +114,40 @@ def test_first_witnesses_on_random_graphs(g):
 @given(relabeled_digraphs(oriented=True))
 def test_topological_order_on_random_oriented_graphs(g):
     assert_kahn_order(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabeled_digraphs(side=6, late=True))
+def test_first_witnesses_on_dense_graphs_up_to_6x6(g):
+    assert_first_witnesses(g)
+
+
+def test_n1_and_n2_witnesses_at_a_late_vertex():
+    rng = random.Random(14)
+    late = {"n1": 0, "n2": 0}
+    for _ in range(40):
+        names = rng.sample(TOKENS, 12)
+        g = _digraph(names[:6], names[6:], rng.choices(EDGE_KINDS, (1, 2, 2, 2), k=36),
+                     quiet=rng.randint(5, 9))
+        assert_first_witnesses(g)
+        rank = g.rank
+        for name in late:
+            witness = CHECKS[name](g).witness
+            late[name] += witness is not None and rank[witness[0]] >= 6
+    assert min(late.values()) >= 10, late
+
+
+def _layered_members():
+    for s, m in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        g = layered(random_layered_spec(s, m, seed=s * 10 + m))
+        yield g
+        b1 = blow_up(g, g.sorted_vertices[0], "b1")
+        yield b1
+        yield blow_up(b1, g.tokens(g.w_mask)[0], "b2")
+
+
+def test_first_witnesses_on_layered_members_and_blow_ups():
+    for g in _layered_members():
+        expected = first_witnesses(g)
+        assert [expected[name] for name in ("n1", "n2", "n3", "n3star")] == [None] * 4
+        assert_first_witnesses(g)

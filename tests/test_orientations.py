@@ -315,6 +315,21 @@ def test_non_member_names_the_first_failing_orientation(g, violation, representa
     assert orientation_representatives(g, aut_color_preserving(g)) == representatives
 
 
+@pytest.mark.parametrize("g, order", [
+    # Rigid: no generator at all.
+    (ColoredDigraph(("1", "2"), ("3", "4"),
+                    [("1", "3"), ("3", "1"), ("2", "4"), ("4", "2"), ("1", "4")]), 1),
+    # Aut_I swaps the isolated vertices 5 and 6 and fixes both pairs.
+    (ColoredDigraph(("1", "2", "5", "6"), ("3", "4"),
+                    [("1", "3"), ("3", "1"), ("2", "4"), ("4", "2"), ("1", "4")]), 2),
+], ids=["rigid", "pairs-fixed"])
+def test_every_mask_is_a_representative_when_no_generator_moves_a_pair(g, order):
+    grp = aut_color_preserving(g)
+    assert grp.order == order
+    assert orientation_representatives(g, grp) == [0, 1, 2, 3]
+    _agrees_with_brute_force(g)
+
+
 def _verify_orientations(tmp_path, capsys, g):
     path = tmp_path / "graph.qbmg"
     path.write_text(format_graph(g))
