@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from .digraph import ColoredDigraph, bits
 from .errors import PreconditionError, QbmgError, SizeCapError
 from .perms import PermGroup, Permutation, _orbit, is_automorphism
-from .quotients import equivalence_classes, gamma_quotient
+from .quotients import class_masks, gamma_quotient
 
 __all__ = [
     "SearchStats",
@@ -250,8 +250,8 @@ def canonical_gamma(g: ColoredDigraph) -> PermGroup:
     dom = g.sorted_vertices
     gens: list[tuple[int, ...]] = []
     order = 1
-    for block in equivalence_classes(g).blocks:
-        members = sorted(g.rank[v] for v in block)
+    for block in class_masks(g):
+        members = list(bits(block))
         order *= math.factorial(len(members))
         for a, b in zip(members, members[1:]):
             swap = list(range(len(dom)))

@@ -207,7 +207,7 @@ class PermGroup:
     to b and fixes ranks 0..i-1; a point is a vertex's rank in ``domain``.
     """
 
-    __slots__ = ("domain", "generators", "levels", "_sorted_elements")
+    __slots__ = ("domain", "generators", "levels", "_sorted_elements", "_orbits")
 
     def __init__(self, domain: tuple[str, ...], generators: tuple[Permutation, ...],
                  levels: tuple[dict[int, tuple[_Ranks, _Ranks]], ...]):
@@ -215,6 +215,7 @@ class PermGroup:
         self.generators = generators
         self.levels = levels
         self._sorted_elements: tuple[Permutation, ...] | None = None
+        self._orbits: tuple[int, ...] | None = None
 
     @property
     def order(self) -> int:
@@ -269,17 +270,15 @@ class PermGroup:
     def __contains__(self, p: Permutation) -> bool:
         return p.domain == self.domain and _sift(self.levels, p.ranks) is None
 
+    def orbit_masks(self) -> tuple[int, ...]:
+        """Orbits on the domain as rank masks, least rank first; computed once, on first use."""
+        if self._orbits is None:
+            self._orbits = _orbit_masks(len(self.domain), [p.ranks for p in self.generators])
+        return self._orbits
+
     def orbit_sets(self) -> list[frozenset[str]]:
         """Orbits of the group on its domain, in order of their least vertex."""
-        gens = [p.ranks for p in self.generators]
-        seen: set[int] = set()
-        out: list[frozenset[str]] = []
-        for i in range(len(self.domain)):
-            if i not in seen:
-                orbit = _orbit(i, gens)
-                seen |= orbit
-                out.append(frozenset(map(self.domain.__getitem__, orbit)))
-        return out
+        return [frozenset(map(self.domain.__getitem__, bits(m))) for m in self.orbit_masks()]
 
     def __repr__(self) -> str:
         return f"PermGroup(order={self.order}, generators={len(self.generators)})"
@@ -328,6 +327,17 @@ def _orbit(x: int, gens: Iterable[_Ranks]) -> set[int]:
                 orbit.add(z)
                 todo.append(z)
     return orbit
+
+
+def _orbit_masks(n: int, gens: list[_Ranks]) -> tuple[int, ...]:
+    """The orbits of <gens> on 0..n-1 as bit masks, least point first (for one gen, its cycles)."""
+    out: list[int] = []
+    seen = 0
+    for i in range(n):
+        if not seen >> i & 1:
+            out.append(sum(1 << x for x in _orbit(i, gens)))
+            seen |= out[-1]
+    return tuple(out)
 
 
 def _schreier_sims(n: int, generators: Iterable[_Ranks], order: int | None = None):

@@ -10,14 +10,17 @@ check their group's generators with ``perms.is_automorphism`` and leave the
 colors to that rule, since an automorphism that moves an edge-bearing vertex
 across the classes puts it in a mixed orbit.
 
-Quotients and orbit-pair shapes are computed on the graph's rank masks, and a
-quotient is built from its own masks, without revalidation.
+Everything here is computed on rank masks: one private core, ``_quotient``,
+builds every quotient from block masks, without revalidation, and classes and
+orbits are read as masks (``class_masks``, ``PermGroup.orbit_masks``).
+``Partition`` is the input type at the public edge, where blocks arrive as
+tokens: ``partition_quotient``, ``parse_partition``, ``quotient --partition``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .digraph import ColoredDigraph, bits, low_bit, rank_index, token_key
 from .errors import GraphFormatError, NotAutomorphismError, PartitionError, PreconditionError
@@ -86,12 +89,17 @@ class QuotientResult:
     projection: dict[str, str]
 
 
+def class_masks(g: ColoredDigraph) -> tuple[int, ...]:
+    """The equivalence classes as rank masks, least rank first."""
+    groups: dict[tuple[int, int], int] = {}
+    for a, sig in enumerate(zip(g.out_masks, g.in_masks)):
+        groups[sig] = groups.get(sig, 0) | 1 << a
+    return tuple(groups.values())
+
+
 def equivalence_classes(g: ColoredDigraph) -> Partition:
     """Partition vertices by (out-neighborhood, in-neighborhood)."""
-    groups: dict[tuple[int, int], set[str]] = {}
-    for v, sig in zip(g.sorted_vertices, zip(g.out_masks, g.in_masks)):
-        groups.setdefault(sig, set()).add(v)
-    return Partition.from_blocks(groups.values())
+    return Partition.from_blocks(map(g.tokens, class_masks(g)))
 
 
 def partition_quotient(g: ColoredDigraph, partition: Partition) -> QuotientResult:
@@ -102,9 +110,15 @@ def partition_quotient(g: ColoredDigraph, partition: Partition) -> QuotientResul
     mix colors and is then colored U in the quotient. Monochromatic blocks
     keep their color.
     """
-    if partition.support != g.vertices:
-        missing = g.vertices - partition.support
-        extra = partition.support - g.vertices
+    _check_support(g, partition.support)
+    return _quotient(g, [sum(1 << g.rank[v] for v in block) for block in partition.blocks])
+
+
+def _check_support(g: ColoredDigraph, support: frozenset[str]) -> None:
+    """Raise PartitionError unless ``support`` is g's vertex set."""
+    if support != g.vertices:
+        missing = g.vertices - support
+        extra = support - g.vertices
         detail = []
         if missing:
             detail.append(f"uncovered vertices {sorted(missing, key=token_key)}")
@@ -112,8 +126,10 @@ def partition_quotient(g: ColoredDigraph, partition: Partition) -> QuotientResul
             detail.append(f"unknown vertices {sorted(extra, key=token_key)}")
         raise PartitionError("partition does not match the vertex set: " + "; ".join(detail))
 
-    vs, rank, out, inn, u_mask = g.sorted_vertices, g.rank, g.out_masks, g.in_masks, g.u_mask
-    masks = [sum(1 << rank[v] for v in block) for block in partition.blocks]
+
+def _quotient(g: ColoredDigraph, masks: Sequence[int]) -> QuotientResult:
+    """``partition_quotient`` by blocks given as disjoint rank masks that cover g."""
+    vs, out, inn, u_mask = g.sorted_vertices, g.out_masks, g.in_masks, g.u_mask
     names = ["q_" + vs[low_bit(m)] for m in masks]
     q_vs = tuple(sorted(names, key=token_key))
     q_rank = rank_index(q_vs)
@@ -138,7 +154,7 @@ def partition_quotient(g: ColoredDigraph, partition: Partition) -> QuotientResul
 
 def classical_quotient(g: ColoredDigraph) -> QuotientResult:
     """Quotient over the equivalence classes; the result is always thin."""
-    return partition_quotient(g, equivalence_classes(g))
+    return _quotient(g, class_masks(g))
 
 
 def gamma_quotient(g: ColoredDigraph, grp: PermGroup) -> QuotientResult:
@@ -152,7 +168,9 @@ def gamma_quotient(g: ColoredDigraph, grp: PermGroup) -> QuotientResult:
     for p in grp.generators:
         if not is_automorphism(g, p):
             raise NotAutomorphismError(f"generator {p.cycle_string()} is not an automorphism")
-    return partition_quotient(g, Partition.from_blocks(grp.orbit_sets()))
+    if grp.domain != g.sorted_vertices:
+        _check_support(g, frozenset(grp.domain))
+    return _quotient(g, grp.orbit_masks())
 
 
 @dataclass(frozen=True)
@@ -182,47 +200,54 @@ def classify_monochromatic_orbit_pairs(g: ColoredDigraph,
     skipped. Raises PreconditionError when a pair fits neither shape, since
     that contradicts the structure theorem for thin graphs.
     """
+    masks = [sum(1 << g.rank[v] for v in orbit) for orbit in orbit_sets]
+    return [OrbitPairShape(frozenset(g.tokens(um)), frozenset(g.tokens(wm)), *shape)
+            for um, wm, shape in _orbit_pair_shapes(g, masks)]
+
+
+def _orbit_pair_shapes(g: ColoredDigraph, orbit_masks: Iterable[int]) -> list[tuple]:
+    """``classify_monochromatic_orbit_pairs`` on rank masks: (U-orbit, W-orbit, shape) triples."""
     u_orbits, w_orbits = [], []
-    for orbit in orbit_sets:
-        m = sum(1 << g.rank[v] for v in orbit)
+    for m in orbit_masks:
         if not m & g.w_mask:
-            u_orbits.append((orbit, m))
+            u_orbits.append(m)
         elif not m & g.u_mask:
-            w_orbits.append((orbit, m))
-    shapes = [_classify_pair(g, uo, um, wo, wm) for uo, um in u_orbits for wo, wm in w_orbits]
-    return [shape for shape in shapes if shape is not None]
+            w_orbits.append(m)
+    shapes = ((um, wm, _classify_pair(g, um, wm)) for um in u_orbits for wm in w_orbits)
+    return [found for found in shapes if found[2] is not None]
 
 
 _BUG = "; this contradicts the thin structure theorem and indicates a bug"
 
 
-def _classify_pair(g: ColoredDigraph, uo: frozenset[str], um: int,
-                   wo: frozenset[str], wm: int) -> OrbitPairShape | None:
-    """The shape of the edges between a U-orbit and a W-orbit (rank masks um, wm), if any."""
+def _classify_pair(g: ColoredDigraph, um: int, wm: int
+                   ) -> tuple[str, int | None, str | None] | None:
+    """(kind, fan-out, source side) of the edges between a U-orbit and a W-orbit
+    (rank masks um, wm), if any."""
     out, inn = g.out_masks, g.in_masks
     forward = [out[a] & wm for a in bits(um)]
     backward = [out[b] & um for b in bits(wm)]
     if not any(forward) and not any(backward):
         return None
-    pair = f"orbit pair ({g.tokens(um)}, {g.tokens(wm)})"
     if any(out[a] & inn[a] & wm for a in bits(um)):
         # A perfect symmetric matching: one edge each way at every vertex, all symmetric.
         if (len(forward) == len(backward)
                 and all(m.bit_count() == 1 for m in forward + backward)
                 and all(out[a] & inn[a] & wm for a in bits(um))):
-            return OrbitPairShape(uo, wo, "SYMMETRIC_MATCHING", None, None)
-        raise PreconditionError(
-            f"{pair} has symmetric edges but is not a perfect symmetric matching{_BUG}")
-    if any(forward) and any(backward):
-        raise PreconditionError(f"{pair} has oriented edges in both directions{_BUG}")
-    # Stars: every source has the same fan-out and every sink one in-edge from the sources.
-    fans, side, srcs, sinks = (forward, "U", um, wm) if any(forward) else (backward, "W", wm, um)
-    d = fans[0].bit_count()
-    if (all(m.bit_count() == d for m in fans)
-            and all((inn[b] & srcs).bit_count() == 1 for b in bits(sinks))):
-        return OrbitPairShape(uo, wo, "STARS", d, side)
-    raise PreconditionError(
-        f"{pair} is not a disjoint union of stars covering the sink orbit{_BUG}")
+            return "SYMMETRIC_MATCHING", None, None
+        misfit = "has symmetric edges but is not a perfect symmetric matching"
+    elif any(forward) and any(backward):
+        misfit = "has oriented edges in both directions"
+    else:
+        # Stars: every source has the same fan-out and every sink one in-edge from the sources.
+        fans, side, srcs, sinks = ((forward, "U", um, wm) if any(forward)
+                                   else (backward, "W", wm, um))
+        d = fans[0].bit_count()
+        if (all(m.bit_count() == d for m in fans)
+                and all((inn[b] & srcs).bit_count() == 1 for b in bits(sinks))):
+            return "STARS", d, side
+        misfit = "is not a disjoint union of stars covering the sink orbit"
+    raise PreconditionError(f"orbit pair ({g.tokens(um)}, {g.tokens(wm)}) {misfit}{_BUG}")
 
 
 # -- partition text format: one line per block, whitespace-separated tokens --

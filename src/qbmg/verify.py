@@ -15,18 +15,17 @@ from typing import Callable, Iterable
 
 from .axioms import is_2qbmg, is_thin
 from .autgroup import aut_color_preserving, aut_full, canonical_gamma, is_normal
-from .digraph import ColoredDigraph, long_induced_path_or_cycle, low_bit
+from .digraph import ColoredDigraph, bits, long_induced_path_or_cycle, low_bit
 from .errors import PreconditionError, QbmgError
 from .orientations import check_orientation_theorems
-from .perms import PermGroup
+from .perms import PermGroup, _orbit_masks
 from .quotients import (
-    Partition,
     QuotientResult,
+    _orbit_pair_shapes,
+    _quotient,
+    class_masks,
     classical_quotient,
-    classify_monochromatic_orbit_pairs,
-    equivalence_classes,
     gamma_quotient,
-    partition_quotient,
 )
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_suite", "graphs_match_up_to_rename"]
@@ -52,7 +51,9 @@ def graphs_match_up_to_rename(a: ColoredDigraph, b: ColoredDigraph,
 
 
 class GraphFacts:
-    """The inputs the checks share for one graph, each computed at most once, on first use."""
+    """The inputs the checks share for one graph, each computed at most once, on first use:
+    thinness, the class masks, the classical quotient, the three groups (each keeps its
+    orbit masks) and the quotient by the class product group, read by two checks."""
 
     def __init__(self, g: ColoredDigraph):
         self.g = g
@@ -62,8 +63,8 @@ class GraphFacts:
         return is_thin(self.g)
 
     @cached_property
-    def classes(self) -> Partition:
-        return equivalence_classes(self.g)
+    def classes(self) -> tuple[int, ...]:
+        return class_masks(self.g)
 
     @cached_property
     def classical(self) -> QuotientResult:
@@ -80,6 +81,10 @@ class GraphFacts:
     @cached_property
     def gamma(self) -> PermGroup:
         return canonical_gamma(self.g)
+
+    @cached_property
+    def via_gamma(self) -> QuotientResult:
+        return gamma_quotient(self.g, self.gamma)
 
 
 Outcome = tuple[bool, str]
@@ -111,8 +116,8 @@ def _classical_idempotent(f: GraphFacts) -> Outcome:
 
 
 def _classical_equals_canonical(f: GraphFacts) -> Outcome:
-    via_group = gamma_quotient(f.g, f.gamma)
-    ok = f.classical.quotient == via_group.quotient and f.classical.projection == via_group.projection
+    ok = (f.classical.quotient == f.via_gamma.quotient
+          and f.classical.projection == f.via_gamma.projection)
     return ok, "" if ok else "orbit quotient differs from the equivalence quotient"
 
 
@@ -125,7 +130,7 @@ def _canonical_normal(f: GraphFacts) -> Outcome:
 
 
 def _canonical_orbits(f: GraphFacts) -> Outcome:
-    ok = Partition.from_blocks(f.gamma.orbit_sets()) == f.classes
+    ok = f.gamma.orbit_masks() == f.classes
     return ok, "" if ok else "orbits of the class product group differ from the classes"
 
 
@@ -134,22 +139,22 @@ def _gamma_hereditary(f: GraphFacts) -> Outcome:
 
     ``gamma_quotient`` checks the two groups' generators, so every element of
     Aut_I is an automorphism. The orbits of <a> are the cycles of a, so each
-    cyclic subgroup is quotiented by a's cycle partition, once per distinct
-    partition; the identity is skipped, since its quotient is g itself.
+    cyclic subgroup is quotiented by a's cycle partition, as rank masks, once
+    per distinct partition; the identity's partition, into singletons, is
+    skipped, since its quotient is g itself.
     """
-    seen: set[Partition] = set()
-    for label, grp in (("full Aut_I", f.aut_i), ("canonical gamma", f.gamma)):
-        if not is_2qbmg(gamma_quotient(f.g, grp).quotient):
-            return False, f"quotient by {label} is not a 2-qBMG"
-        seen.add(Partition.from_blocks(grp.orbit_sets()))
+    n = f.g.n_vertices
+    if not is_2qbmg(gamma_quotient(f.g, f.aut_i).quotient):
+        return False, "quotient by full Aut_I is not a 2-qBMG"
+    if not is_2qbmg(f.via_gamma.quotient):
+        return False, "quotient by canonical gamma is not a 2-qBMG"
+    seen = {f.aut_i.orbit_masks(), f.gamma.orbit_masks(), _orbit_masks(n, [])}
     for a in f.aut_i.sorted_elements:
-        if a.is_identity():
-            continue
-        cycles = Partition.from_blocks([*a.cycles(), *((v,) for v in a.fixed_points())])
+        cycles = _orbit_masks(n, [a.ranks])
         if cycles in seen:
             continue
         seen.add(cycles)
-        if not is_2qbmg(partition_quotient(f.g, cycles).quotient):
+        if not is_2qbmg(_quotient(f.g, cycles).quotient):
             return False, f"quotient by cyclic<{a.cycle_string()}> is not a 2-qBMG"
     return True, ""
 
@@ -157,9 +162,9 @@ def _gamma_hereditary(f: GraphFacts) -> Outcome:
 def _common_out_neighbor(f: GraphFacts) -> Outcome:
     # Checked against the full group's orbits, which are coarser than the
     # color-preserving group's, so this covers both statements at once.
-    vs, rank, out, inn = f.g.sorted_vertices, f.g.rank, f.g.out_masks, f.g.in_masks
-    for orbit in f.full.orbit_sets():
-        members = sorted(rank[v] for v in orbit)
+    vs, out, inn = f.g.sorted_vertices, f.g.out_masks, f.g.in_masks
+    for orbit in f.full.orbit_masks():
+        members = list(bits(orbit))
         for i, x in enumerate(members):
             for y in members[i + 1:]:
                 if out[x] & out[y] and (out[x], inn[x]) != (out[y], inn[y]):
@@ -192,8 +197,8 @@ def _thin_orbit_pairs(f: GraphFacts) -> Outcome:
         # statement holds for monochromatic orbits of any automorphism group;
         # the full group's orbits are coarser, so this is a genuinely
         # different instance on graphs with mixed symmetries.
-        classify_monochromatic_orbit_pairs(f.g, f.aut_i.orbit_sets())
-        classify_monochromatic_orbit_pairs(f.g, f.full.orbit_sets())
+        _orbit_pair_shapes(f.g, f.aut_i.orbit_masks())
+        _orbit_pair_shapes(f.g, f.full.orbit_masks())
     except PreconditionError as exc:
         return False, str(exc)
     return True, ""

@@ -193,6 +193,31 @@ def networkx_color_preserving(g: ColoredDigraph) -> set[Permutation]:
     return {Permutation.from_mapping(m, g.vertices) for m in matcher.isomorphisms_iter()}
 
 
+def equivalence_blocks(g: ColoredDigraph) -> tuple[frozenset[str], ...]:
+    """Vertices grouped by their out- and in-neighbour token sets, least token first."""
+    groups: dict[tuple[frozenset[str], frozenset[str]], set[str]] = {}
+    for v in sorted(g.vertices, key=token_key):
+        groups.setdefault((g.out_neighbors(v), g.in_neighbors(v)), set()).add(v)
+    return tuple(frozenset(b) for b in groups.values())
+
+
+def orbit_blocks(grp) -> list[frozenset[str]]:
+    """The orbits of grp's generators, closed on tokens, least token first."""
+    left = set(grp.domain)
+    out = []
+    for v in sorted(grp.domain, key=token_key):
+        if v in left:
+            orbit, todo = {v}, [v]
+            while todo:
+                x = todo.pop()
+                for p in grp.generators:
+                    if p(x) not in orbit:
+                        orbit.add(p(x))
+                        todo.append(p(x))
+            left -= orbit
+            out.append(frozenset(orbit))
+    return out
+
 def derived_graphs(g: ColoredDigraph, max_orientations: int = 64):
     """The graphs the package builds from g's masks without validating them.
 

@@ -1,12 +1,16 @@
 """Equivalence classes, quotients, and the thin orbit-pair structure."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbmg import (
     ColoredDigraph,
     PartitionError,
     Partition,
     aut_color_preserving,
+    aut_full,
+    blow_up,
     canonical_gamma,
     classical_quotient,
     equivalence_classes,
@@ -18,13 +22,14 @@ from qbmg import (
     lifted_group,
     parse_partition,
     partition_quotient,
+    random_layered_spec,
 )
 from qbmg.errors import NotAutomorphismError, PreconditionError
 from qbmg.perms import PermGroup, Permutation
 from qbmg.quotients import classify_monochromatic_orbit_pairs
 from qbmg.verify import graphs_match_up_to_rename
 
-from tests import refdata
+from tests import oracles, refdata
 
 
 def test_equivalence_classes_blowup():
@@ -326,3 +331,52 @@ def test_parse_partition_rejects_duplicates():
     with pytest.raises(GraphFormatError) as exc:
         parse_partition("1 2\n\n# comment\n3\n4 1\n")
     assert exc.value.line == 5
+
+
+# -- the mask core against the token views --------------------------------------
+
+TOKENS = ("1", "2", "9", "10", "11", "a", "b", "x7", "x10")
+
+
+def _relabel(g: ColoredDigraph, names) -> ColoredDigraph:
+    to = dict(zip(g.sorted_vertices, names))
+    return ColoredDigraph([to[v] for v in g.color_u], [to[v] for v in g.color_w],
+                          [(to[a], to[b]) for a, b in g.edges])
+
+
+def _assert_views_agree(g: ColoredDigraph) -> None:
+    classes = equivalence_classes(g)
+    assert classes.blocks == oracles.equivalence_blocks(g)
+    assert partition_quotient(g, classes) == classical_quotient(g)
+    aut_i, gamma = aut_color_preserving(g), canonical_gamma(g)
+    for grp in (aut_i, aut_full(g), gamma):
+        orbits = oracles.orbit_blocks(grp)
+        assert grp.orbit_sets() == orbits
+        assert [frozenset(g.tokens(m)) for m in grp.orbit_masks()] == orbits
+    for grp in (aut_i, gamma):
+        by_blocks = partition_quotient(g, Partition.from_blocks(oracles.orbit_blocks(grp)))
+        assert by_blocks == gamma_quotient(g, grp)
+
+
+def test_mask_and_token_views_agree_on_the_pool(enumerated_pool):
+    for g in enumerated_pool[::47]:
+        _assert_views_agree(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mask_and_token_views_agree_on_random_members(enumerated_pool, data):
+    # Pool members and small layered members under random token names, some
+    # blown up, so that rank order and token order are both exercised.
+    if data.draw(st.booleans()):
+        g = data.draw(st.sampled_from(enumerated_pool))
+    else:
+        spec = random_layered_spec(data.draw(st.integers(2, 3)), data.draw(st.integers(1, 2)),
+                                   data.draw(st.integers(0, 10**6)))
+        g = layered(spec)
+    names = data.draw(st.permutations([*TOKENS, *(f"v{i}" for i in range(g.n_vertices))]))
+    g = _relabel(g, names)
+    if data.draw(st.booleans()):
+        g = blow_up(g, data.draw(st.sampled_from(g.sorted_vertices)), "z")
+    assert is_2qbmg(g)
+    _assert_views_agree(g)

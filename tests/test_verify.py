@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qbmg import ColoredDigraph, PermGroup, Permutation, QbmgError, layered
+from qbmg import ColoredDigraph, Partition, PermGroup, Permutation, QbmgError, layered, verify
 from qbmg.constructions import default_layered_spec
 from qbmg.verify import CHECK_NAMES, GraphFacts, graphs_match_up_to_rename, run_suite
 
@@ -136,6 +136,23 @@ def test_gamma_hereditary_quotients_each_cycle_partition_once(monkeypatch):
     assert counts == {"is_2qbmg": 11}
 
 
+
+@pytest.mark.parametrize("g", [refdata.BLOWUP_TWICE, refdata.complete_symmetric(2, 3)],
+                         ids=["blowup-twice", "K23"])
+def test_suite_builds_no_token_partition(monkeypatch, g):
+    # The suite reads classes, orbits and cycle partitions as rank masks.
+    counts = _count_calls(monkeypatch, "qbmg.quotients",
+                          ("partition_quotient", "equivalence_classes"))
+    post_init = Partition.__post_init__
+
+    def counted(self):
+        counts["Partition"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Partition, "__post_init__", counted)
+    assert all(r.passed for r in run_suite(g))
+    assert counts == {}
+
 def test_fixed_vertex_in_neighborhood_reports_a_moved_in_neighbor(monkeypatch):
     # A thin member 1 -> 2 -> 3 with a planted full group <(1 3)>: (1 3) fixes
     # 2 but moves 1, an in-neighbor of 2.
@@ -146,6 +163,82 @@ def test_fixed_vertex_in_neighborhood_reports_a_moved_in_neighbor(monkeypatch):
     assert [(r.name, r.passed, r.detail) for r in results] == [
         ("fixed_vertex_in_neighborhood", False, "(1 3) fixes 2 but moves its in-neighbor 1")]
 
+
+
+def _reject_quotients(monkeypatch, bad) -> None:
+    """Make the suite's membership test reject every graph ``bad`` accepts."""
+    real = verify.is_2qbmg
+    monkeypatch.setattr(verify, "is_2qbmg", lambda h: not bad(h) and real(h))
+
+
+def _only(g, check: str) -> tuple[bool, str]:
+    (result,) = run_suite(g, checks=[check])
+    assert result.name == check
+    return result.passed, result.detail
+
+
+def test_gamma_hereditary_reports_the_quotient_by_aut_i(monkeypatch):
+    # K_{2,3} has orbits {1,2} and {3,4,5}: the first quotient tested has 2 vertices.
+    _reject_quotients(monkeypatch, lambda h: h.n_vertices == 2)
+    assert _only(refdata.complete_symmetric(2, 3), "gamma_quotient_hereditary") == (
+        False, "quotient by full Aut_I is not a 2-qBMG")
+
+
+def test_gamma_hereditary_reports_the_quotient_by_the_class_product_group(monkeypatch):
+    # A thin graph: the class product group is trivial, so its quotient is a
+    # renamed copy of g, while Aut_I (order 24) merges vertices.
+    g = layered(refdata.TWO_LAYER_M4_SPEC)
+    _reject_quotients(monkeypatch, lambda h: h.n_vertices == g.n_vertices
+                      and h.sorted_vertices[0].startswith("q_"))
+    assert _only(g, "gamma_quotient_hereditary") == (
+        False, "quotient by canonical gamma is not a 2-qBMG")
+
+
+def test_gamma_hereditary_reports_the_first_failing_element(monkeypatch):
+    # In rank-tuple order the elements of S_2 x S_3 start (), (4 5), (3 4),
+    # (3 4 5): the first whose cycle partition has three blocks is (3 4 5),
+    # although (1 2)(3 4) and (1 2)(4 5) give three blocks too.
+    _reject_quotients(monkeypatch, lambda h: h.n_vertices == 3)
+    assert _only(refdata.complete_symmetric(2, 3), "gamma_quotient_hereditary") == (
+        False, "quotient by cyclic<(3 4 5)> is not a 2-qBMG")
+
+
+def test_gamma_hereditary_reports_a_cyclic_subgroup_on_a_non_thin_graph(monkeypatch):
+    # Reject only the quotients in which vertex 1 stays a singleton and
+    # 2 and 3 are merged; (2 3) is the first element that does both.
+    g = refdata.complete_symmetric(3, 3)
+    _reject_quotients(monkeypatch, lambda h: "q_1" in h.vertices and "q_3" not in h.vertices
+                      and "q_2" in h.vertices)
+    assert _only(g, "gamma_quotient_hereditary") == (
+        False, "quotient by cyclic<(2 3)> is not a 2-qBMG")
+
+
+def test_canonical_orbits_are_classes_reports_a_planted_group(monkeypatch):
+    g = refdata.complete_symmetric(2, 3)
+    monkeypatch.setattr(GraphFacts, "gamma", PermGroup.from_generators([], g.vertices))
+    assert _only(g, "canonical_orbits_are_classes") == (
+        False, "orbits of the class product group differ from the classes")
+
+
+def test_classical_equals_canonical_gamma_reports_a_planted_group(monkeypatch):
+    g = refdata.complete_symmetric(2, 3)
+    monkeypatch.setattr(GraphFacts, "gamma", PermGroup.from_generators([], g.vertices))
+    assert _only(g, "classical_equals_canonical_gamma") == (
+        False, "orbit quotient differs from the equivalence quotient")
+
+
+@pytest.mark.parametrize("planted", ["aut_i", "full"])
+def test_thin_orbit_pairs_reports_the_misfit_pair(monkeypatch, planted):
+    # The thin member 1 -> 2 -> 3 with a planted group <(1 3)>, the other
+    # group trivial: the U-orbit {1, 3} sends an edge to 2 and receives one.
+    g = ColoredDigraph(("1", "3"), ("2",), [("1", "2"), ("2", "3")])
+    swap = Permutation.from_mapping({"1": "3", "3": "1"}, g.vertices)
+    for name in ("aut_i", "full"):
+        gens = [swap] if name == planted else []
+        monkeypatch.setattr(GraphFacts, name, PermGroup.from_generators(gens, g.vertices))
+    assert _only(g, "thin_orbit_pairs") == (
+        False, "orbit pair (['1', '3'], ['2']) has oriented edges in both directions; "
+               "this contradicts the thin structure theorem and indicates a bug")
 
 # Not an automorphism: the group is planted so that the check fails. The
 # detail must name the least fixed vertex and its least moved in-neighbor
