@@ -31,9 +31,22 @@ print(f"The graph has {g.n_vertices} vertices and {g.n_edges} = m*s^2 edges;")
 print(f"member: {report.is_2qbmg}, proper: {report.proper}, thin: {is_thin(g)}")
 print()
 
-print("Any permutation of the first class lifts through the composites to a")
-print("color-preserving automorphism. The lift of the transposition of the")
-print("first two vertices:")
+print("Following each vertex of U_1 through the tables gives its thread, one")
+print("vertex per class; every composite stays on it, so the graph is m")
+print("disjoint copies of one 2s-vertex pattern:")
+component_of = {v: {v} for v in g.vertices}
+for t, h in g.edges:
+    merged = component_of[t] | component_of[h]
+    for v in merged:
+        component_of[v] = merged
+components = {frozenset(c) for c in component_of.values()}
+print(f"  {len(components)} weakly connected components of "
+      f"{sorted({len(c) for c in components})} vertices (m = {spec.m}, 2s = {2 * spec.s})")
+print()
+
+print("Any permutation pi of the first class lifts to a color-preserving")
+print("automorphism that sends the thread of u onto the thread of pi(u). The")
+print("lift of the transposition of the first two vertices:")
 u1 = sorted(spec.u_class(1), key=int)
 pi = {v: v for v in u1}
 pi[u1[0]], pi[u1[1]] = u1[1], u1[0]

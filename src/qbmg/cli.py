@@ -185,25 +185,22 @@ def cmd_quotient(args) -> int:
 
 
 def _generated_graph(args):
-    if args.family == "two-layer":
-        if args.seed is not None:
-            spec = random_layered_spec(2, args.m, args.seed)
-            return layered(spec), [f"two-layer, m={args.m}, seed={args.seed}"]
-        spec = default_layered_spec(2, args.m)
-        return layered(spec), [f"two-layer, m={args.m}, order-paired tables"]
-    if args.family == "n2-trivial":
-        if args.seed is not None:
-            tables = random_n2_trivial_tables(args.m, args.seed)
-            return n2_trivial_layer(args.m, *tables), [f"n2-trivial, m={args.m}, seed={args.seed}"]
-        tables = default_n2_trivial_tables(args.m)
-        return n2_trivial_layer(args.m, *tables), [f"n2-trivial, m={args.m}"]
     if args.family == "layered":
         spec = parse_layered_spec(_read_text(args.spec))
         return layered(spec), [f"layered, s={spec.s}, m={spec.m}"]
     if args.family == "blowup":
         g = _load_graph(args.input)
         return blow_up(g, args.at, args.new), [f"blow-up at {args.at}, adding {args.new}"]
-    raise QbmgError(f"unknown family {args.family!r}")
+    seeded = args.seed is not None
+    if args.family == "two-layer":
+        spec = (random_layered_spec(2, args.m, args.seed) if seeded
+                else default_layered_spec(2, args.m))
+        how = f"seed={args.seed}" if seeded else "order-paired tables"
+        return layered(spec), [f"two-layer, m={args.m}, {how}"]
+    tables = (random_n2_trivial_tables(args.m, args.seed) if seeded
+              else default_n2_trivial_tables(args.m))
+    how = f", seed={args.seed}" if seeded else ""
+    return n2_trivial_layer(args.m, *tables), [f"n2-trivial, m={args.m}{how}"]
 
 
 def cmd_generate(args) -> int:

@@ -13,9 +13,16 @@ classes:
   no three-edge walk exists. Each source, its two middle vertices, and its
   sink form a diamond.
 
-Every permutation of the first class lifts to a color-preserving automorphism
-by conjugating with the composite maps; the lifts form a copy of the symmetric
-group on the first class.
+Both families are m disjoint copies of one small pattern. Following u in U1
+along the tables (f_11, g_12, f_22, ..., f_ss, or alpha, beta, gamma^-1)
+gives its thread, one vertex per class, and every composite stays on it: a
+layered thread has an edge from each position to every later position of the
+other color, a diamond thread is (u, alpha(u), beta(alpha(u)), delta(u)).
+
+A permutation pi of U1 lifts to a color-preserving automorphism that sends
+the thread of u onto the thread of pi(u); the lifts form a copy of Sym(U1).
+For a layered graph they are all of Aut_I, so |Aut_I| = m!. The two middles
+of a diamond are twins, so no diamond graph is thin.
 """
 
 from __future__ import annotations
@@ -141,22 +148,66 @@ def _check_disjoint_classes(classes: Sequence[frozenset[str]], m: int) -> None:
         seen |= c
 
 
+def _threads(f_diag: Sequence[BijectionTable],
+             g_step: Sequence[BijectionTable]) -> list[tuple[str, ...]]:
+    """Follow each u of U_1 = f_diag[0].domain, in token order, along f_11, g_12, ..., f_ss.
+
+    Position 2i-2 is u's vertex in U_i and 2i-1 its vertex in W_i.
+    """
+    chain = [t for pair in zip(f_diag, g_step) for t in pair] + [f_diag[-1]]
+    threads = []
+    for u in sorted(f_diag[0].domain, key=token_key):
+        thread = [u]
+        for table in chain:
+            thread.append(table(thread[-1]))
+        threads.append(tuple(thread))
+    return threads
+
+
+def _layered_pattern(s: int) -> list[tuple[int, int]]:
+    """Each thread position to every later position of the other color."""
+    return [(a, b) for a in range(2 * s) for b in range(a + 1, 2 * s, 2)]
+
+
+# alpha, beta, gamma and delta on a diamond thread (u, alpha(u), beta(alpha(u)), delta(u)).
+_DIAMOND = ((0, 1), (1, 2), (3, 2), (0, 3))
+
+
+def _build(threads: list[tuple[str, ...]],
+           pattern: Sequence[tuple[int, int]]) -> ColoredDigraph:
+    """A copy of the edge pattern, pairs of thread positions, on every thread."""
+    return ColoredDigraph([v for t in threads for v in t[0::2]],
+                          [v for t in threads for v in t[1::2]],
+                          [(t[a], t[b]) for t in threads for a, b in pattern])
+
+
+def _lift(threads: list[tuple[str, ...]], pi: Mapping[str, str]) -> Permutation:
+    """Send the thread of each head u onto the thread of pi(u), position by position."""
+    by_head = {t[0]: t for t in threads}
+    if set(pi) != by_head.keys() or set(pi.values()) != by_head.keys():
+        raise QbmgError("pi must be a permutation of the first class U_1")
+    mapping = {v: x for t in threads for v, x in zip(t, by_head[pi[t[0]]])}
+    return Permutation.from_mapping(mapping, mapping.keys())
+
+
+def _diamond_threads(m: int, alpha: BijectionTable, beta: BijectionTable,
+                     gamma: BijectionTable) -> list[tuple[str, ...]]:
+    """The threads (u, alpha(u), beta(alpha(u)), delta(u)), once the tables are checked."""
+    if m < 1:
+        raise QbmgError("class size m must be at least 1")
+    u1, w1, u2, w2 = alpha.domain, alpha.image, beta.image, gamma.domain
+    if beta.domain != w1:
+        raise QbmgError("beta must map alpha's image (W1) onto U2")
+    if gamma.image != u2:
+        raise QbmgError("gamma must map W2 onto beta's image (U2)")
+    _check_disjoint_classes([u1, w1, u2, w2], m)
+    return _threads((alpha, gamma.inverse()), (beta,))
+
+
 def n2_trivial_lift(alpha: BijectionTable, beta: BijectionTable, gamma: BijectionTable,
                     pi: Mapping[str, str]) -> Permutation:
     """Lift a permutation of U1 to the diamond graph built from these tables."""
-    u1, w1, u2, w2 = alpha.domain, alpha.image, beta.image, gamma.domain
-    delta = alpha.then(beta).then(gamma.inverse())
-    mapping: dict[str, str] = {}
-    ba = alpha.then(beta)
-    for v in u1:
-        mapping[v] = pi[v]
-    for v in w1:
-        mapping[v] = alpha(pi[alpha.inverse()(v)])
-    for v in u2:
-        mapping[v] = ba(pi[ba.inverse()(v)])
-    for v in w2:
-        mapping[v] = delta(pi[delta.inverse()(v)])
-    return Permutation.from_mapping(mapping, u1 | w1 | u2 | w2)
+    return _lift(_diamond_threads(len(alpha), alpha, beta, gamma), pi)
 
 
 def n2_trivial_layer(m: int, alpha: BijectionTable, beta: BijectionTable,
@@ -167,21 +218,7 @@ def n2_trivial_layer(m: int, alpha: BijectionTable, beta: BijectionTable,
     in U1 reaches one sink in U2 along two middle vertices, one in each W class.
     The result has sources U1, sinks U2, and no three-edge walk.
     """
-    if m < 1:
-        raise QbmgError("class size m must be at least 1")
-    u1, w1, u2, w2 = alpha.domain, alpha.image, beta.image, gamma.domain
-    if beta.domain != w1:
-        raise QbmgError("beta must map alpha's image (W1) onto U2")
-    if gamma.image != u2:
-        raise QbmgError("gamma must map W2 onto beta's image (U2)")
-    _check_disjoint_classes([u1, w1, u2, w2], m)
-    delta = alpha.then(beta).then(gamma.inverse())
-    edges: set[tuple[str, str]] = set()
-    edges |= {(a, b) for a, b in alpha.pairs}
-    edges |= {(a, b) for a, b in beta.pairs}
-    edges |= {(a, b) for a, b in gamma.pairs}
-    edges |= {(a, b) for a, b in delta.pairs}
-    return ColoredDigraph(u1 | u2, w1 | w2, edges)
+    return _build(_diamond_threads(m, alpha, beta, gamma), _DIAMOND)
 
 
 @dataclass(frozen=True)
@@ -238,67 +275,32 @@ def composite_maps(spec: LayeredSpec) -> tuple[dict[tuple[int, int], BijectionTa
                                                dict[tuple[int, int], BijectionTable]]:
     """All composites: f[(i, j)]: U_i->W_j for i <= j, g[(j, i)]: W_j->U_i for j < i.
 
-    Built from f[(i, j)] = f[(j, j)] . g[(j-1, j)] . f[(i, j-1)] and the
-    matching recurrence for g, unrolling to the alternating product of
-    diagonal and step tables.
+    Read off the threads: f[(i, j)] pairs each thread's U_i vertex with its W_j vertex.
     """
+    threads = _threads(spec.f_diag, spec.g_step)
     f: dict[tuple[int, int], BijectionTable] = {}
     g: dict[tuple[int, int], BijectionTable] = {}
-    for i in range(1, spec.s + 1):
-        f[(i, i)] = spec.f_diag[i - 1]
-    for j in range(1, spec.s):
-        g[(j, j + 1)] = spec.g_step[j - 1]
-    for span in range(1, spec.s):
-        for i in range(1, spec.s - span + 1):
-            j = i + span
-            f[(i, j)] = f[(i, j - 1)].then(g[(j - 1, j)]).then(f[(j, j)])
-    for span in range(2, spec.s):
-        for j in range(1, spec.s - span + 1):
-            i = j + span
-            g[(j, i)] = g[(j, i - 1)].then(f[(i - 1, i - 1)]).then(g[(i - 1, i)])
+    for a, b in _layered_pattern(spec.s):
+        (g if a % 2 else f)[(a // 2 + 1, b // 2 + 1)] = BijectionTable(
+            tuple((t[a], t[b]) for t in threads))
     return f, g
 
 
 def layered(spec: LayeredSpec) -> ColoredDigraph:
     """The s-layer graph: u_i -> f[(i,j)](u_i) for i <= j, w_j -> g[(j,i)](w_j) for j < i."""
-    f, g = composite_maps(spec)
-    edges: set[tuple[str, str]] = set()
-    for table in f.values():
-        edges |= {(a, b) for a, b in table.pairs}
-    for table in g.values():
-        edges |= {(a, b) for a, b in table.pairs}
-    color_u: frozenset[str] = frozenset()
-    color_w: frozenset[str] = frozenset()
-    for i in range(1, spec.s + 1):
-        color_u |= spec.u_class(i)
-        color_w |= spec.w_class(i)
-    return ColoredDigraph(color_u, color_w, edges)
+    return _build(_threads(spec.f_diag, spec.g_step), _layered_pattern(spec.s))
 
 
 def lift_permutation(spec: LayeredSpec, pi: Mapping[str, str]) -> Permutation:
     """Lift a permutation of U_1 to the whole layered graph.
 
-    Acts as f[(1, j)] . pi . f[(1, j)]^-1 on W_j and as
+    Sends the thread of each u in U_1 onto the thread of pi(u), so it acts
+    as f[(1, j)] . pi . f[(1, j)]^-1 on W_j and as
     (g[(1, i)] . f[(1, 1)]) . pi . (...)^-1 on U_i for i >= 2. The lift of a
     product is the product of the lifts, so these form a group isomorphic to
     the symmetric group on U_1.
     """
-    u1 = spec.u_class(1)
-    if set(pi) != set(u1) or set(pi.values()) != set(u1):
-        raise QbmgError("pi must be a permutation of the first class U_1")
-    f, g = composite_maps(spec)
-    mapping: dict[str, str] = dict(pi)
-    for j in range(1, spec.s + 1):
-        t = f[(1, j)]
-        t_inv = t.inverse()
-        for v in spec.w_class(j):
-            mapping[v] = t(pi[t_inv(v)])
-    for i in range(2, spec.s + 1):
-        t = f[(1, 1)].then(g[(1, i)])
-        t_inv = t.inverse()
-        for v in spec.u_class(i):
-            mapping[v] = t(pi[t_inv(v)])
-    return Permutation.from_mapping(mapping, spec.vertices)
+    return _lift(_threads(spec.f_diag, spec.g_step), pi)
 
 
 def lifted_group(spec: LayeredSpec) -> PermGroup:
@@ -308,9 +310,10 @@ def lifted_group(spec: LayeredSpec) -> PermGroup:
     group is a stabilizer chain, so m is not bounded by the element cap.
     Its ``generators`` are the canonical list, not the transposition lifts.
     """
-    u1 = sorted(spec.u_class(1), key=token_key)
+    threads = _threads(spec.f_diag, spec.g_step)
+    u1 = [t[0] for t in threads]
     fixed = {v: v for v in u1}
-    gens = [lift_permutation(spec, {**fixed, a: b, b: a}) for a, b in zip(u1, u1[1:])]
+    gens = [_lift(threads, {**fixed, a: b, b: a}) for a, b in zip(u1, u1[1:])]
     return PermGroup.from_generators(gens, spec.vertices)
 
 

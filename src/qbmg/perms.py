@@ -116,12 +116,6 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return Permutation._trusted(self.domain, _invert(self.ranks), self._index)
 
-    def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.ranks))
-
-    def fixed_points(self) -> frozenset[str]:
-        return frozenset(self.domain[i] for i, x in enumerate(self.ranks) if i == x)
-
     def cycles(self) -> list[tuple[str, ...]]:
         """Nontrivial cycles, each starting at its least vertex, sorted."""
         seen = [False] * len(self.ranks)

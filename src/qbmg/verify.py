@@ -40,14 +40,19 @@ class CheckResult:
 
 def graphs_match_up_to_rename(a: ColoredDigraph, b: ColoredDigraph,
                               rename: dict[str, str]) -> bool:
-    """Does the given vertex bijection carry a onto b exactly (colors and edges)?"""
-    if set(rename) != a.vertices or set(rename.values()) != b.vertices:
+    """Does the given vertex bijection carry a onto b exactly (colors and edges)?
+
+    Compares a's masks, carried through ``rename`` as a map of ranks, with b's.
+    """
+    x = [b.rank.get(rename.get(v)) for v in a.sorted_vertices]
+    if len(rename) != len(x) or None in x:
         return False
-    if {rename[v] for v in a.color_u} != b.color_u:
-        return False
-    if {rename[v] for v in a.color_w} != b.color_w:
-        return False
-    return {(rename[t], rename[h]) for (t, h) in a.edges} == b.edges
+    colors, out = [0, 0], [0] * b.n_vertices
+    for v, o in enumerate(a.out_masks):
+        colors[a.u_mask >> v & 1] |= 1 << x[v]
+        for h in bits(o):
+            out[x[v]] |= 1 << x[h]
+    return colors == [b.w_mask, b.u_mask] and tuple(out) == b.out_masks
 
 
 class GraphFacts:

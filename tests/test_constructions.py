@@ -1,13 +1,18 @@
 """Construction families: blow-up, two-layer, diamond, layered, lifts."""
 
 import math
+import random
+import re
 
+import networkx as nx
 import pytest
 
 from qbmg import (
     BijectionTable,
     ColoredDigraph,
+    GraphFormatError,
     LayeredSpec,
+    Permutation,
     QbmgError,
     UnknownVertexError,
     axiom_report,
@@ -27,6 +32,7 @@ from qbmg.constructions import (
     format_layered_spec,
     n2_trivial_lift,
     parse_layered_spec,
+    random_n2_trivial_tables,
 )
 
 from tests import refdata
@@ -116,6 +122,19 @@ def test_two_layer_rejects_mismatched_tables():
         LayeredSpec(2, 2, (alpha, beta), (gamma,))
 
 
+@pytest.mark.parametrize("s, m, f_diag, g_step, message", [
+    (1, 1, ["1>2"], [], "layer count s must be at least 2"),
+    (2, 0, ["1>3", "2>4"], ["3>2"], "class size m must be at least 1"),
+    (2, 1, ["1>3"], ["3>2"], "expected 2 diagonal tables, got 1"),
+    (2, 1, ["1>3", "2>4"], [], "expected 1 step tables, got 0"),
+    (2, 1, ["1>3", "2>4"], ["5>2"], "step table g[1][2] must start at W_1"),
+    (2, 1, ["1>3", "2>4"], ["3>5"], "step table g[1][2] must end at U_2"),
+])
+def test_layered_spec_rejects_malformed_tables(s, m, f_diag, g_step, message):
+    with pytest.raises(QbmgError, match=re.escape(message)):
+        LayeredSpec(s, m, tuple(map(_table, f_diag)), tuple(map(_table, g_step)))
+
+
 # -- diamond (N2-trivial) family --------------------------------------------------
 
 def test_diamond_reference_instance():
@@ -144,6 +163,89 @@ def test_diamond_lift_is_automorphism():
         assert is_automorphism(g, phi, color_preserving=True)
         count += 1
     assert count == 24
+
+
+def _table(mapping: str) -> BijectionTable:
+    return BijectionTable(tuple(tuple(p.split(">")) for p in mapping.split()))
+
+
+@pytest.mark.parametrize("m, alpha, beta, gamma, message", [
+    (0, "1>2", "2>3", "4>3", "class size m must be at least 1"),
+    (1, "1>2", "5>3", "4>3", "beta must map alpha's image (W1) onto U2"),
+    (1, "1>2", "2>3", "4>5", "gamma must map W2 onto beta's image (U2)"),
+    (2, "1>2", "2>3", "4>3", "every class must have size 2, got 1"),
+    (1, "1>2", "2>3", "1>3", "classes overlap on ['1']"),
+])
+def test_diamond_rejects_mismatched_tables(m, alpha, beta, gamma, message):
+    tables = _table(alpha), _table(beta), _table(gamma)
+    with pytest.raises(QbmgError, match=re.escape(message)):
+        n2_trivial_layer(m, *tables)
+    if m == len(tables[0]):  # the lift reads m off alpha
+        with pytest.raises(QbmgError, match=re.escape(message)):
+            n2_trivial_lift(*tables, {"1": "1"})
+
+
+def test_lifts_reject_a_partial_pi():
+    alpha, beta, gamma = random_n2_trivial_tables(3, seed=0)
+    message = "pi must be a permutation of the first class U_1"
+    with pytest.raises(QbmgError, match=message):
+        n2_trivial_lift(alpha, beta, gamma, {"1": "2"})
+    with pytest.raises(QbmgError, match=message):
+        lift_permutation(random_layered_spec(2, 3, seed=0), {"1": "2"})
+
+
+# -- threads: m disjoint copies of one pattern, networkx as the oracle ----------
+
+def _components(g: ColoredDigraph) -> list[set[str]]:
+    h = nx.DiGraph(list(g.edges))
+    h.add_nodes_from(g.vertices)
+    return [set(c) for c in nx.weakly_connected_components(h)]
+
+
+def _is_copy(g: ColoredDigraph, component: set[str], pattern: nx.DiGraph) -> bool:
+    h = nx.DiGraph([e for e in g.edges if e[0] in component])
+    for v in component:
+        h.add_node(v, u=v in g.color_u)
+    return nx.is_isomorphic(h, pattern, node_match=lambda a, b: a["u"] == b["u"])
+
+
+def _pattern(edges, n: int) -> nx.DiGraph:
+    h = nx.DiGraph(edges)
+    for p in range(n):
+        h.add_node(p, u=p % 2 == 0)
+    return h
+
+
+@pytest.mark.parametrize("s, m, seed", [(2, 3, 0), (3, 4, 1), (4, 2, 2), (5, 3, 3)])
+def test_layered_is_one_component_per_thread(s, m, seed):
+    # Each position of a thread U_1, W_1, ..., U_s, W_s has an edge to every
+    # later position of the other color.
+    spec = random_layered_spec(s, m, seed)
+    g = layered(spec)
+    pattern = _pattern([(a, b) for a in range(2 * s) for b in range(a + 1, 2 * s)
+                        if (a - b) % 2], 2 * s)
+    components = _components(g)
+    assert len(components) == m
+    for c in components:
+        assert len(c) == 2 * s and len(c & spec.u_class(1)) == 1
+        assert _is_copy(g, c, pattern)
+    pi_image = sorted(spec.u_class(1))
+    random.Random(seed).shuffle(pi_image)
+    pi = dict(zip(sorted(spec.u_class(1)), pi_image))
+    phi = lift_permutation(spec, pi)
+    component_of = {v: frozenset(c) for c in components for v in c}
+    for u, image in pi.items():
+        assert {phi(v) for v in component_of[u]} == component_of[image]
+
+
+@pytest.mark.parametrize("m, seed", [(1, 0), (3, 1), (5, 2)])
+def test_diamond_is_one_diamond_per_source(m, seed):
+    g = n2_trivial_layer(m, *random_n2_trivial_tables(m, seed))
+    # u -> alpha(u) -> U2 <- W2 <- u, with u and its sink in U.
+    diamond = _pattern([(0, 1), (1, 2), (3, 2), (0, 3)], 4)
+    components = _components(g)
+    assert len(components) == m
+    assert all(len(c) == 4 and _is_copy(g, c, diamond) for c in components)
 
 
 # -- layered ----------------------------------------------------------------------
@@ -196,7 +298,7 @@ def test_lift_identity_is_identity():
     spec = refdata.LAYERED_S3M3_SPEC
     u1 = sorted(spec.u_class(1))
     phi = lift_permutation(spec, {v: v for v in u1})
-    assert phi.is_identity()
+    assert phi == Permutation.identity(spec.vertices)
 
 
 def test_lift_is_homomorphism():
@@ -257,7 +359,6 @@ def test_spec_text_roundtrip():
 
 
 def test_spec_parse_errors():
-    from qbmg import GraphFormatError
     with pytest.raises(GraphFormatError, match="layers"):
         parse_layered_spec("f 1 1: 1->2\n")
     with pytest.raises(GraphFormatError):
@@ -265,7 +366,6 @@ def test_spec_parse_errors():
 
 
 def test_spec_error_column_is_the_token_in_the_raw_line():
-    from qbmg import GraphFormatError
     with pytest.raises(GraphFormatError) as exc:
         parse_layered_spec("layers s=2 m=2\ng 1 2: 3->2 2\n")
     assert (exc.value.line, exc.value.column) == (2, 13)
@@ -282,10 +382,26 @@ S2 = "layers s=2 m=1\nf 1 1: 1->3\nf 2 2: 2->4\ng 1 2: 3->2\n"
     ("g 2 3: 4->5\n", 5, "'g 2 3' lies outside layers 1..2"),
 ])
 def test_spec_rejects_repeats_and_tables_outside_the_layers(extra, line, match):
-    from qbmg import GraphFormatError
     assert parse_layered_spec(S2).s == 2
     with pytest.raises(GraphFormatError, match=match) as exc:
         parse_layered_spec(S2 + extra)
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("layers s=2\n", 1, "bad layers line 'layers s=2'"),
+    ("layers s=2 m=1\nf 1 1 1->3\n", 2, "expected 'f <i> <j>: a->b ...', got 'f 1 1 1->3'"),
+    ("layers s=2 m=1\nf a 1: 1->3\n", 2, "bad table indices in 'f a 1: 1->3'"),
+    ("layers s=2 m=1\nf 1 1: 1->3 2->3\n", 2, "bijection table repeats an image vertex"),
+    ("layers s=2 m=1\nf 1 2: 1->3\n", 2, "only diagonal f tables may be given"),
+    ("layers s=2 m=1\ng 1 3: 3->2\n", 2, "g tables must step one layer forward"),
+    ("layers s=2 m=1\nh 1 1: 1->3\n", 2, "unrecognized line 'h 1 1: 1->3'"),
+    ("layers s=2 m=1\nf 1 1: 1->3\nf 2 2: 2->4\n", 1, "missing table for layer 1"),
+    (S2.replace("m=1", "m=2"), 1, "every class must have size 2, got 1"),
+])
+def test_spec_parse_errors_name_the_line(text, line, message):
+    with pytest.raises(GraphFormatError, match=re.escape(message)) as exc:
+        parse_layered_spec(text)
     assert exc.value.line == line
 
 

@@ -184,6 +184,19 @@ def test_parse_errors_carry_line_numbers():
     assert exc.value.line == 5
 
 
+@pytest.mark.parametrize("text, message, line", [
+    ("# only a comment\n", "empty input, expected 'qbmg 1' header", None),
+    ("qbmg 1\nU: 1\n\n", "unexpected end of input, expected 'W:' class line", 2),
+    ("qbmg 1\nW: 1\n", "expected 'U:' class line, got 'W: 1'", 2),
+    ("qbmg 1\nU: 1\nW: 2\nx 1 2\n", "expected edge line 'e <tail> <head>', got 'x 1 2'", 4),
+    ("qbmg 1\nU: 1\nW: 2\ne 1 1\n", "loop edge at '1'", 4),
+])
+def test_parse_errors_name_the_line(text, message, line):
+    with pytest.raises(GraphFormatError, match=re.escape(message)) as exc:
+        parse_graph(text)
+    assert exc.value.line == line
+
+
 @pytest.mark.parametrize("u_class, edge_line, column", [
     ("11", "e 11 1", 6),
     ("1", "  e 1 9   # x", 7),

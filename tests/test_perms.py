@@ -17,7 +17,7 @@ DOM = ("1", "2", "3", "4")
 
 def test_identity_and_apply():
     p = Permutation.identity(DOM)
-    assert p.is_identity()
+    assert p == Permutation(DOM, DOM)
     assert p("3") == "3"
     with pytest.raises(QbmgError):
         p("9")
@@ -25,8 +25,7 @@ def test_identity_and_apply():
 
 def test_from_mapping_fixes_unlisted():
     p = Permutation.from_mapping({"1": "2", "2": "1"}, DOM)
-    assert p("3") == "3" and p("1") == "2"
-    assert p.fixed_points() == {"3", "4"}
+    assert p("3") == "3" and p("4") == "4" and p("1") == "2"
 
 
 def test_from_mapping_rejects_foreign_vertices():
@@ -47,7 +46,7 @@ def test_compose_applies_right_factor_first():
 
 def test_inverse():
     p = Permutation.from_mapping({"1": "2", "2": "3", "3": "1"}, DOM)
-    assert (p * p.inverse()).is_identity()
+    assert p * p.inverse() == Permutation.identity(DOM)
     assert p.inverse()("2") == "1"
 
 

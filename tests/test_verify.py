@@ -5,10 +5,21 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from qbmg import ColoredDigraph, Partition, PermGroup, Permutation, QbmgError, layered, verify
+from qbmg import (
+    ColoredDigraph,
+    Partition,
+    PermGroup,
+    Permutation,
+    QbmgError,
+    layered,
+    orientations,
+    partition_quotient,
+    verify,
+)
 from qbmg.constructions import default_layered_spec
 from qbmg.verify import CHECK_NAMES, GraphFacts, graphs_match_up_to_rename, run_suite
 
@@ -239,6 +250,66 @@ def test_thin_orbit_pairs_reports_the_misfit_pair(monkeypatch, planted):
     assert _only(g, "thin_orbit_pairs") == (
         False, "orbit pair (['1', '3'], ['2']) has oriented edges in both directions; "
                "this contradicts the thin structure theorem and indicates a bug")
+
+
+def test_classical_idempotent_reports_a_quotient_that_is_not_thin(monkeypatch):
+    # Planted as the classical quotient: K_{2,3} itself, by the singleton partition.
+    g = refdata.complete_symmetric(2, 3)
+    singletons = Partition.from_blocks([{v} for v in g.vertices])
+    monkeypatch.setattr(GraphFacts, "classical", partition_quotient(g, singletons))
+    assert _only(g, "classical_idempotent") == (False, "classical quotient is not thin")
+
+
+def _plant_groups(monkeypatch, g, **gens) -> None:
+    for name, perms in gens.items():
+        group = PermGroup.from_generators(
+            [Permutation.from_mapping(p, g.vertices) for p in perms], g.vertices)
+        monkeypatch.setattr(GraphFacts, name, group)
+
+
+def test_canonical_gamma_normal_reports_a_subgroup_outside_the_group(monkeypatch):
+    g = refdata.complete_symmetric(2, 3)
+    _plant_groups(monkeypatch, g, full=[])
+    assert _only(g, "canonical_gamma_normal") == (
+        False, "claimed subgroup is not contained in the group")
+
+
+def test_canonical_gamma_normal_reports_a_subgroup_that_is_not_normal(monkeypatch):
+    # <(3 4)> lies in S_2 x S_3 but is not normal in it.
+    g = refdata.complete_symmetric(2, 3)
+    _plant_groups(monkeypatch, g, gamma=[{"3": "4", "4": "3"}])
+    assert _only(g, "canonical_gamma_normal") == (
+        False, "class product group is not normal in the full group")
+
+
+def test_common_out_neighbor_reports_inequivalent_orbit_mates(monkeypatch):
+    g = ColoredDigraph(("1", "3"), ("2", "4"), [("1", "2"), ("3", "2"), ("3", "4")])
+    _plant_groups(monkeypatch, g, full=[{"1": "3", "3": "1"}])
+    assert _only(g, "common_out_neighbor_equivalence") == (
+        False, "orbit mates 1, 3 share an out-neighbor but are not equivalent")
+
+
+def _orientations_have_cycles(monkeypatch) -> None:
+    monkeypatch.setattr(orientations, "topological_order",
+                        lambda o: SimpleNamespace(order=None))
+
+
+def test_orientation_theorems_report_a_cyclic_orientation(monkeypatch):
+    _orientations_have_cycles(monkeypatch)
+    g = layered(default_layered_spec(2, 1))
+    assert _only(g, "orientation_theorems") == (
+        False, "orientation #1 has a directed cycle; an orientation of a thin graph has a cycle")
+
+
+def test_orientation_theorems_report_a_cycle_without_star(monkeypatch):
+    # Without (*) only thinness asks for acyclic orientations, and no
+    # violation names the orientation; only the suite's own detail remains.
+    _orientations_have_cycles(monkeypatch)
+    monkeypatch.setattr(orientations, "satisfies_star", lambda g: False)
+    g = layered(default_layered_spec(2, 1))
+    assert _only(g, "orientation_theorems") == (
+        False, "an orientation of a thin graph has a cycle")
+
 
 # Not an automorphism: the group is planted so that the check fails. The
 # detail must name the least fixed vertex and its least moved in-neighbor
