@@ -1,8 +1,9 @@
 """Automorphism groups of colored digraphs.
 
 The search backtracks over an equitable refinement of the vertex set: cells
-start from the color classes (or from one cell when color-switching maps are
-wanted), then split repeatedly on the multiset of neighbor cells until stable.
+start from an initial cell list (the color classes, or one cell when
+color-switching maps are wanted), then split repeatedly on the multiset of
+neighbor cells until stable.
 Automorphisms map cells to themselves, so candidate images are drawn from the
 vertex's own cell and filtered by adjacency with the partial assignment. The
 search works on the graph's vertex ranks and neighbor masks, the numbering
@@ -118,9 +119,17 @@ def _assignment_order(g: ColoredDigraph, cells: list[int]) -> list[int]:
     return order
 
 
-def _search_automorphisms(g: ColoredDigraph, *, respect_colors: bool,
-                          stats: SearchStats) -> PermGroup:
-    """The automorphism group from a strong generating set for the assignment order.
+def _color_cells(g: ColoredDigraph) -> list[int]:
+    """The color classes as initial cells: 0 for U, 1 for W."""
+    return [0 if g.u_mask >> v & 1 else 1 for v in range(g.n_vertices)]
+
+
+def _search_automorphisms(g: ColoredDigraph, cells: list[int],
+                          stats: SearchStats) -> tuple[list[tuple[int, ...]], int]:
+    """Strong generators (rank tuples) and order of the automorphisms keeping each cell.
+
+    ``cells[v]`` is the initial cell id of rank v; the search refines them
+    first, which costs one round when they are already equitable.
 
     Vertices are numbered by token rank, and the assignment order is the base
     v_0..v_{n-1}. Going from level n-1 down to 0, the generators S found so
@@ -135,7 +144,7 @@ def _search_automorphisms(g: ColoredDigraph, *, respect_colors: bool,
     if n > DEFAULT_VERTEX_CAP:
         raise SizeCapError(
             f"automorphism search capped at {DEFAULT_VERTEX_CAP} vertices, got {n}")
-    cells = _refine(g, [respect_colors and not g.u_mask >> v & 1 for v in range(n)], stats)
+    cells = _refine(g, cells, stats)
     by_cell: dict[int, list[int]] = {}
     for v, c in enumerate(cells):
         by_cell.setdefault(c, []).append(v)
@@ -208,7 +217,7 @@ def _search_automorphisms(g: ColoredDigraph, *, respect_colors: bool,
 
     stats.base_length = max((i + 1 for i, size in enumerate(lengths) if size > 1), default=0)
     stats.orbit_lengths = tuple(lengths[:stats.base_length])
-    return PermGroup._from_ranks(g.sorted_vertices, strong, math.prod(lengths))
+    return strong, math.prod(lengths)
 
 
 def aut_color_preserving(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
@@ -217,7 +226,8 @@ def aut_color_preserving(g: ColoredDigraph, stats: SearchStats | None = None) ->
     When ``stats`` is given, the search adds its counts to it and sets the
     base and orbit fields.
     """
-    return _search_automorphisms(g, respect_colors=True, stats=stats or SearchStats())
+    return PermGroup._from_ranks(
+        g.sorted_vertices, *_search_automorphisms(g, _color_cells(g), stats or SearchStats()))
 
 
 def aut_full(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
@@ -235,7 +245,8 @@ def aut_full(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
     When ``stats`` is given, the search adds its counts to it and sets the
     base and orbit fields.
     """
-    return _search_automorphisms(g, respect_colors=False, stats=stats or SearchStats())
+    return PermGroup._from_ranks(
+        g.sorted_vertices, *_search_automorphisms(g, [0] * g.n_vertices, stats or SearchStats()))
 
 
 def canonical_gamma(g: ColoredDigraph) -> PermGroup:

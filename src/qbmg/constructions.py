@@ -99,12 +99,6 @@ class BijectionTable:
     def inverse(self) -> "BijectionTable":
         return BijectionTable(tuple((b, a) for a, b in self.pairs))
 
-    def then(self, outer: "BijectionTable") -> "BijectionTable":
-        """Composite outer . self; requires image(self) == domain(outer)."""
-        if self.image != outer.domain:
-            raise QbmgError("tables do not compose: inner image differs from outer domain")
-        return BijectionTable(tuple((a, outer(b)) for a, b in self.pairs))
-
     def as_dict(self) -> dict[str, str]:
         return dict(self._map)
 

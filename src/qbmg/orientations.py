@@ -5,7 +5,13 @@ other edges unchanged. Symmetric pair k is (a, b), a's token before b's,
 pairs in token order; flip mask bit k set reverses pair k to run b -> a, and
 orientation #N is the one with flip mask N - 1. The UW-orientation keeps the
 direction running from color class U to color class W; it never loses a
-color-preserving automorphism, though it can gain some.
+color-preserving automorphism, though it can gain some. Whether it gains
+some is read off its own equitable refinement (McKay and Piperno, "Practical
+graph isomorphism, II", 2014) where it can be: every automorphism of the
+UW-orientation o maps each refined cell of o onto itself, so when no U->W
+edge of a symmetric pair shares its pair of cells with a one-way U->W edge,
+it maps the symmetric pairs onto themselves and is an automorphism of the
+graph too. Only otherwise is o's group searched, from those cells.
 
 ``check_orientation_theorems`` tests the group identity together with
 membership and acyclicity of every orientation when the symmetric edges form
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 from .axioms import is_2qbmg, is_thin, satisfies_star
-from .autgroup import aut_color_preserving
+from .autgroup import SearchStats, _color_cells, _refine, _search_automorphisms
 from .digraph import ColoredDigraph, bits, low_bit, symmetric_pairs
 from .errors import QbmgError, SizeCapError
 from .perms import PermGroup, _schreier_sims, _sift
@@ -298,7 +304,12 @@ def check_orientation_theorems(g: ColoredDigraph, aut_g: PermGroup) -> Orientati
         decide it. The reverse containment can genuinely fail: dropping the
         back-edges can make previously distinguishable vertices
         interchangeable. The smallest example is 1->{2,3} with 2->1, where
-        the orientation gains (2 3).
+        the orientation gains (2 3). The orientation's color classes are
+        refined first. When the cell pairs of its U->W edges that come from
+        symmetric pairs are disjoint from those of its one-way U->W edges,
+        every automorphism of the orientation keeps the symmetric pairs, so
+        the two groups are equal and no search runs; otherwise the
+        orientation's group is searched from the refined cells.
 
     A failure of (a), or of the acyclicity checks, indicates a bug in this
     package rather than a property of the input.
@@ -327,12 +338,12 @@ def check_orientation_theorems(g: ColoredDigraph, aut_g: PermGroup) -> Orientati
                 break
 
     # Without symmetric edges the UW-orientation is g itself.
-    aut_o = aut_color_preserving(uw_orientation(g)) if pairs else aut_g
-    preserved = aut_g.order == aut_o.order
+    order_o = _uw_order(g, aut_g) if pairs else aut_g.order
+    preserved = aut_g.order == order_o
     if not preserved:
         violations.append(
             f"UW-orientation changes the color-preserving group: "
-            f"{aut_g.order} vs {aut_o.order}")
+            f"{aut_g.order} vs {order_o}")
     return OrientationReport(
         star_holds=star,
         thin=thin,
@@ -344,3 +355,30 @@ def check_orientation_theorems(g: ColoredDigraph, aut_g: PermGroup) -> Orientati
         group_order=aut_g.order,
         violations=tuple(violations),
     )
+
+
+def _uw_order(g: ColoredDigraph, aut_g: PermGroup) -> int:
+    """The order of the color-preserving group of g's UW-orientation."""
+    o = uw_orientation(g)
+    stats = SearchStats()
+    cells = _refine(o, _color_cells(o), stats)
+    if _cells_keep_symmetric_pairs(g, cells):
+        return aut_g.order
+    return _search_automorphisms(o, cells, stats)[1]
+
+
+def _cells_keep_symmetric_pairs(g: ColoredDigraph, cells: list[int]) -> bool:
+    """Whether the cells tell the U->W edges of symmetric pairs from the one-way ones.
+
+    ``cells`` is an equitable refinement of the UW-orientation's color
+    classes, whose U->W edges are g's. Each automorphism of the orientation
+    fixes every cell, so it maps a U->W edge to one with the same pair of
+    cells; when no pair of cells holds edges of both kinds, it maps the
+    symmetric pairs onto themselves, and so g onto g.
+    """
+    symmetric, one_way = set(), set()
+    for a in bits(g.u_mask):
+        back = g.in_masks[a]
+        for b in bits(g.out_masks[a]):
+            (symmetric if back >> b & 1 else one_way).add((cells[a], cells[b]))
+    return symmetric.isdisjoint(one_way)

@@ -213,7 +213,7 @@ def _orientations(f: GraphFacts) -> Outcome:
     report = check_orientation_theorems(f.g, f.aut_i)
     detail = "; ".join(report.violations)
     acyclic_ok = report.all_orientations_acyclic in (True, None)
-    if not acyclic_ok:
+    if not acyclic_ok and report.thin:
         detail = (detail + "; " if detail else "") + "an orientation of a thin graph has a cycle"
     return report.ok and acyclic_ok, detail
 

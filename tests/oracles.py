@@ -36,6 +36,18 @@ def brute_force_full(g: ColoredDigraph) -> set[Permutation]:
     return found
 
 
+def compose(*maps: dict[str, str]) -> dict[str, str]:
+    """The composite of bijections given as dicts, the first applied first.
+
+    Each map's image must be the next map's domain.
+    """
+    out = dict(maps[0])
+    for outer in maps[1:]:
+        assert set(out.values()) == set(outer), "maps do not compose"
+        out = {a: outer[b] for a, b in out.items()}
+    return out
+
+
 def enumerate_bipartite_digraphs(r: int, s: int):
     """Yield every bipartite digraph on fixed classes 1..r and r+1..r+s."""
     u = tuple(str(i) for i in range(1, r + 1))

@@ -24,10 +24,12 @@ from qbmg import (
     topological_order,
     uw_orientation,
 )
+from qbmg import autgroup, orientations
 from qbmg.cli import main
 from qbmg.constructions import default_layered_spec
 
 from tests import refdata
+from tests.oracles import brute_force_color_preserving
 
 
 def test_uw_orientation_blowup_base():
@@ -368,3 +370,33 @@ def test_orientation_cap_counts_partial_images(tmp_path, capsys):
     assert code == 3
     assert "capped at 500000 partial images" in err
     assert elapsed < 15.0
+
+
+# -- the UW-orientation's group from its refinement ----------------------------
+
+
+def _certificate(g):
+    """Whether the UW-orientation's refined cells decide that it keeps g's group."""
+    o = uw_orientation(g)
+    return orientations._cells_keep_symmetric_pairs(
+        g, autgroup._refine(o, autgroup._color_cells(o), autgroup.SearchStats()))
+
+
+@given(shuffled_digraphs())
+def test_uw_certificate_is_sound_on_random_graphs(g):
+    # Members or not: the certificate is a statement about any bipartite digraph.
+    if _certificate(g):
+        assert brute_force_color_preserving(uw_orientation(g)) == brute_force_color_preserving(g)
+
+
+def test_uw_order_equals_a_search_on_the_orientation(enumerated_pool):
+    for g in enumerated_pool[::6]:
+        assert (orientations._uw_order(g, aut_color_preserving(g))
+                == aut_color_preserving(uw_orientation(g)).order)
+
+
+def test_uw_certificate_does_not_fire_on_the_smallest_gain():
+    g = ColoredDigraph(("1",), ("2", "3"), [("1", "2"), ("2", "1"), ("1", "3")])
+    assert not _certificate(g)
+    report = check_orientation_theorems(g, aut_color_preserving(g))
+    assert report.violations == ("UW-orientation changes the color-preserving group: 1 vs 2",)

@@ -20,7 +20,7 @@ from qbmg import (
     partition_quotient,
     verify,
 )
-from qbmg.constructions import default_layered_spec
+from qbmg.constructions import default_layered_spec, default_n2_trivial_tables, n2_trivial_layer
 from qbmg.verify import CHECK_NAMES, GraphFacts, graphs_match_up_to_rename, run_suite
 
 from tests import refdata
@@ -102,8 +102,21 @@ def test_each_group_is_built_once_per_graph(monkeypatch):
     counts = _count_group_calls(monkeypatch)
     results = run_suite(refdata.BLOWUP_TWICE)
     assert all(r.passed for r in results)
-    # The color-preserving group is built for g and for its UW-orientation.
-    assert counts == {"aut_color_preserving": 2, "aut_full": 1, "canonical_gamma": 1}
+    # The UW-orientation's refined cells keep its symmetric pairs, so its
+    # group is not searched: the color-preserving group is built for g only.
+    assert counts == {"aut_color_preserving": 1, "aut_full": 1, "canonical_gamma": 1}
+
+
+@pytest.mark.parametrize("g, searches", [
+    (refdata.BLOWUP_TWICE, 1),
+    # 1->{2,3} with 2->1: the orientation gains (2 3), which its cells
+    # cannot rule out, so its group is searched too.
+    (ColoredDigraph(("1",), ("2", "3"), [("1", "2"), ("2", "1"), ("1", "3")]), 2),
+])
+def test_uw_orientation_is_searched_only_when_its_cells_do_not_decide(monkeypatch, g, searches):
+    counts = _count_calls(monkeypatch, "qbmg.autgroup", ("_search_automorphisms",))
+    run_suite(g, checks=["orientation_theorems"])
+    assert counts == {"_search_automorphisms": searches}
 
 
 def test_group_is_reused_for_an_orientation_without_symmetric_edges(monkeypatch):
@@ -299,6 +312,14 @@ def test_orientation_theorems_report_a_cyclic_orientation(monkeypatch):
     g = layered(default_layered_spec(2, 1))
     assert _only(g, "orientation_theorems") == (
         False, "orientation #1 has a directed cycle; an orientation of a thin graph has a cycle")
+
+
+def test_orientation_theorems_name_no_thinness_on_a_non_thin_graph(monkeypatch):
+    # The diamond's two middles are equivalent, so it is not thin; only (*)
+    # asks for acyclic orientations, and only its violation is reported.
+    _orientations_have_cycles(monkeypatch)
+    g = n2_trivial_layer(1, *default_n2_trivial_tables(1))
+    assert _only(g, "orientation_theorems") == (False, "orientation #1 has a directed cycle")
 
 
 def test_orientation_theorems_report_a_cycle_without_star(monkeypatch):
