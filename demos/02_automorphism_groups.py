@@ -4,11 +4,15 @@ import math
 
 from qbmg import (
     ColoredDigraph,
+    SearchStats,
     aut_color_preserving,
     aut_full,
+    blow_up,
+    classical_quotient,
     layered,
     lifted_group,
     n2_trivial_layer,
+    random_layered_spec,
 )
 from qbmg.constructions import (
     BijectionTable,
@@ -64,3 +68,18 @@ m2 = ColoredDigraph(("u1", "u2"), ("w1", "w2"),
                     [("u1", "w1"), ("w1", "u1"), ("u2", "w2"), ("w2", "u2")])
 print(f"  two disjoint symmetric edges: |Aut_I| = {aut_color_preserving(m2).order}, "
       f"|Aut| = {aut_full(m2).order}")
+print()
+
+print("Twins are interchangeable, so the color-preserving group is the product")
+print("of the symmetric groups on the classes, extended by the group of the twin")
+print("quotient q; only q is searched. A twin for each of the 8 chains' first")
+print("vertices takes layered (s, m) = (4, 8) past 64 vertices:")
+spec = random_layered_spec(4, 8, 1)
+big = layered(spec)
+for k, u in enumerate(sorted(spec.u_class(1), key=int), 1):
+    big = blow_up(big, u, str(64 + k))
+stats = SearchStats()
+bgrp = aut_color_preserving(big, stats)
+print(f"  {big.n_vertices} vertices: order {bgrp.order} = 2^8 * 8! = {2**8 * math.factorial(8)}; "
+      f"the search ran on q's {classical_quotient(big).quotient.n_vertices} vertices "
+      f"in {stats.nodes} nodes")

@@ -24,7 +24,6 @@ from .autgroup import (
     aut_color_preserving,
     aut_full,
     canonical_gamma,
-    inherited_group,
     is_automorphism,
     is_normal,
 )

@@ -21,6 +21,16 @@ point to the first, one automorphism per new orbit point, so a group of any
 order costs a few leaves per level. The group itself is a stabilizer chain
 built from those generators (see ``perms``).
 
+The color-preserving group takes the paper's structure as its route: the
+product Gamma_I of the symmetric groups on the equivalence classes split by
+color is normal in Aut_I, with quotient Aut_w(q), the automorphisms of the
+twin quotient q that keep color and class size. So only q is searched,
+and the stats and the 64-vertex search cap count q (q is the graph itself
+when no two vertices of one color are twins); Gamma_I's chain is written
+down and the lifts of q's generators are adjoined to it. The graph itself
+is capped at 128 vertices, which bounds that chain. ``aut_full`` keeps the
+direct search.
+
 The automorphism test itself, ``is_automorphism``, lives in ``perms``; it is
 re-exported here under the same name.
 """
@@ -32,10 +42,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .digraph import ColoredDigraph, bits
-from .errors import PreconditionError, QbmgError, SizeCapError
-from .perms import PermGroup, Permutation, _orbit, is_automorphism
-from .quotients import class_masks, gamma_quotient
+from .digraph import ColoredDigraph, bits, low_bit
+from .errors import QbmgError, SizeCapError
+from .perms import PermGroup, _orbit, _symmetric_chain, is_automorphism
+from .quotients import class_masks
 
 __all__ = [
     "SearchStats",
@@ -44,10 +54,13 @@ __all__ = [
     "aut_full",
     "canonical_gamma",
     "is_normal",
-    "inherited_group",
 ]
 
 DEFAULT_VERTEX_CAP = 64
+# Any stabilizer chain on n points holds at most n(n+1)/2 rank tuples of
+# length n, and Gamma_I's written chain alone reaches n^3/4 on an edgeless
+# graph; 128 vertices keep that near a million ranks.
+DEFAULT_LIFT_CAP = 2 * DEFAULT_VERTEX_CAP
 
 
 # -- equitable refinement -----------------------------------------------------
@@ -58,13 +71,16 @@ def _refine(g: ColoredDigraph, cells: list[int], stats: SearchStats) -> list[int
 
     ``cells[v]`` is the cell id of rank v. Cell ids are assigned by sorting
     the signatures, so they are canonical for the graph and the initial
-    coloring. Each pass counts as one round.
+    coloring. A singleton cell cannot split, so its signature is the cell
+    alone: it is the only signature starting with that cell, so it sorts to
+    the same place. Each pass counts as one round.
     """
     n_cells = len(set(cells))
     while True:
         stats.refinement_rounds += 1
-        sigs = [(c, tuple(sorted(cells[x] for x in bits(o))),
-                 tuple(sorted(cells[x] for x in bits(i))))
+        size, cell = Counter(cells), cells.__getitem__
+        sigs = [(c,) if size[c] == 1 else
+                (c, tuple(sorted(map(cell, bits(o)))), tuple(sorted(map(cell, bits(i)))))
                 for c, o, i in zip(cells, g.out_masks, g.in_masks)]
         fresh = {s: k for k, s in enumerate(sorted(set(sigs)))}
         cells = [fresh[s] for s in sigs]
@@ -82,7 +98,10 @@ class SearchStats:
     a partial assignment that no candidate image extends. The base is the
     assignment order cut after its last point with an orbit longer than 1,
     and ``orbit_lengths`` are its fundamental orbit lengths, whose product is
-    the order. A refinement round is one pass of the equitable refinement.
+    the order of the group searched: on a graph with twins,
+    ``aut_color_preserving`` searches the twin quotient q, and the lengths
+    multiply to |Aut_w(q)|. A refinement round is one pass of the equitable
+    refinement.
     """
 
     nodes: int = 0
@@ -129,7 +148,8 @@ def _search_automorphisms(g: ColoredDigraph, cells: list[int],
     """Strong generators (rank tuples) and order of the automorphisms keeping each cell.
 
     ``cells[v]`` is the initial cell id of rank v; the search refines them
-    first, which costs one round when they are already equitable.
+    first, which costs one round when they are already equitable, and ends
+    there when every refined cell is a single vertex.
 
     Vertices are numbered by token rank, and the assignment order is the base
     v_0..v_{n-1}. Going from level n-1 down to 0, the generators S found so
@@ -145,6 +165,9 @@ def _search_automorphisms(g: ColoredDigraph, cells: list[int],
         raise SizeCapError(
             f"automorphism search capped at {DEFAULT_VERTEX_CAP} vertices, got {n}")
     cells = _refine(g, cells, stats)
+    if len(set(cells)) == n:
+        stats.base_length, stats.orbit_lengths = 0, ()
+        return [], 1
     by_cell: dict[int, list[int]] = {}
     for v, c in enumerate(cells):
         by_cell.setdefault(c, []).append(v)
@@ -223,11 +246,52 @@ def _search_automorphisms(g: ColoredDigraph, cells: list[int],
 def aut_color_preserving(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
     """The full group of color-preserving automorphisms.
 
+    With C the equivalence classes split by color, Gamma_I = prod Sym(C) is
+    normal in Aut_I and Aut_I / Gamma_I is Aut_w(q), the automorphisms of
+    the twin quotient q = g/C that keep color and class size. So only q is
+    searched; each strong generator of Aut_w(q) lifts to g by mapping the
+    members of class k, in rank order, to those of its image, and the lifts
+    are adjoined to Gamma_I's chain, which is written down, with the order
+    |Aut_w(q)| prod |C|!. When every class is a single vertex, q is g
+    itself, and g is searched from its color classes with no lift and no
+    written chain. Otherwise the split classes are ordered by least rank and
+    q's vertex k is named by class k's least token, so q is a copy of g when
+    its only twins are one isolated vertex of each color.
     When ``stats`` is given, the search adds its counts to it and sets the
-    base and orbit fields.
+    base and orbit fields, which describe Aut_w(q). q is capped at
+    ``DEFAULT_VERTEX_CAP`` vertices and g at ``DEFAULT_LIFT_CAP``.
     """
-    return PermGroup._from_ranks(
-        g.sorted_vertices, *_search_automorphisms(g, _color_cells(g), stats or SearchStats()))
+    n, u_mask = g.n_vertices, g.u_mask
+    if n > DEFAULT_LIFT_CAP:
+        raise SizeCapError(
+            f"color-preserving group capped at {DEFAULT_LIFT_CAP} vertices, got {n}")
+    classes = class_masks(g)
+    if len(classes) == n:  # g is thin: every class is one vertex, so q is g
+        return PermGroup._from_ranks(
+            g.sorted_vertices, *_search_automorphisms(g, _color_cells(g), stats or SearchStats()))
+    classes = sorted((part for m in classes for part in (m & u_mask, m & ~u_mask) if part),
+                     key=low_bit)
+    members = [list(bits(m)) for m in classes]
+    class_of = [0] * n
+    for k, xs in enumerate(members):
+        for a in xs:
+            class_of[a] = k
+    # Twins share their neighbors, so one member's out-mask gives its class's;
+    # the set keeps each neighboring class once.
+    q_out = [sum({1 << class_of[b] for b in bits(g.out_masks[xs[0]])}) for xs in members]
+    q_u = sum(1 << k for k, m in enumerate(classes) if m & u_mask)
+    q = ColoredDigraph._from_masks(tuple(g.sorted_vertices[xs[0]] for xs in members), q_u, q_out)
+    cells = [(0 if m & u_mask else n) + m.bit_count() for m in classes]  # (color, size)
+    strong, q_order = _search_automorphisms(q, cells, stats or SearchStats())
+    lifts = []
+    for x in strong:
+        image = [0] * n
+        for here, there in zip(members, map(members.__getitem__, x)):
+            for a, b in zip(here, there):
+                image[a] = b
+        lifts.append(tuple(image))
+    order = q_order * math.prod(math.factorial(len(xs)) for xs in members)
+    return PermGroup._from_ranks(g.sorted_vertices, lifts, order, _symmetric_chain(n, classes))
 
 
 def aut_full(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
@@ -252,23 +316,15 @@ def aut_full(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
 def canonical_gamma(g: ColoredDigraph) -> PermGroup:
     """The product of full symmetric groups, one per equivalence class.
 
-    Generated by the transpositions of token-adjacent members of each class;
-    the order is the product of the class factorials and the orbits are
-    exactly the classes. When isolated vertices of both colors share the
-    isolated class, some generators swap vertices across colors; they are
-    still automorphisms.
+    Its stabilizer chain is written down, not computed; the order is the
+    product of the class factorials and the orbits are exactly the classes.
+    When isolated vertices of both colors share the isolated class, some
+    elements swap vertices across colors; they are still automorphisms.
     """
-    dom = g.sorted_vertices
-    gens: list[tuple[int, ...]] = []
-    order = 1
-    for block in class_masks(g):
-        members = list(bits(block))
-        order *= math.factorial(len(members))
-        for a, b in zip(members, members[1:]):
-            swap = list(range(len(dom)))
-            swap[a], swap[b] = b, a
-            gens.append(tuple(swap))
-    return PermGroup._from_ranks(dom, gens, order)
+    masks = class_masks(g)
+    order = math.prod(math.factorial(m.bit_count()) for m in masks)
+    return PermGroup._from_ranks(g.sorted_vertices, (), order,
+                                 _symmetric_chain(g.n_vertices, masks))
 
 
 def is_normal(sub: PermGroup, grp: PermGroup) -> bool:
@@ -279,33 +335,3 @@ def is_normal(sub: PermGroup, grp: PermGroup) -> bool:
         raise QbmgError("claimed subgroup is not contained in the group")
     return all(a.compose(s).compose(a.inverse()) in sub
                for a in grp.generators for s in sub.generators)
-
-
-def inherited_group(g: ColoredDigraph, norm: PermGroup) -> PermGroup:
-    """The action of the color-preserving group on the orbits of a normal subgroup.
-
-    Returns a group of permutations of the quotient's vertices, generated by
-    the orbit images of Aut_I's generators, with order |Aut_I| / |norm|.
-    Each image is a color-preserving automorphism of the quotient: an element
-    of Aut_I maps the orbits of a normal subgroup onto orbits, edges to edges,
-    and each color class onto itself. Raises when norm is not normal in Aut_I,
-    or when some element outside norm fixes every orbit (then cosets do not
-    map to distinct quotient permutations and the advertised order is
-    impossible).
-    """
-    aut = aut_color_preserving(g)
-    if not is_normal(norm, aut):
-        raise PreconditionError("the given subgroup is not normal in the color-preserving group")
-    result = gamma_quotient(g, norm)
-    project = result.projection
-    q_dom = result.quotient.sorted_vertices
-    images = [Permutation.from_mapping({project[v]: project[a(v)] for v in a.domain}, q_dom)
-              for a in aut.generators]
-    induced = PermGroup.from_generators(images, q_dom)
-    expected = aut.order // norm.order
-    if induced.order != expected:
-        raise PreconditionError(
-            f"the orbit action has {induced.order} distinct permutations but "
-            f"|Aut_I|/|norm| = {expected}: some element outside the subgroup "
-            "fixes every orbit, so the inherited group is not faithful here")
-    return induced

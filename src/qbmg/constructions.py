@@ -27,6 +27,7 @@ of a diamond are twins, so no diamond graph is thin.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -300,15 +301,17 @@ def lift_permutation(spec: LayeredSpec, pi: Mapping[str, str]) -> Permutation:
 def lifted_group(spec: LayeredSpec) -> PermGroup:
     """Lifts of every permutation of U_1; order m!, orbits are the 2s classes.
 
-    Generated by the lifts of the m-1 adjacent transpositions of U_1; the
-    group is a stabilizer chain, so m is not bounded by the element cap.
+    Generated by the lifts of the m-1 adjacent transpositions of U_1, with
+    the known order m! ending Schreier-Sims; the group is a stabilizer
+    chain, so m is not bounded by the element cap.
     Its ``generators`` are the canonical list, not the transposition lifts.
     """
     threads = _threads(spec.f_diag, spec.g_step)
     u1 = [t[0] for t in threads]
     fixed = {v: v for v in u1}
-    gens = [_lift(threads, {**fixed, a: b, b: a}) for a, b in zip(u1, u1[1:])]
-    return PermGroup.from_generators(gens, spec.vertices)
+    gens = [_lift(threads, {**fixed, a: b, b: a}).ranks for a, b in zip(u1, u1[1:])]
+    return PermGroup._from_ranks(tuple(sorted(spec.vertices, key=token_key)), gens,
+                                 math.factorial(spec.m))
 
 
 # -- default class labels, with order-paired and seeded tables on them --------

@@ -250,13 +250,15 @@ class PermGroup:
 
     @classmethod
     def _from_ranks(cls, domain: tuple[str, ...], generators: Iterable[_Ranks],
-                    order: int | None = None) -> "PermGroup":
-        """The group generated by rank tuples over ``domain``.
+                    order: int | None = None, known=None) -> "PermGroup":
+        """The group generated by rank tuples over ``domain``, and by ``known``.
 
         ``order``, when the caller knows it, ends Schreier-Sims as soon as the
         chain reaches it: a chain whose orbits are all full is complete.
+        ``known`` is a complete chain of a subgroup, as ``_symmetric_chain``
+        writes it; Schreier-Sims starts from it.
         """
-        levels = _schreier_sims(len(domain), generators, order)
+        levels = _schreier_sims(len(domain), generators, order, known)
         index = rank_index(domain)
         gens = tuple(Permutation._trusted(domain, x, index) for x in canonical_generators(levels))
         return cls(domain, gens, levels)
@@ -334,7 +336,33 @@ def _orbit_masks(n: int, gens: list[_Ranks]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _schreier_sims(n: int, generators: Iterable[_Ranks], order: int | None = None):
+def _symmetric_chain(n: int, blocks: Iterable[int]):
+    """The complete chain, base 0..n-1, of the product of Sym(B) over disjoint rank masks B.
+
+    The pointwise stabilizer of 0..a-1 is the product of the symmetric groups
+    on the members of each block from a on, so level a of block B holds the
+    members b >= a of B, each reached by the transposition (a b), which is
+    its own inverse. The transpositions of consecutive members form a strong
+    generating set, each paired with its first moved point. Returns
+    ``(levels, strong)``.
+    """
+    ident = tuple(range(n))
+    levels = tuple({i: (ident, ident)} for i in range(n))
+    strong: list[tuple[_Ranks, int]] = []
+    for block in blocks:
+        members = list(bits(block))
+        for k, a in enumerate(members):
+            for b in members[k + 1:]:
+                swap = list(ident)
+                swap[a], swap[b] = b, a
+                levels[a][b] = (tuple(swap),) * 2
+            if k + 1 < len(members):
+                strong.append((levels[a][members[k + 1]][0], a))
+    return levels, strong
+
+
+def _schreier_sims(n: int, generators: Iterable[_Ranks], order: int | None = None,
+                   known=None):
     """The levels of a complete chain of <generators> with base 0..n-1.
 
     A generator that does not sift becomes a strong generator; one that fixes
@@ -345,11 +373,22 @@ def _schreier_sims(n: int, generators: Iterable[_Ranks], order: int | None = Non
     level's (orbit point, generator) pairs, so none is sifted twice. With
     ``order`` the scan ends once the orbit lengths multiply to it: every
     orbit is then full, so the chain is complete.
+
+    ``known`` is ``(levels, strong)``, a complete chain of a subgroup H with
+    its strong generators, each with its first moved point; it is the
+    starting chain (by default the trivial group's), extended in place.
+    Representatives are never replaced, so a Schreier generator of H's own
+    points and generators lies in H and still sifts: those pairs start out
+    tested (Leon, "Permutation group algorithms based on partitions, I",
+    1991).
     """
-    ident = tuple(range(n))
-    levels = tuple({i: (ident, ident)} for i in range(n))
-    strong: list[tuple[_Ranks, int]] = []
+    levels, strong = known or _symmetric_chain(n, ())
+    if known and math.prod(len(level) for level in levels) == order:
+        return levels
     tested: list[set[tuple[int, int]]] = [set() for _ in range(n)]
+    for k, (_, first) in enumerate(strong):
+        for j in range(first + 1):
+            tested[j].update((b, k) for b in levels[j])
 
     def adjoin(x: _Ranks, j: int) -> bool:
         strong.append((x, j))

@@ -264,3 +264,48 @@ def assert_as_if_validated(h: ColoredDigraph) -> None:
     assert len(h.in_masks) == len(h.out_masks) == n
     assert all((h.in_masks[b] >> a & 1) == (h.out_masks[a] >> b & 1)
                for a, b in product(range(n), repeat=2))
+
+
+def refine_every_vertex(g: ColoredDigraph, cells: list[int]) -> tuple[list[int], int]:
+    """Equitable refinement with a signature for every vertex, singletons included.
+
+    Splits cells on (cell, sorted out-neighbor cells, sorted in-neighbor
+    cells) until the number of cells stops growing; returns the cells and
+    the number of rounds.
+    """
+    n_cells, rounds = len(set(cells)), 0
+    while True:
+        rounds += 1
+        sigs = [(cells[v], tuple(sorted(cells[x] for x in range(g.n_vertices)
+                                        if g.out_masks[v] >> x & 1)),
+                 tuple(sorted(cells[x] for x in range(g.n_vertices) if g.in_masks[v] >> x & 1)))
+                for v in range(g.n_vertices)]
+        fresh = {s: k for k, s in enumerate(sorted(set(sigs)))}
+        cells = [fresh[s] for s in sigs]
+        if len(fresh) == n_cells:
+            return cells, rounds
+        n_cells = len(fresh)
+
+
+def brute_force_twin_quotient_order(g: ColoredDigraph) -> int:
+    """|Aut_w(q)| for q = g / (equivalence classes split by color), by brute force.
+
+    q has one vertex per class and an edge wherever g has one between the
+    classes; every color-preserving bijection of the classes that keeps
+    class sizes is filtered by edge preservation.
+    """
+    blocks = [part for b in equivalence_blocks(g) for part in (b & g.color_u, b & g.color_w)
+              if part]
+    block_of = {v: k for k, b in enumerate(blocks) for v in b}
+    edges = {(block_of[t], block_of[h]) for t, h in g.edges}
+    us = [k for k, b in enumerate(blocks) if b <= g.color_u]
+    ws = [k for k, b in enumerate(blocks) if b <= g.color_w]
+    count = 0
+    for pu in permutations(us):
+        for pw in permutations(ws):
+            m = dict(zip(us, pu))
+            m.update(zip(ws, pw))
+            if (all(len(blocks[k]) == len(blocks[m[k]]) for k in m)
+                    and all((m[t], m[h]) in edges for t, h in edges)):
+                count += 1
+    return count

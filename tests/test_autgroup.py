@@ -1,8 +1,10 @@
-"""Group search, canonical product group, normality, inherited actions."""
+"""Group search, the twin-quotient route, canonical product group, normality."""
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup as SympyGroup
 
@@ -10,7 +12,6 @@ from qbmg import (
     ColoredDigraph,
     Permutation,
     Partition,
-    PreconditionError,
     QbmgError,
     SearchStats,
     SizeCapError,
@@ -18,24 +19,29 @@ from qbmg import (
     aut_full,
     blow_up,
     canonical_gamma,
+    classical_quotient,
     equivalence_classes,
-    inherited_group,
     is_automorphism,
     is_normal,
     layered,
     lift_permutation,
     lifted_group,
     random_layered_spec,
+    uw_orientation,
 )
+from qbmg.autgroup import _color_cells, _refine, _search_automorphisms
 from qbmg.errors import NotAutomorphismError
 from qbmg.perms import PermGroup
+from qbmg.quotients import class_masks
 from qbmg.verify import GraphFacts, run_suite
 
 from tests import refdata
 from tests.oracles import (
     brute_force_color_preserving,
     brute_force_full,
+    brute_force_twin_quotient_order,
     networkx_color_preserving,
+    refine_every_vertex,
 )
 
 
@@ -217,10 +223,31 @@ def test_aut_blow_up_matches_sympy(s, m, seed):
     _sifts_both_ways(grp, oracle, gens)
 
 
+def _symmetric_matching(k):
+    # k disjoint symmetric edges i <-> k+i: thin, so q is g itself.
+    u = [str(i) for i in range(1, k + 1)]
+    w = [str(k + i) for i in range(1, k + 1)]
+    return ColoredDigraph(u, w, [e for a, b in zip(u, w) for e in ((a, b), (b, a))])
+
+
 def test_aut_cap():
+    with pytest.raises(SizeCapError, match="capped at 64 vertices, got 66"):
+        aut_color_preserving(_symmetric_matching(33))
+
+
+def test_aut_edgeless_125_vertices_searches_only_its_quotient():
+    # Two classes, one per color: q has two vertices of different colors.
     big = ColoredDigraph([str(i) for i in range(1, 60)],
                          [str(i) for i in range(60, 126)], [])
-    with pytest.raises(SizeCapError):
+    stats = SearchStats()
+    assert aut_color_preserving(big, stats).order == math.factorial(59) * math.factorial(66)
+    assert (stats.nodes, stats.base_length) == (0, 0)
+
+
+def test_aut_lift_cap():
+    # q has two vertices, but g's own chain is bounded too.
+    big = ColoredDigraph([str(i) for i in range(1, 65)], [str(i) for i in range(65, 130)], [])
+    with pytest.raises(SizeCapError, match="capped at 128 vertices, got 129"):
         aut_color_preserving(big)
 
 
@@ -340,42 +367,15 @@ def test_non_normal_subgroup_detected():
     assert not is_normal(sub, grp)
 
 
-def test_inherited_group_full_norm_is_trivial():
-    g = refdata.complete_symmetric(2, 3)
-    grp = inherited_group(g, aut_color_preserving(g))
-    assert grp.order == 1
-
-
-def test_inherited_group_trivial_norm_mirrors_aut():
-    g = refdata.QUOTIENT_CHAIN
-    grp = inherited_group(g, PermGroup.from_generators([], g.vertices))
-    assert grp.order == aut_color_preserving(g).order
-
-
-def test_inherited_group_canonical_gamma_on_k23():
-    g = refdata.complete_symmetric(2, 3)
-    grp = inherited_group(g, canonical_gamma(g))
-    assert grp.order == 1
-
-
-def test_inherited_group_blowup():
-    g = refdata.BLOWUP_TWICE
-    norm = canonical_gamma(g)
-    aut = aut_color_preserving(g)
-    grp = inherited_group(g, norm)
-    assert grp.order * norm.order == aut.order
-
-
-def test_inherited_group_detects_unfaithful_action():
-    # The full symmetric group on the three leaves with the alternating group
-    # as the normal subgroup: both cosets act identically on the single orbit.
-    g = ColoredDigraph(("c",), ("x", "y", "z"),
-                       [("c", "x"), ("c", "y"), ("c", "z")])
-    rot = Permutation.from_mapping({"x": "y", "y": "z", "z": "x"}, g.vertices)
-    alternating = PermGroup.from_generators([rot])
-    assert alternating.order == 3
-    with pytest.raises(PreconditionError, match="fixes every orbit"):
-        inherited_group(g, alternating)
+@pytest.mark.parametrize("g", [
+    refdata.complete_symmetric(2, 3), refdata.QUOTIENT_CHAIN, refdata.BLOWUP_TWICE,
+    refdata.STAR_PRODUCT,
+], ids=["k23", "quotient_chain", "blowup_twice", "star_product"])
+def test_aut_over_gamma_is_the_twin_quotient_group(g):
+    # |Aut_I| / |Gamma_I| = |Aut_w(q)|, q the quotient by the classes split
+    # by color, counted by brute force on q.
+    assert (aut_color_preserving(g).order
+            == brute_force_twin_quotient_order(g) * canonical_gamma(g).order)
 
 
 def _fixed_in_neighborhood(g) -> tuple[bool, str]:
@@ -436,3 +436,120 @@ def test_full_search_matches_brute_force_on_random_small():
     for _ in range(40):
         g = _random_bipartite(rng, rng.randint(1, 3), rng.randint(1, 3), 0.4)
         assert aut_full(g).elements == brute_force_full(g)
+
+
+# -- the twin-quotient route against the direct search --------------------------
+
+
+def _assert_routes_agree(g):
+    # Against Aut_I by searching every vertex of g. When the classes split by
+    # color are single vertices, q is g or a copy of it: the same search.
+    stats, direct_stats = SearchStats(), SearchStats()
+    grp = aut_color_preserving(g, stats)
+    direct = PermGroup._from_ranks(
+        g.sorted_vertices, *_search_automorphisms(g, _color_cells(g), direct_stats))
+    assert grp.order == direct.order
+    assert [p.ranks for p in grp.generators] == [p.ranks for p in direct.generators]
+    colors = (g.u_mask >> v & 1 for v in range(g.n_vertices))
+    if len(set(zip(g.out_masks, g.in_masks, colors))) == g.n_vertices:
+        assert stats == direct_stats
+
+
+def test_routes_agree_on_every_fixture(named_fixtures, family_instances):
+    for g in {**named_fixtures, **family_instances}.values():
+        _assert_routes_agree(g)
+
+
+def test_routes_agree_on_the_pool(enumerated_pool):
+    for g in enumerated_pool[::6]:
+        _assert_routes_agree(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_routes_agree_on_blown_up_members(enumerated_pool, data):
+    # A pool member (at most 3+3) with up to one new twin per color: at most 4+4.
+    g = data.draw(st.sampled_from(enumerated_pool))
+    for color, new in ((g.color_u, "u"), (g.color_w, "w")):
+        if color and data.draw(st.booleans()):
+            g = blow_up(g, data.draw(st.sampled_from(sorted(color))), new)
+    _assert_routes_agree(g)
+
+
+def test_one_isolated_vertex_per_color_searches_a_copy_of_g():
+    # 1 <-> 2 with 3 (U) and 4 (W) isolated: their class splits into single
+    # vertices, so q is a copy of g and the stats are those of the direct search.
+    g = ColoredDigraph(("1", "3"), ("2", "4"), [("1", "2"), ("2", "1")])
+    assert len(class_masks(g)) == 3
+    _assert_routes_agree(g)
+
+
+def test_complete_symmetric_k66_searches_its_two_vertex_quotient():
+    g = refdata.complete_symmetric(6, 6)
+    stats, q_stats = SearchStats(), SearchStats()
+    assert aut_color_preserving(g, stats).order == math.factorial(6) ** 2
+    q = classical_quotient(g).quotient
+    assert q.n_vertices == 2
+    aut_color_preserving(q, q_stats)
+    assert stats == q_stats
+
+
+def test_blow_up_past_64_vertices_matches_sympy():
+    # Layered (4, 8) has 64 vertices; a twin for each vertex of U_1 makes 72
+    # and m classes of size 2: order 2^m m!. The search runs on q's 64.
+    s, m = 4, 8
+    spec = random_layered_spec(s, m, 1)
+    u1 = sorted(spec.u_class(1), key=int)
+    twin = {u: str(2 * s * m + k) for k, u in enumerate(u1, 1)}
+    g = layered(spec)
+    for u in u1:
+        g = blow_up(g, u, twin[u])
+    assert g.n_vertices == 72
+    stats = SearchStats()
+    grp = aut_color_preserving(g, stats)
+    assert math.prod(stats.orbit_lengths) == math.factorial(m)
+    dom = grp.domain
+    gens = [Permutation.from_mapping({u: twin[u], twin[u]: u}, dom) for u in u1]
+    for p in _adjacent_lifts(spec, u1):
+        mapping = p.as_dict()
+        mapping.update((twin[u], twin[mapping[u]]) for u in u1)
+        gens.append(Permutation.from_mapping(mapping, dom))
+    oracle = _sympy_group(dom, gens)
+    assert grp.order == oracle.order() == 2 ** m * math.factorial(m)
+    _sifts_both_ways(grp, oracle, gens)
+
+
+# -- refinement against the oracle that signs every vertex ----------------------
+
+
+def _assert_refinement_matches_oracle(g, cells):
+    stats = SearchStats()
+    assert (_refine(g, cells, stats), stats.refinement_rounds) == refine_every_vertex(g, cells)
+
+
+def test_refinement_matches_the_oracle_on_the_pool(enumerated_pool):
+    for g in enumerated_pool[::6]:
+        o = uw_orientation(g)
+        for h, cells in ((g, _color_cells(g)), (g, [0] * g.n_vertices), (o, _color_cells(o))):
+            _assert_refinement_matches_oracle(h, cells)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_refinement_matches_the_oracle_on_random_graphs(r, s, data):
+    # Any bipartite digraph and any initial cells, not only color classes.
+    u = [str(i) for i in range(1, r + 1)]
+    w = [str(i) for i in range(r + 1, r + s + 1)]
+    pairs = [(a, b) for a in u for b in w] + [(b, a) for a in u for b in w]
+    g = ColoredDigraph(u, w, data.draw(st.sets(st.sampled_from(pairs))) if pairs else ())
+    n = g.n_vertices
+    _assert_refinement_matches_oracle(g, data.draw(st.lists(st.integers(0, 2), min_size=n,
+                                                            max_size=n)))
+
+
+def test_a_discrete_refinement_ends_the_search():
+    # 1->2, 2->3 with 4 isolated: refinement makes every cell a singleton.
+    g = ColoredDigraph(("1", "3"), ("2", "4"), [("1", "2"), ("2", "3")])
+    stats = SearchStats()
+    assert _search_automorphisms(g, _color_cells(g), stats) == ([], 1)
+    assert stats == SearchStats(refinement_rounds=stats.refinement_rounds)

@@ -141,13 +141,26 @@ def test_aut_full_k66(tmp_path, capsys):
 
 
 def test_aut_cap_exit_3(tmp_path, capsys):
-    lines = ["qbmg 1", "U: " + " ".join(str(i) for i in range(1, 41)),
-             "W: " + " ".join(str(i) for i in range(41, 81))]
+    # 33 disjoint symmetric edges: 66 vertices and thin, so the search runs
+    # on g itself (an edgeless graph would search only its 2-vertex quotient).
+    lines = ["qbmg 1", "U: " + " ".join(str(i) for i in range(1, 34)),
+             "W: " + " ".join(str(i) for i in range(34, 67))]
+    lines += [f"e {i} {i + 33}\ne {i + 33} {i}" for i in range(1, 34)]
     big = tmp_path / "big.qbmg"
     big.write_text("\n".join(lines) + "\n")
     code, _, err = run(capsys, "aut", str(big))
     assert code == 3
-    assert "capped" in err
+    assert "capped at 64 vertices, got 66" in err
+
+
+def test_aut_large_edgeless_exit_3(tmp_path, capsys):
+    # q has two vertices; g's own cap refuses it before any chain is written.
+    big = tmp_path / "edgeless.qbmg"
+    big.write_text("qbmg 1\nU: " + " ".join(str(i) for i in range(1, 1001))
+                   + "\nW: " + " ".join(str(i) for i in range(1001, 2001)) + "\n")
+    code, _, err = run(capsys, "aut", str(big))
+    assert code == 3
+    assert "capped at 128 vertices, got 2000" in err
 
 
 # -- quotient --------------------------------------------------------------------

@@ -345,6 +345,11 @@ def test_lifted_group_m1_trivial():
     assert lifted_group(random_layered_spec(2, 1, seed=1)).order == 1
 
 
+def test_lifted_group_past_the_search_cap():
+    # 120 vertices; the known order m! ends Schreier-Sims.
+    assert lifted_group(random_layered_spec(2, 30, 1)).order == math.factorial(30)
+
+
 def test_random_spec_is_seed_deterministic():
     a = random_layered_spec(3, 4, seed=42)
     b = random_layered_spec(3, 4, seed=42)
