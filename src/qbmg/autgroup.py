@@ -28,8 +28,8 @@ twin quotient q that keep color and class size. So only q is searched,
 and the stats and the 64-vertex search cap count q (q is the graph itself
 when no two vertices of one color are twins); Gamma_I's chain is written
 down and the lifts of q's generators are adjoined to it. The graph itself
-is capped at 128 vertices, which bounds that chain. ``aut_full`` keeps the
-direct search.
+is capped at 128 vertices, which bounds that chain and ``canonical_gamma``'s;
+both read ``class_masks``, one pass per graph. ``aut_full`` keeps the direct search.
 
 The automorphism test itself, ``is_automorphism``, lives in ``perms``; it is
 re-exported here under the same name.
@@ -42,10 +42,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .digraph import ColoredDigraph, bits, low_bit
+from .digraph import ColoredDigraph, bits, class_masks, low_bit
 from .errors import QbmgError, SizeCapError
 from .perms import PermGroup, _orbit, _symmetric_chain, is_automorphism
-from .quotients import class_masks
 
 __all__ = [
     "SearchStats",
@@ -59,8 +58,10 @@ __all__ = [
 DEFAULT_VERTEX_CAP = 64
 # Any stabilizer chain on n points holds at most n(n+1)/2 rank tuples of
 # length n, and Gamma_I's written chain alone reaches n^3/4 on an edgeless
-# graph; 128 vertices keep that near a million ranks.
+# graph; 128 vertices keep that near a million ranks. canonical_gamma's chain
+# may hold as many ranks as the edgeless 128-vertex graph's, C(128, 2) * 128.
 DEFAULT_LIFT_CAP = 2 * DEFAULT_VERTEX_CAP
+_GAMMA_RANK_CAP = math.comb(DEFAULT_LIFT_CAP, 2) * DEFAULT_LIFT_CAP
 
 
 # -- equitable refinement -----------------------------------------------------
@@ -320,8 +321,13 @@ def canonical_gamma(g: ColoredDigraph) -> PermGroup:
     product of the class factorials and the orbits are exactly the classes.
     When isolated vertices of both colors share the isolated class, some
     elements swap vertices across colors; they are still automorphisms.
+    A chain longer than the edgeless ``DEFAULT_LIFT_CAP``-vertex graph's is refused.
     """
     masks = class_masks(g)
+    ranks = sum(math.comb(m.bit_count(), 2) for m in masks) * g.n_vertices
+    if ranks > _GAMMA_RANK_CAP:
+        raise SizeCapError(
+            f"class product group capped at {_GAMMA_RANK_CAP} chain ranks, got {ranks}")
     order = math.prod(math.factorial(m.bit_count()) for m in masks)
     return PermGroup._from_ranks(g.sorted_vertices, (), order,
                                  _symmetric_chain(g.n_vertices, masks))

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .digraph import ColoredDigraph, bits, low_bit
+from .digraph import ColoredDigraph, bits, class_masks, low_bit
 from .errors import InternalCheckError
 
 __all__ = [
@@ -170,11 +170,11 @@ def satisfies_star(g: ColoredDigraph) -> Verdict:
 
 
 def is_thin(g: ColoredDigraph) -> bool:
-    """True when no two distinct vertices share both neighborhoods.
+    """True when every twin class is a single vertex: no two share both neighborhoods.
 
     Two isolated vertices already make a graph non-thin.
     """
-    return len(set(zip(g.out_masks, g.in_masks))) == g.n_vertices
+    return len(class_masks(g)) == g.n_vertices
 
 
 def _n1_trivial(g: ColoredDigraph) -> bool:

@@ -8,13 +8,13 @@ threads and to use as dict keys.
 A graph numbers its vertices once: a vertex's rank is its position in token
 order, and the rank index is shared with every graph and permutation over the
 same vertex set (``rank_index``). The graph is stored as ``int`` masks over the
-ranks and nothing else: the color class U and each vertex's out- and
-in-neighborhood. The token sets ``color_u``, ``color_w`` and ``edges`` are
-views derived from the masks. Since rank order is token order, the least set
-bit of a mask is its least token, and walking the masks emits the edges
-sorted. Outside input is validated once, by the token constructor or, for
-text, by ``parse_graph`` as it reads the lines; parsed and derived graphs are
-built from masks.
+ranks: the color class U and each vertex's out- and in-neighborhood, and, once
+``class_masks`` has read them, its twin classes. The token sets ``color_u``,
+``color_w`` and ``edges`` are views derived from the masks. Since rank order is
+token order, the least set bit of a mask is its least token, and walking the
+masks emits the edges sorted. Outside input is validated once, by the token
+constructor or, for text, by ``parse_graph`` as it reads the lines; parsed and
+derived graphs are built from masks.
 """
 
 from __future__ import annotations
@@ -90,10 +90,10 @@ class ColoredDigraph:
     and ``vertices`` are token views derived from the masks on each access.
 
     Only the token constructor validates. Parsed and derived graphs are built
-    from masks by ``_from_masks``; both end in the one setter, ``_set_masks``.
+    from masks by ``_from_masks``; both end in ``_set_masks``, which unsets the twin classes.
     """
 
-    __slots__ = ("sorted_vertices", "rank", "u_mask", "out_masks", "in_masks")
+    __slots__ = ("sorted_vertices", "rank", "u_mask", "out_masks", "in_masks", "_classes")
 
     def __init__(
         self,
@@ -143,6 +143,7 @@ class ColoredDigraph:
         self.u_mask = u_mask
         self.out_masks = tuple(out)
         self.in_masks = tuple(inn)
+        self._classes = None  # the twin classes, filled by ``class_masks``
 
     # -- token views ----------------------------------------------------------
 
@@ -236,6 +237,17 @@ class ColoredDigraph:
 def symmetric_pairs(g: ColoredDigraph) -> list[tuple[int, int]]:
     """The symmetric edges as rank pairs (a, b), a < b, in rank order."""
     return [(a, b) for a, o in enumerate(g.out_masks) for b in bits(o & g.in_masks[a]) if a < b]
+
+
+def class_masks(g: ColoredDigraph) -> tuple[int, ...]:
+    """The twin classes, vertices with the same out- and in-neighbors, as rank masks, least
+    rank first; all isolated vertices are one class. Computed once per graph, on first use."""
+    if g._classes is None:
+        groups: dict[tuple[int, int], int] = {}
+        for a, sig in enumerate(zip(g.out_masks, g.in_masks)):
+            groups[sig] = groups.get(sig, 0) | 1 << a
+        g._classes = tuple(groups.values())
+    return g._classes
 
 
 def symmetric_edges(g: ColoredDigraph) -> set[frozenset[str]]:

@@ -291,12 +291,12 @@ def check_orientation_theorems(g: ColoredDigraph, aut_g: PermGroup) -> Orientati
     (a) When symmetric edges form a matching, every orientation must again be
         a 2-qBMG, and must be acyclic with a topological order. Acyclicity is
         also required when the graph is thin, even without the matching
-        property; a failure there is reported but only counts as a violation
-        in the matching case. Both are tested on the least orientation of
-        each orbit of ``aut_g`` only, in flip-mask order, stopping at the
-        first failure; a violation names it as ``orientation #N``, N its
-        flip mask plus one, which is also the first failing orientation of
-        ``enumerate_orientations``.
+        property. Both are tested on the least orientation of each orbit of
+        ``aut_g`` only, in flip-mask order, stopping at the first failure; a
+        matching-case violation names it as ``orientation #N``, N its flip
+        mask plus one, which is also the first failing orientation of
+        ``enumerate_orientations``. A cycle on a thin graph is reported
+        last, after the UW verdict, without naming the orientation.
     (b) Always: the UW-orientation is checked for having exactly the same
         color-preserving automorphisms as the graph itself. Containment in
         one direction is guaranteed (an automorphism maps symmetric pairs to
@@ -344,6 +344,8 @@ def check_orientation_theorems(g: ColoredDigraph, aut_g: PermGroup) -> Orientati
         violations.append(
             f"UW-orientation changes the color-preserving group: "
             f"{aut_g.order} vs {order_o}")
+    if thin and all_acyclic is False:
+        violations.append("an orientation of a thin graph has a cycle")
     return OrientationReport(
         star_holds=star,
         thin=thin,

@@ -1,8 +1,9 @@
 """Vertex equivalence, quotient digraphs, and orbit-pair structure of thin graphs.
 
-Two vertices are equivalent when they have the same out-neighbors and the same
-in-neighbors. All isolated vertices therefore fall into one class, which may
-straddle the two colors; it is the only class allowed to do so.
+Two vertices are equivalent (twins) when they have the same out-neighbors and
+the same in-neighbors, and each graph keeps its classes (``class_masks``). All
+isolated vertices fall into one class, which may straddle the two colors; it
+is the only class allowed to do so.
 
 That waiver is stated once, in the block rule of ``partition_quotient``: a
 block may mix colors only when all its vertices are isolated. Orbit quotients
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .digraph import ColoredDigraph, bits, low_bit, rank_index, token_key
+from .digraph import ColoredDigraph, bits, class_masks, low_bit, rank_index, token_key
 from .errors import GraphFormatError, NotAutomorphismError, PartitionError, PreconditionError
 from .perms import PermGroup, is_automorphism
 
@@ -87,14 +88,6 @@ class QuotientResult:
 
     quotient: ColoredDigraph
     projection: dict[str, str]
-
-
-def class_masks(g: ColoredDigraph) -> tuple[int, ...]:
-    """The equivalence classes as rank masks, least rank first."""
-    groups: dict[tuple[int, int], int] = {}
-    for a, sig in enumerate(zip(g.out_masks, g.in_masks)):
-        groups[sig] = groups.get(sig, 0) | 1 << a
-    return tuple(groups.values())
 
 
 def equivalence_classes(g: ColoredDigraph) -> Partition:

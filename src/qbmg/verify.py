@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 
 from .axioms import is_2qbmg, is_thin
 from .autgroup import aut_color_preserving, aut_full, canonical_gamma, is_normal
-from .digraph import ColoredDigraph, bits, long_induced_path_or_cycle, low_bit
+from .digraph import ColoredDigraph, bits, class_masks, long_induced_path_or_cycle, low_bit
 from .errors import PreconditionError, QbmgError
 from .orientations import check_orientation_theorems
 from .perms import PermGroup, _orbit_masks
@@ -23,7 +23,6 @@ from .quotients import (
     QuotientResult,
     _orbit_pair_shapes,
     _quotient,
-    class_masks,
     classical_quotient,
     gamma_quotient,
 )
@@ -56,20 +55,12 @@ def graphs_match_up_to_rename(a: ColoredDigraph, b: ColoredDigraph,
 
 
 class GraphFacts:
-    """The inputs the checks share for one graph, each computed at most once, on first use:
-    thinness, the class masks, the classical quotient, the three groups (each keeps its
-    orbit masks) and the quotient by the class product group, read by two checks."""
+    """The groups and quotients the checks share for one graph, each built at most once, on
+    first use: the classical quotient, the three groups (each keeps its orbit masks) and the
+    quotient by the class product group. The graph itself keeps its twin classes."""
 
     def __init__(self, g: ColoredDigraph):
         self.g = g
-
-    @cached_property
-    def thin(self) -> bool:
-        return is_thin(self.g)
-
-    @cached_property
-    def classes(self) -> tuple[int, ...]:
-        return class_masks(self.g)
 
     @cached_property
     def classical(self) -> QuotientResult:
@@ -135,7 +126,7 @@ def _canonical_normal(f: GraphFacts) -> Outcome:
 
 
 def _canonical_orbits(f: GraphFacts) -> Outcome:
-    ok = f.gamma.orbit_masks() == f.classes
+    ok = f.gamma.orbit_masks() == class_masks(f.g)
     return ok, "" if ok else "orbits of the class product group differ from the classes"
 
 
@@ -181,7 +172,7 @@ def _common_out_neighbor(f: GraphFacts) -> Outcome:
 def _fixed_in_neighborhood(f: GraphFacts) -> Outcome:
     # The first failure names the least fixed vertex and its least moved
     # in-neighbor, in token order.
-    if not f.thin:
+    if not is_thin(f.g):
         return True, "skipped: not thin"
     vs, inn = f.g.sorted_vertices, f.g.in_masks
     for p in f.full.sorted_elements:
@@ -194,7 +185,7 @@ def _fixed_in_neighborhood(f: GraphFacts) -> Outcome:
 
 
 def _thin_orbit_pairs(f: GraphFacts) -> Outcome:
-    if not f.thin:
+    if not is_thin(f.g):
         return True, "skipped: not thin"
     try:
         # Membership and thinness are established, and Aut_I's generators are
@@ -211,11 +202,7 @@ def _thin_orbit_pairs(f: GraphFacts) -> Outcome:
 
 def _orientations(f: GraphFacts) -> Outcome:
     report = check_orientation_theorems(f.g, f.aut_i)
-    detail = "; ".join(report.violations)
-    acyclic_ok = report.all_orientations_acyclic in (True, None)
-    if not acyclic_ok and report.thin:
-        detail = (detail + "; " if detail else "") + "an orientation of a thin graph has a cycle"
-    return report.ok and acyclic_ok, detail
+    return report.ok, "; ".join(report.violations)
 
 
 # Membership runs first on every graph; the other checks presume it.

@@ -213,6 +213,24 @@ def equivalence_blocks(g: ColoredDigraph) -> tuple[frozenset[str], ...]:
     return tuple(frozenset(b) for b in groups.values())
 
 
+def brute_force_twin_classes(g: ColoredDigraph) -> list[frozenset[str]]:
+    """The twin classes by a pairwise test on the edge set, least token first.
+
+    u and v are twins when every vertex x has u->x iff v->x and x->u iff x->v.
+    """
+    vs, edges = sorted(g.vertices, key=token_key), g.edges
+
+    def twins(u: str, v: str) -> bool:
+        return all(((u, x) in edges) == ((v, x) in edges)
+                   and ((x, u) in edges) == ((x, v) in edges) for x in vs)
+
+    classes: list[frozenset[str]] = []
+    for v in vs:
+        if not any(v in c for c in classes):
+            classes.append(frozenset(u for u in vs if twins(u, v)))
+    return classes
+
+
 def orbit_blocks(grp) -> list[frozenset[str]]:
     """The orbits of grp's generators, closed on tokens, least token first."""
     left = set(grp.domain)

@@ -333,6 +333,24 @@ def test_canonical_gamma_order_is_product_of_factorials():
         assert canonical_gamma(g).order == expected
 
 
+def _edgeless(n):
+    return ColoredDigraph([str(i) for i in range(1, n // 2 + 1)],
+                          [str(i) for i in range(n // 2 + 1, n + 1)], [])
+
+
+def test_canonical_gamma_edgeless_125_vertices_writes_its_chain():
+    # One class of 125 isolated vertices: C(125, 2) * 125 = 968,750 ranks.
+    grp = canonical_gamma(_edgeless(125))
+    assert grp.order == math.factorial(125)
+    assert grp.orbit_masks() == ((1 << 125) - 1,)
+
+
+def test_canonical_gamma_chain_cap():
+    # C(129, 2) * 129 ranks, past the 128-vertex edgeless graph's C(128, 2) * 128.
+    with pytest.raises(SizeCapError, match="capped at 1040384 chain ranks, got 1065024"):
+        canonical_gamma(_edgeless(129))
+
+
 def test_canonical_gamma_normal_in_full():
     for g in (refdata.BLOWUP_ONCE, refdata.BLOWUP_TWICE,
               refdata.complete_symmetric(2, 2)):

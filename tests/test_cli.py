@@ -165,6 +165,16 @@ def test_aut_large_edgeless_exit_3(tmp_path, capsys):
 
 # -- quotient --------------------------------------------------------------------
 
+def test_quotient_canonical_gamma_large_edgeless_exit_3(tmp_path, capsys):
+    # One class of 160 isolated vertices: Gamma's chain would hold 2,035,200 ranks.
+    big = tmp_path / "edgeless.qbmg"
+    big.write_text("qbmg 1\nU: " + " ".join(str(i) for i in range(1, 81))
+                   + "\nW: " + " ".join(str(i) for i in range(81, 161)) + "\n")
+    code, _, err = run(capsys, "quotient", "--canonical-gamma", str(big))
+    assert code == 3
+    assert "capped at 1040384 chain ranks, got 2035200" in err
+
+
 def test_quotient_classical_on_blowup(capsys):
     code, out, _ = run(capsys, "quotient", "--classical", str(CORPUS / "blowup_once.qbmg"))
     assert code == 0

@@ -1,17 +1,24 @@
 """Core graph type, neighborhood queries, and the text format."""
 
 import re
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import qbmg.digraph
 from qbmg import (
     ColoredDigraph,
     GraphFormatError,
     QbmgError,
     UnknownVertexError,
+    aut_color_preserving,
+    canonical_gamma,
+    classical_quotient,
+    equivalence_classes,
     format_graph,
+    is_thin,
     long_induced_path_or_cycle,
     parse_graph,
     symmetric_edges,
@@ -19,6 +26,7 @@ from qbmg import (
     token_key,
     underlying_undirected,
 )
+from qbmg.digraph import class_masks
 from qbmg.errors import SizeCapError
 
 from tests import oracles, refdata
@@ -255,3 +263,67 @@ def test_derived_graphs_equal_their_validated_rebuild(corpus):
             oracles.assert_as_if_validated(h)
             count += 1
     assert count > len(corpus) * 4
+
+
+# -- the twin classes: one fact of the graph, computed once ----------------------
+
+
+def record_class_masks(monkeypatch) -> tuple[list[ColoredDigraph], list[tuple[int, ...]]]:
+    """From now on: the graphs whose twin classes are computed, in order, and every tuple
+    ``class_masks`` returns, through every qbmg module that binds it."""
+    filled: list[ColoredDigraph] = []
+    returned: list[tuple[int, ...]] = []
+    orig = qbmg.digraph.class_masks
+
+    def recorded(g):
+        if g._classes is None:
+            filled.append(g)
+        returned.append(orig(g))
+        return returned[-1]
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("qbmg") and vars(mod).get("class_masks") is orig:
+            monkeypatch.setattr(mod, "class_masks", recorded)
+    return filled, returned
+
+
+def assert_twins_match_the_oracle(g: ColoredDigraph) -> None:
+    classes = oracles.brute_force_twin_classes(g)
+    assert [frozenset(g.tokens(m)) for m in class_masks(g)] == classes
+    assert is_thin(g) == (len(classes) == g.n_vertices)
+
+
+def test_twin_classes_match_the_pairwise_oracle_on_the_pool(enumerated_pool):
+    for g in enumerated_pool:
+        assert_twins_match_the_oracle(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabeled_digraphs(side=4, late=True))
+def test_twin_classes_match_the_pairwise_oracle_on_random_graphs(g):
+    assert_twins_match_the_oracle(g)
+
+
+def test_derived_graphs_compute_their_own_twin_classes(corpus):
+    # Every derived graph starts without classes, even when g's are known,
+    # and computes its own: an orientation or a quotient has other twins.
+    for g in corpus.values():
+        class_masks(g)
+        derived = [*oracles.derived_graphs(g, max_orientations=4),
+                   g.induced_subgraph(g.vertices)]
+        if g.n_vertices > 1:
+            derived.append(g.induced_subgraph(g.sorted_vertices[1:]))
+        for h in derived:
+            assert h._classes is None
+            assert_twins_match_the_oracle(h)
+
+
+def test_quotients_gamma_and_aut_i_read_one_tuple(monkeypatch):
+    g = refdata.complete_symmetric(2, 3)
+    filled, returned = record_class_masks(monkeypatch)
+    for read in (classical_quotient, canonical_gamma, aut_color_preserving,
+                 equivalence_classes, is_thin):
+        read(g)
+    assert filled == [g]
+    assert len(returned) == 5 and all(classes is g._classes for classes in returned)
+    assert [g.tokens(m) for m in g._classes] == [["1", "2"], ["3", "4", "5"]]

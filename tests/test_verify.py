@@ -15,8 +15,10 @@ from qbmg import (
     PermGroup,
     Permutation,
     QbmgError,
+    classical_quotient,
     layered,
     orientations,
+    parse_graph,
     partition_quotient,
     verify,
 )
@@ -24,6 +26,7 @@ from qbmg.constructions import default_layered_spec, default_n2_trivial_tables, 
 from qbmg.verify import CHECK_NAMES, GraphFacts, graphs_match_up_to_rename, run_suite
 
 from tests import refdata
+from tests.test_digraph import record_class_masks
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -125,6 +128,18 @@ def test_group_is_reused_for_an_orientation_without_symmetric_edges(monkeypatch)
     assert all(r.passed for r in results)
     # No symmetric edges: the UW-orientation is g, so g's group is not searched again.
     assert counts == {"aut_color_preserving": 1, "aut_full": 1, "canonical_gamma": 1}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "fixtures" / "corpus").glob("*.qbmg")),
+                         ids=lambda p: p.stem)
+def test_suite_computes_the_twin_classes_once_per_graph(monkeypatch, path):
+    # One pass for g, read by thinness, both quotients, Gamma and Aut_I, and
+    # one for its classical quotient, which classical_idempotent re-tests.
+    g = parse_graph(path.read_text())
+    filled, _ = record_class_masks(monkeypatch)
+    assert all(r.passed for r in run_suite(g))
+    assert len(filled) == 2 and filled[0] is g
+    assert filled[1] == classical_quotient(g).quotient
 
 
 def test_thin_orbit_pairs_builds_only_the_groups_it_reads(monkeypatch):
@@ -324,7 +339,7 @@ def test_orientation_theorems_name_no_thinness_on_a_non_thin_graph(monkeypatch):
 
 def test_orientation_theorems_report_a_cycle_without_star(monkeypatch):
     # Without (*) only thinness asks for acyclic orientations, and no
-    # violation names the orientation; only the suite's own detail remains.
+    # violation names the orientation; only the thin-graph violation remains.
     _orientations_have_cycles(monkeypatch)
     monkeypatch.setattr(orientations, "satisfies_star", lambda g: False)
     g = layered(default_layered_spec(2, 1))
@@ -336,12 +351,12 @@ def test_orientation_theorems_report_a_cycle_without_star(monkeypatch):
 # detail must name the least fixed vertex and its least moved in-neighbor
 # whatever the hash seed, which orders the sets a token-set scan reads.
 _PLANTED_FAILURE = """
-from qbmg import ColoredDigraph, PermGroup, Permutation
+from qbmg import ColoredDigraph, PermGroup, Permutation, is_thin
 from qbmg.verify import CHECKS, GraphFacts
 g = ColoredDigraph("abef", "cdxy", [("c", "a"), ("d", "b"), ("x", "a"), ("y", "b"),
                                     ("e", "x"), ("f", "c"), ("e", "d"), ("f", "y")])
 facts = GraphFacts(g)
-assert facts.thin
+assert is_thin(g)
 swap = Permutation.from_mapping({"c": "d", "d": "c", "x": "y", "y": "x"}, g.vertices)
 facts.full = PermGroup.from_generators([swap])
 print(CHECKS["fixed_vertex_in_neighborhood"](facts))
