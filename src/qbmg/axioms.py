@@ -26,8 +26,11 @@ out(u). A union has a bit exactly when some term of the scan over v, then w,
 then t does, so the first failing u is the one the scan would find. The
 witness is then read off at that u alone, least bit first: the scan's tuple.
 
-N3 and N3* stay scans over pairs u < v: each pair costs two mask tests, and
-building co to skip the pairs without a common out-neighbor costs more.
+N3 and N3* only constrain pairs with a common out-neighbor, so they visit
+the pairs u < v with v in co[u], least v first: the scan over all pairs less
+the pairs that cannot fail, so the first witness is the scan's. Two such
+vertices are in-neighbors of one vertex, hence of one color, and N3* needs no
+color test.
 
 Quantification note: in a bipartite digraph the only possible coincidences in
 the N2 walk are u = w and v = t, and both make the chord an edge of the walk
@@ -125,12 +128,14 @@ def check_n3(g: ColoredDigraph) -> Verdict:
     Witness: first pair (u, v) with overlapping, incomparable out-sets.
     """
     vs, out = g.sorted_vertices, g.out_masks
-    for u, out_u in enumerate(out):
-        if not out_u:
-            continue
-        for v in range(u + 1, len(vs)):
+    for u, (out_u, co_u) in enumerate(zip(out, _joins(out, g.in_masks))):
+        pairs = co_u & -(2 << u)  # the v > u sharing an out-neighbor with u
+        while pairs:  # ``bits`` inlined: this runs once per such pair
+            low = pairs & -pairs
+            pairs ^= low
+            v = low.bit_length() - 1
             common = out_u & out[v]
-            if common and common not in (out_u, out[v]):
+            if common != out_u and common != out[v]:
                 return Verdict(False, (vs[u], vs[v]))
     return _TRUE
 
@@ -141,19 +146,19 @@ def check_n3star(g: ColoredDigraph) -> Verdict:
     For such u, v: equal in-neighborhoods and nested out-neighborhoods.
     Witness: first violating pair (u, v).
     """
-    vs, out, inn, u_mask = g.sorted_vertices, g.out_masks, g.in_masks, g.u_mask
-    for u, out_u in enumerate(out):
-        if not out_u:
-            continue
-        in_u, u_color = inn[u], u_mask >> u & 1
-        for v in range(u + 1, len(vs)):
+    vs, out, inn = g.sorted_vertices, g.out_masks, g.in_masks
+    for u, (out_u, co_u) in enumerate(zip(out, _joins(out, inn))):
+        in_u = inn[u]
+        pairs = co_u & -(2 << u)  # the v > u sharing an out-neighbor with u
+        while pairs:  # ``bits`` inlined: this runs once per such pair
+            low = pairs & -pairs
+            pairs ^= low
+            v = low.bit_length() - 1
             out_v, in_v = out[v], inn[v]
-            common = out_u & out_v
-            if (u_mask >> v & 1) != u_color or not common:
-                continue
             if (out_u & in_v) or (out_v & in_u):
                 continue
-            if in_u != in_v or common not in (out_u, out_v):
+            common = out_u & out_v
+            if in_u != in_v or (common != out_u and common != out_v):
                 return Verdict(False, (vs[u], vs[v]))
     return _TRUE
 

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import __version__
@@ -50,8 +50,43 @@ def _load_graph(path: str):
     return parse_graph(_read_text(path))
 
 
+def _json(o, indent: str) -> str:
+    """``o`` as ``json.dumps(o, indent=2)`` writes it, nested at ``indent``.
+
+    Covers the types the commands emit: dict with str keys, list, tuple, str, int,
+    bool and None. Any other type, a float or a non-str key among them, raises
+    TypeError, so nothing can print differently.
+    """
+    if isinstance(o, str):
+        return _json_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        try:  # a list of strings in one join; ``_json_str`` rejects anything else
+            body = sep.join(map(_json_str, o))
+        except TypeError:
+            body = sep.join([_json(x, inner) for x in o])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        body = sep.join([f"{_json_str(k)}: {_json(v, inner)}" for k, v in o.items()])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    print(_json(doc, ""))
 
 
 def _verdict_doc(v) -> dict:

@@ -324,6 +324,31 @@ def long_induced_path_or_cycle(g: ColoredDigraph) -> list[str] | None:
 # '#' starts a comment; blank lines are ignored.
 
 
+def _edge_line_error(ln: int, body: str, raw: str, rank: dict[str, int],
+                     u_mask: int) -> GraphFormatError:
+    """The first fault of an edge line that ``parse_graph`` rejected, in the order keyword,
+    arity, undeclared vertex, loop, color; a line with none of these repeats an edge."""
+    parts = body.split()
+    if parts[0] != "e":
+        return GraphFormatError(f"expected edge line 'e <tail> <head>', got {body!r}", line=ln)
+    if len(parts) != 3:
+        column = _token_column(raw, 3) if len(parts) > 3 else None
+        return GraphFormatError(f"edge line needs exactly two endpoints, got {body!r}",
+                                line=ln, column=column)
+    tail, head = parts[1], parts[2]
+    for v in (tail, head):
+        if v not in rank:
+            return GraphFormatError(f"edge references undeclared vertex {v!r}", line=ln,
+                                    column=_token_column(raw, parts.index(v, 1)))
+    if tail == head:
+        return GraphFormatError(f"loop edge at {tail!r}", line=ln)
+    a, b = rank[tail], rank[head]
+    if (u_mask >> a & 1) == (u_mask >> b & 1):
+        return GraphFormatError(
+            f"edge ({tail!r}, {head!r}) joins two vertices of the same color", line=ln)
+    return GraphFormatError(f"duplicate edge ({tail!r}, {head!r})", line=ln)
+
+
 def parse_graph(text: str) -> ColoredDigraph:
     """Parse the qbmg text format; raise GraphFormatError with the offending line."""
     lines: list[tuple[int, str]] = []
@@ -371,26 +396,14 @@ def parse_graph(text: str) -> ColoredDigraph:
     u_mask = sum(1 << rank[t] for t in u_tokens)
     out = [0] * len(vs)
     for ln, body in lines[idx:]:
-        parts = body.split()
-        if parts[0] != "e":
-            raise GraphFormatError(f"expected edge line 'e <tail> <head>', got {body!r}", line=ln)
-        if len(parts) != 3:
-            column = _token_column(raw_lines[ln - 1], 3) if len(parts) > 3 else None
-            raise GraphFormatError(f"edge line needs exactly two endpoints, got {body!r}",
-                                   line=ln, column=column)
-        tail, head = parts[1], parts[2]
-        for v in (tail, head):
-            if v not in rank:
-                raise GraphFormatError(f"edge references undeclared vertex {v!r}", line=ln,
-                                       column=_token_column(raw_lines[ln - 1], parts.index(v, 1)))
-        if tail == head:
-            raise GraphFormatError(f"loop edge at {tail!r}", line=ln)
-        a, b = rank[tail], rank[head]
-        if (u_mask >> a & 1) == (u_mask >> b & 1):
-            raise GraphFormatError(
-                f"edge ({tail!r}, {head!r}) joins two vertices of the same color", line=ln)
-        if out[a] >> b & 1:
-            raise GraphFormatError(f"duplicate edge ({tail!r}, {head!r})", line=ln)
+        try:
+            e, tail, head = body.split()
+            a, b = rank[tail], rank[head]
+        except (ValueError, KeyError):
+            raise _edge_line_error(ln, body, raw_lines[ln - 1], rank, u_mask) from None
+        # A loop joins two vertices of the same color, so one test covers it.
+        if e != "e" or not (u_mask >> a ^ u_mask >> b) & 1 or out[a] >> b & 1:
+            raise _edge_line_error(ln, body, raw_lines[ln - 1], rank, u_mask)
         out[a] |= 1 << b
 
     return ColoredDigraph._from_masks(vs, u_mask, out)

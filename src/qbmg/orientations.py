@@ -268,7 +268,6 @@ class OrientationReport:
     """Results of the orientation checks on a single 2-qBMG."""
 
     star_holds: bool
-    thin: bool
     orientations_checked: int  # orbit representatives built and tested
     orientations_total: int    # 2^s, s the number of symmetric edges
     all_orientations_are_2qbmg: bool | None  # None when (*) fails and the check is skipped
@@ -348,7 +347,6 @@ def check_orientation_theorems(g: ColoredDigraph, aut_g: PermGroup) -> Orientati
         violations.append("an orientation of a thin graph has a cycle")
     return OrientationReport(
         star_holds=star,
-        thin=thin,
         orientations_checked=checked,
         orientations_total=1 << len(pairs),
         all_orientations_are_2qbmg=all_member,

@@ -158,12 +158,13 @@ def _gamma_hereditary(f: GraphFacts) -> Outcome:
 def _common_out_neighbor(f: GraphFacts) -> Outcome:
     # Checked against the full group's orbits, which are coarser than the
     # color-preserving group's, so this covers both statements at once.
-    vs, out, inn = f.g.sorted_vertices, f.g.out_masks, f.g.in_masks
+    vs, out = f.g.sorted_vertices, f.g.out_masks
+    twins = {x: c for c in class_masks(f.g) for x in bits(c)}  # x's twin class
     for orbit in f.full.orbit_masks():
         members = list(bits(orbit))
         for i, x in enumerate(members):
             for y in members[i + 1:]:
-                if out[x] & out[y] and (out[x], inn[x]) != (out[y], inn[y]):
+                if out[x] & out[y] and not twins[x] >> y & 1:
                     return False, (f"orbit mates {vs[x]}, {vs[y]} share an out-neighbor but "
                                    "are not equivalent")
     return True, ""

@@ -102,12 +102,14 @@ def star_witness_violates(g: ColoredDigraph, witness: tuple[str, ...]) -> bool:
 # -- first witnesses: a scan over vertex tuples in token order -----------------
 
 
-def first_witnesses(g: ColoredDigraph) -> dict[str, tuple[str, ...] | None]:
-    """The first violating tuple of each axiom, or None, from the edge set alone.
+def first_witnesses(g: ColoredDigraph, names: tuple[str, ...] = (
+        "n1", "n2", "n3", "n3star", "star")) -> dict[str, tuple[str, ...] | None]:
+    """The first violating tuple of each axiom in ``names``, or None, from the edge set alone.
 
     Tuples are scanned in lexicographic order over the token-sorted vertices,
     so each entry is the lexicographically first witness: (u, v, w, t) for
-    N1 and N2, (u, v) for N3 and N3*, (v,) for the matching condition.
+    N1 and N2, (u, v) for N3 and N3*, (v,) for the matching condition. N1 and
+    N2 scan n^4 tuples, so large graphs ask for the others only.
     """
     vs = sorted(g.vertices, key=token_key)
     e = g.edges
@@ -144,8 +146,9 @@ def first_witnesses(g: ColoredDigraph) -> dict[str, tuple[str, ...] | None]:
     def star(v):
         return sum((v, x) in e and (x, v) in e for x in vs) >= 2
 
-    return {"n1": first(4, n1), "n2": first(4, n2), "n3": first(2, n3),
-            "n3star": first(2, n3star), "star": first(1, star)}
+    scans = {"n1": (4, n1), "n2": (4, n2), "n3": (2, n3), "n3star": (2, n3star),
+             "star": (1, star)}
+    return {name: first(*scans[name]) for name in names}
 
 
 def kahn_least_token(g: ColoredDigraph) -> tuple[str, ...] | None:

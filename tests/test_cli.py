@@ -4,9 +4,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbmg import ColoredDigraph, format_graph, parse_graph
-from qbmg.cli import main
+from qbmg.cli import _json, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CORPUS = FIXTURES / "corpus"
@@ -421,3 +423,41 @@ def test_verify_empty_theorem_name_exit_2(capsys, theorems):
     code, out, err = run(capsys, "verify", "--theorems", theorems, str(CORPUS / "empty.qbmg"))
     assert code == 2 and out == ""
     assert err.startswith("error: unknown checks: ['']; known: membership,")
+
+
+# -- the JSON writer -------------------------------------------------------------
+
+# Quotes, backslashes, control characters, non-ASCII and astral text.
+_TEXT = st.text(st.characters(codec="utf-8") | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'))
+_SCALARS = (_TEXT | st.integers() | st.integers(-10**60, 10**60) | st.booleans()
+            | st.none())
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(_TEXT, max_size=4)
+                   | st.tuples(inner, inner) | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCS)
+def test_json_writer_equals_json_dumps(doc):
+    assert _json(doc, "") == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], (), "", {"a": [], "b": {}, "c": ()}, ["x", "y"], [["1", "2"], [], ["3"]],
+    ["x", 1, None, True, False, ["y"]], {"order": 2**200, "neg": -(10**30)},
+    {"é\"\\\n\x01\u2028": "\U0001f600"},
+], ids=repr)
+def test_json_writer_equals_json_dumps_on_edge_cases(doc):
+    assert _json(doc, "") == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    1.5, {"a": 0.0}, ["x", 2.0], [1, [float("nan")]], {1, 2}, {"a": {"b"}}, {1: "a"},
+    {None: "a"}, b"bytes", ["x", b"y"],
+], ids=repr)
+def test_json_writer_refuses_types_outside_its_set(doc):
+    with pytest.raises(TypeError):
+        _json(doc, "")

@@ -249,6 +249,39 @@ def test_parse_rejects_duplicate_edge_at_the_repeat():
     assert exc.value.line == 7
 
 
+# Edge lines with two faults each, and the fault that is reported: keyword, then
+# arity, then undeclared vertex, then loop, then color, then duplicate. Each entry
+# is (lines, message, index of the reported line among them, column).
+TWO_FAULTS = [
+    (["f 1 3 4"], "expected edge line 'e <tail> <head>', got 'f 1 3 4'", 0, None),
+    (["x 1"], "expected edge line 'e <tail> <head>', got 'x 1'", 0, None),
+    (["E 9 3"], "expected edge line 'e <tail> <head>', got 'E 9 3'", 0, None),
+    (["e 9 3 4"], "edge line needs exactly two endpoints, got 'e 9 3 4'", 0, 7),
+    ([" e 1 1 1  # loop"], "edge line needs exactly two endpoints, got 'e 1 1 1'", 0, 8),
+    (["e 9"], "edge line needs exactly two endpoints, got 'e 9'", 0, None),
+    (["e 9 9"], "edge references undeclared vertex '9'", 0, 3),
+    (["e  2   9"], "edge references undeclared vertex '9'", 0, 8),
+    (["e 1 1"], "loop edge at '1'", 0, None),
+    (["e 3 3", "e 2 4", "e 2 4"], "loop edge at '3'", 0, None),
+    (["e 2 4", "e 2 4", "e 3 3"], "duplicate edge ('2', '4')", 1, None),
+    (["e 2 1", "e 2 4", "e 2 4"], "edge ('2', '1') joins two vertices of the same color", 0,
+     None),
+]
+
+
+@pytest.mark.parametrize("later", [False, True], ids=["first", "later"])
+@pytest.mark.parametrize("lines, message, at, column", TWO_FAULTS)
+def test_parse_reports_the_first_fault_of_an_edge_line(lines, message, at, column, later):
+    # "later" puts two good edge lines, a comment and a blank line first.
+    head = ["qbmg 1", "U: 1 2", "W: 3 4"] + (["e 1 3", "# ok", "", "e 4 2"] if later else [])
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph("\n".join(head + lines) + "\n")
+    line = len(head) + at + 1
+    assert (exc.value.line, exc.value.column) == (line, column)
+    where = f"line {line}" + (f", column {column}" if column else "")
+    assert str(exc.value) == f"{message} ({where})"
+
+
 def test_dot_output_is_deterministic():
     d1 = to_dot(refdata.BLOWUP_BASE)
     d2 = to_dot(refdata.BLOWUP_BASE)

@@ -151,3 +151,59 @@ def test_first_witnesses_on_layered_members_and_blow_ups():
         expected = first_witnesses(g)
         assert [expected[name] for name in ("n1", "n2", "n3", "n3star")] == [None] * 4
         assert_first_witnesses(g)
+
+
+# -- N3 and N3* over the pairs that share an out-neighbor ------------------------
+
+def assert_n3_witnesses(g: ColoredDigraph) -> None:
+    expected = first_witnesses(g, ("n3", "n3star"))
+    assert (check_n3(g).witness, check_n3star(g).witness) == (
+        expected["n3"], expected["n3star"]), sorted(g.edges)
+
+
+def _later_partner(g: ColoredDigraph, witness) -> bool:
+    """True when v of the pair (u, v) is not the least v > u sharing an out-neighbor with u."""
+    u, v = (g.rank[x] for x in witness)
+    out = g.out_masks
+    return any(out[u] & out[x] for x in range(u + 1, v))
+
+
+def test_n3_routes_on_every_sixth_pool_graph(enumerated_pool):
+    for g in enumerated_pool[::6]:
+        assert_n3_witnesses(g)
+
+
+def test_n3_routes_fail_at_a_later_sharing_partner():
+    # 1 shares 4 with 2 (nested) and 5 with 3 (not nested): the pair is (1, 3).
+    g = ColoredDigraph("123", "456", [("1", "4"), ("1", "5"), ("2", "4"), ("3", "5"),
+                                      ("3", "6")])
+    assert check_n3(g).witness == check_n3star(g).witness == ("1", "3")
+    assert _later_partner(g, ("1", "3"))
+    assert_n3_witnesses(g)
+
+
+def _large_layered():
+    """Layered members up to 60 vertices, one blow-up of each (up to 61)."""
+    for s, m in ((2, 15), (3, 10), (5, 6), (4, 7)):
+        g = layered(random_layered_spec(s, m, seed=s * 100 + m))
+        yield g
+        yield blow_up(g, g.sorted_vertices[len(g.sorted_vertices) // 2], "b1")
+
+
+def test_n3_routes_on_layered_blow_ups_up_to_61_vertices():
+    rng = random.Random(20)
+    later, sizes = 0, set()
+    for g in _large_layered():
+        sizes.add(g.n_vertices)
+        assert_n3_witnesses(g)
+        # One to three added edges break nestedness, often at a later partner.
+        u, w = sorted(g.color_u), sorted(g.color_w)
+        for k in (1, 2, 3):
+            pairs = [(rng.choice(u), rng.choice(w)) for _ in range(k)]
+            h = ColoredDigraph(u, w, g.edges | {p if rng.random() < 0.5 else p[::-1]
+                                                for p in pairs})
+            assert_n3_witnesses(h)
+            witness = check_n3(h).witness
+            later += witness is not None and _later_partner(h, witness)
+    assert max(sizes) == 61
+    assert later >= 5, later
