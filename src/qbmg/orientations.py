@@ -23,20 +23,38 @@ least failing mask is the least of its orbit: the first failing
 representative is the first failing orientation. The representatives are
 generated orderly (Read, "Every one a winner", 1978) with a smallest-image
 search over a stabilizer chain of the action on pairs (Linton, "Finding the
-smallest image of a set", 2004), never by a walk over all 2^s masks.
+smallest image of a set", 2004), never by a walk over all 2^s masks. The
+action permutes its orbits O on pairs, so it lies in the product of the
+Sym(O). When every vertex the group moves lies on a pair, only the identity
+fixes every pair, so the action has the group's order; when that order is
+the product of the |O|!, the action is that product. Its chain is then
+written down, with no Schreier-Sims, and a set is least in its orbit iff in
+each O its points come after the points outside it, with no image search.
+
+An orientation o of a 2-qBMG g is re-recognised only where a flip can break
+it. o has g's adjacencies and a subset of its edges; let ``lost`` be the
+tails of the dropped directions and ``ends`` the vertices on pairs. N1
+holds: independence is unchanged and a pattern of o is one of g. A walk
+u->v->w->t of o is one of g, whose chord u->t is missing from o only when u
+is in ``lost``. A vertex outside ``lost`` keeps its out-neighborhood, so N3
+can fail only on a pair meeting ``lost``. A vertex outside ``ends`` keeps
+both neighborhoods, and two such vertices keep their two-edge connections,
+so N3* can fail only on a pair meeting ``ends``. g's own membership is read
+once; a non-member's orientations are recognised in full.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
-from .axioms import is_2qbmg, is_thin, satisfies_star
+from .axioms import _orientation_is_2qbmg, is_2qbmg, is_thin, satisfies_star
 from .autgroup import SearchStats, _color_cells, _refine, _search_automorphisms
 from .digraph import ColoredDigraph, bits, low_bit, symmetric_pairs
 from .errors import QbmgError, SizeCapError
-from .perms import PermGroup, _schreier_sims, _sift
+from .perms import PermGroup, _orbit_masks, _schreier_sims, _sift, _symmetric_chain
 
 __all__ = [
     "uw_orientation",
@@ -73,6 +91,14 @@ def _orienter(g: ColoredDigraph, pairs: list[tuple[int, int]]) -> Callable[[int]
         return g.with_out_masks(out)
 
     return orient
+
+
+def _lost(pairs: list[tuple[int, int]], mask: int) -> int:
+    """The rank mask of the tails of the directions that flip mask ``mask`` drops."""
+    lost = 0
+    for k, (a, b) in enumerate(pairs):
+        lost |= 1 << (a if mask >> k & 1 else b)
+    return lost
 
 
 def enumerate_orientations(g: ColoredDigraph) -> Iterator[ColoredDigraph]:
@@ -125,8 +151,7 @@ def orientation_representatives(g: ColoredDigraph, aut_g: PermGroup) -> list[int
         return list(range(1 << s))
     # When every moved vertex lies on a pair, only the identity fixes all
     # pairs, so the action has the group's order.
-    ends = sum(1 << a | 1 << b for a, b in pairs)
-    chain = _Chain(_schreier_sims(s, gens, None if moved & ~ends else aut_g.order))
+    chain = _Chain(s, gens, None if moved & ~_ends(pairs) else aut_g.order)
     full = (1 << s) - 1
     least, todo = [], [full]
     while todo:
@@ -146,13 +171,21 @@ def orientation_representatives(g: ColoredDigraph, aut_g: PermGroup) -> list[int
     return sorted(masks)
 
 
+def _ends(pairs: list[tuple[int, int]]) -> int:
+    """The rank mask of the vertices on the pairs."""
+    ends = 0
+    for a, b in pairs:
+        ends |= 1 << a | 1 << b
+    return ends
+
+
 def _representatives_capped(s: int) -> SizeCapError:
     return SizeCapError(f"orientation check capped at {ORIENTATION_CAP} orbit representatives, "
                         f"on {s} symmetric edges")
 
 
 class _Chain:
-    """Least images of point sets under the group of a stabilizer chain with base 0..n-1.
+    """Least images of point sets under a group on points 0..n-1, from its stabilizer chain.
 
     Sets compare as their membership bits, point 0 first. The search picks
     the preimage of point 0, 1, ... in turn from the level's orbit and keeps
@@ -161,13 +194,28 @@ class _Chain:
     partial image marks alike lead to the same images, since the swap of
     the two fixes every point before them; so the search tries one
     preimage per block and bit.
+
+    ``order`` is the group's order when known. When the group is the
+    product of Sym(O) over its orbits O, its order the product of the |O|!,
+    the blocks are its orbits, and the chain is written down if ``order``
+    says so, else computed by Schreier-Sims.
     """
 
-    def __init__(self, levels):
-        n = len(levels)
+    def __init__(self, n: int, gens: list[tuple[int, ...]], order: int | None):
+        orbits = _orbit_masks(n, gens)
+        product = math.prod(math.factorial(o.bit_count()) for o in orbits)
+        if order == product:
+            levels = _symmetric_chain(n, orbits)[0]
+        else:
+            levels = _schreier_sims(n, gens, order)
         self.levels = levels
         self.images = 0
+        self.symmetric = math.prod(len(level) for level in levels) == product
         self.block = [0] * n  # the block of each point, as a mask
+        if self.symmetric:
+            for o in orbits:
+                for x in bits(o):
+                    self.block[x] = o
         for x in range(n):
             if not self.block[x]:
                 mask = 1 << x
@@ -184,13 +232,14 @@ class _Chain:
         """Whether c is least in its orbit.
 
         It is not when a block has a point of c before a point outside c:
-        swapping the two gives a lesser image.
+        swapping the two gives a lesser image. In a product of symmetric
+        groups on the blocks that test decides it.
         """
         for mask in self.blocks:
             ones, zeros = c & mask, mask & ~c
             if ones and zeros.bit_length() - 1 > low_bit(ones):
                 return False
-        return self.least_image(c) == c
+        return self.symmetric or self.least_image(c) == c
 
     def least_image(self, c: int, flip: int = 0) -> int:
         """The least image of c when point i compares as its bit xor bit i of ``flip``.
@@ -285,7 +334,9 @@ def check_orientation_theorems(g: ColoredDigraph, aut_g: PermGroup) -> Orientati
     """Verify the orientation facts on one 2-qBMG, given ``aut_g = aut_color_preserving(g)``.
 
     The caller vouches for both: ``g`` is a 2-qBMG and ``aut_g`` is its
-    color-preserving group; neither is re-checked here.
+    color-preserving group. ``aut_g`` is not re-checked; g's membership is
+    read once when (*) holds, and only a member's orientations are
+    re-recognised locally, so a non-member still gets the verdicts of a scan.
 
     (a) When symmetric edges form a matching, every orientation must again be
         a 2-qBMG, and must be acyclic with a topological order. Acyclicity is
@@ -323,10 +374,13 @@ def check_orientation_theorems(g: ColoredDigraph, aut_g: PermGroup) -> Orientati
     all_member: bool | None = True if star else None
     all_acyclic: bool | None = True if star or thin else None
     if star or thin:
+        # An orientation of a member is re-recognised only where it can fail.
+        member, ends = star and is_2qbmg(g), _ends(pairs)
         for mask in orientation_representatives(g, aut_g):
             o = orient(mask)
             checked += 1
-            if star and not is_2qbmg(o):
+            if star and not (_orientation_is_2qbmg(o, _lost(pairs, mask), ends) if member
+                             else is_2qbmg(o)):
                 all_member = False
                 violations.append(f"orientation #{mask + 1} is not a 2-qBMG")
                 break

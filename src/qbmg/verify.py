@@ -118,8 +118,10 @@ def _classical_equals_canonical(f: GraphFacts) -> Outcome:
 
 
 def _canonical_normal(f: GraphFacts) -> Outcome:
+    # The groups are built outside the ``try``: a cap on either is exit 3, not a failure.
+    gamma, full = f.gamma, f.full
     try:
-        ok = is_normal(f.gamma, f.full)
+        ok = is_normal(gamma, full)
     except QbmgError as exc:
         return False, str(exc)
     return ok, "" if ok else "class product group is not normal in the full group"

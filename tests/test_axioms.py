@@ -15,6 +15,7 @@ from qbmg import (
     n2_trivial_layer,
     satisfies_star,
 )
+from qbmg import axioms
 
 from tests import refdata
 from tests.oracles import (
@@ -133,6 +134,16 @@ def test_simultaneous_duplication_fails():
     assert not is_2qbmg(refdata.SIMULTANEOUS_DUPLICATION)
     report = axiom_report(refdata.SIMULTANEOUS_DUPLICATION)
     assert not report.is_2qbmg
+
+
+def test_one_union_of_in_neighborhoods_per_graph(two_layer_m4, monkeypatch):
+    # N1, N3 and N3* read the same co union; axiom_report and is_2qbmg build it once.
+    calls = []
+    co = axioms._co
+    monkeypatch.setattr(axioms, "_co", lambda g: calls.append(g) or co(g))
+    report = axiom_report(two_layer_m4)
+    assert report.is_2qbmg and len(calls) == 1
+    assert is_2qbmg(two_layer_m4) and len(calls) == 2
 
 
 def test_empty_graph_is_n_trivial_member():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qbmg import ColoredDigraph, format_graph, parse_graph
 from qbmg.cli import _json, main
+from qbmg.verify import CHECK_NAMES
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CORPUS = FIXTURES / "corpus"
@@ -142,7 +143,7 @@ def test_aut_full_k66(tmp_path, capsys):
     assert out.startswith("all automorphisms: order 1036800\n")
 
 
-def test_aut_cap_exit_3(tmp_path, capsys):
+def _matching_33(tmp_path) -> str:
     # 33 disjoint symmetric edges: 66 vertices and thin, so the search runs
     # on g itself (an edgeless graph would search only its 2-vertex quotient).
     lines = ["qbmg 1", "U: " + " ".join(str(i) for i in range(1, 34)),
@@ -150,7 +151,11 @@ def test_aut_cap_exit_3(tmp_path, capsys):
     lines += [f"e {i} {i + 33}\ne {i + 33} {i}" for i in range(1, 34)]
     big = tmp_path / "big.qbmg"
     big.write_text("\n".join(lines) + "\n")
-    code, _, err = run(capsys, "aut", str(big))
+    return str(big)
+
+
+def test_aut_cap_exit_3(tmp_path, capsys):
+    code, _, err = run(capsys, "aut", _matching_33(tmp_path))
     assert code == 3
     assert "capped at 64 vertices, got 66" in err
 
@@ -423,6 +428,26 @@ def test_verify_empty_theorem_name_exit_2(capsys, theorems):
     code, out, err = run(capsys, "verify", "--theorems", theorems, str(CORPUS / "empty.qbmg"))
     assert code == 2 and out == ""
     assert err.startswith("error: unknown checks: ['']; known: membership,")
+
+
+# The checks that read a search past its cap on 33 disjoint symmetric edges;
+# the others need no search there and pass.
+_CAPPED_ALONE = {
+    "underlying_p6c6_free": "induced path search capped at 64 vertices, got 66",
+    **dict.fromkeys(("canonical_gamma_normal", "gamma_quotient_hereditary",
+                     "common_out_neighbor_equivalence", "fixed_vertex_in_neighborhood",
+                     "thin_orbit_pairs", "orientation_theorems"),
+                    "automorphism search capped at 64 vertices, got 66"),
+}
+
+
+@pytest.mark.parametrize("check", CHECK_NAMES)
+def test_verify_cap_is_exit_3_never_a_failed_theorem(tmp_path, capsys, check):
+    code, out, err = run(capsys, "verify", "--theorems", check, _matching_33(tmp_path))
+    if check in _CAPPED_ALONE:
+        assert (code, out, err) == (3, "", f"error: {_CAPPED_ALONE[check]}\n")
+    else:
+        assert code == 0 and out.startswith(f"PASS big.qbmg: {check}\n") and err == ""
 
 
 # -- the JSON writer -------------------------------------------------------------

@@ -3,7 +3,7 @@
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qbmg import (
@@ -11,6 +11,10 @@ from qbmg import (
     QbmgError,
     SizeCapError,
     aut_color_preserving,
+    blow_up,
+    check_n1,
+    check_n3,
+    check_n3star,
     check_orientation_theorems,
     enumerate_orientations,
     format_graph,
@@ -24,9 +28,10 @@ from qbmg import (
     topological_order,
     uw_orientation,
 )
-from qbmg import autgroup, orientations
+from qbmg import autgroup, axioms, orientations
 from qbmg.cli import main
 from qbmg.constructions import default_layered_spec
+from qbmg.digraph import symmetric_pairs
 
 from tests import refdata
 from tests.oracles import brute_force_color_preserving
@@ -370,6 +375,120 @@ def test_orientation_cap_counts_partial_images(tmp_path, capsys):
     assert code == 3
     assert "capped at 500000 partial images" in err
     assert elapsed < 15.0
+
+
+# -- the pair chain written down, and orientations re-recognised locally --------
+
+
+class _Calls:
+    """Counts the calls of the functions it replaces, and runs them."""
+
+    def __init__(self, monkeypatch, module, *names):
+        self.counts = dict.fromkeys(names, 0)
+        for name in names:
+            monkeypatch.setattr(module, name, self._counted(name, getattr(module, name)))
+
+    def _counted(self, name, fn):
+        def counted(*args, **kwargs):
+            self.counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+
+def _matching(k):
+    u = [str(i) for i in range(1, k + 1)]
+    w = [str(i) for i in range(k + 1, 2 * k + 1)]
+    return ColoredDigraph(u, w, [e for a, b in zip(u, w) for e in ((a, b), (b, a))])
+
+
+def test_matching_check_runs_no_schreier_sims_and_no_n1_on_its_orientations(monkeypatch):
+    g = _matching(7)
+    grp = aut_color_preserving(g)
+    chain = _Calls(monkeypatch, orientations, "_schreier_sims", "_symmetric_chain")
+    recognizer = _Calls(monkeypatch, axioms, "check_n1", "_n1")
+    report = check_orientation_theorems(g, grp)
+    assert report.ok and report.orientations_checked == 8
+    assert chain.counts == {"_schreier_sims": 0, "_symmetric_chain": 1}
+    # N1 runs once, on g itself, to learn that g is a member.
+    assert recognizer.counts == {"check_n1": 0, "_n1": 1}
+
+
+def _orientations_with_masks(g):
+    pairs = symmetric_pairs(g)
+    orient, ends = orientations._orienter(g, pairs), orientations._ends(pairs)
+    for mask in range(1 << len(pairs)):
+        yield orient(mask), orientations._lost(pairs, mask), ends
+
+
+def _local_parts_agree(o, lost, ends):
+    """Each locality claim on one orientation of a member, and the local verdict."""
+    everyone = (1 << o.n_vertices) - 1
+    co = axioms._co(o)
+    assert check_n1(o)
+    assert axioms._n2(o, everyone & ~lost)  # no chordless walk starts outside ``lost``
+    assert bool(axioms._n3(o, co, lost)) == bool(check_n3(o))
+    assert bool(axioms._n3star(o, co, ends)) == bool(check_n3star(o))
+    verdict = is_2qbmg(o)
+    assert axioms._orientation_is_2qbmg(o, lost, ends) == verdict
+    return verdict
+
+
+def test_member_orientations_fail_only_where_a_flip_can_break_them_on_the_pool(enumerated_pool):
+    verdicts = {True: 0, False: 0}
+    for g in enumerated_pool[::5]:
+        if len(symmetric_edges(g)) <= 8:
+            for o, lost, ends in _orientations_with_masks(g):
+                verdicts[_local_parts_agree(o, lost, ends)] += 1
+    assert verdicts[True] > 5000 and verdicts[False] > 100
+
+
+@given(shuffled_digraphs(), st.data())
+def test_member_orientations_fail_only_where_a_flip_can_break_them_on_random_members(g, data):
+    assume(is_2qbmg(g))
+    if g.n_vertices and data.draw(st.booleans()):
+        g = blow_up(g, data.draw(st.sampled_from(sorted(g.vertices, key=token_key))), "b")
+    for o, lost, ends in _orientations_with_masks(g):
+        _local_parts_agree(o, lost, ends)
+
+
+def test_written_chain_gives_the_schreier_sims_representatives(enumerated_pool, monkeypatch):
+    graphs = [g for g in enumerated_pool[::3] if len(symmetric_edges(g)) <= 8]
+    groups = [aut_color_preserving(g) for g in graphs]
+    written = _Calls(monkeypatch, orientations, "_symmetric_chain")
+    reps = [orientation_representatives(g, grp) for g, grp in zip(graphs, groups)]
+    assert written.counts["_symmetric_chain"] > 300
+    # With every orbit a single point, no product of symmetric groups is
+    # recognised: the chain comes from Schreier-Sims and the blocks from sifts.
+    monkeypatch.setattr(orientations, "_orbit_masks", lambda n, gens: [1 << i for i in range(n)])
+    assert reps == [orientation_representatives(g, grp) for g, grp in zip(graphs, groups)]
+
+
+def test_blowup_twice_runs_schreier_sims(monkeypatch):
+    # Four symmetric edges in a 4-cycle, 1-2-6-7-1: Aut_I = <(2 7), (1 6)>
+    # moves only vertices on pairs and acts on the four pairs as a Klein
+    # group of order 4, not Sym(4), so the chain is not written down.
+    g = refdata.BLOWUP_TWICE
+    grp = aut_color_preserving(g)
+    assert grp.order == 4 and len(symmetric_edges(g)) == 4
+    chain = _Calls(monkeypatch, orientations, "_schreier_sims", "_symmetric_chain")
+    assert orientation_representatives(g, grp) == [0, 1, 2, 3, 4, 7, 11]
+    assert chain.counts == {"_schreier_sims": 1, "_symmetric_chain": 0}
+    _agrees_with_brute_force(g)
+
+
+def test_vertex_on_two_pairs_counts_once_in_the_ends(monkeypatch):
+    # Pairs 1-5, 2-4, 2-6, 3-5 (ranks (0, 4), (1, 3), (1, 5), (2, 4)): 2 and
+    # 5 lie on two pairs each. Aut_I = <(1 3), (4 6)> moves only vertices on
+    # pairs, and acts as Sym(2) x Sym(2) on them, so the chain is written down.
+    g = ColoredDigraph(("1", "2", "3"), ("4", "5", "6"), [
+        ("1", "5"), ("2", "4"), ("2", "5"), ("2", "6"), ("3", "5"), ("4", "1"), ("4", "2"),
+        ("4", "3"), ("5", "1"), ("5", "3"), ("6", "1"), ("6", "2"), ("6", "3")])
+    pairs = symmetric_pairs(g)
+    assert pairs == [(0, 4), (1, 3), (1, 5), (2, 4)]
+    assert orientations._ends(pairs) == 0b111111
+    chain = _Calls(monkeypatch, orientations, "_schreier_sims", "_symmetric_chain")
+    _agrees_with_brute_force(g)
+    assert chain.counts == {"_schreier_sims": 0, "_symmetric_chain": 1}
 
 
 # -- the UW-orientation's group from its refinement ----------------------------
