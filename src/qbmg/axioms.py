@@ -33,9 +33,7 @@ vertices are in-neighbors of one vertex, hence of one color, and N3* needs no
 color test.
 
 ``axiom_report`` and ``is_2qbmg`` build co once and pass it to N1, N3 and
-N3*. The N2, N3 and N3* cores also run at a rank mask: N2 on the walks that
-start in it, N3 and N3* on the pairs that meet it, which is how an
-orientation of a member is re-recognised (see ``orientations``).
+N3*.
 
 Quantification note: in a bipartite digraph the only possible coincidences in
 the N2 walk are u = w and v = t, and both make the chord an edge of the walk
@@ -125,16 +123,9 @@ def check_n2(g: ColoredDigraph) -> Verdict:
 
     Witness: lexicographically first chordless (u, v, w, t).
     """
-    return _n2(g, -1)
-
-
-def _n2(g: ColoredDigraph, at: int) -> Verdict:
-    """N2 on the walks that start in the rank mask ``at`` (-1: every walk)."""
     vs, out = g.sorted_vertices, g.out_masks
     two = list(_joins(out, out))  # two[v]: every t with v->w->t for some w
-    starts = out if at == -1 else [o if at >> u & 1 else 0 for u, o in enumerate(out)]
-    for u, three in enumerate(_joins(starts, two)):
-        out_u = out[u]
+    for u, (out_u, three) in enumerate(zip(out, _joins(out, two))):
         if three & ~out_u:
             v = next(v for v in bits(out_u) if two[v] & ~out_u)
             w = next(w for w in bits(out[v]) if out[w] & ~out_u)
@@ -147,20 +138,13 @@ def check_n3(g: ColoredDigraph) -> Verdict:
 
     Witness: first pair (u, v) with overlapping, incomparable out-sets.
     """
-    return _n3(g, _co(g), -1)
+    return _n3(g, _co(g))
 
 
-def _n3(g: ColoredDigraph, co: Sequence[int], at: int) -> Verdict:
-    """N3 on the pairs that meet the rank mask ``at`` (-1: every pair).
-
-    A pair u < v is visited from u when u is in ``at``, else from v; ``co``
-    is read at the ranks in ``at`` only.
-    """
+def _n3(g: ColoredDigraph, co: Sequence[int]) -> Verdict:
     vs, out = g.sorted_vertices, g.out_masks
     for u, (out_u, co_u) in enumerate(zip(out, co)):
-        if not at >> u & 1:
-            continue
-        pairs = co_u & ~(at & (2 << u) - 1)  # the v > u or outside ``at`` sharing an out-neighbor
+        pairs = co_u & -(2 << u)  # the v > u sharing an out-neighbor with u
         while pairs:  # ``bits`` inlined: this runs once per such pair
             low = pairs & -pairs
             pairs ^= low
@@ -177,17 +161,14 @@ def check_n3star(g: ColoredDigraph) -> Verdict:
     For such u, v: equal in-neighborhoods and nested out-neighborhoods.
     Witness: first violating pair (u, v).
     """
-    return _n3star(g, _co(g), -1)
+    return _n3star(g, _co(g))
 
 
-def _n3star(g: ColoredDigraph, co: Sequence[int], at: int) -> Verdict:
-    """N3* on the pairs that meet the rank mask ``at``, visited as in ``_n3``."""
+def _n3star(g: ColoredDigraph, co: Sequence[int]) -> Verdict:
     vs, out, inn = g.sorted_vertices, g.out_masks, g.in_masks
     for u, (out_u, co_u) in enumerate(zip(out, co)):
-        if not at >> u & 1:
-            continue
         in_u = inn[u]
-        pairs = co_u & ~(at & (2 << u) - 1)  # the v > u or outside ``at`` sharing an out-neighbor
+        pairs = co_u & -(2 << u)  # the v > u sharing an out-neighbor with u
         while pairs:  # ``bits`` inlined: this runs once per such pair
             low = pairs & -pairs
             pairs ^= low
@@ -265,9 +246,9 @@ def axiom_report(g: ColoredDigraph) -> AxiomReport:
     """Evaluate everything: all four axioms, both membership routes, flags."""
     co = _co(g)
     n1 = _n1(g, co)
-    n2 = _n2(g, -1)
-    n3 = _n3(g, co, -1)
-    n3s = _n3star(g, co, -1)
+    n2 = check_n2(g)
+    n3 = _n3(g, co)
+    n3s = _n3star(g, co)
     member = bool(n1) and bool(n2) and bool(n3)
     member_star = bool(n1) and bool(n2) and bool(n3s)
     if member != member_star:
@@ -296,30 +277,12 @@ def is_2qbmg(g: ColoredDigraph) -> bool:
     the same reason and nothing is learned by evaluating the third axiom.
     """
     co = _co(g)
-    if not _n1(g, co) or not _n2(g, -1):
+    if not _n1(g, co) or not check_n2(g):
         return False
-    return _routes_agree(g, bool(_n3(g, co, -1)), bool(_n3star(g, co, -1)))
-
-
-def _routes_agree(g: ColoredDigraph, n3: bool, n3s: bool) -> bool:
-    """The N3 verdict under N1 and N2; raises when the N3* route disagrees."""
+    n3 = bool(_n3(g, co))
+    n3s = bool(_n3star(g, co))
     if n3 != n3s:
         raise InternalCheckError(
             f"recognizer routes disagree on {g!r}: N3={n3} but N3*={n3s} under N1 and N2"
         )
     return n3
-
-
-def _orientation_is_2qbmg(o: ColoredDigraph, lost: int, ends: int) -> bool:
-    """``is_2qbmg(o)`` for an orientation o of a 2-qBMG, tested where the orientation can fail.
-
-    ``lost`` holds the tails of the dropped directions and ``ends`` the ends
-    of the symmetric pairs, as rank masks. N1 is inherited, a chordless N2
-    walk starts in ``lost``, N3 can fail only on a pair meeting ``lost`` and
-    N3* only on one meeting ``ends`` (the ``orientations`` module docstring
-    has the argument); the two routes are cross-checked as in ``is_2qbmg``.
-    """
-    if not _n2(o, lost):
-        return False
-    co = _co(o)
-    return _routes_agree(o, bool(_n3(o, co, lost)), bool(_n3star(o, co, ends)))

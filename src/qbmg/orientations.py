@@ -30,17 +30,6 @@ fixes every pair, so the action has the group's order; when that order is
 the product of the |O|!, the action is that product. Its chain is then
 written down, with no Schreier-Sims, and a set is least in its orbit iff in
 each O its points come after the points outside it, with no image search.
-
-An orientation o of a 2-qBMG g is re-recognised only where a flip can break
-it. o has g's adjacencies and a subset of its edges; let ``lost`` be the
-tails of the dropped directions and ``ends`` the vertices on pairs. N1
-holds: independence is unchanged and a pattern of o is one of g. A walk
-u->v->w->t of o is one of g, whose chord u->t is missing from o only when u
-is in ``lost``. A vertex outside ``lost`` keeps its out-neighborhood, so N3
-can fail only on a pair meeting ``lost``. A vertex outside ``ends`` keeps
-both neighborhoods, and two such vertices keep their two-edge connections,
-so N3* can fail only on a pair meeting ``ends``. g's own membership is read
-once; a non-member's orientations are recognised in full.
 """
 
 from __future__ import annotations
@@ -50,7 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
-from .axioms import _orientation_is_2qbmg, is_2qbmg, is_thin, satisfies_star
+from .axioms import is_2qbmg, is_thin, satisfies_star
 from .autgroup import SearchStats, _color_cells, _refine, _search_automorphisms
 from .digraph import ColoredDigraph, bits, low_bit, symmetric_pairs
 from .errors import QbmgError, SizeCapError
@@ -91,14 +80,6 @@ def _orienter(g: ColoredDigraph, pairs: list[tuple[int, int]]) -> Callable[[int]
         return g.with_out_masks(out)
 
     return orient
-
-
-def _lost(pairs: list[tuple[int, int]], mask: int) -> int:
-    """The rank mask of the tails of the directions that flip mask ``mask`` drops."""
-    lost = 0
-    for k, (a, b) in enumerate(pairs):
-        lost |= 1 << (a if mask >> k & 1 else b)
-    return lost
 
 
 def enumerate_orientations(g: ColoredDigraph) -> Iterator[ColoredDigraph]:
@@ -334,9 +315,7 @@ def check_orientation_theorems(g: ColoredDigraph, aut_g: PermGroup) -> Orientati
     """Verify the orientation facts on one 2-qBMG, given ``aut_g = aut_color_preserving(g)``.
 
     The caller vouches for both: ``g`` is a 2-qBMG and ``aut_g`` is its
-    color-preserving group. ``aut_g`` is not re-checked; g's membership is
-    read once when (*) holds, and only a member's orientations are
-    re-recognised locally, so a non-member still gets the verdicts of a scan.
+    color-preserving group; neither is re-checked here.
 
     (a) When symmetric edges form a matching, every orientation must again be
         a 2-qBMG, and must be acyclic with a topological order. Acyclicity is
@@ -374,13 +353,10 @@ def check_orientation_theorems(g: ColoredDigraph, aut_g: PermGroup) -> Orientati
     all_member: bool | None = True if star else None
     all_acyclic: bool | None = True if star or thin else None
     if star or thin:
-        # An orientation of a member is re-recognised only where it can fail.
-        member, ends = star and is_2qbmg(g), _ends(pairs)
         for mask in orientation_representatives(g, aut_g):
             o = orient(mask)
             checked += 1
-            if star and not (_orientation_is_2qbmg(o, _lost(pairs, mask), ends) if member
-                             else is_2qbmg(o)):
+            if star and not is_2qbmg(o):
                 all_member = False
                 violations.append(f"orientation #{mask + 1} is not a 2-qBMG")
                 break

@@ -1,6 +1,5 @@
 """Property-based tests over random graphs and random construction specs."""
 
-import itertools
 import math
 
 from hypothesis import given, settings
@@ -29,7 +28,6 @@ from qbmg import (
     token_key,
     uw_orientation,
 )
-from qbmg import axioms
 from qbmg.verify import graphs_match_up_to_rename
 
 from tests import oracles
@@ -86,24 +84,6 @@ def test_witnesses_replay_against_definitions(g):
         verdict = check(g)
         if not verdict.holds:
             assert replay(g, verdict.witness), (check.__name__, verdict.witness)
-
-
-@given(colored_digraphs(max_side=3), st.data())
-def test_checks_at_a_mask_cover_the_walks_and_pairs_that_meet_it(g, data):
-    # The cores the orientation check runs locally: N2 on the walks that
-    # start in ``at``, N3 and N3* on the pairs with an end in ``at``.
-    vs = g.sorted_vertices
-    at = data.draw(st.integers(0, (1 << len(vs)) - 1))
-    meets = [(u, v) for i, u in enumerate(vs) for j, v in enumerate(vs)
-             if u != v and (at >> i | at >> j) & 1]
-    co = axioms._co(g)
-    assert bool(axioms._n2(g, at)) == (not any(
-        oracles.n2_witness_violates(g, (u, *walk))
-        for i, u in enumerate(vs) if at >> i & 1 for walk in itertools.product(vs, repeat=3)))
-    assert bool(axioms._n3(g, co, at)) == (
-        not any(oracles.n3_witness_violates(g, pair) for pair in meets))
-    assert bool(axioms._n3star(g, co, at)) == (
-        not any(oracles.n3star_witness_violates(g, pair) for pair in meets))
 
 
 @given(colored_digraphs())
