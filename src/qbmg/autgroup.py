@@ -18,18 +18,20 @@ That order is also the base of the search, which looks for a strong
 generating set rather than for every element (Leon, "Permutation group
 algorithms based on partitions, I", 1991): level by level from the last base
 point to the first, one automorphism per new orbit point, so a group of any
-order costs a few leaves per level. The group itself is a stabilizer chain
-built from those generators (see ``perms``).
+order costs a few leaves per level. The group keeps those generators and
+the order their orbit lengths multiply to; its stabilizer chain is built
+from them only when something reads it (see ``perms``).
 
 The color-preserving group takes the paper's structure as its route: the
 product Gamma_I of the symmetric groups on the equivalence classes split by
 color is normal in Aut_I, with quotient Aut_w(q), the automorphisms of the
 twin quotient q that keep color and class size. So only q is searched,
 and the stats and the 64-vertex search cap count q (q is the graph itself
-when no two vertices of one color are twins); Gamma_I's chain is written
-down and the lifts of q's generators are adjoined to it. The graph itself
-is capped at 128 vertices, which bounds that chain and ``canonical_gamma``'s;
-both read ``class_masks``, one pass per graph. ``aut_full`` keeps the direct search.
+when no two vertices of one color are twins); when a chain is read,
+Gamma_I's is written down and the lifts of q's generators are adjoined to
+it. The graph itself is capped at 128 vertices, which bounds that chain and
+``canonical_gamma``'s; both read ``class_masks``, one pass per graph.
+``aut_full`` keeps the direct search.
 
 The automorphism test itself, ``is_automorphism``, lives in ``perms``; it is
 re-exported here under the same name.
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 
 from .digraph import ColoredDigraph, bits, class_masks, low_bit
 from .errors import QbmgError, SizeCapError
-from .perms import PermGroup, _orbit, _symmetric_chain, is_automorphism
+from .perms import PermGroup, _compose, _invert, _orbit, _sift, is_automorphism
 
 __all__ = [
     "SearchStats",
@@ -251,13 +253,15 @@ def aut_color_preserving(g: ColoredDigraph, stats: SearchStats | None = None) ->
     normal in Aut_I and Aut_I / Gamma_I is Aut_w(q), the automorphisms of
     the twin quotient q = g/C that keep color and class size. So only q is
     searched; each strong generator of Aut_w(q) lifts to g by mapping the
-    members of class k, in rank order, to those of its image, and the lifts
-    are adjoined to Gamma_I's chain, which is written down, with the order
-    |Aut_w(q)| prod |C|!. When every class is a single vertex, q is g
-    itself, and g is searched from its color classes with no lift and no
-    written chain. Otherwise the split classes are ordered by least rank and
-    q's vertex k is named by class k's least token, so q is a copy of g when
-    its only twins are one isolated vertex of each color.
+    members of class k, in rank order, to those of its image. The group is
+    generated by the lifts and the transpositions of consecutive class
+    members, with the order |Aut_w(q)| prod |C|!; its chain, on first read,
+    adjoins the lifts to Gamma_I's, which is written down. When every class
+    is a single vertex, q is g itself, and g is searched from its color
+    classes with no lift and no written chain. Otherwise the split classes
+    are ordered by least rank and q's vertex k is named by class k's least
+    token, so q is a copy of g when its only twins are one isolated vertex
+    of each color.
     When ``stats`` is given, the search adds its counts to it and sets the
     base and orbit fields, which describe Aut_w(q). q is capped at
     ``DEFAULT_VERTEX_CAP`` vertices and g at ``DEFAULT_LIFT_CAP``.
@@ -292,7 +296,7 @@ def aut_color_preserving(g: ColoredDigraph, stats: SearchStats | None = None) ->
                 image[a] = b
         lifts.append(tuple(image))
     order = q_order * math.prod(math.factorial(len(xs)) for xs in members)
-    return PermGroup._from_ranks(g.sorted_vertices, lifts, order, _symmetric_chain(n, classes))
+    return PermGroup._from_ranks(g.sorted_vertices, lifts, order, classes)
 
 
 def aut_full(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
@@ -317,8 +321,10 @@ def aut_full(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
 def canonical_gamma(g: ColoredDigraph) -> PermGroup:
     """The product of full symmetric groups, one per equivalence class.
 
-    Its stabilizer chain is written down, not computed; the order is the
-    product of the class factorials and the orbits are exactly the classes.
+    It is generated by the transpositions of consecutive class members, and
+    its stabilizer chain, when read, is written down, not computed; the
+    order is the product of the class factorials and the orbits are exactly
+    the classes.
     When isolated vertices of both colors share the isolated class, some
     elements swap vertices across colors; they are still automorphisms.
     A chain longer than the edgeless ``DEFAULT_LIFT_CAP``-vertex graph's is refused.
@@ -329,15 +335,18 @@ def canonical_gamma(g: ColoredDigraph) -> PermGroup:
         raise SizeCapError(
             f"class product group capped at {_GAMMA_RANK_CAP} chain ranks, got {ranks}")
     order = math.prod(math.factorial(m.bit_count()) for m in masks)
-    return PermGroup._from_ranks(g.sorted_vertices, (), order,
-                                 _symmetric_chain(g.n_vertices, masks))
+    return PermGroup._from_ranks(g.sorted_vertices, (), order, masks)
 
 
 def is_normal(sub: PermGroup, grp: PermGroup) -> bool:
-    """Conjugation test on generators; requires sub's generators to lie in grp."""
+    """Conjugation test on the generating ranks; requires sub's to lie in grp.
+
+    Both answers are facts of the two groups, so any generating sets decide
+    them; no canonical generators are built.
+    """
     if sub.domain != grp.domain:
         raise QbmgError("subgroup and group act on different domains")
-    if any(s not in grp for s in sub.generators):
+    if any(_sift(grp.levels, s) is not None for s in sub.generating_ranks):
         raise QbmgError("claimed subgroup is not contained in the group")
-    return all(a.compose(s).compose(a.inverse()) in sub
-               for a in grp.generators for s in sub.generators)
+    return all(_sift(sub.levels, _compose(_compose(a, s), _invert(a))) is None
+               for a in grp.generating_ranks for s in sub.generating_ranks)

@@ -302,8 +302,8 @@ def lifted_group(spec: LayeredSpec) -> PermGroup:
     """Lifts of every permutation of U_1; order m!, orbits are the 2s classes.
 
     Generated by the lifts of the m-1 adjacent transpositions of U_1, with
-    the known order m! ending Schreier-Sims; the group is a stabilizer
-    chain, so m is not bounded by the element cap.
+    the known order m!, which ends Schreier-Sims when a chain is read; no
+    element is listed, so m is not bounded by the element cap.
     Its ``generators`` are the canonical list, not the transposition lifts.
     """
     threads = _threads(spec.f_diag, spec.g_step)

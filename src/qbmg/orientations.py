@@ -15,21 +15,26 @@ graph too. Only otherwise is o's group searched, from those cells.
 
 ``check_orientation_theorems`` tests the group identity together with
 membership and acyclicity of every orientation when the symmetric edges form
-a matching. A color-preserving automorphism h maps orientation o onto the
-isomorphic orientation h(o), so both properties hold on all 2^s orientations
-iff they hold on one orientation per orbit of the group on flip masks. The
-check tests the least mask of each orbit only, in ascending order, and the
-least failing mask is the least of its orbit: the first failing
-representative is the first failing orientation. The representatives are
-generated orderly (Read, "Every one a winner", 1978) with a smallest-image
-search over a stabilizer chain of the action on pairs (Linton, "Finding the
-smallest image of a set", 2004), never by a walk over all 2^s masks. The
-action permutes its orbits O on pairs, so it lies in the product of the
-Sym(O). When every vertex the group moves lies on a pair, only the identity
-fixes every pair, so the action has the group's order; when that order is
-the product of the |O|!, the action is that product. Its chain is then
-written down, with no Schreier-Sims, and a set is least in its orbit iff in
-each O its points come after the points outside it, with no image search.
+a matching. Acyclicity is tested on the in-masks, by peeling off sources
+until none is left; ``topological_order`` gives the order or a cycle itself,
+for callers that want one. A color-preserving automorphism h maps
+orientation o onto the isomorphic orientation h(o), so both properties hold
+on all 2^s orientations iff they hold on one orientation per orbit of the
+group on flip masks. The check tests the least mask of each orbit only, in
+ascending order, and the least failing mask is the least of its orbit: the
+first failing representative is the first failing orientation. The
+representatives are generated orderly (Read, "Every one a winner", 1978)
+with a smallest-image search over a stabilizer chain of the action on pairs
+(Linton, "Finding the smallest image of a set", 2004), never by a walk over
+all 2^s masks. The action is read off the rank tuples the group was
+generated from; of the group itself only its order is read, never its
+stabilizer chain. The action permutes its orbits O on pairs, so it lies in
+the product of the Sym(O). When every vertex the group moves lies on a pair,
+only the identity fixes every pair, so the action has the group's order;
+when that order is the product of the |O|!, the action is that product. Its
+chain is then written down, with no Schreier-Sims, and a set is least in its
+orbit iff in each O its points come after the points outside it, with no
+image search.
 """
 
 from __future__ import annotations
@@ -120,8 +125,8 @@ def orientation_representatives(g: ColoredDigraph, aut_g: PermGroup) -> list[int
     s = len(pairs)
     point = {pair: s - 1 - k for k, pair in enumerate(pairs)}
     gens, moved = [], 0
-    for p in aut_g.generators:
-        x, img = p.ranks, [0] * s
+    for x in aut_g.generating_ranks:
+        img = [0] * s
         for (a, b), i in point.items():
             img[i] = point[(x[a], x[b]) if x[a] < x[b] else (x[b], x[a])]
         gens.append(tuple(img))
@@ -277,6 +282,23 @@ def topological_order(g: ColoredDigraph) -> TopoResult:
     return TopoResult(None, _find_cycle(g, sum(1 << v for v, d in enumerate(indeg) if d > 0)))
 
 
+def _acyclic(g: ColoredDigraph) -> bool:
+    """Whether the oriented graph g has no directed cycle.
+
+    Peels off the sources of what is left until nothing is left, or until no
+    source remains: then every vertex left has an in-neighbor left, so a
+    cycle runs through them.
+    """
+    inn = g.in_masks
+    left, todo = (1 << len(inn)) - 1, range(len(inn))
+    while todo:
+        kept = [v for v in todo if inn[v] & left]
+        if len(kept) == len(todo):
+            return False
+        left, todo = sum(1 << v for v in kept), kept
+    return True
+
+
 def _find_cycle(g: ColoredDigraph, inside: int) -> tuple[str, ...]:
     """Find a directed cycle among the ranks Kahn's procedure never released.
 
@@ -360,7 +382,7 @@ def check_orientation_theorems(g: ColoredDigraph, aut_g: PermGroup) -> Orientati
                 all_member = False
                 violations.append(f"orientation #{mask + 1} is not a 2-qBMG")
                 break
-            if topological_order(o).order is None:
+            if not _acyclic(o):
                 all_acyclic = False
                 if star:
                     violations.append(f"orientation #{mask + 1} has a directed cycle")

@@ -1,4 +1,4 @@
-"""Vertex permutations and finite permutation groups stored as stabilizer chains.
+"""Vertex permutations and finite permutation groups, with stabilizer chains on request.
 
 A permutation is a rank tuple over its token-sorted domain: a vertex's rank
 is its position in the domain, and ``ranks[i]`` is the rank of the image of
@@ -7,13 +7,16 @@ rank index per domain (``digraph.rank_index``), shared by every permutation
 and graph over that domain, so products, inverses, group elements and the
 automorphism test never touch a token.
 
-A group keeps a stabilizer chain whose base is its whole domain in rank
-order (Sims; Seress, *Permutation Group Algorithms*, 2003): level i holds the
-orbit of rank i under the pointwise stabilizer of ranks 0..i-1, with one
-coset representative per orbit point. Levels whose orbit is a single point
-are kept; domains are small. A deterministic Schreier-Sims builds the chain
-from any generators, membership is a sift through the levels, and the order
-is the product of the orbit lengths.
+A group keeps the rank tuples it was generated from and, when its builder
+knows it, its order. Its orbits and its order are read from those alone.
+The first read of anything else (membership, the canonical generators, the
+elements) builds a stabilizer chain whose base is the whole domain in rank
+order (Sims; Seress, *Permutation Group Algorithms*, 2003, ch. 4-5): level i
+holds the orbit of rank i under the pointwise stabilizer of ranks 0..i-1,
+with one coset representative per orbit point. Levels whose orbit is a
+single point are kept; domains are small. A deterministic Schreier-Sims
+builds the chain from the generating ranks, membership is a sift through the
+levels, and the order, when not given, is the product of the orbit lengths.
 
 A group's elements have one order: their rank tuples, compared
 lexicographically. The generator list is canonical: each next generator is
@@ -194,26 +197,52 @@ def format_permutation(p: Permutation) -> str:
 
 
 class PermGroup:
-    """A finite permutation group: canonical generators plus a stabilizer chain.
+    """A finite permutation group: generating rank tuples, plus a stabilizer chain on request.
 
+    ``generating_ranks`` are the rank tuples the group was built from.
     ``levels[i]`` maps each point b of the orbit of rank i under the
     pointwise stabilizer of ranks 0..i-1 to a pair (u, u^-1), where u maps i
     to b and fixes ranks 0..i-1; a point is a vertex's rank in ``domain``.
+    The chain and the canonical ``generators`` are built on first read.
     """
 
-    __slots__ = ("domain", "generators", "levels", "_sorted_elements", "_orbits")
+    __slots__ = ("domain", "generating_ranks", "_order", "_blocks", "_levels",
+                 "_generators", "_sorted_elements", "_orbits")
 
-    def __init__(self, domain: tuple[str, ...], generators: tuple[Permutation, ...],
-                 levels: tuple[dict[int, tuple[_Ranks, _Ranks]], ...]):
+    def __init__(self, domain: tuple[str, ...], generating_ranks: tuple[_Ranks, ...],
+                 blocks: tuple[int, ...]):
         self.domain = domain
-        self.generators = generators
-        self.levels = levels
+        self.generating_ranks = generating_ranks
+        self._blocks = blocks
+        self._order: int | None = None
+        self._levels: tuple[dict[int, tuple[_Ranks, _Ranks]], ...] | None = None
+        self._generators: tuple[Permutation, ...] | None = None
         self._sorted_elements: tuple[Permutation, ...] | None = None
         self._orbits: tuple[int, ...] | None = None
 
     @property
+    def levels(self) -> tuple[dict[int, tuple[_Ranks, _Ranks]], ...]:
+        """The stabilizer chain, built by Schreier-Sims on first read."""
+        if self._levels is None:
+            n = len(self.domain)
+            self._levels = _schreier_sims(n, self.generating_ranks, self._order,
+                                          _symmetric_chain(n, self._blocks))
+        return self._levels
+
+    @property
+    def generators(self) -> tuple[Permutation, ...]:
+        """The canonical generating list, read off the chain on first use."""
+        if self._generators is None:
+            dom, index = self.domain, rank_index(self.domain)
+            self._generators = tuple(Permutation._trusted(dom, x, index)
+                                     for x in canonical_generators(self.levels))
+        return self._generators
+
+    @property
     def order(self) -> int:
-        return math.prod(len(level) for level in self.levels)
+        if self._order is None:
+            self._order = math.prod(len(level) for level in self.levels)
+        return self._order
 
     @property
     def sorted_elements(self) -> tuple[Permutation, ...]:
@@ -250,18 +279,23 @@ class PermGroup:
 
     @classmethod
     def _from_ranks(cls, domain: tuple[str, ...], generators: Iterable[_Ranks],
-                    order: int | None = None, known=None) -> "PermGroup":
-        """The group generated by rank tuples over ``domain``, and by ``known``.
+                    order: int | None = None, blocks: Iterable[int] = ()) -> "PermGroup":
+        """The group generated by rank tuples over ``domain`` and by Sym(B) for each block B.
 
-        ``order``, when the caller knows it, ends Schreier-Sims as soon as the
-        chain reaches it: a chain whose orbits are all full is complete.
-        ``known`` is a complete chain of a subgroup, as ``_symmetric_chain``
-        writes it; Schreier-Sims starts from it.
+        ``order`` must be the group's order when given; it is then read
+        without a chain, and it ends Schreier-Sims as soon as the chain
+        reaches it, since a chain whose orbits are all full is complete.
+        ``blocks`` are disjoint rank masks; the transpositions of their
+        consecutive members follow ``generators``, and the product of their
+        symmetric groups, whose chain ``_symmetric_chain`` writes down, is
+        where Schreier-Sims starts.
         """
-        levels = _schreier_sims(len(domain), generators, order, known)
-        index = rank_index(domain)
-        gens = tuple(Permutation._trusted(domain, x, index) for x in canonical_generators(levels))
-        return cls(domain, gens, levels)
+        # The order is set here, not passed: bench/spans.py wraps ``__init__``
+        # with three positional parameters.
+        blocks = tuple(blocks)
+        grp = cls(domain, (*generators, *_transpositions(len(domain), blocks)), blocks)
+        grp._order = order
+        return grp
 
     def __contains__(self, p: Permutation) -> bool:
         return p.domain == self.domain and _sift(self.levels, p.ranks) is None
@@ -269,7 +303,7 @@ class PermGroup:
     def orbit_masks(self) -> tuple[int, ...]:
         """Orbits on the domain as rank masks, least rank first; computed once, on first use."""
         if self._orbits is None:
-            self._orbits = _orbit_masks(len(self.domain), [p.ranks for p in self.generators])
+            self._orbits = _orbit_masks(len(self.domain), self.generating_ranks)
         return self._orbits
 
     def orbit_sets(self) -> list[frozenset[str]]:
@@ -359,6 +393,22 @@ def _symmetric_chain(n: int, blocks: Iterable[int]):
             if k + 1 < len(members):
                 strong.append((levels[a][members[k + 1]][0], a))
     return levels, strong
+
+
+def _transpositions(n: int, blocks: Iterable[int]) -> tuple[_Ranks, ...]:
+    """The transpositions of consecutive members of each rank mask, on 0..n-1.
+
+    They generate the product of Sym(B) over the blocks B, whose orbits are
+    the blocks.
+    """
+    out = []
+    for block in blocks:
+        members = list(bits(block))
+        for a, b in zip(members, members[1:]):
+            swap = list(range(n))
+            swap[a], swap[b] = b, a
+            out.append(tuple(swap))
+    return tuple(out)
 
 
 def _schreier_sims(n: int, generators: Iterable[_Ranks], order: int | None = None,

@@ -31,7 +31,7 @@ from qbmg import (
 )
 from qbmg.autgroup import _color_cells, _refine, _search_automorphisms
 from qbmg.errors import NotAutomorphismError
-from qbmg.perms import PermGroup
+from qbmg.perms import PermGroup, _orbit_masks
 from qbmg.quotients import class_masks
 from qbmg.verify import GraphFacts, run_suite
 
@@ -357,6 +357,14 @@ def test_canonical_gamma_normal_in_full():
         assert is_normal(canonical_gamma(g), aut_full(g))
 
 
+def test_is_normal_reads_the_generating_ranks_only(enumerated_pool):
+    # Normality is a fact of the two groups: no canonical generators are built.
+    for g in enumerated_pool[::60]:
+        gamma, full = canonical_gamma(g), aut_full(g)
+        assert is_normal(gamma, full)
+        assert gamma._generators is None and full._generators is None
+
+
 def test_is_normal_trivial_subgroup():
     g = refdata.STAR_PRODUCT
     grp = aut_color_preserving(g)
@@ -571,3 +579,59 @@ def test_a_discrete_refinement_ends_the_search():
     stats = SearchStats()
     assert _search_automorphisms(g, _color_cells(g), stats) == ([], 1)
     assert stats == SearchStats(refinement_rounds=stats.refinement_rounds)
+
+
+# -- order and orbits read before any chain ------------------------------------
+
+
+def _assert_read_without_a_chain(grp, order_known=True):
+    # Orbits come from the generating ranks and, when the builder knows it,
+    # the order too; both must be what the chain says once it is built.
+    orbits = grp.orbit_masks()
+    order = grp.order
+    assert (grp._levels is None) == order_known
+    assert order == math.prod(len(level) for level in grp.levels)
+    assert orbits == _orbit_masks(len(grp.domain), [p.ranks for p in grp.generators])
+
+
+def _ladder_shapes():
+    # The shapes of the symmetry-search and symmetry-closure benchmark ladders.
+    yield from (layered(random_layered_spec(s, m, 1)) for s, m in ((4, 3), (3, 4), (2, 5)))
+    yield from (refdata.complete_symmetric(r, s) for r in range(3, 6) for s in range(r, 6))
+    yield from map(_symmetric_matching, (5, 6, 7))
+
+
+def test_trusted_order_and_orbits_on_the_pool(enumerated_pool):
+    for g in enumerated_pool[::6]:
+        _assert_read_without_a_chain(aut_color_preserving(g))
+        _assert_read_without_a_chain(aut_full(g))
+
+
+def test_trusted_order_and_orbits_on_the_ladder_shapes():
+    for g in _ladder_shapes():
+        _assert_read_without_a_chain(aut_color_preserving(g))
+        _assert_read_without_a_chain(aut_full(g))
+
+
+def test_trusted_order_and_orbits_on_a_72_vertex_blow_up():
+    # Layered (4, 8) with a twin for each vertex of U_1, as in
+    # test_blow_up_past_64_vertices_matches_sympy; aut_full
+    # searches g itself, which the 64-vertex cap refuses.
+    spec = random_layered_spec(4, 8, 1)
+    g = layered(spec)
+    for k, u in enumerate(sorted(spec.u_class(1), key=int), 1):
+        g = blow_up(g, u, str(64 + k))
+    assert g.n_vertices == 72
+    _assert_read_without_a_chain(aut_color_preserving(g))
+    with pytest.raises(SizeCapError):
+        aut_full(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), max_size=4).map(lambda xs: (n, xs))))
+def test_orbits_from_generating_ranks_on_random_generators(case):
+    n, images = case
+    dom = tuple(str(i) for i in range(1, n + 1))
+    gens = [Permutation(dom, [dom[i] for i in x]) for x in images]
+    _assert_read_without_a_chain(PermGroup.from_generators(gens, dom), order_known=False)

@@ -1,9 +1,11 @@
 """UW-orientation, orientation enumeration, topological order, orientation facts."""
 
+import json
 import time
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbmg import (
@@ -24,7 +26,7 @@ from qbmg import (
     topological_order,
     uw_orientation,
 )
-from qbmg import autgroup, orientations
+from qbmg import autgroup, orientations, perms
 from qbmg.cli import main
 from qbmg.constructions import default_layered_spec
 from qbmg.digraph import symmetric_pairs
@@ -444,6 +446,61 @@ def test_vertex_on_two_pairs_counts_once_in_the_ends(monkeypatch):
     chain = _Calls(monkeypatch, orientations, "_schreier_sims", "_symmetric_chain")
     _agrees_with_brute_force(g)
     assert chain.counts == {"_schreier_sims": 0, "_symmetric_chain": 1}
+
+
+def test_matching_verify_builds_no_chain_of_aut_i(tmp_path, capsys, monkeypatch):
+    # The orientation check reads Aut_I's order and generating ranks only, and
+    # tests acyclicity on the masks; `aut` still prints the canonical generators.
+    path = tmp_path / "matching7.qbmg"
+    path.write_text(format_graph(_matching(7)))
+    calls = _Calls(monkeypatch, perms, "_schreier_sims", "canonical_generators")
+    monkeypatch.setattr(orientations, "_schreier_sims", perms._schreier_sims)
+    topo = _Calls(monkeypatch, orientations, "topological_order")
+    assert main(["verify", str(path), "--theorems", "orientation_theorems"]) == 0
+    capsys.readouterr()
+    assert calls.counts == {"_schreier_sims": 0, "canonical_generators": 0}
+    assert topo.counts == {"topological_order": 0}
+    assert main(["aut", str(path), "--json"]) == 0
+    assert calls.counts["canonical_generators"] == 1
+    swaps = [f"p: {a}->{a + 1} {a + 1}->{a} {a + 7}->{a + 8} {a + 8}->{a + 7}"
+             for a in range(6, 0, -1)]
+    assert capsys.readouterr().out == json.dumps(
+        {"schema": 1, "order": 5040, "generators": swaps,
+         "orbits": [[str(i) for i in range(1, 8)], [str(i) for i in range(8, 15)]]},
+        indent=2) + "\n"
+
+
+# -- acyclicity on the masks ---------------------------------------------------
+
+
+def test_acyclic_agrees_with_topological_order_on_the_pool(enumerated_pool):
+    answers = Counter()
+    for g in enumerated_pool[::6]:
+        orient = orientations._orienter(g, symmetric_pairs(g))
+        for mask in orientation_representatives(g, aut_color_preserving(g)):
+            o = orient(mask)
+            acyclic = orientations._acyclic(o)
+            answers[acyclic] += 1
+            assert acyclic == (topological_order(o).order is not None)
+    assert answers == {True: 6085, False: 16}
+
+
+@st.composite
+def oriented_digraphs(draw):
+    """Oriented graphs on up to 5+5 vertices: each U-W pair has no edge or one direction."""
+    r, s = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    u = [str(i) for i in range(1, r + 1)]
+    w = [str(i) for i in range(r + 1, r + s + 1)]
+    kinds = draw(st.lists(st.integers(0, 2), min_size=r * s, max_size=r * s))
+    edges = [(a, b) if kind == 1 else (b, a)
+             for (a, b), kind in zip([(a, b) for a in u for b in w], kinds) if kind]
+    return ColoredDigraph(u, w, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(oriented_digraphs())
+def test_acyclic_agrees_with_topological_order_on_random_graphs(g):
+    assert orientations._acyclic(g) == (topological_order(g).order is not None)
 
 
 # -- the UW-orientation's group from its refinement ----------------------------
