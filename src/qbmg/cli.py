@@ -26,7 +26,7 @@ from .constructions import (
     random_layered_spec,
     random_n2_trivial_tables,
 )
-from .digraph import format_graph, parse_graph, to_dot, token_key
+from .digraph import bits, format_graph, parse_graph, to_dot, token_key
 from .errors import GraphFormatError, QbmgError, SizeCapError
 from .perms import format_permutation
 from .quotients import classical_quotient, gamma_quotient, parse_partition, partition_quotient
@@ -148,12 +148,18 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.is_2qbmg else EXIT_FAIL
 
 
+def _orbit_tokens(grp) -> list[list[str]]:
+    """Each orbit's tokens in rank order, which is token order, least orbit first."""
+    dom = grp.domain
+    return [list(map(dom.__getitem__, bits(m))) for m in grp.orbit_masks()]
+
+
 def _group_doc(grp) -> dict:
     return {
         "schema": SCHEMA,
         "order": grp.order,
         "generators": [format_permutation(p) for p in grp.generators],
-        "orbits": [sorted(o, key=token_key) for o in grp.orbit_sets()],
+        "orbits": _orbit_tokens(grp),
     }
 
 
@@ -176,8 +182,7 @@ def cmd_aut(args) -> int:
             print(f"  {p.cycle_string()}")
         if not grp.generators:
             print("  (trivial group)")
-        print("orbits: " + " ".join(
-            "{" + ",".join(sorted(o, key=token_key)) + "}" for o in grp.orbit_sets()))
+        print("orbits: " + " ".join("{" + ",".join(o) + "}" for o in _orbit_tokens(grp)))
     return EXIT_OK
 
 

@@ -276,6 +276,10 @@ def long_induced_path_or_cycle(g: ColoredDigraph) -> list[str] | None:
     n = g.n_vertices
     if n > _PATH_CYCLE_CAP:
         raise SizeCapError(f"induced path search capped at {_PATH_CYCLE_CAP} vertices, got {n}")
+    # Twins have equal neighborhoods, and no two vertices of an induced path
+    # or cycle on 5 or more do, so such a subgraph has one vertex per class.
+    if len(class_masks(g)) < _PATH_CYCLE_MIN:
+        return None
     adj = [o | i for o, i in zip(g.out_masks, g.in_masks)]
 
     path: list[int] = []

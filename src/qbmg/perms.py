@@ -8,15 +8,17 @@ and graph over that domain, so products, inverses, group elements and the
 automorphism test never touch a token.
 
 A group keeps the rank tuples it was generated from and, when its builder
-knows it, its order. Its orbits and its order are read from those alone.
-The first read of anything else (membership, the canonical generators, the
-elements) builds a stabilizer chain whose base is the whole domain in rank
-order (Sims; Seress, *Permutation Group Algorithms*, 2003, ch. 4-5): level i
-holds the orbit of rank i under the pointwise stabilizer of ranks 0..i-1,
-with one coset representative per orbit point. Levels whose orbit is a
-single point are kept; domains are small. A deterministic Schreier-Sims
-builds the chain from the generating ranks, membership is a sift through the
-levels, and the order, when not given, is the product of the orbit lengths.
+knows it, its order. Its orbits and its order are read from those alone, and
+so are the canonical generators of a product of symmetric groups generated
+by its blocks' transpositions. The first read of anything else (membership,
+other canonical generators, the elements) builds a stabilizer chain whose
+base is the whole domain in rank order (Sims; Seress, *Permutation Group
+Algorithms*, 2003, ch. 4-5): level i holds the orbit of rank i under the
+pointwise stabilizer of ranks 0..i-1, with one coset representative per
+orbit point. Levels whose orbit is a single point are kept; domains are
+small. A deterministic Schreier-Sims builds the chain from the generating
+ranks, membership is a sift through the levels, and the order, when not
+given, is the product of the orbit lengths.
 
 A group's elements have one order: their rank tuples, compared
 lexicographically. The generator list is canonical: each next generator is
@@ -29,6 +31,7 @@ beyond it the request fails loudly.
 from __future__ import annotations
 
 import math
+from itertools import pairwise
 from typing import Iterable, Iterator, Mapping
 
 from .digraph import ColoredDigraph, _token_column, bits, rank_index, token_key
@@ -161,10 +164,15 @@ def is_automorphism(g: ColoredDigraph, p: Permutation, color_preserving: bool = 
     """
     if p.domain != g.sorted_vertices:
         raise NotAutomorphismError("permutation domain does not match the graph's vertex set")
-    x, out = p.ranks, g.out_masks
-    if any(not out[x[t]] >> x[h] & 1 for t, m in enumerate(out) for h in bits(m)):
+    x = p.ranks
+    if not _maps_edges(g.out_masks, x):
         return False
     return not color_preserving or all(g.u_mask >> x[v] & 1 for v in bits(g.u_mask))
+
+
+def _maps_edges(out: list[int], x: _Ranks) -> bool:
+    """Whether the rank tuple x maps every edge of the out-masks ``out`` to an edge."""
+    return all(out[x[t]] >> x[h] & 1 for t, m in enumerate(out) for h in bits(m))
 
 
 # -- permutation text format: ``p: a->b c->d ...`` (unlisted vertices fixed) --
@@ -199,7 +207,8 @@ def format_permutation(p: Permutation) -> str:
 class PermGroup:
     """A finite permutation group: generating rank tuples, plus a stabilizer chain on request.
 
-    ``generating_ranks`` are the rank tuples the group was built from.
+    ``generating_ranks`` are the rank tuples the group was built from, the
+    blocks' transpositions last.
     ``levels[i]`` maps each point b of the orbit of rank i under the
     pointwise stabilizer of ranks 0..i-1 to a pair (u, u^-1), where u maps i
     to b and fixes ranks 0..i-1; a point is a vertex's rank in ``domain``.
@@ -231,11 +240,17 @@ class PermGroup:
 
     @property
     def generators(self) -> tuple[Permutation, ...]:
-        """The canonical generating list, read off the chain on first use."""
+        """The canonical generating list, built on first use.
+
+        It is the blocks' transpositions when they alone generate the group,
+        else it is read off the chain.
+        """
         if self._generators is None:
+            ranks = self.generating_ranks
+            if len(ranks) != sum(b.bit_count() - 1 for b in self._blocks):
+                ranks = canonical_generators(self.levels)
             dom, index = self.domain, rank_index(self.domain)
-            self._generators = tuple(Permutation._trusted(dom, x, index)
-                                     for x in canonical_generators(self.levels))
+            self._generators = tuple(Permutation._trusted(dom, x, index) for x in ranks)
         return self._generators
 
     @property
@@ -399,15 +414,15 @@ def _transpositions(n: int, blocks: Iterable[int]) -> tuple[_Ranks, ...]:
     """The transpositions of consecutive members of each rank mask, on 0..n-1.
 
     They generate the product of Sym(B) over the blocks B, whose orbits are
-    the blocks.
+    the blocks. By first moved point, greatest first, they are its canonical
+    generators: at each level a the descent takes a's swap with the next member.
     """
     out = []
-    for block in blocks:
-        members = list(bits(block))
-        for a, b in zip(members, members[1:]):
-            swap = list(range(n))
-            swap[a], swap[b] = b, a
-            out.append(tuple(swap))
+    for a, b in sorted((pair for block in blocks for pair in pairwise(bits(block))),
+                       reverse=True):
+        swap = list(range(n))
+        swap[a], swap[b] = b, a
+        out.append(tuple(swap))
     return tuple(out)
 
 
@@ -519,21 +534,20 @@ def canonical_generators(levels) -> list[_Ranks]:
     and H holds u_b G_(L) exactly for the points b of the H-orbit of L-1.
     Choosing images point by point, the least element of G∖H takes the
     least image at every level except L-1; there it takes the least point
-    outside that orbit. So no chain of H is needed, only one orbit.
+    outside that orbit. So no chain of H is needed, only one orbit: the point
+    alone until a generator is found at its level.
     """
-    n = len(levels)
+    moving = [i for i, level in enumerate(levels) if len(level) > 1]
     gens: list[_Ranks] = []
-    deep = n
-    while deep > 0:
-        level = levels[deep - 1]
-        orbit = _orbit(deep - 1, gens)
-        if len(orbit) == len(level):
-            deep -= 1
-            continue
-        x = level[min(b for b in level if b not in orbit)][0]
-        for below in levels[deep:]:
-            if len(below) > 1:
-                x = _compose(x, below[min(below, key=x.__getitem__)][0])
-        gens.append(x)
+    for k in range(len(moving) - 1, -1, -1):
+        i = moving[k]
+        level, orbit = levels[i], {i}
+        while len(orbit) < len(level):
+            x = level[min(b for b in level if b not in orbit)][0]
+            for j in moving[k + 1:]:
+                b = min(levels[j], key=x.__getitem__)
+                if b != j:
+                    x = _compose(x, levels[j][b][0])
+            gens.append(x)
+            orbit = _orbit(i, gens)
     return gens
-

@@ -7,9 +7,9 @@ is the only class allowed to do so.
 
 That waiver is stated once, in the block rule of ``partition_quotient``: a
 block may mix colors only when all its vertices are isolated. Orbit quotients
-check their group's generators with ``perms.is_automorphism`` and leave the
-colors to that rule, since an automorphism that moves an edge-bearing vertex
-across the classes puts it in a mixed orbit.
+test their group's generating ranks as ``perms.is_automorphism`` does and
+leave the colors to that rule, since an automorphism that moves an
+edge-bearing vertex across the classes puts it in a mixed orbit.
 
 Everything here is computed on rank masks: one private core, ``_quotient``,
 builds every quotient from block masks, without revalidation, and classes and
@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .digraph import ColoredDigraph, bits, class_masks, low_bit, rank_index, token_key
 from .errors import GraphFormatError, NotAutomorphismError, PartitionError, PreconditionError
-from .perms import PermGroup, is_automorphism
+from .perms import PermGroup, _maps_edges, is_automorphism
 
 __all__ = [
     "Partition",
@@ -153,16 +153,19 @@ def classical_quotient(g: ColoredDigraph) -> QuotientResult:
 def gamma_quotient(g: ColoredDigraph, grp: PermGroup) -> QuotientResult:
     """Quotient over the orbit partition of a color-preserving automorphism group.
 
-    Every generator must be an automorphism of g. The colors are left to the
-    block rule of ``partition_quotient``: an orbit may mix colors only when
-    all its vertices are isolated, which lets the product group over the
-    equivalence classes act on a color-straddling isolated class.
+    Every generator must be an automorphism of g: the generating ranks are
+    tested, and a fault is named by a canonical generator. The colors are
+    left to the block rule of ``partition_quotient``: an orbit may mix colors
+    only when all its vertices are isolated, which lets the product group
+    over the equivalence classes act on a color-straddling isolated class.
     """
-    for p in grp.generators:
-        if not is_automorphism(g, p):
-            raise NotAutomorphismError(f"generator {p.cycle_string()} is not an automorphism")
-    if grp.domain != g.sorted_vertices:
-        _check_support(g, frozenset(grp.domain))
+    if grp.domain != g.sorted_vertices or not all(
+            _maps_edges(g.out_masks, x) for x in grp.generating_ranks):
+        for p in grp.generators:
+            if not is_automorphism(g, p):
+                raise NotAutomorphismError(f"generator {p.cycle_string()} is not an automorphism")
+        if grp.domain != g.sorted_vertices:
+            _check_support(g, frozenset(grp.domain))
     return _quotient(g, grp.orbit_masks())
 
 

@@ -330,3 +330,74 @@ def brute_force_twin_quotient_order(g: ColoredDigraph) -> int:
                     and all((m[t], m[h]) in edges for t, h in edges)):
                 count += 1
     return count
+
+
+def greedy_descent_generators(levels) -> list[tuple[int, ...]]:
+    """Canonical generators of a stabilizer chain by the plain greedy descent.
+
+    ``levels[i]`` maps each point b of level i's orbit to (u, u^-1), u
+    mapping i to b. From the deepest level up, while the orbit of the
+    level's point under the generators so far misses a point of the level,
+    the next generator takes the least missing point there and the least
+    image at every level below, each level's orbit recomputed and every
+    representative composed.
+    """
+    def orbit(x, gens):
+        seen, todo = {x}, [x]
+        while todo:
+            y = todo.pop()
+            for s in gens:
+                if s[y] not in seen:
+                    seen.add(s[y])
+                    todo.append(s[y])
+        return seen
+
+    n = len(levels)
+    gens: list[tuple[int, ...]] = []
+    deep = n
+    while deep > 0:
+        level = levels[deep - 1]
+        seen = orbit(deep - 1, gens)
+        if len(seen) == len(level):
+            deep -= 1
+            continue
+        x = level[min(b for b in level if b not in seen)][0]
+        for below in levels[deep:]:
+            if len(below) > 1:
+                u = below[min(below, key=x.__getitem__)][0]
+                x = tuple(x[y] for y in u)
+        gens.append(x)
+    return gens
+
+
+def induced_path_or_cycle_dfs(g: ColoredDigraph, length: int = 6) -> list[str] | None:
+    """The first induced path or cycle on ``length`` vertices of g's underlying graph.
+
+    A DFS over induced paths from each vertex in rank order, with no twin
+    shortcut; a cycle closes back to its first vertex implicitly.
+    """
+    adj = [o | i for o, i in zip(g.out_masks, g.in_masks)]
+    n = g.n_vertices
+
+    def extend(path: list[int], on_path: int) -> list[int] | None:
+        if len(path) >= length:
+            return list(path)
+        first, last = path[0], path[-1]
+        ends = 1 << last | 1 << first
+        for nxt in (x for x in range(n) if adj[last] >> x & 1 and not on_path >> x & 1):
+            if adj[nxt] & on_path & ~ends:
+                continue
+            if adj[nxt] >> first & 1 and len(path) >= 2:
+                if len(path) + 1 >= length:
+                    return path + [nxt]
+                continue
+            found = extend(path + [nxt], on_path | 1 << nxt)
+            if found:
+                return found
+        return None
+
+    for start in range(n):
+        found = extend([start], 1 << start)
+        if found:
+            return [g.sorted_vertices[v] for v in found]
+    return None

@@ -31,7 +31,7 @@ from qbmg import (
 )
 from qbmg.autgroup import _color_cells, _refine, _search_automorphisms
 from qbmg.errors import NotAutomorphismError
-from qbmg.perms import PermGroup, _orbit_masks
+from qbmg.perms import PermGroup, _orbit_masks, canonical_generators
 from qbmg.quotients import class_masks
 from qbmg.verify import GraphFacts, run_suite
 
@@ -40,6 +40,7 @@ from tests.oracles import (
     brute_force_color_preserving,
     brute_force_full,
     brute_force_twin_quotient_order,
+    greedy_descent_generators,
     networkx_color_preserving,
     refine_every_vertex,
 )
@@ -613,15 +614,20 @@ def test_trusted_order_and_orbits_on_the_ladder_shapes():
         _assert_read_without_a_chain(aut_full(g))
 
 
-def test_trusted_order_and_orbits_on_a_72_vertex_blow_up():
+def _layered_4_8_blown_up():
     # Layered (4, 8) with a twin for each vertex of U_1, as in
-    # test_blow_up_past_64_vertices_matches_sympy; aut_full
-    # searches g itself, which the 64-vertex cap refuses.
+    # test_blow_up_past_64_vertices_matches_sympy.
     spec = random_layered_spec(4, 8, 1)
     g = layered(spec)
     for k, u in enumerate(sorted(spec.u_class(1), key=int), 1):
         g = blow_up(g, u, str(64 + k))
     assert g.n_vertices == 72
+    return g
+
+
+def test_trusted_order_and_orbits_on_a_72_vertex_blow_up():
+    # aut_full searches g itself, which the 64-vertex cap refuses.
+    g = _layered_4_8_blown_up()
     _assert_read_without_a_chain(aut_color_preserving(g))
     with pytest.raises(SizeCapError):
         aut_full(g)
@@ -635,3 +641,36 @@ def test_orbits_from_generating_ranks_on_random_generators(case):
     dom = tuple(str(i) for i in range(1, n + 1))
     gens = [Permutation(dom, [dom[i] for i in x]) for x in images]
     _assert_read_without_a_chain(PermGroup.from_generators(gens, dom), order_known=False)
+
+
+# -- canonical generators: the closed form and the descent -----------------------
+
+
+def test_products_of_symmetric_groups_print_their_transpositions(enumerated_pool):
+    # Gamma, and Aut_I when the twin quotient has a trivial group, list
+    # their generating transpositions with no chain; every group's list is
+    # what the descent reads off its chain.
+    graphs, closed = enumerated_pool[::6], 0
+    for g in graphs:
+        for grp in (canonical_gamma(g), aut_color_preserving(g)):
+            ranks = [p.ranks for p in grp.generators]
+            closed += grp._levels is None
+            assert ranks == canonical_generators(grp.levels)
+    assert closed > len(graphs)
+
+
+def _assert_descents_agree(grp):
+    assert canonical_generators(grp.levels) == greedy_descent_generators(grp.levels)
+
+
+def test_descent_equals_the_plain_descent_on_the_pool(enumerated_pool):
+    for g in enumerated_pool[::6]:
+        _assert_descents_agree(aut_color_preserving(g))
+        _assert_descents_agree(aut_full(g))
+
+
+def test_descent_equals_the_plain_descent_on_the_ladders_and_a_72_vertex_blow_up():
+    for g in _ladder_shapes():
+        _assert_descents_agree(aut_color_preserving(g))
+        _assert_descents_agree(aut_full(g))
+    _assert_descents_agree(aut_color_preserving(_layered_4_8_blown_up()))

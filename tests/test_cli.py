@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbmg import ColoredDigraph, format_graph, parse_graph
+from qbmg import (
+    ColoredDigraph,
+    aut_color_preserving,
+    aut_full,
+    format_graph,
+    parse_graph,
+    token_key,
+)
+from qbmg import perms
 from qbmg.cli import _json, main
 from qbmg.verify import CHECK_NAMES
 
@@ -141,6 +149,64 @@ def test_aut_full_k66(tmp_path, capsys):
     code, out, _ = run(capsys, "aut", "--full", _write(tmp_path, "k66.qbmg", u, w, edges))
     assert code == 0
     assert out.startswith("all automorphisms: order 1036800\n")
+
+
+def _symmetric_matching(u, w) -> list[tuple[str, str]]:
+    return [e for a, b in zip(u, w) for e in ((a, b), (b, a))]
+
+
+def _k55_case():
+    u, w = [str(i) for i in range(1, 6)], [str(i) for i in range(6, 11)]
+    edges = [(a, b) for a in u for b in w] + [(b, a) for a in u for b in w]
+    swaps = [f"p: {a}->{a + 1} {a + 1}->{a}" for a in (9, 8, 7, 6, 4, 3, 2, 1)]
+    return (u, w, edges), {"schema": 1, "order": 14400, "generators": swaps,
+                           "orbits": [u, w]}, {}
+
+
+def _matching7_case():
+    u, w = [str(i) for i in range(1, 8)], [str(i) for i in range(8, 15)]
+    swaps = [f"p: {a}->{a + 1} {a + 1}->{a} {a + 7}->{a + 8} {a + 8}->{a + 7}"
+             for a in range(6, 0, -1)]
+    calls = {"_schreier_sims": 1, "_symmetric_chain": 1, "canonical_generators": 1}
+    return (u, w, _symmetric_matching(u, w)), {"schema": 1, "order": 5040,
+                                               "generators": swaps, "orbits": [u, w]}, calls
+
+
+@pytest.mark.parametrize("case", [_k55_case(), _matching7_case()], ids=["K55", "matching7"])
+def test_aut_builds_a_chain_only_when_its_generators_need_one(tmp_path, capsys, monkeypatch,
+                                                               case):
+    # K_{5,5}'s group is Sym(5) x Sym(5): its generating transpositions are
+    # its canonical generators, so no chain is built. The matching's group
+    # is searched, and its generators are read off the chain.
+    graph, doc, calls = case
+    counts = {}
+    for name in ("_schreier_sims", "_symmetric_chain", "canonical_generators"):
+        def counted(*args, _fn=getattr(perms, name), _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(perms, name, counted)
+    code, out, _ = run(capsys, "aut", _write(tmp_path, "g.qbmg", *graph), "--json")
+    assert code == 0 and counts == calls
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["color-preserving", "full"])
+def test_aut_orbits_print_in_token_order(tmp_path, capsys, full):
+    # 10 sorts after 9 and before the letters: orbits print by token_key,
+    # not by text, both in JSON and in text.
+    g = ColoredDigraph(("9", "10", "a"), ("2", "11", "b"),
+                       _symmetric_matching(("9", "10", "a"), ("b", "11", "2")))
+    grp = aut_full(g) if full else aut_color_preserving(g)
+    orbits = [sorted(o, key=token_key) for o in grp.orbit_sets()]
+    assert orbits != [sorted(o) for o in grp.orbit_sets()]
+    path = tmp_path / "mixed.qbmg"
+    path.write_text(format_graph(g))
+    flags = ["--full"] if full else []
+    code, out, _ = run(capsys, "aut", str(path), "--json", *flags)
+    assert code == 0 and json.loads(out)["orbits"] == orbits
+    code, out, _ = run(capsys, "aut", str(path), *flags)
+    assert code == 0
+    assert out.splitlines()[-1] == "orbits: " + " ".join("{" + ",".join(o) + "}" for o in orbits)
 
 
 def _matching_33(tmp_path) -> str:

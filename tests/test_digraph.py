@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qbmg.digraph
 from qbmg import (
@@ -14,6 +15,7 @@ from qbmg import (
     QbmgError,
     UnknownVertexError,
     aut_color_preserving,
+    blow_up,
     canonical_gamma,
     classical_quotient,
     equivalence_classes,
@@ -151,6 +153,41 @@ def test_long_induced_path_ignores_chorded_path():
     assert long_induced_path_or_cycle(_path_graph(6, cycle)) is not None
     chorded = cycle + [("1", "4")]  # chord kills both P6 and C6
     assert long_induced_path_or_cycle(_path_graph(6, chorded)) is None
+
+
+def test_long_induced_path_equals_the_dfs_on_the_pool(enumerated_pool):
+    # Pool graphs have at most 6 vertices; only thin 3+3 ones reach the DFS.
+    searched = 0
+    for g in enumerated_pool:
+        searched += len(class_masks(g)) >= 6
+        assert long_induced_path_or_cycle(g) == oracles.induced_path_or_cycle_dfs(g)
+    assert searched > 0
+
+
+def _blown_up(g, data, cap=64):
+    for k in range(data.draw(st.integers(0, cap - g.n_vertices))):
+        g = blow_up(g, data.draw(st.sampled_from(sorted(g.vertices, key=token_key))), f"t{k}")
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_long_induced_path_equals_the_dfs_on_blow_ups(family_instances, data):
+    # Twins leave the class count alone, so a graph with 6 or more classes
+    # is searched at every size up to the cap, and one with fewer never is.
+    # P6 and C6 are non-members with a witness.
+    bases = [_path_graph(6), _path_graph(6, [("6", "1")])]
+    bases += sorted(family_instances.values(), key=lambda h: h.n_vertices)
+    g = _blown_up(data.draw(st.sampled_from(bases)), data)
+    assert long_induced_path_or_cycle(g) == oracles.induced_path_or_cycle_dfs(g)
+
+
+def test_long_induced_path_equals_the_dfs_on_a_non_member_with_twins():
+    # P6 with a twin of 3 and of 6: 8 vertices, 6 classes, and a witness.
+    g = blow_up(blow_up(_path_graph(6), "3", "7"), "6", "8")
+    assert len(class_masks(g)) == 6
+    witness = long_induced_path_or_cycle(g)
+    assert witness is not None and witness == oracles.induced_path_or_cycle_dfs(g)
 
 
 def test_long_induced_path_cap():

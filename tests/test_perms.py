@@ -4,12 +4,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup as SympyGroup
 
 from qbmg import GraphFormatError, Permutation, QbmgError, format_permutation, parse_permutation
 from qbmg.errors import SizeCapError
-from qbmg.perms import PermGroup
+from qbmg.perms import PermGroup, _symmetric_chain, canonical_generators
+
+from tests.oracles import greedy_descent_generators
 
 
 DOM = ("1", "2", "3", "4")
@@ -185,3 +189,22 @@ def test_canonical_generators_are_the_greedy_scan(seed):
     assert list(grp.generators) == expected
     assert list(grp.sorted_elements) == sorted(
         span, key=lambda p: [int(v) for v in p.images])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=12), st.randoms(use_true_random=False))
+def test_product_of_symmetric_groups_lists_its_transpositions(labels, rng):
+    # Point i lies in block labels[i]; the blocks arrive in any order. The
+    # group's generating ranks are then its canonical generators, read with
+    # no chain, and they are what the greedy descent finds on the written chain.
+    n = len(labels)
+    blocks = [sum(1 << i for i, k in enumerate(labels) if k == label) for label in set(labels)]
+    rng.shuffle(blocks)
+    dom = tuple(str(i) for i in range(1, n + 1))
+    grp = PermGroup._from_ranks(dom, (), None, blocks)
+    ranks = [p.ranks for p in grp.generators]
+    assert grp._levels is None
+    levels = _symmetric_chain(n, blocks)[0]
+    assert ranks == canonical_generators(levels) == greedy_descent_generators(levels)
+    assert [min(i for i, x in enumerate(r) if x != i) for r in ranks] == sorted(
+        (i for i, k in enumerate(labels) if k in labels[i + 1:]), reverse=True)

@@ -1,5 +1,7 @@
 """Equivalence classes, quotients, and the thin orbit-pair structure."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -181,6 +183,46 @@ def test_gamma_quotient_rejects_non_automorphism():
     grp = PermGroup.from_generators([bad])
     with pytest.raises(NotAutomorphismError, match="not an automorphism"):
         gamma_quotient(g, grp)
+
+
+def _planted(gens, domain=("1", "2", "3")):
+    # 1 -> 2 with 3 isolated in W.
+    g = ColoredDigraph(("1",), ("2", "3"), [("1", "2")])
+    perms = [Permutation.from_mapping(dict(zip(c, c[1:] + c[:1])), domain) for c in gens]
+    return g, PermGroup.from_generators(perms, domain)
+
+
+@pytest.mark.parametrize("gens, message", [
+    # (1 2 3) and (1 2) generate Sym(3), whose first canonical generator is
+    # (2 3): the fault is named by it, not by the generating rank that shows it.
+    ((("1", "2", "3"), ("1", "2")), "generator (2 3) is not an automorphism"),
+    ((("1", "2", "3"),), "generator (1 2 3) is not an automorphism"),
+])
+def test_gamma_quotient_names_a_planted_fault_by_the_canonical_generators(gens, message):
+    g, grp = _planted(gens)
+    with pytest.raises(NotAutomorphismError, match=f"^{re.escape(message)}$"):
+        gamma_quotient(g, grp)
+
+
+@pytest.mark.parametrize("gens, error, message", [
+    ((("1", "4"),), NotAutomorphismError,
+     "permutation domain does not match the graph's vertex set"),
+    ((), PartitionError, "partition does not match the vertex set: unknown vertices ['4']"),
+])
+def test_gamma_quotient_rejects_a_foreign_domain(gens, error, message):
+    g, grp = _planted(gens, ("1", "2", "3", "4"))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        gamma_quotient(g, grp)
+
+
+def test_gamma_quotient_accepts_on_the_generating_ranks():
+    # The matching's group is searched, so its canonical generators would
+    # need a chain; accepting reads neither.
+    u, w = ("1", "2", "3"), ("4", "5", "6")
+    g = ColoredDigraph(u, w, [e for a, b in zip(u, w) for e in ((a, b), (b, a))])
+    grp = aut_color_preserving(g)
+    assert gamma_quotient(g, grp).quotient.edges == {("q_1", "q_4"), ("q_4", "q_1")}
+    assert grp._generators is None and grp._levels is None
 
 
 def _symmetric_edge_with_swap():
