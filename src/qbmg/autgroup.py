@@ -3,11 +3,12 @@
 The search backtracks over an equitable refinement of the vertex set: cells
 start from an initial cell list (the color classes, or one cell when
 color-switching maps are wanted), then split repeatedly on the multiset of
-neighbor cells until stable.
-Automorphisms map cells to themselves, so candidate images are drawn from the
-vertex's own cell and filtered by adjacency with the partial assignment. The
-search works on the graph's vertex ranks and neighbor masks, the numbering
-``perms`` shares, from start to end.
+neighbor cells, read as one popcount per cell, until stable.
+Automorphisms map cells to themselves, so the candidate images of a vertex
+are one mask per search node: its own cell, less the images used, cut by
+the neighbor masks of its placed neighbors' images. The search works on the
+graph's vertex ranks and neighbor masks, the numbering ``perms`` shares,
+from start to end.
 Vertices are assigned in connectivity order (after McKay & Piperno, "Practical
 graph isomorphism, II", 2014): the least vertex by (cell size, cell id,
 rank), then always the least unplaced neighbor of a placed vertex, so each
@@ -18,7 +19,8 @@ That order is also the base of the search, which looks for a strong
 generating set rather than for every element (Leon, "Permutation group
 algorithms based on partitions, I", 1991): level by level from the last base
 point to the first, one automorphism per new orbit point, so a group of any
-order costs a few leaves per level. The group keeps those generators and
+order costs a few leaves per level. The orbits of the generators found so
+far are rank masks, merged at each leaf. The group keeps those generators and
 the order their orbit lengths multiply to; its stabilizer chain is built
 from them only when something reads it (see ``perms``).
 
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 from .digraph import ColoredDigraph, bits, class_masks, low_bit
 from .errors import QbmgError, SizeCapError
-from .perms import PermGroup, _compose, _invert, _orbit, _sift, is_automorphism
+from .perms import PermGroup, _compose, _invert, _sift, is_automorphism
 
 __all__ = [
     "SearchStats",
@@ -74,22 +76,27 @@ def _refine(g: ColoredDigraph, cells: list[int], stats: SearchStats) -> list[int
 
     ``cells[v]`` is the cell id of rank v. Cell ids are assigned by sorting
     the signatures, so they are canonical for the graph and the initial
-    coloring. A singleton cell cannot split, so its signature is the cell
-    alone: it is the only signature starting with that cell, so it sorts to
-    the same place. Each pass counts as one round.
+    coloring. A neighbor-cell multiset is read as one popcount per cell, and
+    written as each cell id repeated that many times, in ascending cell id:
+    the sorted tuple of the neighbors' cells. A singleton cell cannot split,
+    so its signature is the cell alone: it is the only signature starting
+    with that cell, so it sorts to the same place. Each pass counts as one
+    round.
     """
-    n_cells = len(set(cells))
     while True:
         stats.refinement_rounds += 1
-        size, cell = Counter(cells), cells.__getitem__
-        sigs = [(c,) if size[c] == 1 else
-                (c, tuple(sorted(map(cell, bits(o)))), tuple(sorted(map(cell, bits(i)))))
+        members = dict.fromkeys(sorted(set(cells)), 0)
+        for v, c in enumerate(cells):
+            members[c] |= 1 << v
+        ids = [((c,), m) for c, m in members.items()]  # (the 1-tuple of a cell id, its mask)
+        sigs = [(c,) if members[c].bit_count() == 1 else
+                (c, sum([t * (o & m).bit_count() for t, m in ids if o & m], ()),
+                 sum([t * (i & m).bit_count() for t, m in ids if i & m], ()))
                 for c, o, i in zip(cells, g.out_masks, g.in_masks)]
         fresh = {s: k for k, s in enumerate(sorted(set(sigs)))}
         cells = [fresh[s] for s in sigs]
-        if len(fresh) == n_cells:
+        if len(fresh) == len(members):
             return cells
-        n_cells = len(fresh)
 
 
 @dataclass
@@ -155,91 +162,102 @@ def _search_automorphisms(g: ColoredDigraph, cells: list[int],
     there when every refined cell is a single vertex.
 
     Vertices are numbered by token rank, and the assignment order is the base
-    v_0..v_{n-1}. Going from level n-1 down to 0, the generators S found so
-    far all fix v_0..v_{i-1}. A candidate image c of v_i is tried only when it
-    is not among v_0..v_{i-1}, not in v_i's S-orbit and not in an S-orbit
-    already found dead; the search then looks for one leaf that fixes
-    v_0..v_{i-1} and maps v_i to c. A leaf joins S; without one, c's S-orbit
-    is dead. S is then a strong generating set, and v_i's S-orbit at the end
-    of level i is its fundamental orbit.
+    v_0..v_{n-1}; at depth k the placed vertices are exactly v_0..v_{k-1}, so
+    each position keeps its cell mask and its placed out- and in-neighbors.
+    The images of v_k that fit are one mask: the cell less the used images,
+    cut to the in-masks of the out-neighbors' images and the out-masks of the
+    in-neighbors' images, keeping c only when c's out- and in-neighbors among
+    the used images are exactly those images. They are tried least first.
+
+    Going from level n-1 down to 0, the generators S found so far all fix
+    v_0..v_{i-1}. A fitting image c of v_i, with v_0..v_{i-1} fixed, is tried
+    only when it is not in v_i's S-orbit and not in an S-orbit already found
+    dead; the search then looks for one leaf that fixes v_0..v_{i-1} and maps
+    v_i to c. A leaf joins S and merges the S-orbits it joins, which are kept
+    as masks; without one, c's S-orbit is dead. S is then a strong generating
+    set, and v_i's S-orbit at the end of level i is its fundamental orbit.
     """
     n = g.n_vertices
     if n > DEFAULT_VERTEX_CAP:
         raise SizeCapError(
             f"automorphism search capped at {DEFAULT_VERTEX_CAP} vertices, got {n}")
     cells = _refine(g, cells, stats)
-    if len(set(cells)) == n:
+    cell_mask = dict.fromkeys(cells, 0)
+    for v, c in enumerate(cells):
+        cell_mask[c] |= 1 << v
+    if len(cell_mask) == n:
         stats.base_length, stats.orbit_lengths = 0, ()
         return [], 1
-    by_cell: dict[int, list[int]] = {}
-    for v, c in enumerate(cells):
-        by_cell.setdefault(c, []).append(v)
-    cell_of = [by_cell[c] for c in cells]
     base = _assignment_order(g, cells)
     out_mask, in_mask = g.out_masks, g.in_masks
-
+    # Position k's cell mask, and its out- and in-neighbors placed before it.
+    shape, placed = [], 0
+    for v in base:
+        shape.append((cell_mask[cells[v]], list(bits(out_mask[v] & placed)),
+                      list(bits(in_mask[v] & placed))))
+        placed |= 1 << v
     image = list(range(n))
-    placed = 0  # bitmask of the placed vertices
-    used = 0  # bitmask of the images of the placed vertices
 
-    def fits(v: int, c: int) -> bool:
-        # Every placed a must satisfy a -> v iff image(a) -> c, both ways.
-        # Placed neighbors of v must map to neighbors of c, and c may have no
-        # more placed-image neighbors than v has placed neighbors.
-        for nbrs, mask_c in ((out_mask[v] & placed, out_mask[c]),
-                             (in_mask[v] & placed, in_mask[c])):
-            for a in bits(nbrs):
-                if not mask_c >> image[a] & 1:
-                    return False
-            if (mask_c & used).bit_count() != nbrs.bit_count():
-                return False
-        return True
+    def fitting(k: int, used: int) -> int:
+        # The images of base[k] that extend the images of base[:k], whose mask is ``used``.
+        cell, outs, ins = shape[k]
+        cand, out_images, in_images = cell & ~used, 0, 0
+        for b in outs:
+            a = image[b]
+            cand &= in_mask[a]
+            out_images |= 1 << a
+        for b in ins:
+            a = image[b]
+            cand &= out_mask[a]
+            in_images |= 1 << a
+        fit = cand
+        while cand:
+            low = cand & -cand
+            c = low.bit_length() - 1
+            if out_mask[c] & used != out_images or in_mask[c] & used != in_images:
+                fit ^= low
+            cand ^= low
+        return fit
 
-    def extend(k: int) -> bool:
-        nonlocal placed, used
+    def extend(k: int, used: int) -> bool:
         stats.nodes += 1
         if k == n:
             stats.leaves += 1
             return True
-        v = base[k]
-        extended = False
-        placed |= 1 << v
-        for c in cell_of[v]:
-            if used >> c & 1 or not fits(v, c):
-                continue
-            extended = True
-            image[v] = c
-            used |= 1 << c
-            if extend(k + 1):
-                return True
-            used &= ~(1 << c)
-        placed &= ~(1 << v)
-        if not extended:
+        fit = fitting(k, used)
+        if not fit:
             stats.dead_ends += 1
+        v = base[k]
+        while fit:
+            low = fit & -fit
+            image[v] = low.bit_length() - 1
+            if extend(k + 1, used | low):
+                return True
+            fit ^= low
         return False
 
     strong: list[tuple[int, ...]] = []
+    orbit = [1 << v for v in range(n)]  # orbit[a]: a's S-orbit
     lengths = [1] * n
+    prefix = placed
     for i in range(n - 1, -1, -1):
         v = base[i]
-        prefix = sum(1 << a for a in base[:i])
-        orbit = _orbit(v, strong)
-        dead: set[int] = set()
-        for c in cell_of[v]:
-            if c in orbit or c in dead or prefix >> c & 1:
+        prefix ^= 1 << v  # v_0..v_{i-1}, each its own image from here on
+        todo, dead = fitting(i, prefix), 0
+        while todo := todo & ~orbit[v] & ~dead:
+            low = todo & -todo
+            c = image[v] = low.bit_length() - 1
+            if not extend(i + 1, prefix | low):
+                dead |= orbit[c]
                 continue
-            image[:] = range(n)
-            placed = used = prefix
-            if fits(v, c):
-                placed |= 1 << v
-                image[v] = c
-                used |= 1 << c
-                if extend(i + 1):
-                    strong.append(tuple(image))
-                    orbit = _orbit(v, strong)
-                    continue
-            dead |= _orbit(c, strong)
-        lengths[i] = len(orbit)
+            strong.append(tuple(image))
+            for a in base[i:]:
+                b = image[a]
+                if not orbit[a] >> b & 1:
+                    merged = orbit[a] | orbit[b]
+                    for y in bits(merged):
+                        orbit[y] = merged
+        lengths[i] = orbit[v].bit_count()
 
     stats.base_length = max((i + 1 for i, size in enumerate(lengths) if size > 1), default=0)
     stats.orbit_lengths = tuple(lengths[:stats.base_length])
@@ -306,8 +324,8 @@ def aut_full(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
     and switch them on another, so this runs a color-blind search rather than
     gluing a switching coset onto the color-preserving group. Each leaf is a
     digraph automorphism, since every assignment maps the vertex's placed out-
-    and in-neighbors to neighbors of its image, and one popcount per direction
-    bars the image from having more placed neighbors. On a connected graph a
+    and in-neighbors onto exactly the image's out- and in-neighbors among the
+    images used. On a connected graph a
     leaf maps U onto U or onto W, since all edges cross U-W and a connected
     bipartite graph has one bipartition, so there the color-preserving
     subgroup has index 1 or 2.

@@ -267,13 +267,16 @@ class PermGroup:
         read at call time.
         """
         if self._sorted_elements is None:
-            if self.order > DEFAULT_ELEMENT_CAP:
-                raise SizeCapError(
-                    f"group order exceeds the element cap of {DEFAULT_ELEMENT_CAP}")
             dom, index = self.domain, rank_index(self.domain)
             self._sorted_elements = tuple(Permutation._trusted(dom, x, index)
-                                          for x in _walk(self.levels))
+                                          for x in self._element_ranks())
         return self._sorted_elements
+
+    def _element_ranks(self) -> Iterator[_Ranks]:
+        """Every element's rank tuple, in order, with the cap of ``sorted_elements``."""
+        if self.order > DEFAULT_ELEMENT_CAP:
+            raise SizeCapError(f"group order exceeds the element cap of {DEFAULT_ELEMENT_CAP}")
+        return _walk(self.levels)
 
     @property
     def elements(self) -> frozenset[Permutation]:
@@ -437,7 +440,8 @@ def _schreier_sims(n: int, generators: Iterable[_Ranks], order: int | None = Non
     resumes at the level where the residue stopped. ``tested`` keeps each
     level's (orbit point, generator) pairs, so none is sifted twice. With
     ``order`` the scan ends once the orbit lengths multiply to it: every
-    orbit is then full, so the chain is complete.
+    orbit is then full, so the chain is complete. The product is read once
+    and then updated for each level an adjoin grows.
 
     ``known`` is ``(levels, strong)``, a complete chain of a subgroup H with
     its strong generators, each with its first moved point; it is the
@@ -448,7 +452,8 @@ def _schreier_sims(n: int, generators: Iterable[_Ranks], order: int | None = Non
     1991).
     """
     levels, strong = known or _symmetric_chain(n, ())
-    if known and math.prod(len(level) for level in levels) == order:
+    size = math.prod(len(level) for level in levels)  # the order the chain spans so far
+    if known and size == order:
         return levels
     tested: list[set[tuple[int, int]]] = [set() for _ in range(n)]
     for k, (_, first) in enumerate(strong):
@@ -456,9 +461,11 @@ def _schreier_sims(n: int, generators: Iterable[_Ranks], order: int | None = Non
             tested[j].update((b, k) for b in levels[j])
 
     def adjoin(x: _Ranks, j: int) -> bool:
+        nonlocal size
         strong.append((x, j))
         for i in range(j + 1):
             level = levels[i]
+            before = len(level)
             gens = [s for s, first in strong if first >= i]
             fresh = []
             for b, (u, _) in list(level.items()):
@@ -474,7 +481,8 @@ def _schreier_sims(n: int, generators: Iterable[_Ranks], order: int | None = Non
                         v = _compose(s, u)
                         level[c] = (v, _invert(v))
                         fresh.append(c)
-        return math.prod(len(level) for level in levels) == order
+            size = size // before * len(level)
+        return size == order
 
     top = -1
     for x in generators:

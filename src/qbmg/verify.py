@@ -18,7 +18,7 @@ from .autgroup import aut_color_preserving, aut_full, canonical_gamma, is_normal
 from .digraph import ColoredDigraph, bits, class_masks, long_induced_path_or_cycle, low_bit
 from .errors import PreconditionError, QbmgError
 from .orientations import check_orientation_theorems
-from .perms import PermGroup, _orbit_masks
+from .perms import PermGroup, Permutation, _orbit_masks
 from .quotients import (
     QuotientResult,
     _orbit_pair_shapes,
@@ -137,22 +137,29 @@ def _gamma_hereditary(f: GraphFacts) -> Outcome:
 
     ``gamma_quotient`` checks the two groups' generators, so every element of
     Aut_I is an automorphism. The orbits of <a> are the cycles of a, so each
-    cyclic subgroup is quotiented by a's cycle partition, as rank masks, once
-    per distinct partition; the identity's partition, into singletons, is
-    skipped, since its quotient is g itself.
+    cyclic subgroup is quotiented by a's cycle partition, as rank masks. Each
+    distinct partition is quotiented once, in that order, and the partition
+    into singletons never: its quotient is g itself, which passed membership.
     """
-    n = f.g.n_vertices
-    if not is_2qbmg(gamma_quotient(f.g, f.aut_i).quotient):
-        return False, "quotient by full Aut_I is not a 2-qBMG"
-    if not is_2qbmg(f.via_gamma.quotient):
-        return False, "quotient by canonical gamma is not a 2-qBMG"
-    seen = {f.aut_i.orbit_masks(), f.gamma.orbit_masks(), _orbit_masks(n, [])}
-    for a in f.aut_i.sorted_elements:
-        cycles = _orbit_masks(n, [a.ranks])
+    g, n = f.g, f.g.n_vertices
+    seen = {tuple(1 << v for v in range(n))}
+    if f.aut_i.orbit_masks() not in seen:
+        seen.add(f.aut_i.orbit_masks())
+        if not is_2qbmg(gamma_quotient(g, f.aut_i).quotient):
+            return False, "quotient by full Aut_I is not a 2-qBMG"
+    if f.gamma.orbit_masks() not in seen:
+        seen.add(f.gamma.orbit_masks())
+        if not is_2qbmg(f.via_gamma.quotient):
+            return False, "quotient by canonical gamma is not a 2-qBMG"
+    if f.aut_i.order == 1:
+        return True, ""
+    for x in f.aut_i._element_ranks():
+        cycles = _orbit_masks(n, [x])
         if cycles in seen:
             continue
         seen.add(cycles)
-        if not is_2qbmg(_quotient(f.g, cycles).quotient):
+        if not is_2qbmg(_quotient(g, cycles).quotient):
+            a = Permutation._trusted(f.aut_i.domain, x, g.rank)
             return False, f"quotient by cyclic<{a.cycle_string()}> is not a 2-qBMG"
     return True, ""
 

@@ -401,3 +401,105 @@ def induced_path_or_cycle_dfs(g: ColoredDigraph, length: int = 6) -> list[str] |
         if found:
             return [g.sorted_vertices[v] for v in found]
     return None
+
+
+def fits_search(g: ColoredDigraph, cells: list[int], stats) -> tuple[list[tuple[int, ...]], int]:
+    """Strong generators and order by the search that tests each candidate image in turn.
+
+    The same refinement, base and level scheme as ``autgroup._search_automorphisms``,
+    with the cells from ``refine_every_vertex`` and every S-orbit walked
+    afresh: a candidate c of the placed vertex v fits when each placed out-
+    and in-neighbor a of v has its image among c's out- and in-neighbors,
+    and c has no more neighbors among the used images than v among the
+    placed vertices. ``stats`` gets the same counts.
+    """
+    import math
+
+    from qbmg.autgroup import _assignment_order
+
+    def orbit_of(x, gens):
+        seen, todo = {x}, [x]
+        while todo:
+            y = todo.pop()
+            for s in gens:
+                if s[y] not in seen:
+                    seen.add(s[y])
+                    todo.append(s[y])
+        return seen
+
+    n = g.n_vertices
+    cells, rounds = refine_every_vertex(g, cells)
+    stats.refinement_rounds += rounds
+    if len(set(cells)) == n:
+        stats.base_length, stats.orbit_lengths = 0, ()
+        return [], 1
+    by_cell: dict[int, list[int]] = {}
+    for v, c in enumerate(cells):
+        by_cell.setdefault(c, []).append(v)
+    cell_of = [by_cell[c] for c in cells]
+    base = _assignment_order(g, cells)
+    out_mask, in_mask = g.out_masks, g.in_masks
+
+    image = list(range(n))
+    placed = 0  # bitmask of the placed vertices
+    used = 0  # bitmask of the images of the placed vertices
+
+    def fits(v: int, c: int) -> bool:
+        for nbrs, mask_c in ((out_mask[v] & placed, out_mask[c]),
+                             (in_mask[v] & placed, in_mask[c])):
+            for a in range(n):
+                if nbrs >> a & 1 and not mask_c >> image[a] & 1:
+                    return False
+            if (mask_c & used).bit_count() != nbrs.bit_count():
+                return False
+        return True
+
+    def extend(k: int) -> bool:
+        nonlocal placed, used
+        stats.nodes += 1
+        if k == n:
+            stats.leaves += 1
+            return True
+        v = base[k]
+        extended = False
+        placed |= 1 << v
+        for c in cell_of[v]:
+            if used >> c & 1 or not fits(v, c):
+                continue
+            extended = True
+            image[v] = c
+            used |= 1 << c
+            if extend(k + 1):
+                return True
+            used &= ~(1 << c)
+        placed &= ~(1 << v)
+        if not extended:
+            stats.dead_ends += 1
+        return False
+
+    strong: list[tuple[int, ...]] = []
+    lengths = [1] * n
+    for i in range(n - 1, -1, -1):
+        v = base[i]
+        prefix = sum(1 << a for a in base[:i])
+        orbit = orbit_of(v, strong)
+        dead: set[int] = set()
+        for c in cell_of[v]:
+            if c in orbit or c in dead or prefix >> c & 1:
+                continue
+            image[:] = range(n)
+            placed = used = prefix
+            if fits(v, c):
+                placed |= 1 << v
+                image[v] = c
+                used |= 1 << c
+                if extend(i + 1):
+                    strong.append(tuple(image))
+                    orbit = orbit_of(v, strong)
+                    continue
+            dead |= orbit_of(c, strong)
+        lengths[i] = len(orbit)
+
+    stats.base_length = max((i + 1 for i, size in enumerate(lengths) if size > 1), default=0)
+    stats.orbit_lengths = tuple(lengths[:stats.base_length])
+    return strong, math.prod(lengths)

@@ -40,6 +40,8 @@ from tests.oracles import (
     brute_force_color_preserving,
     brute_force_full,
     brute_force_twin_quotient_order,
+    enumerate_bipartite_digraphs,
+    fits_search,
     greedy_descent_generators,
     networkx_color_preserving,
     refine_every_vertex,
@@ -561,17 +563,23 @@ def test_refinement_matches_the_oracle_on_the_pool(enumerated_pool):
             _assert_refinement_matches_oracle(h, cells)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 4), st.integers(0, 4), st.data())
-def test_refinement_matches_the_oracle_on_random_graphs(r, s, data):
-    # Any bipartite digraph and any initial cells, not only color classes.
+@st.composite
+def _graphs_with_cells(draw):
+    # Any bipartite digraph on up to 4+4 vertices and any initial cells, not
+    # only color classes.
+    r, s = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     u = [str(i) for i in range(1, r + 1)]
     w = [str(i) for i in range(r + 1, r + s + 1)]
     pairs = [(a, b) for a in u for b in w] + [(b, a) for a in u for b in w]
-    g = ColoredDigraph(u, w, data.draw(st.sets(st.sampled_from(pairs))) if pairs else ())
+    g = ColoredDigraph(u, w, draw(st.sets(st.sampled_from(pairs))) if pairs else ())
     n = g.n_vertices
-    _assert_refinement_matches_oracle(g, data.draw(st.lists(st.integers(0, 2), min_size=n,
-                                                            max_size=n)))
+    return g, draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_graphs_with_cells())
+def test_refinement_matches_the_oracle_on_random_graphs(case):
+    _assert_refinement_matches_oracle(*case)
 
 
 def test_a_discrete_refinement_ends_the_search():
@@ -580,6 +588,52 @@ def test_a_discrete_refinement_ends_the_search():
     stats = SearchStats()
     assert _search_automorphisms(g, _color_cells(g), stats) == ([], 1)
     assert stats == SearchStats(refinement_rounds=stats.refinement_rounds)
+
+
+# -- the search on candidate masks against the search that fits each candidate --
+
+
+def _assert_search_matches_the_fits_oracle(g, cells=None):
+    # Strong generators, order and every count, from the color classes and
+    # from one cell unless the cells are given.
+    for start in [_color_cells(g), [0] * g.n_vertices] if cells is None else [cells]:
+        stats, oracle_stats = SearchStats(), SearchStats()
+        assert (_search_automorphisms(g, list(start), stats)
+                == fits_search(g, list(start), oracle_stats))
+        assert stats == oracle_stats
+
+
+def test_search_matches_the_fits_oracle_on_the_pool_and_fixtures(
+        enumerated_pool, named_fixtures, family_instances):
+    for g in [*enumerated_pool, *named_fixtures.values(), *family_instances.values()]:
+        _assert_search_matches_the_fits_oracle(g)
+
+
+def test_search_matches_the_fits_oracle_on_the_ladder_shapes():
+    for g in _ladder_shapes():
+        _assert_search_matches_the_fits_oracle(g)
+
+
+def test_search_matches_the_fits_oracle_on_every_small_digraph():
+    # Members or not: on some, such as 1->3, 1->4, 2->3, 2->4, 3->2, 4->1
+    # searched from one cell, only the in-neighbor rule ends a branch early.
+    for r in range(1, 5):
+        for s in range(1, 6 - r):
+            for g in enumerate_bipartite_digraphs(r, s):
+                _assert_search_matches_the_fits_oracle(g)
+
+
+@pytest.mark.parametrize("s, m", [(4, 8), (2, 16)])
+def test_search_matches_the_fits_oracle_at_64_vertices(s, m):
+    g = layered(random_layered_spec(s, m, 1))
+    assert g.n_vertices == 64
+    _assert_search_matches_the_fits_oracle(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_graphs_with_cells())
+def test_search_matches_the_fits_oracle_on_random_graphs(case):
+    _assert_search_matches_the_fits_oracle(*case)
 
 
 # -- order and orbits read before any chain ------------------------------------

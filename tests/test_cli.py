@@ -125,6 +125,29 @@ def test_aut_stats_go_to_stderr_only(capsys):
                    "refinement_rounds 1\n")
 
 
+@pytest.mark.parametrize("k, nodes", [(5, 28), (6, 40), (7, 54)])
+def test_aut_stats_on_the_matching_ladder(tmp_path, capsys, k, nodes):
+    # k disjoint symmetric edges, the symmetry-closure ladder: one leaf per
+    # level whose fundamental orbit grows, with lengths k, 1, k-1, 1, ..., 2.
+    u = [str(i) for i in range(1, k + 1)]
+    w = [str(k + i) for i in range(1, k + 1)]
+    path = str(FIXTURES / "symmetry" / "matching5.qbmg") if k == 5 else _write(
+        tmp_path, f"matching{k}.qbmg", u, w, [e for a, b in zip(u, w) for e in ((a, b), (b, a))])
+    code, _, err = run(capsys, "aut", path, "--stats")
+    assert code == 0
+    lengths = ",1,".join(map(str, range(k, 1, -1)))
+    assert err == (f"search: nodes {nodes} leaves {k - 1} dead_ends 0 base_length {2 * k - 3} "
+                   f"orbit_lengths {lengths} refinement_rounds 1\n")
+
+
+def test_aut_full_stats_on_five_symmetric_edges(capsys):
+    code, _, err = run(capsys, "aut", str(FIXTURES / "symmetry" / "matching5.qbmg"),
+                       "--full", "--stats")
+    assert code == 0
+    assert err == ("search: nodes 30 leaves 5 dead_ends 0 base_length 9 "
+                   "orbit_lengths 10,1,8,1,6,1,4,1,2 refinement_rounds 1\n")
+
+
 def _write(tmp_path, name, u, w, edges) -> str:
     path = tmp_path / name
     path.write_text(format_graph(ColoredDigraph(u, w, edges)))

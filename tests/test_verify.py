@@ -14,6 +14,7 @@ from qbmg import (
     PermGroup,
     Permutation,
     QbmgError,
+    blow_up,
     classical_quotient,
     layered,
     orientations,
@@ -166,12 +167,13 @@ def test_orientation_theorems_reuse_the_membership_verdict(monkeypatch):
 
 def test_gamma_hereditary_quotients_each_cycle_partition_once(monkeypatch):
     # Aut_I of K_{2,3} is S_2 x S_3: nine cyclic subgroups besides the trivial
-    # one, but eight distinct cycle partitions outside the two orbit partitions
-    # already quotiented. Membership, the two groups, and those eight.
+    # one, but eight distinct cycle partitions outside the orbit partition,
+    # which is also the class product group's and is quotiented once.
+    # Membership, that partition, and those eight.
     counts = _count_calls(monkeypatch, "qbmg.axioms", ("is_2qbmg",))
     results = run_suite(refdata.complete_symmetric(2, 3), checks=["gamma_quotient_hereditary"])
     assert [(r.name, r.passed) for r in results] == [("gamma_quotient_hereditary", True)]
-    assert counts == {"is_2qbmg": 11}
+    assert counts == {"is_2qbmg": 10}
 
 
 
@@ -223,11 +225,10 @@ def test_gamma_hereditary_reports_the_quotient_by_aut_i(monkeypatch):
 
 
 def test_gamma_hereditary_reports_the_quotient_by_the_class_product_group(monkeypatch):
-    # A thin graph: the class product group is trivial, so its quotient is a
-    # renamed copy of g, while Aut_I (order 24) merges vertices.
-    g = layered(refdata.TWO_LAYER_M4_SPEC)
-    _reject_quotients(monkeypatch, lambda h: h.n_vertices == g.n_vertices
-                      and h.sorted_vertices[0].startswith("q_"))
+    # One twin pair: the class product group merges it alone, so its quotient
+    # has 16 vertices, while Aut_I's orbits give 8.
+    g = blow_up(layered(refdata.TWO_LAYER_M4_SPEC), "1", "99")
+    _reject_quotients(monkeypatch, lambda h: h.n_vertices == 16)
     assert _only(g, "gamma_quotient_hereditary") == (
         False, "quotient by canonical gamma is not a 2-qBMG")
 
