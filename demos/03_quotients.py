@@ -5,9 +5,9 @@ from qbmg import (
     Partition,
     PermGroup,
     Permutation,
+    axiom_report,
     blow_up,
     canonical_gamma,
-    check_n2,
     classical_quotient,
     equivalence_classes,
     format_graph,
@@ -60,5 +60,5 @@ nonorbit = ColoredDigraph({"1", "2", "3"}, {"4", "5", "6"},
 blocks = Partition.from_blocks([{"1"}, {"2"}, {"3"}, {"4"}, {"5", "6"}])
 bad = partition_quotient(nonorbit, blocks).quotient
 print(f"  source is a member: {is_2qbmg(nonorbit)}")
-verdict = check_n2(bad)
+verdict = axiom_report(bad).n2
 print(f"  quotient bi-transitive: {verdict.holds}, walk without chord: {verdict.witness}")

@@ -11,10 +11,6 @@ from .axioms import (
     AxiomReport,
     Verdict,
     axiom_report,
-    check_n1,
-    check_n2,
-    check_n3,
-    check_n3star,
     is_2qbmg,
     is_thin,
     satisfies_star,
@@ -24,7 +20,6 @@ from .autgroup import (
     aut_color_preserving,
     aut_full,
     canonical_gamma,
-    is_automorphism,
     is_normal,
 )
 from .constructions import (
@@ -47,7 +42,6 @@ from .digraph import (
     symmetric_edges,
     to_dot,
     token_key,
-    underlying_undirected,
 )
 from .errors import (
     GraphFormatError,
@@ -68,9 +62,8 @@ from .orientations import (
     topological_order,
     uw_orientation,
 )
-from .perms import PermGroup, Permutation, format_permutation, parse_permutation
+from .perms import PermGroup, Permutation, format_permutation, is_automorphism, parse_permutation
 from .quotients import (
-    OrbitPairShape,
     Partition,
     QuotientResult,
     classical_quotient,

@@ -34,9 +34,6 @@ Gamma_I's is written down and the lifts of q's generators are adjoined to
 it. The graph itself is capped at 128 vertices, which bounds that chain and
 ``canonical_gamma``'s; both read ``class_masks``, one pass per graph.
 ``aut_full`` keeps the direct search.
-
-The automorphism test itself, ``is_automorphism``, lives in ``perms``; it is
-re-exported here under the same name.
 """
 
 from __future__ import annotations
@@ -48,11 +45,10 @@ from dataclasses import dataclass
 
 from .digraph import ColoredDigraph, bits, class_masks, low_bit
 from .errors import QbmgError, SizeCapError
-from .perms import PermGroup, _compose, _invert, _sift, is_automorphism
+from .perms import PermGroup, _compose, _invert, _sift
 
 __all__ = [
     "SearchStats",
-    "is_automorphism",
     "aut_color_preserving",
     "aut_full",
     "canonical_gamma",

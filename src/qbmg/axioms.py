@@ -54,10 +54,6 @@ from .errors import InternalCheckError
 __all__ = [
     "Verdict",
     "AxiomReport",
-    "check_n1",
-    "check_n2",
-    "check_n3",
-    "check_n3star",
     "satisfies_star",
     "is_thin",
     "axiom_report",
@@ -99,15 +95,11 @@ def _co(g: ColoredDigraph) -> list[int]:
     return list(_joins(g.out_masks, g.in_masks))
 
 
-def check_n1(g: ColoredDigraph) -> Verdict:
+def _n1(g: ColoredDigraph, co: Sequence[int]) -> Verdict:
     """No pattern u->t, v->w, t->w over an independent pair u, v.
 
     Witness: lexicographically first violating (u, v, w, t).
     """
-    return _n1(g, _co(g))
-
-
-def _n1(g: ColoredDigraph, co: Sequence[int]) -> Verdict:
     vs, out, inn = g.sorted_vertices, g.out_masks, g.in_masks
     for u, reach in enumerate(_joins(out, co)):
         bad = reach & ~(out[u] | inn[u] | 1 << u)
@@ -118,7 +110,7 @@ def _n1(g: ColoredDigraph, co: Sequence[int]) -> Verdict:
     return _TRUE
 
 
-def check_n2(g: ColoredDigraph) -> Verdict:
+def _n2(g: ColoredDigraph) -> Verdict:
     """Every directed walk u->v->w->t has the chord u->t.
 
     Witness: lexicographically first chordless (u, v, w, t).
@@ -133,15 +125,11 @@ def check_n2(g: ColoredDigraph) -> Verdict:
     return _TRUE
 
 
-def check_n3(g: ColoredDigraph) -> Verdict:
+def _n3(g: ColoredDigraph, co: Sequence[int]) -> Verdict:
     """Vertices with a common out-neighbor have nested out-neighborhoods.
 
     Witness: first pair (u, v) with overlapping, incomparable out-sets.
     """
-    return _n3(g, _co(g))
-
-
-def _n3(g: ColoredDigraph, co: Sequence[int]) -> Verdict:
     vs, out = g.sorted_vertices, g.out_masks
     for u, (out_u, co_u) in enumerate(zip(out, co)):
         pairs = co_u & -(2 << u)  # the v > u sharing an out-neighbor with u
@@ -155,16 +143,12 @@ def _n3(g: ColoredDigraph, co: Sequence[int]) -> Verdict:
     return _TRUE
 
 
-def check_n3star(g: ColoredDigraph) -> Verdict:
+def _n3star(g: ColoredDigraph, co: Sequence[int]) -> Verdict:
     """The N3* condition on unmediated same-color pairs with a common out-neighbor.
 
     For such u, v: equal in-neighborhoods and nested out-neighborhoods.
     Witness: first violating pair (u, v).
     """
-    return _n3star(g, _co(g))
-
-
-def _n3star(g: ColoredDigraph, co: Sequence[int]) -> Verdict:
     vs, out, inn = g.sorted_vertices, g.out_masks, g.in_masks
     for u, (out_u, co_u) in enumerate(zip(out, co)):
         in_u = inn[u]
@@ -243,10 +227,13 @@ class AxiomReport:
 
 
 def axiom_report(g: ColoredDigraph) -> AxiomReport:
-    """Evaluate everything: all four axioms, both membership routes, flags."""
+    """Evaluate everything: all four axioms, both membership routes, flags.
+
+    The per-axiom entry point: each verdict carries its first witness.
+    """
     co = _co(g)
     n1 = _n1(g, co)
-    n2 = check_n2(g)
+    n2 = _n2(g)
     n3 = _n3(g, co)
     n3s = _n3star(g, co)
     member = bool(n1) and bool(n2) and bool(n3)
@@ -277,7 +264,7 @@ def is_2qbmg(g: ColoredDigraph) -> bool:
     the same reason and nothing is learned by evaluating the third axiom.
     """
     co = _co(g)
-    if not _n1(g, co) or not check_n2(g):
+    if not _n1(g, co) or not _n2(g):
         return False
     n3 = bool(_n3(g, co))
     n3s = bool(_n3star(g, co))

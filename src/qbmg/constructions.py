@@ -317,16 +317,6 @@ def lifted_group(spec: LayeredSpec) -> PermGroup:
 # -- default class labels, with order-paired and seeded tables on them --------
 
 
-def default_layered_classes(s: int, m: int) -> tuple[tuple[str, ...], ...]:
-    """U_1..U_s then W_1..W_s as consecutive integer blocks 1..2sm."""
-    out = []
-    for i in range(s):
-        out.append(_int_range(i * m + 1, m))
-    for j in range(s):
-        out.append(_int_range(s * m + j * m + 1, m))
-    return tuple(out)
-
-
 def _shuffled(rng: random.Random, image: Sequence[str]) -> list[str]:
     out = list(image)
     rng.shuffle(out)
@@ -358,11 +348,12 @@ def random_n2_trivial_tables(m: int, seed: int) -> tuple[BijectionTable, Bijecti
 def _layered_spec(s: int, m: int, order) -> LayeredSpec:
     """A spec on the default class labels, each table's image ordered by ``order``.
 
-    The diagonal tables' images are ordered first, in layer order, then the
-    step tables' images.
+    The default labels are U_1..U_s then W_1..W_s as consecutive integer
+    blocks 1..2sm. The diagonal tables' images are ordered first, in layer
+    order, then the step tables' images.
     """
-    classes = default_layered_classes(s, m)
-    u_classes, w_classes = classes[:s], classes[s:]
+    u_classes = [_int_range(i * m + 1, m) for i in range(s)]
+    w_classes = [_int_range((s + j) * m + 1, m) for j in range(s)]
     f_diag = tuple(BijectionTable.pairing(u_classes[i], order(w_classes[i])) for i in range(s))
     g_step = tuple(BijectionTable.pairing(w_classes[j], order(u_classes[j + 1]))
                    for j in range(s - 1))

@@ -29,7 +29,6 @@ __all__ = [
     "token_key",
     "ColoredDigraph",
     "symmetric_edges",
-    "underlying_undirected",
     "long_induced_path_or_cycle",
     "parse_graph",
     "format_graph",
@@ -254,11 +253,6 @@ def symmetric_edges(g: ColoredDigraph) -> set[frozenset[str]]:
     """All unordered pairs {u, w} with both directed edges present."""
     vs = g.sorted_vertices
     return {frozenset((vs[a], vs[b])) for a, b in symmetric_pairs(g)}
-
-
-def underlying_undirected(g: ColoredDigraph) -> set[frozenset[str]]:
-    """Undirected edge set: each directed or symmetric edge collapses to one pair."""
-    return set(map(frozenset, g.edge_list()))
 
 
 _PATH_CYCLE_CAP = 64

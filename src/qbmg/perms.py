@@ -216,7 +216,7 @@ class PermGroup:
     """
 
     __slots__ = ("domain", "generating_ranks", "_order", "_blocks", "_levels",
-                 "_generators", "_sorted_elements", "_orbits")
+                 "_generators", "_orbits")
 
     def __init__(self, domain: tuple[str, ...], generating_ranks: tuple[_Ranks, ...],
                  blocks: tuple[int, ...]):
@@ -226,7 +226,6 @@ class PermGroup:
         self._order: int | None = None
         self._levels: tuple[dict[int, tuple[_Ranks, _Ranks]], ...] | None = None
         self._generators: tuple[Permutation, ...] | None = None
-        self._sorted_elements: tuple[Permutation, ...] | None = None
         self._orbits: tuple[int, ...] | None = None
 
     @property
@@ -261,16 +260,13 @@ class PermGroup:
 
     @property
     def sorted_elements(self) -> tuple[Permutation, ...]:
-        """Every element in rank-tuple order, enumerated on first use.
+        """Every element in rank-tuple order, enumerated on each read.
 
         Raises ``SizeCapError`` when the order exceeds ``DEFAULT_ELEMENT_CAP``,
         read at call time.
         """
-        if self._sorted_elements is None:
-            dom, index = self.domain, rank_index(self.domain)
-            self._sorted_elements = tuple(Permutation._trusted(dom, x, index)
-                                          for x in self._element_ranks())
-        return self._sorted_elements
+        dom, index = self.domain, rank_index(self.domain)
+        return tuple(Permutation._trusted(dom, x, index) for x in self._element_ranks())
 
     def _element_ranks(self) -> Iterator[_Ranks]:
         """Every element's rank tuple, in order, with the cap of ``sorted_elements``."""

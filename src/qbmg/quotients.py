@@ -34,8 +34,6 @@ __all__ = [
     "partition_quotient",
     "classical_quotient",
     "gamma_quotient",
-    "OrbitPairShape",
-    "classify_monochromatic_orbit_pairs",
     "parse_partition",
     "format_partition",
 ]
@@ -169,40 +167,14 @@ def gamma_quotient(g: ColoredDigraph, grp: PermGroup) -> QuotientResult:
     return _quotient(g, grp.orbit_masks())
 
 
-@dataclass(frozen=True)
-class OrbitPairShape:
-    """Shape of the subgraph induced on one (U-orbit, W-orbit) pair.
-
-    ``kind`` is "STARS" (one side all sources, the other all sinks, constant
-    fan-out ``fan_out`` with fan_out * |source orbit| = |sink orbit|) or
-    "SYMMETRIC_MATCHING" (a perfect matching of symmetric edges).
-    """
-
-    u_orbit: frozenset[str]
-    w_orbit: frozenset[str]
-    kind: str
-    fan_out: int | None
-    source_side: str | None  # "U" or "W" for STARS, None for matchings
-
-
-def classify_monochromatic_orbit_pairs(g: ColoredDigraph,
-                                       orbit_sets: Iterable[frozenset[str]]
-                                       ) -> list[OrbitPairShape]:
-    """Shape classification over all edged (U-orbit, W-orbit) pairs of a thin 2-qBMG.
-
-    The caller vouches that g is a thin 2-qBMG and that the orbits come from
-    some group of automorphisms of g, color-preserving or not; orbits that
-    straddle the color classes are not eligible as a pair side and are
-    skipped. Raises PreconditionError when a pair fits neither shape, since
-    that contradicts the structure theorem for thin graphs.
-    """
-    masks = [sum(1 << g.rank[v] for v in orbit) for orbit in orbit_sets]
-    return [OrbitPairShape(frozenset(g.tokens(um)), frozenset(g.tokens(wm)), *shape)
-            for um, wm, shape in _orbit_pair_shapes(g, masks)]
-
-
 def _orbit_pair_shapes(g: ColoredDigraph, orbit_masks: Iterable[int]) -> list[tuple]:
-    """``classify_monochromatic_orbit_pairs`` on rank masks: (U-orbit, W-orbit, shape) triples."""
+    """(U-orbit, W-orbit, shape) for each edged pair of monochromatic orbits (rank masks).
+
+    A shape is ``_classify_pair``'s. The caller vouches that g is a thin 2-qBMG
+    and that the orbits come from a group of automorphisms of g, color-preserving
+    or not; orbits that straddle the colors are skipped. Raises PreconditionError
+    when a pair fits neither shape, which contradicts the thin structure theorem.
+    """
     u_orbits, w_orbits = [], []
     for m in orbit_masks:
         if not m & g.w_mask:

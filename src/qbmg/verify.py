@@ -185,10 +185,11 @@ def _fixed_in_neighborhood(f: GraphFacts) -> Outcome:
     if not is_thin(f.g):
         return True, "skipped: not thin"
     vs, inn = f.g.sorted_vertices, f.g.in_masks
-    for p in f.full.sorted_elements:
-        moved = sum(1 << v for v, x in enumerate(p.ranks) if v != x)
-        for v, x in enumerate(p.ranks):
+    for ranks in f.full._element_ranks():
+        moved = sum(1 << v for v, x in enumerate(ranks) if v != x)
+        for v, x in enumerate(ranks):
             if v == x and inn[v] & moved:
+                p = Permutation._trusted(f.full.domain, ranks, f.g.rank)
                 return False, (f"{p.cycle_string()} fixes {vs[v]} but moves its "
                                f"in-neighbor {vs[low_bit(inn[v] & moved)]}")
     return True, ""

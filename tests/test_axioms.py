@@ -5,10 +5,6 @@ import pytest
 from qbmg import (
     ColoredDigraph,
     axiom_report,
-    check_n1,
-    check_n2,
-    check_n3,
-    check_n3star,
     is_2qbmg,
     is_thin,
     layered,
@@ -42,7 +38,7 @@ def diamonds_m4():
 def test_n1_explicit_violation():
     g = ColoredDigraph({"u", "w"}, {"v", "t"},
                        [("u", "t"), ("t", "w"), ("v", "w")])
-    verdict = check_n1(g)
+    verdict = axiom_report(g).n1
     assert not verdict.holds
     assert verdict.witness == ("u", "v", "w", "t")
     assert n1_witness_violates(g, verdict.witness)
@@ -50,11 +46,11 @@ def test_n1_explicit_violation():
 
 def test_n1_single_symmetric_edge():
     g = ColoredDigraph({"1"}, {"2"}, [("1", "2"), ("2", "1")])
-    assert check_n1(g).holds
+    assert axiom_report(g).n1.holds
 
 
 def test_n1_two_layer(two_layer_m4):
-    assert check_n1(two_layer_m4).holds
+    assert axiom_report(two_layer_m4).n1.holds
 
 
 # -- N2 -----------------------------------------------------------------------
@@ -62,7 +58,7 @@ def test_n1_two_layer(two_layer_m4):
 def test_n2_chordless_chain():
     g = ColoredDigraph({"u1", "u2"}, {"w1", "w2"},
                        [("u1", "w1"), ("w1", "u2"), ("u2", "w2")])
-    verdict = check_n2(g)
+    verdict = axiom_report(g).n2
     assert not verdict.holds
     assert verdict.witness == ("u1", "w1", "u2", "w2")
     assert n2_witness_violates(g, verdict.witness)
@@ -71,7 +67,7 @@ def test_n2_chordless_chain():
 def test_n2_quotient_chain_with_chord():
     g = ColoredDigraph({"o1", "o3"}, {"o2", "o4"},
                        [("o1", "o2"), ("o2", "o3"), ("o3", "o4"), ("o1", "o4")])
-    assert check_n2(g).holds
+    assert axiom_report(g).n2.holds
     assert is_2qbmg(g)
 
 
@@ -86,7 +82,7 @@ def test_n2_vacuous_on_diamonds(diamonds_m4):
 def test_n3_incomparable_overlap():
     g = ColoredDigraph({"u1", "u2"}, {"w1", "w2", "w3"},
                        [("u1", "w1"), ("u1", "w2"), ("u2", "w1"), ("u2", "w3")])
-    verdict = check_n3(g)
+    verdict = axiom_report(g).n3
     assert not verdict.holds
     assert verdict.witness == ("u1", "u2")
     assert n3_witness_violates(g, verdict.witness)
@@ -94,11 +90,11 @@ def test_n3_incomparable_overlap():
 
 def test_n3_out_degree_at_most_one(two_layer_m4):
     # All out-degrees in the second and later layers are at most 1.
-    assert check_n3(two_layer_m4).holds
+    assert axiom_report(two_layer_m4).n3.holds
 
 
 def test_n3_complete_symmetric():
-    assert check_n3(refdata.complete_symmetric(3, 3)).holds
+    assert axiom_report(refdata.complete_symmetric(3, 3)).n3.holds
 
 
 # -- N3* ----------------------------------------------------------------------
@@ -106,20 +102,20 @@ def test_n3_complete_symmetric():
 def test_n3star_vacuum_in_neighbors_equal():
     g = ColoredDigraph({"u1", "u2"}, {"w1", "w2"},
                        [("u1", "w1"), ("u2", "w1"), ("u1", "w2")])
-    assert check_n3star(g).holds
+    assert axiom_report(g).n3star.holds
 
 
 def test_n3star_unequal_in_neighbors():
     g = ColoredDigraph({"u1", "u2"}, {"w1", "w2"},
                        [("u1", "w1"), ("u2", "w1"), ("w2", "u1")])
-    verdict = check_n3star(g)
+    verdict = axiom_report(g).n3star
     assert not verdict.holds
     assert verdict.witness == ("u1", "u2")
     assert n3star_witness_violates(g, verdict.witness)
 
 
 def test_n3star_edge_free():
-    assert check_n3star(ColoredDigraph({"1"}, {"2"}, [])).holds
+    assert axiom_report(ColoredDigraph({"1"}, {"2"}, [])).n3star.holds
 
 
 # -- membership ---------------------------------------------------------------

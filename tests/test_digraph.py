@@ -26,7 +26,6 @@ from qbmg import (
     symmetric_edges,
     to_dot,
     token_key,
-    underlying_undirected,
 )
 from qbmg.digraph import class_masks
 from qbmg.errors import SizeCapError
@@ -117,12 +116,13 @@ def test_induced_subgraph_composes():
 
 
 def test_underlying_undirected():
-    assert underlying_undirected(refdata.BLOWUP_BASE) == {
+    # Each directed or symmetric edge collapses to one unordered pair.
+    assert set(map(frozenset, refdata.BLOWUP_BASE.edge_list())) == {
         frozenset(p) for p in [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5")]
     }
     from qbmg import layered
     g = layered(refdata.TWO_LAYER_M4_SPEC)
-    assert len(underlying_undirected(g)) == 16
+    assert len(set(map(frozenset, g.edge_list()))) == 16
 
 
 def _path_graph(n: int, extra=()) -> ColoredDigraph:

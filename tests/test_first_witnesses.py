@@ -15,11 +15,8 @@ from hypothesis import strategies as st
 
 from qbmg import (
     ColoredDigraph,
+    axiom_report,
     blow_up,
-    check_n1,
-    check_n2,
-    check_n3,
-    check_n3star,
     layered,
     random_layered_spec,
     satisfies_star,
@@ -34,7 +31,8 @@ from tests.oracles import enumerate_bipartite_digraphs, first_witnesses, kahn_le
 # text order: 007 02 10 100 7 9 A B a b x1 x10.
 TOKENS = ("a", "9", "10", "B", "x1", "02", "100", "b", "x10", "7", "A", "007")
 
-CHECKS = {"n1": check_n1, "n2": check_n2, "n3": check_n3, "n3star": check_n3star,
+CHECKS = {"n1": lambda g: axiom_report(g).n1, "n2": lambda g: axiom_report(g).n2,
+          "n3": lambda g: axiom_report(g).n3, "n3star": lambda g: axiom_report(g).n3star,
           "star": satisfies_star}
 
 
@@ -157,7 +155,8 @@ def test_first_witnesses_on_layered_members_and_blow_ups():
 
 def assert_n3_witnesses(g: ColoredDigraph) -> None:
     expected = first_witnesses(g, ("n3", "n3star"))
-    assert (check_n3(g).witness, check_n3star(g).witness) == (
+    report = axiom_report(g)
+    assert (report.n3.witness, report.n3star.witness) == (
         expected["n3"], expected["n3star"]), sorted(g.edges)
 
 
@@ -177,7 +176,8 @@ def test_n3_routes_fail_at_a_later_sharing_partner():
     # 1 shares 4 with 2 (nested) and 5 with 3 (not nested): the pair is (1, 3).
     g = ColoredDigraph("123", "456", [("1", "4"), ("1", "5"), ("2", "4"), ("3", "5"),
                                       ("3", "6")])
-    assert check_n3(g).witness == check_n3star(g).witness == ("1", "3")
+    report = axiom_report(g)
+    assert report.n3.witness == report.n3star.witness == ("1", "3")
     assert _later_partner(g, ("1", "3"))
     assert_n3_witnesses(g)
 
@@ -203,7 +203,7 @@ def test_n3_routes_on_layered_blow_ups_up_to_61_vertices():
             h = ColoredDigraph(u, w, g.edges | {p if rng.random() < 0.5 else p[::-1]
                                                 for p in pairs})
             assert_n3_witnesses(h)
-            witness = check_n3(h).witness
+            witness = axiom_report(h).n3.witness
             later += witness is not None and _later_partner(h, witness)
     assert max(sizes) == 61
     assert later >= 5, later

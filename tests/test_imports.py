@@ -4,6 +4,8 @@
   the package has no runtime dependencies.
 - Every imported name is used, except the re-exports of ``__init__.py`` and
   names a module lists in ``__all__``.
+- Each name is listed in at most one module's ``__all__``, and ``__init__.py``
+  imports it from that module: every public name has one import path.
 - Every third-party module the tests import is declared in the ``test``
   extra of ``pyproject.toml``.
 - The modules that derive graphs from graphs read masks, never a graph's
@@ -76,6 +78,20 @@ def test_imports_are_stdlib_or_relative(path):
         foreign += [f"line {node.lineno}: {root}" for root in roots
                     if root != "__future__" and root not in sys.stdlib_module_names]
     assert not foreign, f"{path.name} imports outside the standard library: {foreign}"
+
+
+def test_each_public_name_has_one_home():
+    homes: dict[str, list[str]] = {}
+    for path in SOURCES:
+        for name in _declared_all(ast.parse(path.read_text(), filename=str(path))):
+            homes.setdefault(name, []).append(path.stem)
+    shared = {name: mods for name, mods in homes.items() if len(mods) > 1}
+    assert not shared, f"names listed in more than one __all__: {shared}"
+    init = ROOT / "src" / "qbmg" / "__init__.py"
+    astray = [f"line {node.lineno}: {name} from .{node.module}"
+              for node, name in _imports(ast.parse(init.read_text(), filename=str(init)))
+              if name in homes and homes[name] != [node.module]]
+    assert not astray, f"__init__.py imports names from outside their __all__: {astray}"
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],

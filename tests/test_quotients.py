@@ -12,6 +12,7 @@ from qbmg import (
     Partition,
     aut_color_preserving,
     aut_full,
+    axiom_report,
     blow_up,
     canonical_gamma,
     classical_quotient,
@@ -28,7 +29,7 @@ from qbmg import (
 )
 from qbmg.errors import NotAutomorphismError, PreconditionError
 from qbmg.perms import PermGroup, Permutation
-from qbmg.quotients import classify_monochromatic_orbit_pairs
+from qbmg.quotients import _orbit_pair_shapes
 from qbmg.verify import graphs_match_up_to_rename
 
 from tests import oracles, refdata
@@ -244,27 +245,26 @@ def test_nonorbit_partition_quotient_breaks_bitransitivity():
     assert is_2qbmg(g)
     result = partition_quotient(g, Partition.from_blocks(refdata.NONORBIT_BLOCKS))
     assert not is_2qbmg(result.quotient)
-    from qbmg import check_n2
-    assert not check_n2(result.quotient).holds
+    assert not axiom_report(result.quotient).n2.holds
 
 
 def test_thin_orbit_structure_two_layer():
     spec = refdata.TWO_LAYER_M4_SPEC
     from qbmg import layered
     g = layered(spec)
-    shapes = classify_monochromatic_orbit_pairs(g, lifted_group(spec).orbit_sets())
+    shapes = _orbit_pair_shapes(g, lifted_group(spec).orbit_masks())
     assert len(shapes) == 4
-    for shape in shapes:
-        assert shape.kind == "STARS"
-        assert shape.fan_out == 1
+    for _, _, (kind, fan_out, _) in shapes:
+        assert kind == "STARS"
+        assert fan_out == 1
 
 
 def test_thin_orbit_structure_symmetric_matching():
     g = ColoredDigraph(("1", "2"), ("3", "4"),
                        [("1", "3"), ("3", "1"), ("2", "4"), ("4", "2")])
     grp = aut_color_preserving(g)
-    shapes = classify_monochromatic_orbit_pairs(g, grp.orbit_sets())
-    assert [s.kind for s in shapes] == ["SYMMETRIC_MATCHING"]
+    shapes = _orbit_pair_shapes(g, grp.orbit_masks())
+    assert [kind for _, _, (kind, _, _) in shapes] == ["SYMMETRIC_MATCHING"]
 
 
 _BUG = "; this contradicts the thin structure theorem and indicates a bug"
@@ -291,7 +291,7 @@ _BUG = "; this contradicts the thin structure theorem and indicates a bug"
 def test_thin_orbit_structure_rejects_each_misfit(u, w, edges, message):
     g = ColoredDigraph(u, w, edges)
     with pytest.raises(PreconditionError) as exc:
-        classify_monochromatic_orbit_pairs(g, [frozenset(u), frozenset(w)])
+        _orbit_pair_shapes(g, [g.u_mask, g.w_mask])
     assert str(exc.value) == message + _BUG
 
 
@@ -308,7 +308,6 @@ def test_search_finds_non_hereditary_partition_quotient():
     # small members and monochromatic partitions until a quotient breaks
     # bi-transitivity. The hand-built fixture is not consulted.
     from itertools import product
-    from qbmg import check_n2
     from tests.oracles import enumerate_bipartite_digraphs
 
     def monochromatic_partitions(g):
@@ -332,7 +331,7 @@ def test_search_finds_non_hereditary_partition_quotient():
             if len(p) == g.n_vertices:
                 continue
             q = partition_quotient(g, p).quotient
-            if not check_n2(q).holds:
+            if not axiom_report(q).n2.holds:
                 found = (g, p)
                 break
         if found:

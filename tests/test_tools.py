@@ -1,0 +1,21 @@
+"""``tools/src_size.py``, which prints the two sizes of ``src/qbmg`` the ROADMAP tracks."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qbmg"
+
+
+def test_src_size_counts_every_line_once():
+    done = subprocess.run([sys.executable, "tools/src_size.py", "src/qbmg"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    counts = {key: int(n.replace(",", ""))
+              for key, n in re.findall(r"^\s*(\w+)\s+([\d,]+)$", done.stdout, re.M)}
+    # What ``cat src/qbmg/*.py | wc -l`` prints: the newlines of every module.
+    assert counts["lines"] == sum(p.read_bytes().count(b"\n") for p in PACKAGE.glob("*.py"))
+    parts = ("code", "docstrings", "comments", "blank")
+    assert sum(counts[key] for key in parts) == counts["lines"], counts
