@@ -20,9 +20,10 @@ generating set rather than for every element (Leon, "Permutation group
 algorithms based on partitions, I", 1991): level by level from the last base
 point to the first, one automorphism per new orbit point, so a group of any
 order costs a few leaves per level. The orbits of the generators found so
-far are rank masks, merged at each leaf. The group keeps those generators and
-the order their orbit lengths multiply to; its stabilizer chain is built
-from them only when something reads it (see ``perms``).
+far are rank masks, merged at each leaf. The group keeps those generators,
+the order their orbit lengths multiply to and the merged orbits; its
+stabilizer chain is built from them only when something reads it (see
+``perms``).
 
 The color-preserving group takes the paper's structure as its route: the
 product Gamma_I of the symmetric groups on the equivalence classes split by
@@ -149,9 +150,10 @@ def _color_cells(g: ColoredDigraph) -> list[int]:
     return [0 if g.u_mask >> v & 1 else 1 for v in range(g.n_vertices)]
 
 
-def _search_automorphisms(g: ColoredDigraph, cells: list[int],
-                          stats: SearchStats) -> tuple[list[tuple[int, ...]], int]:
-    """Strong generators (rank tuples) and order of the automorphisms keeping each cell.
+def _search_automorphisms(g: ColoredDigraph, cells: list[int], stats: SearchStats
+                          ) -> tuple[list[tuple[int, ...]], int, tuple[int, ...]]:
+    """Strong generators (rank tuples), order and orbit masks of the automorphisms keeping
+    each cell.
 
     ``cells[v]`` is the initial cell id of rank v; the search refines them
     first, which costs one round when they are already equitable, and ends
@@ -172,6 +174,8 @@ def _search_automorphisms(g: ColoredDigraph, cells: list[int],
     v_i to c. A leaf joins S and merges the S-orbits it joins, which are kept
     as masks; without one, c's S-orbit is dead. S is then a strong generating
     set, and v_i's S-orbit at the end of level i is its fundamental orbit.
+    The S-orbits at the end are the group's orbits, returned least rank first
+    as ``PermGroup.orbit_masks`` lists them.
     """
     n = g.n_vertices
     if n > DEFAULT_VERTEX_CAP:
@@ -183,7 +187,7 @@ def _search_automorphisms(g: ColoredDigraph, cells: list[int],
         cell_mask[c] |= 1 << v
     if len(cell_mask) == n:
         stats.base_length, stats.orbit_lengths = 0, ()
-        return [], 1
+        return [], 1, tuple(1 << v for v in range(n))
     base = _assignment_order(g, cells)
     out_mask, in_mask = g.out_masks, g.in_masks
     # Position k's cell mask, and its out- and in-neighbors placed before it.
@@ -257,7 +261,7 @@ def _search_automorphisms(g: ColoredDigraph, cells: list[int],
 
     stats.base_length = max((i + 1 for i, size in enumerate(lengths) if size > 1), default=0)
     stats.orbit_lengths = tuple(lengths[:stats.base_length])
-    return strong, math.prod(lengths)
+    return strong, math.prod(lengths), tuple(dict.fromkeys(orbit))
 
 
 def aut_color_preserving(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
@@ -286,8 +290,8 @@ def aut_color_preserving(g: ColoredDigraph, stats: SearchStats | None = None) ->
             f"color-preserving group capped at {DEFAULT_LIFT_CAP} vertices, got {n}")
     classes = class_masks(g)
     if len(classes) == n:  # g is thin: every class is one vertex, so q is g
-        return PermGroup._from_ranks(
-            g.sorted_vertices, *_search_automorphisms(g, _color_cells(g), stats or SearchStats()))
+        strong, order, orbits = _search_automorphisms(g, _color_cells(g), stats or SearchStats())
+        return PermGroup._from_ranks(g.sorted_vertices, strong, order, orbits=orbits)
     classes = sorted((part for m in classes for part in (m & u_mask, m & ~u_mask) if part),
                      key=low_bit)
     members = [list(bits(m)) for m in classes]
@@ -301,7 +305,7 @@ def aut_color_preserving(g: ColoredDigraph, stats: SearchStats | None = None) ->
     q_u = sum(1 << k for k, m in enumerate(classes) if m & u_mask)
     q = ColoredDigraph._from_masks(tuple(g.sorted_vertices[xs[0]] for xs in members), q_u, q_out)
     cells = [(0 if m & u_mask else n) + m.bit_count() for m in classes]  # (color, size)
-    strong, q_order = _search_automorphisms(q, cells, stats or SearchStats())
+    strong, q_order, q_orbits = _search_automorphisms(q, cells, stats or SearchStats())
     lifts = []
     for x in strong:
         image = [0] * n
@@ -310,7 +314,10 @@ def aut_color_preserving(g: ColoredDigraph, stats: SearchStats | None = None) ->
                 image[a] = b
         lifts.append(tuple(image))
     order = q_order * math.prod(math.factorial(len(xs)) for xs in members)
-    return PermGroup._from_ranks(g.sorted_vertices, lifts, order, classes)
+    # An orbit is the union of the classes over one q-orbit; the classes are
+    # ordered by least rank, so the unions are too.
+    orbits = tuple(sum(map(classes.__getitem__, bits(m))) for m in q_orbits)
+    return PermGroup._from_ranks(g.sorted_vertices, lifts, order, classes, orbits)
 
 
 def aut_full(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
@@ -328,8 +335,8 @@ def aut_full(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
     When ``stats`` is given, the search adds its counts to it and sets the
     base and orbit fields.
     """
-    return PermGroup._from_ranks(
-        g.sorted_vertices, *_search_automorphisms(g, [0] * g.n_vertices, stats or SearchStats()))
+    strong, order, orbits = _search_automorphisms(g, [0] * g.n_vertices, stats or SearchStats())
+    return PermGroup._from_ranks(g.sorted_vertices, strong, order, orbits=orbits)
 
 
 def canonical_gamma(g: ColoredDigraph) -> PermGroup:

@@ -271,11 +271,23 @@ def long_induced_path_or_cycle(g: ColoredDigraph) -> list[str] | None:
     if n > _PATH_CYCLE_CAP:
         raise SizeCapError(f"induced path search capped at {_PATH_CYCLE_CAP} vertices, got {n}")
     # Twins have equal neighborhoods, and no two vertices of an induced path
-    # or cycle on 5 or more do, so such a subgraph has one vertex per class.
-    if len(class_masks(g)) < _PATH_CYCLE_MIN:
+    # or cycle on 5 or more do, so such a subgraph has one vertex per class,
+    # and any twin can stand in for it: g has one iff the subgraph induced on
+    # each class's least member has. That is searched first, and g itself,
+    # for the rank-order witness, only when it has one.
+    least, every = sum(m & -m for m in class_masks(g)), (1 << n) - 1
+    if least.bit_count() < _PATH_CYCLE_MIN:
         return None
     adj = [o | i for o, i in zip(g.out_masks, g.in_masks)]
+    if least != every and _induced_path_dfs(adj, least) is None:
+        return None
+    found = _induced_path_dfs(adj, every)
+    return None if found is None else [g.sorted_vertices[v] for v in found]
 
+
+def _induced_path_dfs(adj: list[int], within: int) -> list[int] | None:
+    """The first induced path or cycle on 6 or more of the ranks in ``within``, in rank order,
+    in the undirected graph whose neighbor masks are ``adj``."""
     path: list[int] = []
     on_path = 0
 
@@ -286,7 +298,7 @@ def long_induced_path_or_cycle(g: ColoredDigraph) -> list[str] | None:
         last = path[-1]
         first = path[0]
         ends = 1 << last | 1 << first
-        for nxt in bits(adj[last] & ~on_path):
+        for nxt in bits(adj[last] & within & ~on_path):
             if adj[nxt] & on_path & ~ends:
                 continue
             if adj[nxt] >> first & 1 and len(path) >= 2:
@@ -303,12 +315,12 @@ def long_induced_path_or_cycle(g: ColoredDigraph) -> list[str] | None:
                 return found
         return None
 
-    for start in range(n):
+    for start in bits(within):
         path = [start]
         on_path = 1 << start
         found = extend()
         if found:
-            return [g.sorted_vertices[v] for v in found]
+            return found
     return None
 
 

@@ -8,17 +8,17 @@ and graph over that domain, so products, inverses, group elements and the
 automorphism test never touch a token.
 
 A group keeps the rank tuples it was generated from and, when its builder
-knows it, its order. Its orbits and its order are read from those alone, and
-so are the canonical generators of a product of symmetric groups generated
-by its blocks' transpositions. The first read of anything else (membership,
-other canonical generators, the elements) builds a stabilizer chain whose
-base is the whole domain in rank order (Sims; Seress, *Permutation Group
-Algorithms*, 2003, ch. 4-5): level i holds the orbit of rank i under the
-pointwise stabilizer of ranks 0..i-1, with one coset representative per
-orbit point. Levels whose orbit is a single point are kept; domains are
-small. A deterministic Schreier-Sims builds the chain from the generating
-ranks, membership is a sift through the levels, and the order, when not
-given, is the product of the orbit lengths.
+knows them, its order and its orbits. Its orbits and its order are read from
+those alone, and so are the canonical generators of a product of symmetric
+groups generated by its blocks' transpositions. The first read of anything
+else (membership, other canonical generators, the elements) builds a
+stabilizer chain whose base is the whole domain in rank order (Sims; Seress,
+*Permutation Group Algorithms*, 2003, ch. 4-5): level i holds the orbit of
+rank i under the pointwise stabilizer of ranks 0..i-1, with one coset
+representative per orbit point. Levels whose orbit is a single point are
+kept; domains are small. A deterministic Schreier-Sims builds the chain from
+the generating ranks, membership is a sift through the levels, and the
+order, when not given, is the product of the orbit lengths.
 
 A group's elements have one order: their rank tuples, compared
 lexicographically. The generator list is canonical: each next generator is
@@ -293,12 +293,15 @@ class PermGroup:
 
     @classmethod
     def _from_ranks(cls, domain: tuple[str, ...], generators: Iterable[_Ranks],
-                    order: int | None = None, blocks: Iterable[int] = ()) -> "PermGroup":
+                    order: int | None = None, blocks: Iterable[int] = (),
+                    orbits: tuple[int, ...] | None = None) -> "PermGroup":
         """The group generated by rank tuples over ``domain`` and by Sym(B) for each block B.
 
         ``order`` must be the group's order when given; it is then read
         without a chain, and it ends Schreier-Sims as soon as the chain
         reaches it, since a chain whose orbits are all full is complete.
+        ``orbits``, when given, must be ``orbit_masks()``'s answer; it is
+        then read as is.
         ``blocks`` are disjoint rank masks; the transpositions of their
         consecutive members follow ``generators``, and the product of their
         symmetric groups, whose chain ``_symmetric_chain`` writes down, is
@@ -308,14 +311,15 @@ class PermGroup:
         # with three positional parameters.
         blocks = tuple(blocks)
         grp = cls(domain, (*generators, *_transpositions(len(domain), blocks)), blocks)
-        grp._order = order
+        grp._order, grp._orbits = order, orbits
         return grp
 
     def __contains__(self, p: Permutation) -> bool:
         return p.domain == self.domain and _sift(self.levels, p.ranks) is None
 
     def orbit_masks(self) -> tuple[int, ...]:
-        """Orbits on the domain as rank masks, least rank first; computed once, on first use."""
+        """Orbits on the domain as rank masks, least rank first; as built, else computed on
+        first use."""
         if self._orbits is None:
             self._orbits = _orbit_masks(len(self.domain), self.generating_ranks)
         return self._orbits
@@ -374,13 +378,26 @@ def _orbit(x: int, gens: Iterable[_Ranks]) -> set[int]:
 
 
 def _orbit_masks(n: int, gens: list[_Ranks]) -> tuple[int, ...]:
-    """The orbits of <gens> on 0..n-1 as bit masks, least point first (for one gen, its cycles)."""
+    """The orbits of <gens> on 0..n-1 as bit masks, least point first."""
     out: list[int] = []
     seen = 0
     for i in range(n):
         if not seen >> i & 1:
             out.append(sum(1 << x for x in _orbit(i, gens)))
             seen |= out[-1]
+    return tuple(out)
+
+
+def _cycle_masks(x: _Ranks) -> tuple[int, ...]:
+    """The cycles of x as bit masks, least point first: ``_orbit_masks(len(x), [x])``."""
+    out, seen = [], 0
+    for i in range(len(x)):
+        if not seen >> i & 1:
+            cycle, j = 1 << i, x[i]
+            while j != i:
+                cycle, j = cycle | 1 << j, x[j]
+            out.append(cycle)
+            seen |= cycle
     return tuple(out)
 
 

@@ -157,6 +157,12 @@ def gamma_quotient(g: ColoredDigraph, grp: PermGroup) -> QuotientResult:
     only when all its vertices are isolated, which lets the product group
     over the equivalence classes act on a color-straddling isolated class.
     """
+    _check_generators(g, grp)
+    return _quotient(g, grp.orbit_masks())
+
+
+def _check_generators(g: ColoredDigraph, grp: PermGroup) -> None:
+    """``gamma_quotient``'s test that grp acts on g's vertices by automorphisms."""
     if grp.domain != g.sorted_vertices or not all(
             _maps_edges(g.out_masks, x) for x in grp.generating_ranks):
         for p in grp.generators:
@@ -164,7 +170,6 @@ def gamma_quotient(g: ColoredDigraph, grp: PermGroup) -> QuotientResult:
                 raise NotAutomorphismError(f"generator {p.cycle_string()} is not an automorphism")
         if grp.domain != g.sorted_vertices:
             _check_support(g, frozenset(grp.domain))
-    return _quotient(g, grp.orbit_masks())
 
 
 def _orbit_pair_shapes(g: ColoredDigraph, orbit_masks: Iterable[int]) -> list[tuple]:

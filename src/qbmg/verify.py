@@ -18,13 +18,13 @@ from .autgroup import aut_color_preserving, aut_full, canonical_gamma, is_normal
 from .digraph import ColoredDigraph, bits, class_masks, long_induced_path_or_cycle, low_bit
 from .errors import PreconditionError, QbmgError
 from .orientations import check_orientation_theorems
-from .perms import PermGroup, Permutation, _orbit_masks
+from .perms import PermGroup, Permutation, _cycle_masks
 from .quotients import (
     QuotientResult,
+    _check_generators,
     _orbit_pair_shapes,
     _quotient,
     classical_quotient,
-    gamma_quotient,
 )
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_suite", "graphs_match_up_to_rename"]
@@ -56,15 +56,28 @@ def graphs_match_up_to_rename(a: ColoredDigraph, b: ColoredDigraph,
 
 class GraphFacts:
     """The groups and quotients the checks share for one graph, each built at most once, on
-    first use: the classical quotient, the three groups (each keeps its orbit masks) and the
-    quotient by the class product group. The graph itself keeps its twin classes."""
+    first use: the three groups (each keeps its orbit masks) and g's quotients, one per
+    partition of its ranks, however many checks read it: the classical quotient, the orbit
+    quotients and the cycle partitions. The graph itself keeps its twin classes."""
 
     def __init__(self, g: ColoredDigraph):
         self.g = g
+        self._quotients: dict[tuple[int, ...], QuotientResult] = {}
+
+    def quotient(self, masks: tuple[int, ...]) -> QuotientResult:
+        """g's quotient by the blocks ``masks``, disjoint rank masks that cover g."""
+        if masks not in self._quotients:
+            self._quotients[masks] = _quotient(self.g, masks)
+        return self._quotients[masks]
+
+    def orbit_quotient(self, grp: PermGroup) -> QuotientResult:
+        """``gamma_quotient(g, grp)``, its generators tested and its quotient shared."""
+        _check_generators(self.g, grp)
+        return self.quotient(grp.orbit_masks())
 
     @cached_property
     def classical(self) -> QuotientResult:
-        return classical_quotient(self.g)
+        return self.quotient(class_masks(self.g))
 
     @cached_property
     def aut_i(self) -> PermGroup:
@@ -80,7 +93,7 @@ class GraphFacts:
 
     @cached_property
     def via_gamma(self) -> QuotientResult:
-        return gamma_quotient(self.g, self.gamma)
+        return self.orbit_quotient(self.gamma)
 
 
 Outcome = tuple[bool, str]
@@ -103,9 +116,9 @@ def _p6c6_free(f: GraphFacts) -> Outcome:
 
 def _classical_idempotent(f: GraphFacts) -> Outcome:
     first = f.classical
-    second = classical_quotient(first.quotient)
     if not is_thin(first.quotient):
         return False, "classical quotient is not thin"
+    second = classical_quotient(first.quotient)
     rename = {v: second.projection[v] for v in first.quotient.vertices}
     ok = graphs_match_up_to_rename(first.quotient, second.quotient, rename)
     return ok, "" if ok else "second quotient is not a renaming of the first"
@@ -135,17 +148,17 @@ def _canonical_orbits(f: GraphFacts) -> Outcome:
 def _gamma_hereditary(f: GraphFacts) -> Outcome:
     """Quotients by Aut_I, by the class product group, and by each cyclic subgroup of Aut_I.
 
-    ``gamma_quotient`` checks the two groups' generators, so every element of
+    The orbit quotients check the two groups' generators, so every element of
     Aut_I is an automorphism. The orbits of <a> are the cycles of a, so each
     cyclic subgroup is quotiented by a's cycle partition, as rank masks. Each
-    distinct partition is quotiented once, in that order, and the partition
-    into singletons never: its quotient is g itself, which passed membership.
+    distinct partition is tested once, in that order, and the partition into
+    singletons never: its quotient is g itself, which passed membership.
     """
     g, n = f.g, f.g.n_vertices
     seen = {tuple(1 << v for v in range(n))}
     if f.aut_i.orbit_masks() not in seen:
         seen.add(f.aut_i.orbit_masks())
-        if not is_2qbmg(gamma_quotient(g, f.aut_i).quotient):
+        if not is_2qbmg(f.orbit_quotient(f.aut_i).quotient):
             return False, "quotient by full Aut_I is not a 2-qBMG"
     if f.gamma.orbit_masks() not in seen:
         seen.add(f.gamma.orbit_masks())
@@ -154,11 +167,11 @@ def _gamma_hereditary(f: GraphFacts) -> Outcome:
     if f.aut_i.order == 1:
         return True, ""
     for x in f.aut_i._element_ranks():
-        cycles = _orbit_masks(n, [x])
+        cycles = _cycle_masks(x)
         if cycles in seen:
             continue
         seen.add(cycles)
-        if not is_2qbmg(_quotient(g, cycles).quotient):
+        if not is_2qbmg(f.quotient(cycles).quotient):
             a = Permutation._trusted(f.aut_i.domain, x, g.rank)
             return False, f"quotient by cyclic<{a.cycle_string()}> is not a 2-qBMG"
     return True, ""
@@ -180,10 +193,41 @@ def _common_out_neighbor(f: GraphFacts) -> Outcome:
 
 
 def _fixed_in_neighborhood(f: GraphFacts) -> Outcome:
-    # The first failure names the least fixed vertex and its least moved
-    # in-neighbor, in token order.
+    """Whether no element fixes a vertex v and moves an in-neighbor x of v.
+
+    The stabilizer G_v fixes x iff the orbit of the pair (v, x) is as long
+    as v's orbit, so each in-neighbor pair's orbit is computed once, from
+    the generating ranks, and no element is walked. An automorphism group
+    maps in-neighbor pairs onto in-neighbor pairs, so one v per orbit starts
+    a pair orbit. A failure is named by the element walk.
+    """
     if not is_thin(f.g):
         return True, "skipped: not thin"
+    inn, gens = f.g.in_masks, f.full.generating_ranks
+    length = {v: orbit.bit_count() for orbit in f.full.orbit_masks() for v in bits(orbit)}
+    seen = [0] * f.g.n_vertices  # seen[a]: the b with (a, b) in a pair orbit computed so far
+    for v, x_mask in enumerate(inn):
+        while fresh := x_mask & ~seen[v]:
+            x = low_bit(fresh)
+            seen[v] |= 1 << x
+            todo, size = [(v, x)], 1
+            while todo:
+                a, b = todo.pop()
+                for s in gens:
+                    c, d = s[a], s[b]
+                    if not seen[c] >> d & 1:
+                        seen[c] |= 1 << d
+                        todo.append((c, d))
+                        size += 1
+            if size != length[v]:
+                return _moved_in_neighbor(f)
+    return True, ""
+
+
+def _moved_in_neighbor(f: GraphFacts) -> Outcome:
+    # The first element, in rank-tuple order, that fixes a vertex and moves
+    # an in-neighbor of it; the detail names the least such vertex and its
+    # least moved in-neighbor, in token order.
     vs, inn = f.g.sorted_vertices, f.g.in_masks
     for ranks in f.full._element_ranks():
         moved = sum(1 << v for v, x in enumerate(ranks) if v != x)
@@ -205,7 +249,8 @@ def _thin_orbit_pairs(f: GraphFacts) -> Outcome:
         # the full group's orbits are coarser, so this is a genuinely
         # different instance on graphs with mixed symmetries.
         _orbit_pair_shapes(f.g, f.aut_i.orbit_masks())
-        _orbit_pair_shapes(f.g, f.full.orbit_masks())
+        if f.full.orbit_masks() != f.aut_i.orbit_masks():
+            _orbit_pair_shapes(f.g, f.full.orbit_masks())
     except PreconditionError as exc:
         return False, str(exc)
     return True, ""

@@ -503,3 +503,32 @@ def fits_search(g: ColoredDigraph, cells: list[int], stats) -> tuple[list[tuple[
     stats.base_length = max((i + 1 for i, size in enumerate(lengths) if size > 1), default=0)
     stats.orbit_lengths = tuple(lengths[:stats.base_length])
     return strong, math.prod(lengths)
+
+
+def fixed_vertex_walk(g: ColoredDigraph, gens: list[tuple[int, ...]]) -> tuple[bool, str]:
+    """The fixed-vertex check by walking every element of <gens> (rank tuples on g's ranks).
+
+    The elements are closed from the generators and scanned in rank-tuple
+    order; the first that fixes a vertex v and moves an in-neighbor of v fails
+    the check, named by the least such v and its least moved in-neighbor.
+    """
+    n = g.n_vertices
+    ident = tuple(range(n))
+    elements, todo = {ident}, [ident]
+    while todo:
+        x = todo.pop()
+        for s in gens:
+            y = tuple(s[x[i]] for i in range(n))
+            if y not in elements:
+                elements.add(y)
+                todo.append(y)
+    vs = g.sorted_vertices
+    for x in sorted(elements):
+        moved = {v for v in range(n) if x[v] != v}
+        for v in range(n):
+            ins = [a for a in moved if g.out_masks[a] >> v & 1]
+            if v not in moved and ins:
+                p = Permutation.from_mapping({vs[a]: vs[x[a]] for a in moved}, vs)
+                return False, (f"{p.cycle_string()} fixes {vs[v]} but moves its "
+                               f"in-neighbor {vs[min(ins)]}")
+    return True, ""

@@ -475,9 +475,10 @@ def _assert_routes_agree(g):
     # color are single vertices, q is g or a copy of it: the same search.
     stats, direct_stats = SearchStats(), SearchStats()
     grp = aut_color_preserving(g, stats)
-    direct = PermGroup._from_ranks(
-        g.sorted_vertices, *_search_automorphisms(g, _color_cells(g), direct_stats))
+    strong, order, orbits = _search_automorphisms(g, _color_cells(g), direct_stats)
+    direct = PermGroup._from_ranks(g.sorted_vertices, strong, order)
     assert grp.order == direct.order
+    assert grp.orbit_masks() == orbits
     assert [p.ranks for p in grp.generators] == [p.ranks for p in direct.generators]
     colors = (g.u_mask >> v & 1 for v in range(g.n_vertices))
     if len(set(zip(g.out_masks, g.in_masks, colors))) == g.n_vertices:
@@ -586,7 +587,7 @@ def test_a_discrete_refinement_ends_the_search():
     # 1->2, 2->3 with 4 isolated: refinement makes every cell a singleton.
     g = ColoredDigraph(("1", "3"), ("2", "4"), [("1", "2"), ("2", "3")])
     stats = SearchStats()
-    assert _search_automorphisms(g, _color_cells(g), stats) == ([], 1)
+    assert _search_automorphisms(g, _color_cells(g), stats) == ([], 1, (1, 2, 4, 8))
     assert stats == SearchStats(refinement_rounds=stats.refinement_rounds)
 
 
@@ -598,9 +599,10 @@ def _assert_search_matches_the_fits_oracle(g, cells=None):
     # from one cell unless the cells are given.
     for start in [_color_cells(g), [0] * g.n_vertices] if cells is None else [cells]:
         stats, oracle_stats = SearchStats(), SearchStats()
-        assert (_search_automorphisms(g, list(start), stats)
-                == fits_search(g, list(start), oracle_stats))
+        strong, order, orbits = _search_automorphisms(g, list(start), stats)
+        assert (strong, order) == fits_search(g, list(start), oracle_stats)
         assert stats == oracle_stats
+        assert orbits == _orbit_masks(g.n_vertices, strong)
 
 
 def test_search_matches_the_fits_oracle_on_the_pool_and_fixtures(
@@ -666,6 +668,35 @@ def test_trusted_order_and_orbits_on_the_ladder_shapes():
     for g in _ladder_shapes():
         _assert_read_without_a_chain(aut_color_preserving(g))
         _assert_read_without_a_chain(aut_full(g))
+
+
+# -- orbits handed over by the search --------------------------------------------
+
+
+def _assert_orbits_handed_over(g) -> bool:
+    # The S-orbits the search merged (on the twin route, the unions of the
+    # classes over q's orbits) are the orbits of the generating ranks.
+    # Returns whether g has twins, that is, which route Aut_I took.
+    for grp in (aut_color_preserving(g), aut_full(g)):
+        assert grp._orbits is not None
+        assert grp.orbit_masks() == _orbit_masks(len(grp.domain), grp.generating_ranks)
+    return len(class_masks(g)) < g.n_vertices
+
+
+def test_orbits_handed_over_on_the_pool_ladders_and_families(enumerated_pool, family_instances):
+    graphs = [*enumerated_pool[::6], *_ladder_shapes(), *family_instances.values()]
+    twins = sum(map(_assert_orbits_handed_over, graphs))
+    assert 0 < twins < len(graphs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_orbits_handed_over_on_blown_up_members(family_instances, data):
+    # A family instance with up to six twins added, at most 64 vertices.
+    g = data.draw(st.sampled_from(sorted(family_instances.values(), key=lambda h: h.n_vertices)))
+    for k in range(data.draw(st.integers(0, min(6, 64 - g.n_vertices)))):
+        g = blow_up(g, data.draw(st.sampled_from(sorted(g.sorted_vertices))), f"t{k}")
+    _assert_orbits_handed_over(g)
 
 
 def _layered_4_8_blown_up():

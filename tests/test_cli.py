@@ -165,6 +165,22 @@ def test_aut_twelve_edge_matching(tmp_path, capsys):
     assert out.startswith("color-preserving automorphisms: order 479001600\n")
 
 
+def test_verify_fixed_vertex_check_walks_no_element_of_the_full_group(tmp_path, capsys):
+    # The full group of 8 symmetric edges has order 2^8 8! = 10,321,920, past
+    # the element cap, and the fixed-vertex check passes without an element.
+    # The hereditary check still walks Aut_I, which is 12! on 12 edges.
+    u, w = [str(i) for i in range(1, 9)], [str(i) for i in range(9, 17)]
+    path = _write(tmp_path, "matching8.qbmg", u, w, _symmetric_matching(u, w))
+    assert aut_full(parse_graph(Path(path).read_text())).order == 10_321_920
+    assert run(capsys, "verify", "--theorems", "fixed_vertex_in_neighborhood", path) == (
+        0, "PASS matching8.qbmg: fixed_vertex_in_neighborhood\n"
+           "checked 1 graph(s): all passed\n", "")
+    u, w = [str(i) for i in range(1, 13)], [str(i) for i in range(13, 25)]
+    path = _write(tmp_path, "matching12.qbmg", u, w, _symmetric_matching(u, w))
+    assert run(capsys, "verify", "--theorems", "gamma_quotient_hereditary", path) == (
+        3, "", f"error: group order exceeds the element cap of {perms.DEFAULT_ELEMENT_CAP}\n")
+
+
 def test_aut_full_k66(tmp_path, capsys):
     u = [str(i) for i in range(1, 7)]
     w = [str(i) for i in range(7, 13)]

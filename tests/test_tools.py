@@ -19,3 +19,17 @@ def test_src_size_counts_every_line_once():
     assert counts["lines"] == sum(p.read_bytes().count(b"\n") for p in PACKAGE.glob("*.py"))
     parts = ("code", "docstrings", "comments", "blank")
     assert sum(counts[key] for key in parts) == counts["lines"], counts
+
+
+def test_cli_digest_prints_the_same_lines_on_two_runs():
+    # Four invocations per fixture, each an argv and a SHA-256; a second run
+    # prints the same lines, so a diff of two checkouts' runs is empty.
+    runs = [subprocess.run([sys.executable, "tools/cli_digest.py", "fixtures"], cwd=ROOT,
+                           capture_output=True, text=True, timeout=120) for _ in range(2)]
+    assert [(r.returncode, r.stderr) for r in runs] == [(0, ""), (0, "")]
+    lines = runs[0].stdout.splitlines()
+    assert runs[1].stdout.splitlines() == lines
+    files = sorted((ROOT / "fixtures").rglob("*.qbmg"))
+    assert len(lines) == 4 * len(files)
+    assert all(re.fullmatch(r"(check|aut|verify) fixtures/\S+\.qbmg( --\S+)+ [0-9a-f]{64}", line)
+               for line in lines)

@@ -7,6 +7,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbmg import (
     ColoredDigraph,
@@ -20,12 +22,14 @@ from qbmg import (
     orientations,
     parse_graph,
     partition_quotient,
+    quotients,
     verify,
 )
 from qbmg.constructions import default_layered_spec, default_n2_trivial_tables, n2_trivial_layer
-from qbmg.verify import CHECK_NAMES, GraphFacts, graphs_match_up_to_rename, run_suite
+from qbmg.axioms import is_thin
+from qbmg.verify import CHECK_NAMES, CHECKS, GraphFacts, graphs_match_up_to_rename, run_suite
 
-from tests import refdata
+from tests import oracles, refdata
 from tests.test_digraph import record_class_masks
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -176,6 +180,60 @@ def test_gamma_hereditary_quotients_each_cycle_partition_once(monkeypatch):
     assert counts == {"is_2qbmg": 10}
 
 
+def _record_quotients(monkeypatch) -> list[tuple[ColoredDigraph, tuple[int, ...]]]:
+    """From now on: the graph and blocks of every ``_quotient`` call, through every qbmg
+    module that binds it."""
+    calls = []
+    orig = quotients._quotient
+
+    def recorded(g, masks):
+        calls.append((g, tuple(masks)))
+        return orig(g, masks)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("qbmg") and vars(mod).get("_quotient") is orig:
+            monkeypatch.setattr(mod, "_quotient", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("g, partitions", [
+    # Classes, Gamma's and Aut_I's orbits are one partition; the classical
+    # quotient's own classes; and eight cycle partitions (see above).
+    (refdata.complete_symmetric(2, 3), 10),
+    # Aut_I is the class product group of two twin pairs: the classes; the
+    # classical quotient's own classes; and the cycle partitions of the two
+    # single swaps, their product's being the classes.
+    (refdata.BLOWUP_TWICE, 4),
+], ids=["K23", "blowup-twice"])
+def test_suite_quotients_each_partition_once(monkeypatch, g, partitions):
+    calls = _record_quotients(monkeypatch)
+    assert all(r.passed for r in run_suite(g))
+    assert len(set(calls)) == len(calls) == partitions
+
+
+def _count_element_walks(monkeypatch) -> Counter:
+    counts: Counter = Counter()
+    walk = PermGroup._element_ranks
+
+    def counted(self):
+        counts["_element_ranks"] += 1
+        return walk(self)
+
+    monkeypatch.setattr(PermGroup, "_element_ranks", counted)
+    return counts
+
+
+@pytest.mark.parametrize("g", [
+    layered(refdata.TWO_LAYER_M4_SPEC),
+    parse_graph((ROOT / "fixtures" / "symmetry" / "matching5.qbmg").read_text()),
+], ids=["two-layer-m4", "matching5"])
+def test_fixed_vertex_in_neighborhood_walks_no_element_on_a_passing_graph(monkeypatch, g):
+    counts = _count_element_walks(monkeypatch)
+    results = run_suite(g, checks=["fixed_vertex_in_neighborhood"])
+    assert [(r.passed, r.detail) for r in results] == [(True, "")]
+    assert GraphFacts(g).full.order > 1 and counts == {}
+
+
 
 @pytest.mark.parametrize("g", [refdata.BLOWUP_TWICE, refdata.complete_symmetric(2, 3)],
                          ids=["blowup-twice", "K23"])
@@ -199,9 +257,48 @@ def test_fixed_vertex_in_neighborhood_reports_a_moved_in_neighbor(monkeypatch):
     g = ColoredDigraph(("1", "3"), ("2",), [("1", "2"), ("2", "3")])
     swap = Permutation.from_mapping({"1": "3", "3": "1"}, g.vertices)
     monkeypatch.setattr(GraphFacts, "full", PermGroup.from_generators([swap]))
+    counts = _count_element_walks(monkeypatch)
     results = run_suite(g, checks=["fixed_vertex_in_neighborhood"])
     assert [(r.name, r.passed, r.detail) for r in results] == [
         ("fixed_vertex_in_neighborhood", False, "(1 3) fixes 2 but moves its in-neighbor 1")]
+    assert counts == {"_element_ranks": 1}  # the walk names the witness
+
+
+def _planted_fixed_vertex(g, gens) -> tuple[bool, str]:
+    # The check with a foreign group planted as the full group.
+    facts = GraphFacts(g)
+    facts.full = PermGroup._from_ranks(g.sorted_vertices, gens)
+    return CHECKS["fixed_vertex_in_neighborhood"](facts)
+
+
+@pytest.fixture(scope="module")
+def thin_members(enumerated_pool):
+    return [g for g in enumerated_pool if is_thin(g)]
+
+
+def test_fixed_vertex_by_pair_orbits_equals_the_walk_on_planted_transpositions(thin_members):
+    # Every transposition of ranks planted on every 25th thin pool member.
+    verdicts = Counter()
+    for g in thin_members[::25]:
+        n = g.n_vertices
+        for a in range(n):
+            for b in range(a + 1, n):
+                swap = list(range(n))
+                swap[a], swap[b] = b, a
+                outcome = _planted_fixed_vertex(g, [tuple(swap)])
+                assert outcome == oracles.fixed_vertex_walk(g, [tuple(swap)])
+                verdicts[outcome[0]] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fixed_vertex_by_pair_orbits_equals_the_walk_on_planted_groups(thin_members, data):
+    # Thin members with up to three planted permutations of their ranks,
+    # automorphisms or not.
+    g = data.draw(st.sampled_from(thin_members))
+    gens = data.draw(st.lists(st.permutations(range(g.n_vertices)).map(tuple), max_size=3))
+    assert _planted_fixed_vertex(g, gens) == oracles.fixed_vertex_walk(g, gens)
 
 
 
