@@ -83,3 +83,8 @@ bgrp = aut_color_preserving(big, stats)
 print(f"  {big.n_vertices} vertices: order {bgrp.order} = 2^8 * 8! = {2**8 * math.factorial(8)}; "
       f"the search ran on q's {classical_quotient(big).quotient.n_vertices} vertices "
       f"in {stats.nodes} nodes")
+fstats = SearchStats()
+fgrp = aut_full(big, fstats)
+print(f"  the full group takes the same route, on the classes without colors: order "
+      f"{fgrp.order} = {fstats.class_product} (twins, {fstats.classes} classes) * "
+      f"{math.prod(fstats.orbit_lengths)} (q)")

@@ -1,9 +1,10 @@
 """Automorphism groups of colored digraphs.
 
 The search backtracks over an equitable refinement of the vertex set: cells
-start from an initial cell list (the color classes, or one cell when
-color-switching maps are wanted), then split repeatedly on the multiset of
-neighbor cells, read as one popcount per cell, until stable.
+start from an initial cell list (one per color and class size, or per
+class size alone when color-switching maps are wanted), then split
+repeatedly on the multiset of neighbor cells, read as one popcount per
+cell, until stable.
 Automorphisms map cells to themselves, so the candidate images of a vertex
 are one mask per search node: its own cell, less the images used, cut by
 the neighbor masks of its placed neighbors' images. The search works on the
@@ -25,16 +26,15 @@ the order their orbit lengths multiply to and the merged orbits; its
 stabilizer chain is built from them only when something reads it (see
 ``perms``).
 
-The color-preserving group takes the paper's structure as its route: the
-product Gamma_I of the symmetric groups on the equivalence classes split by
-color is normal in Aut_I, with quotient Aut_w(q), the automorphisms of the
-twin quotient q that keep color and class size. So only q is searched,
-and the stats and the 64-vertex search cap count q (q is the graph itself
-when no two vertices of one color are twins); when a chain is read,
-Gamma_I's is written down and the lifts of q's generators are adjoined to
-it. The graph itself is capped at 128 vertices, which bounds that chain and
+Both groups take the paper's structure as their route: the product Gamma
+of the symmetric groups on the twin classes is normal in the group, with
+quotient the automorphisms of the twin quotient q that keep class size
+(and, for Aut_I, color, with the classes split by color). So only q is
+searched, and the stats and the 64-vertex search cap count q (q is the
+graph itself when it has no twins); when a chain is read, Gamma's is
+written down and the lifts of q's generators are adjoined to it. The graph
+itself is capped at 128 vertices, which bounds that chain and
 ``canonical_gamma``'s; both read ``class_masks``, one pass per graph.
-``aut_full`` keeps the direct search.
 """
 
 from __future__ import annotations
@@ -105,10 +105,12 @@ class SearchStats:
     a partial assignment that no candidate image extends. The base is the
     assignment order cut after its last point with an orbit longer than 1,
     and ``orbit_lengths`` are its fundamental orbit lengths, whose product is
-    the order of the group searched: on a graph with twins,
-    ``aut_color_preserving`` searches the twin quotient q, and the lengths
-    multiply to |Aut_w(q)|. A refinement round is one pass of the equitable
-    refinement.
+    the order of the group searched: both groups search the twin quotient q,
+    which is the graph itself when it has no twins, and the lengths multiply
+    to |Aut(q)|. A refinement round is one pass of the equitable refinement.
+    ``classes`` counts the twin classes q is built from (split by color for
+    the color-preserving group) and ``class_product`` is prod |C|!, the
+    order of the group that permutes twins within their classes.
     """
 
     nodes: int = 0
@@ -117,6 +119,8 @@ class SearchStats:
     base_length: int = 0
     orbit_lengths: tuple[int, ...] = ()
     refinement_rounds: int = 0
+    classes: int = 0
+    class_product: int = 1
 
 
 def _assignment_order(g: ColoredDigraph, cells: list[int]) -> list[int]:
@@ -264,48 +268,44 @@ def _search_automorphisms(g: ColoredDigraph, cells: list[int], stats: SearchStat
     return strong, math.prod(lengths), tuple(dict.fromkeys(orbit))
 
 
-def aut_color_preserving(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
-    """The full group of color-preserving automorphisms.
+def _aut_by_twins(g: ColoredDigraph, classes: tuple[int, ...], cells: list[int], group: str,
+                  stats: SearchStats | None) -> PermGroup:
+    """The automorphisms of g that keep each cell, through the twin quotient q = g/C.
 
-    With C the equivalence classes split by color, Gamma_I = prod Sym(C) is
-    normal in Aut_I and Aut_I / Gamma_I is Aut_w(q), the automorphisms of
-    the twin quotient q = g/C that keep color and class size. So only q is
-    searched; each strong generator of Aut_w(q) lifts to g by mapping the
-    members of class k, in rank order, to those of its image. The group is
-    generated by the lifts and the transpositions of consecutive class
-    members, with the order |Aut_w(q)| prod |C|!; its chain, on first read,
-    adjoins the lifts to Gamma_I's, which is written down. When every class
-    is a single vertex, q is g itself, and g is searched from its color
-    classes with no lift and no written chain. Otherwise the split classes
-    are ordered by least rank and q's vertex k is named by class k's least
-    token, so q is a copy of g when its only twins are one isolated vertex
-    of each color.
+    ``classes`` are rank masks, least rank first, of twin classes of g, and
+    ``cells[k]`` is class k's initial cell. Any automorphism maps the classes
+    onto classes of the same size and cell, so Gamma = prod Sym(C) is normal
+    in the group and the group over Gamma is the automorphisms of q keeping
+    each cell. So only q is searched; each strong generator of q's group
+    lifts to g by mapping the members of class k, in rank order, to those of
+    its image. The group is generated by the lifts and the transpositions of
+    consecutive class members, with the order |Aut(q)| prod |C|!; its chain,
+    on first read, adjoins the lifts to Gamma's, which is written down. When
+    every class is a single vertex, q is g itself, and g is searched from
+    the cells with no lift and no written chain. Otherwise q's vertex k is
+    named by class k's least token.
     When ``stats`` is given, the search adds its counts to it and sets the
-    base and orbit fields, which describe Aut_w(q). q is capped at
-    ``DEFAULT_VERTEX_CAP`` vertices and g at ``DEFAULT_LIFT_CAP``.
+    base and orbit fields, which describe q's group, and the twin fields.
+    ``group`` names the group in the message that refuses g past
+    ``DEFAULT_LIFT_CAP`` vertices; the search caps q at ``DEFAULT_VERTEX_CAP``.
     """
-    n, u_mask = g.n_vertices, g.u_mask
+    n = g.n_vertices
     if n > DEFAULT_LIFT_CAP:
-        raise SizeCapError(
-            f"color-preserving group capped at {DEFAULT_LIFT_CAP} vertices, got {n}")
-    classes = class_masks(g)
+        raise SizeCapError(f"{group} group capped at {DEFAULT_LIFT_CAP} vertices, got {n}")
+    stats = stats or SearchStats()
+    stats.classes, stats.class_product = len(classes), 1
     if len(classes) == n:  # g is thin: every class is one vertex, so q is g
-        strong, order, orbits = _search_automorphisms(g, _color_cells(g), stats or SearchStats())
+        strong, order, orbits = _search_automorphisms(g, cells, stats)
         return PermGroup._from_ranks(g.sorted_vertices, strong, order, orbits=orbits)
-    classes = sorted((part for m in classes for part in (m & u_mask, m & ~u_mask) if part),
-                     key=low_bit)
+    stats.class_product = math.prod(math.factorial(m.bit_count()) for m in classes)
     members = [list(bits(m)) for m in classes]
-    class_of = [0] * n
-    for k, xs in enumerate(members):
-        for a in xs:
-            class_of[a] = k
+    class_of = {a: k for k, xs in enumerate(members) for a in xs}
     # Twins share their neighbors, so one member's out-mask gives its class's;
     # the set keeps each neighboring class once.
     q_out = [sum({1 << class_of[b] for b in bits(g.out_masks[xs[0]])}) for xs in members]
-    q_u = sum(1 << k for k, m in enumerate(classes) if m & u_mask)
+    q_u = sum(1 << k for k, m in enumerate(classes) if m & g.u_mask)
     q = ColoredDigraph._from_masks(tuple(g.sorted_vertices[xs[0]] for xs in members), q_u, q_out)
-    cells = [(0 if m & u_mask else n) + m.bit_count() for m in classes]  # (color, size)
-    strong, q_order, q_orbits = _search_automorphisms(q, cells, stats or SearchStats())
+    strong, q_order, q_orbits = _search_automorphisms(q, cells, stats)
     lifts = []
     for x in strong:
         image = [0] * n
@@ -313,30 +313,43 @@ def aut_color_preserving(g: ColoredDigraph, stats: SearchStats | None = None) ->
             for a, b in zip(here, there):
                 image[a] = b
         lifts.append(tuple(image))
-    order = q_order * math.prod(math.factorial(len(xs)) for xs in members)
     # An orbit is the union of the classes over one q-orbit; the classes are
     # ordered by least rank, so the unions are too.
     orbits = tuple(sum(map(classes.__getitem__, bits(m))) for m in q_orbits)
-    return PermGroup._from_ranks(g.sorted_vertices, lifts, order, classes, orbits)
+    return PermGroup._from_ranks(g.sorted_vertices, lifts, q_order * stats.class_product,
+                                 classes, orbits)
+
+
+def aut_color_preserving(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
+    """The full group of color-preserving automorphisms.
+
+    With C the equivalence classes split by color, Gamma_I = prod Sym(C) is
+    normal in Aut_I and Aut_I / Gamma_I is Aut_w(q), the automorphisms of
+    the twin quotient q = g/C that keep color and class size: one
+    ``_aut_by_twins`` call, with one cell per (color, class size). g itself
+    is searched when no two vertices of one color are twins.
+    """
+    n, u, classes = g.n_vertices, g.u_mask, class_masks(g)
+    if len(classes) < n:  # a thin g's classes are single vertices, split already
+        classes = tuple(sorted((p for m in classes for p in (m & u, m & ~u) if p), key=low_bit))
+    cells = [(0 if m & u else n) + m.bit_count() for m in classes]  # (color, size)
+    return _aut_by_twins(g, classes, cells, "color-preserving", stats)
 
 
 def aut_full(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
     """All digraph automorphisms, color-preserving or not.
 
-    On disconnected graphs an automorphism may preserve colors on one component
-    and switch them on another, so this runs a color-blind search rather than
-    gluing a switching coset onto the color-preserving group. Each leaf is a
-    digraph automorphism, since every assignment maps the vertex's placed out-
-    and in-neighbors onto exactly the image's out- and in-neighbors among the
-    images used. On a connected graph a
-    leaf maps U onto U or onto W, since all edges cross U-W and a connected
-    bipartite graph has one bipartition, so there the color-preserving
-    subgroup has index 1 or 2.
-    When ``stats`` is given, the search adds its counts to it and sets the
-    base and orbit fields.
+    Any automorphism maps twin classes onto twin classes of the same size,
+    so this is one ``_aut_by_twins`` call on ``class_masks(g)``, with one
+    cell per class size and no color: on disconnected graphs an automorphism
+    may preserve colors on one component and switch them on another, and
+    the isolated vertices of both colors are one class. On a connected graph
+    every automorphism maps U onto U or onto W, since all edges cross U-W
+    and a connected bipartite graph has one bipartition, so there the
+    color-preserving subgroup has index 1 or 2.
     """
-    strong, order, orbits = _search_automorphisms(g, [0] * g.n_vertices, stats or SearchStats())
-    return PermGroup._from_ranks(g.sorted_vertices, strong, order, orbits=orbits)
+    classes = class_masks(g)
+    return _aut_by_twins(g, classes, [m.bit_count() for m in classes], "full automorphism", stats)
 
 
 def canonical_gamma(g: ColoredDigraph) -> PermGroup:

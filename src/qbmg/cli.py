@@ -172,6 +172,9 @@ def cmd_aut(args) -> int:
         print(f"search: nodes {stats.nodes} leaves {stats.leaves} dead_ends {stats.dead_ends} "
               f"base_length {stats.base_length} orbit_lengths {lengths} "
               f"refinement_rounds {stats.refinement_rounds}", file=sys.stderr)
+        print(f"twins: classes {stats.classes} of {g.n_vertices} vertices, class product "
+              f"{stats.class_product}, quotient order {grp.order // stats.class_product}",
+              file=sys.stderr)
     if args.json:
         _emit(_group_doc(grp))
     else:
@@ -316,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="color-preserving automorphisms (default)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--stats", action="store_true",
-                   help="print the search's counts, base and orbit lengths to stderr")
+                   help="print the twin quotient's search and the twin classes to stderr")
     p.set_defaults(func=cmd_aut)
 
     p = sub.add_parser("quotient", help="emit a quotient graph and its projection")

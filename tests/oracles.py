@@ -505,6 +505,20 @@ def fits_search(g: ColoredDigraph, cells: list[int], stats) -> tuple[list[tuple[
     return strong, math.prod(lengths)
 
 
+def direct_full(g: ColoredDigraph, stats=None):
+    """All digraph automorphisms by the color-blind search of g itself, from one cell.
+
+    The search ``autgroup._search_automorphisms`` on every vertex of g, with
+    no twin quotient: the reference the twin-quotient route of ``aut_full``
+    is compared with. Capped at 64 vertices, as the search is.
+    """
+    from qbmg.autgroup import SearchStats, _search_automorphisms
+    from qbmg.perms import PermGroup
+
+    strong, order, orbits = _search_automorphisms(g, [0] * g.n_vertices, stats or SearchStats())
+    return PermGroup._from_ranks(g.sorted_vertices, strong, order, orbits=orbits)
+
+
 def fixed_vertex_walk(g: ColoredDigraph, gens: list[tuple[int, ...]]) -> tuple[bool, str]:
     """The fixed-vertex check by walking every element of <gens> (rank tuples on g's ranks).
 

@@ -1,6 +1,7 @@
 """Group search, the twin-quotient route, canonical product group, normality."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,7 @@ from tests.oracles import (
     brute_force_color_preserving,
     brute_force_full,
     brute_force_twin_quotient_order,
+    direct_full,
     enumerate_bipartite_digraphs,
     fits_search,
     greedy_descent_generators,
@@ -131,7 +133,7 @@ def test_search_counts_on_the_layered_ladder(s, m, nodes, orbit_lengths, enumera
     aut_color_preserving(layered(random_layered_spec(s, m, 1)), stats)
     assert stats == SearchStats(nodes=nodes, leaves=m - 1, dead_ends=0,
                                 base_length=len(orbit_lengths), orbit_lengths=orbit_lengths,
-                                refinement_rounds=2)
+                                refinement_rounds=2, classes=2 * s * m, class_product=1)
     assert sorted(x for x in orbit_lengths if x > 1) == list(range(2, m + 1))
     assert stats.nodes < enumerating_nodes
 
@@ -161,7 +163,7 @@ def test_search_counts_dead_ends():
     assert grp.elements == networkx_color_preserving(g)
     assert stats == SearchStats(nodes=39, leaves=4, dead_ends=1, base_length=13,
                                 orbit_lengths=(4, 1, 1, 1, 1, 1, 1, 1, 4, 1, 1, 1, 2),
-                                refinement_rounds=1)
+                                refinement_rounds=1, classes=16, class_product=1)
 
 
 @pytest.mark.parametrize("g", [
@@ -248,10 +250,14 @@ def test_aut_edgeless_125_vertices_searches_only_its_quotient():
 
 
 def test_aut_lift_cap():
-    # q has two vertices, but g's own chain is bounded too.
+    # q has two vertices (one for the full group), but g's own chain is bounded too.
     big = ColoredDigraph([str(i) for i in range(1, 65)], [str(i) for i in range(65, 130)], [])
-    with pytest.raises(SizeCapError, match="capped at 128 vertices, got 129"):
+    with pytest.raises(SizeCapError, match="^color-preserving group capped at 128 vertices, "
+                                           "got 129$"):
         aut_color_preserving(big)
+    with pytest.raises(SizeCapError, match="^full automorphism group capped at 128 vertices, "
+                                           "got 129$"):
+        aut_full(big)
 
 
 def test_aut_full_balanced_symmetric_matching():
@@ -472,7 +478,7 @@ def test_full_search_matches_brute_force_on_random_small():
 
 def _assert_routes_agree(g):
     # Against Aut_I by searching every vertex of g. When the classes split by
-    # color are single vertices, q is g or a copy of it: the same search.
+    # color are single vertices, g itself is searched: the same search.
     stats, direct_stats = SearchStats(), SearchStats()
     grp = aut_color_preserving(g, stats)
     strong, order, orbits = _search_automorphisms(g, _color_cells(g), direct_stats)
@@ -482,7 +488,7 @@ def _assert_routes_agree(g):
     assert [p.ranks for p in grp.generators] == [p.ranks for p in direct.generators]
     colors = (g.u_mask >> v & 1 for v in range(g.n_vertices))
     if len(set(zip(g.out_masks, g.in_masks, colors))) == g.n_vertices:
-        assert stats == direct_stats
+        assert stats == replace(direct_stats, classes=g.n_vertices)
 
 
 def test_routes_agree_on_every_fixture(named_fixtures, family_instances):
@@ -508,7 +514,7 @@ def test_routes_agree_on_blown_up_members(enumerated_pool, data):
 
 def test_one_isolated_vertex_per_color_searches_a_copy_of_g():
     # 1 <-> 2 with 3 (U) and 4 (W) isolated: their class splits into single
-    # vertices, so q is a copy of g and the stats are those of the direct search.
+    # vertices, so g itself is searched and the stats are those of the direct search.
     g = ColoredDigraph(("1", "3"), ("2", "4"), [("1", "2"), ("2", "1")])
     assert len(class_masks(g)) == 3
     _assert_routes_agree(g)
@@ -521,7 +527,8 @@ def test_complete_symmetric_k66_searches_its_two_vertex_quotient():
     q = classical_quotient(g).quotient
     assert q.n_vertices == 2
     aut_color_preserving(q, q_stats)
-    assert stats == q_stats
+    assert (stats.classes, stats.class_product) == (2, math.factorial(6) ** 2)
+    assert stats == replace(q_stats, class_product=stats.class_product)
 
 
 def test_blow_up_past_64_vertices_matches_sympy():
@@ -535,18 +542,63 @@ def test_blow_up_past_64_vertices_matches_sympy():
     for u in u1:
         g = blow_up(g, u, twin[u])
     assert g.n_vertices == 72
-    stats = SearchStats()
-    grp = aut_color_preserving(g, stats)
-    assert math.prod(stats.orbit_lengths) == math.factorial(m)
-    dom = grp.domain
+    dom = g.sorted_vertices
     gens = [Permutation.from_mapping({u: twin[u], twin[u]: u}, dom) for u in u1]
     for p in _adjacent_lifts(spec, u1):
         mapping = p.as_dict()
         mapping.update((twin[u], twin[mapping[u]]) for u in u1)
         gens.append(Permutation.from_mapping(mapping, dom))
     oracle = _sympy_group(dom, gens)
-    assert grp.order == oracle.order() == 2 ** m * math.factorial(m)
-    _sifts_both_ways(grp, oracle, gens)
+    # No automorphism switches colors, so the full group is Aut_I too.
+    for aut in (aut_color_preserving, aut_full):
+        stats = SearchStats()
+        grp = aut(g, stats)
+        assert math.prod(stats.orbit_lengths) == math.factorial(m)
+        assert grp.order == oracle.order() == 2 ** m * math.factorial(m)
+        _sifts_both_ways(grp, oracle, gens)
+
+
+# -- the full group through the twin quotient against the direct search ----------
+
+
+def _assert_full_routes_agree(g):
+    # Against the color-blind search of every vertex of g: the same order,
+    # canonical generators and orbits, and on a graph without twins the same search.
+    stats, direct_stats = SearchStats(), SearchStats()
+    grp, direct = aut_full(g, stats), direct_full(g, direct_stats)
+    assert grp.order == direct.order
+    assert grp.orbit_masks() == direct.orbit_masks()
+    assert [p.ranks for p in grp.generators] == [p.ranks for p in direct.generators]
+    if len(class_masks(g)) == g.n_vertices:
+        assert stats == replace(direct_stats, classes=g.n_vertices)
+
+
+def test_full_routes_agree_on_the_pool(enumerated_pool):
+    for g in enumerated_pool:
+        _assert_full_routes_agree(g)
+
+
+def test_full_routes_agree_on_every_fixture_and_ladder(named_fixtures, family_instances):
+    for g in [*named_fixtures.values(), *family_instances.values(), *_ladder_shapes()]:
+        _assert_full_routes_agree(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_full_routes_agree_on_blown_up_members(family_instances, enumerated_pool, data):
+    # A pool member or a family instance with up to six twins added, at most 64 vertices.
+    graphs = [*enumerated_pool[::6], *sorted(family_instances.values(),
+                                             key=lambda h: h.n_vertices)]
+    g = data.draw(st.sampled_from(graphs))
+    for k in range(data.draw(st.integers(0, min(6, 64 - g.n_vertices)))):
+        g = blow_up(g, data.draw(st.sampled_from(sorted(g.sorted_vertices))), f"t{k}")
+    _assert_full_routes_agree(g)
+
+
+def test_canonical_gamma_is_normal_in_the_directly_searched_full_group(enumerated_pool):
+    # aut_full is built around Gamma; the direct search is not.
+    for g in enumerated_pool:
+        assert is_normal(canonical_gamma(g), direct_full(g))
 
 
 # -- refinement against the oracle that signs every vertex ----------------------
@@ -711,11 +763,12 @@ def _layered_4_8_blown_up():
 
 
 def test_trusted_order_and_orbits_on_a_72_vertex_blow_up():
-    # aut_full searches g itself, which the 64-vertex cap refuses.
+    # Both groups search q's 64 vertices; g itself would pass the 64-vertex cap.
     g = _layered_4_8_blown_up()
     _assert_read_without_a_chain(aut_color_preserving(g))
-    with pytest.raises(SizeCapError):
-        aut_full(g)
+    grp = aut_full(g)
+    _assert_read_without_a_chain(grp)
+    assert grp.order == 10_321_920
 
 
 @settings(max_examples=60, deadline=None)
@@ -758,4 +811,6 @@ def test_descent_equals_the_plain_descent_on_the_ladders_and_a_72_vertex_blow_up
     for g in _ladder_shapes():
         _assert_descents_agree(aut_color_preserving(g))
         _assert_descents_agree(aut_full(g))
-    _assert_descents_agree(aut_color_preserving(_layered_4_8_blown_up()))
+    g = _layered_4_8_blown_up()
+    _assert_descents_agree(aut_color_preserving(g))
+    _assert_descents_agree(aut_full(g))

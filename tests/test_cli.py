@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,11 @@ from qbmg import (
     ColoredDigraph,
     aut_color_preserving,
     aut_full,
+    blow_up,
     format_graph,
+    layered,
     parse_graph,
+    random_layered_spec,
     token_key,
 )
 from qbmg import perms
@@ -118,11 +122,13 @@ def test_aut_stats_go_to_stderr_only(capsys):
     assert code == 0
     assert out == plain
     assert err == ("search: nodes 56 leaves 4 dead_ends 0 base_length 13 "
-                   "orbit_lengths 5,1,1,1,4,1,1,1,3,1,1,1,2 refinement_rounds 2\n")
+                   "orbit_lengths 5,1,1,1,4,1,1,1,3,1,1,1,2 refinement_rounds 2\n"
+                   "twins: classes 20 of 20 vertices, class product 1, quotient order 120\n")
     code, _, err = run(capsys, "aut", str(CORPUS / "empty.qbmg"), "--stats")
     assert code == 0
     assert err == ("search: nodes 0 leaves 0 dead_ends 0 base_length 0 orbit_lengths - "
-                   "refinement_rounds 1\n")
+                   "refinement_rounds 1\n"
+                   "twins: classes 0 of 0 vertices, class product 1, quotient order 1\n")
 
 
 @pytest.mark.parametrize("k, nodes", [(5, 28), (6, 40), (7, 54)])
@@ -137,7 +143,9 @@ def test_aut_stats_on_the_matching_ladder(tmp_path, capsys, k, nodes):
     assert code == 0
     lengths = ",1,".join(map(str, range(k, 1, -1)))
     assert err == (f"search: nodes {nodes} leaves {k - 1} dead_ends 0 base_length {2 * k - 3} "
-                   f"orbit_lengths {lengths} refinement_rounds 1\n")
+                   f"orbit_lengths {lengths} refinement_rounds 1\n"
+                   f"twins: classes {2 * k} of {2 * k} vertices, class product 1, "
+                   f"quotient order {math.factorial(k)}\n")
 
 
 def test_aut_full_stats_on_five_symmetric_edges(capsys):
@@ -145,7 +153,75 @@ def test_aut_full_stats_on_five_symmetric_edges(capsys):
                        "--full", "--stats")
     assert code == 0
     assert err == ("search: nodes 30 leaves 5 dead_ends 0 base_length 9 "
-                   "orbit_lengths 10,1,8,1,6,1,4,1,2 refinement_rounds 1\n")
+                   "orbit_lengths 10,1,8,1,6,1,4,1,2 refinement_rounds 1\n"
+                   "twins: classes 10 of 10 vertices, class product 1, quotient order 3840\n")
+
+
+def _blow_up_72(tmp_path) -> str:
+    # Layered (4, 8), 64 vertices, with a twin for each of the 8 vertices of U_1.
+    spec = random_layered_spec(4, 8, 1)
+    g = layered(spec)
+    for k, u in enumerate(sorted(spec.u_class(1), key=int), 1):
+        g = blow_up(g, u, str(64 + k))
+    path = tmp_path / "blowup72.qbmg"
+    path.write_text(format_graph(g))
+    return str(path)
+
+
+_BLOW_UP_72_SEARCH = ("search: nodes 280 leaves 7 dead_ends 0 base_length 49 orbit_lengths "
+                      + ",".join(f"{k},1,1,1,1,1,1,1" for k in range(8, 2, -1))
+                      + ",2 refinement_rounds 2\n")
+
+
+# (graph, the search line, the twins line); both groups search the same
+# quotient here, from one cell per class size (and color, for Aut_I).
+@pytest.mark.parametrize("full", [False, True], ids=["color-preserving", "full"])
+@pytest.mark.parametrize("graph, search, twins", [
+    (str(FIXTURES / "symmetry" / "k34.qbmg"),
+     "search: nodes 0 leaves 0 dead_ends 0 base_length 0 orbit_lengths - refinement_rounds 1\n",
+     "twins: classes 2 of 7 vertices, class product 144, quotient order 1\n"),
+    (str(CORPUS / "diamonds_m4.qbmg"),
+     "search: nodes 27 leaves 3 dead_ends 0 base_length 7 orbit_lengths 4,1,1,3,1,1,2 "
+     "refinement_rounds 2\n",
+     "twins: classes 12 of 16 vertices, class product 16, quotient order 24\n"),
+    (None, _BLOW_UP_72_SEARCH,
+     "twins: classes 64 of 72 vertices, class product 256, quotient order 40320\n"),
+], ids=["K34", "diamonds", "blow-up-72"])
+def test_aut_stats_label_the_twin_quotient(tmp_path, capsys, full, graph, search, twins):
+    path = graph or _blow_up_72(tmp_path)
+    flags = ["--full"] if full else []
+    _, plain, _ = run(capsys, "aut", path, "--json", *flags)
+    code, out, err = run(capsys, "aut", path, "--json", "--stats", *flags)
+    assert (code, out, err) == (0, plain, search + twins)
+    product, quotient_order = twins.removesuffix("\n").split(", ")[1:]
+    assert json.loads(out)["order"] == int(product.split()[-1]) * int(quotient_order.split()[-1])
+
+
+def test_aut_full_on_a_72_vertex_blow_up(tmp_path, capsys):
+    code, out, _ = run(capsys, "aut", "--full", _blow_up_72(tmp_path))
+    assert code == 0
+    assert out.startswith("all automorphisms: order 10321920\n")
+
+
+# The checks on the 72-vertex blow-up that still read past a cap: the
+# induced path search counts g's vertices, and the hereditary check walks
+# Aut_I's 10,321,920 elements. canonical_gamma_normal and
+# common_out_neighbor_equivalence read the full group, now built around Gamma.
+_BLOW_UP_72_CAPPED = {
+    "underlying_p6c6_free": "induced path search capped at 64 vertices, got 72",
+    "gamma_quotient_hereditary": "group order exceeds the element cap of "
+                                 f"{perms.DEFAULT_ELEMENT_CAP}",
+}
+
+
+@pytest.mark.parametrize("check", CHECK_NAMES)
+def test_verify_on_a_72_vertex_blow_up_one_check_at_a_time(tmp_path, capsys, check):
+    code, out, err = run(capsys, "verify", "--theorems", check, _blow_up_72(tmp_path))
+    if check in _BLOW_UP_72_CAPPED:
+        assert (code, out, err) == (3, "", f"error: {_BLOW_UP_72_CAPPED[check]}\n")
+    else:
+        assert (code, out, err) == (0, f"PASS blowup72.qbmg: {check}\n"
+                                       "checked 1 graph(s): all passed\n", "")
 
 
 def _write(tmp_path, name, u, w, edges) -> str:
@@ -265,6 +341,12 @@ def test_aut_cap_exit_3(tmp_path, capsys):
     assert "capped at 64 vertices, got 66" in err
 
 
+def test_aut_full_cap_exit_3_on_a_thin_graph(tmp_path, capsys):
+    # No twins, so the full group's search, too, runs on g itself.
+    assert run(capsys, "aut", "--full", _matching_33(tmp_path)) == (
+        3, "", "error: automorphism search capped at 64 vertices, got 66\n")
+
+
 def test_aut_large_edgeless_exit_3(tmp_path, capsys):
     # q has two vertices; g's own cap refuses it before any chain is written.
     big = tmp_path / "edgeless.qbmg"
@@ -273,6 +355,9 @@ def test_aut_large_edgeless_exit_3(tmp_path, capsys):
     code, _, err = run(capsys, "aut", str(big))
     assert code == 3
     assert "capped at 128 vertices, got 2000" in err
+    # Color-blind, the 2000 vertices are one class: q has one vertex.
+    assert run(capsys, "aut", "--full", str(big)) == (
+        3, "", "error: full automorphism group capped at 128 vertices, got 2000\n")
 
 
 # -- quotient --------------------------------------------------------------------

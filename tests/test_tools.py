@@ -22,8 +22,9 @@ def test_src_size_counts_every_line_once():
 
 
 def test_cli_digest_prints_the_same_lines_on_two_runs():
-    # Four invocations per fixture, each an argv and a SHA-256; a second run
-    # prints the same lines, so a diff of two checkouts' runs is empty.
+    # Four invocations per fixture, each an argv and two SHA-256s, one of the
+    # exit code with stdout and one of stderr; a second run prints the same
+    # lines, so a diff of two checkouts' runs is empty.
     runs = [subprocess.run([sys.executable, "tools/cli_digest.py", "fixtures"], cwd=ROOT,
                            capture_output=True, text=True, timeout=120) for _ in range(2)]
     assert [(r.returncode, r.stderr) for r in runs] == [(0, ""), (0, "")]
@@ -31,5 +32,6 @@ def test_cli_digest_prints_the_same_lines_on_two_runs():
     assert runs[1].stdout.splitlines() == lines
     files = sorted((ROOT / "fixtures").rglob("*.qbmg"))
     assert len(lines) == 4 * len(files)
-    assert all(re.fullmatch(r"(check|aut|verify) fixtures/\S+\.qbmg( --\S+)+ [0-9a-f]{64}", line)
-               for line in lines)
+    assert all(re.fullmatch(
+        r"(check|aut|verify) fixtures/\S+\.qbmg( --\S+)+ [0-9a-f]{64} [0-9a-f]{64}", line)
+        for line in lines)

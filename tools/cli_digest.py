@@ -5,9 +5,11 @@ directories, so that two checkouts can be compared byte for byte with ``diff``.
 
 For each file, in sorted path order, it runs ``qbmg.cli.main`` in-process for
 ``check --json``, ``aut --json --stats``, ``aut --full --json --stats`` and
-``verify --json``, and prints the argv and the SHA-256 of the exit code,
-stdout and stderr. ``qbmg`` is imported from ``sys.path`` (set ``PYTHONPATH``
-to compare another checkout's ``src``), else from this checkout's ``src``.
+``verify --json``, and prints the argv, the SHA-256 of the exit code with
+stdout, and the SHA-256 of stderr, so that a diff tells a change in what a
+command answers from a change in its ``--stats`` lines alone. ``qbmg`` is
+imported from ``sys.path`` (set ``PYTHONPATH`` to compare another checkout's
+``src``), else from this checkout's ``src``.
 Standard library only.
 """
 
@@ -28,14 +30,15 @@ COMMANDS = (
 
 
 def digest(main, argv: list[str]) -> str:
-    """The SHA-256 of one invocation's exit code, stdout and stderr."""
+    """The SHA-256 of one invocation's exit code with stdout, then the SHA-256 of its stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse exits on a usage error
             code = exc.code
-    return hashlib.sha256(f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode()).hexdigest()
+    answer = hashlib.sha256(f"{code}\0{out.getvalue()}".encode()).hexdigest()
+    return f"{answer} {hashlib.sha256(err.getvalue().encode()).hexdigest()}"
 
 
 def main(argv: list[str]) -> int:
