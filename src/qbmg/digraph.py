@@ -264,25 +264,26 @@ def long_induced_path_or_cycle(g: ColoredDigraph) -> list[str] | None:
 
     Returns the vertex sequence of one such subgraph (cycle witnesses close back
     to the first vertex implicitly), or None. This is a cross-check tool with a
-    bounded DFS over induced paths, in rank order; inputs are capped at 64
-    vertices.
+    bounded DFS over induced paths, in rank order. Each DFS is capped at 64
+    vertices: the one over a member of each twin class counts the classes, and
+    the one over g, run only when the first finds a witness, counts g's vertices.
     """
-    n = g.n_vertices
-    if n > _PATH_CYCLE_CAP:
-        raise SizeCapError(f"induced path search capped at {_PATH_CYCLE_CAP} vertices, got {n}")
     # Twins have equal neighborhoods, and no two vertices of an induced path
     # or cycle on 5 or more do, so such a subgraph has one vertex per class,
     # and any twin can stand in for it: g has one iff the subgraph induced on
     # each class's least member has. That is searched first, and g itself,
     # for the rank-order witness, only when it has one.
-    least, every = sum(m & -m for m in class_masks(g)), (1 << n) - 1
+    least = sum(m & -m for m in class_masks(g))
     if least.bit_count() < _PATH_CYCLE_MIN:
         return None
     adj = [o | i for o, i in zip(g.out_masks, g.in_masks)]
-    if least != every and _induced_path_dfs(adj, least) is None:
-        return None
-    found = _induced_path_dfs(adj, every)
-    return None if found is None else [g.sorted_vertices[v] for v in found]
+    for within in dict.fromkeys((least, (1 << g.n_vertices) - 1)):
+        if (n := within.bit_count()) > _PATH_CYCLE_CAP:
+            raise SizeCapError(
+                f"induced path search capped at {_PATH_CYCLE_CAP} vertices, got {n}")
+        if (found := _induced_path_dfs(adj, within)) is None:
+            return None
+    return [g.sorted_vertices[v] for v in found]
 
 
 def _induced_path_dfs(adj: list[int], within: int) -> list[int] | None:

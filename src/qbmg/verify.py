@@ -39,12 +39,12 @@ class CheckResult:
 
 def graphs_match_up_to_rename(a: ColoredDigraph, b: ColoredDigraph,
                               rename: dict[str, str]) -> bool:
-    """Does the given vertex bijection carry a onto b exactly (colors and edges)?
+    """Is the given vertex map a bijection that carries a onto b exactly (colors and edges)?
 
     Compares a's masks, carried through ``rename`` as a map of ranks, with b's.
     """
     x = [b.rank.get(rename.get(v)) for v in a.sorted_vertices]
-    if len(rename) != len(x) or None in x:
+    if len(rename) != len(x) or None in x or sorted(x) != list(range(b.n_vertices)):
         return False
     colors, out = [0, 0], [0] * b.n_vertices
     for v, o in enumerate(a.out_masks):
@@ -58,7 +58,10 @@ class GraphFacts:
     """The groups and quotients the checks share for one graph, each built at most once, on
     first use: the three groups (each keeps its orbit masks) and g's quotients, one per
     partition of its ranks, however many checks read it: the classical quotient, the orbit
-    quotients and the cycle partitions. The graph itself keeps its twin classes."""
+    quotients and the cycle partitions. The graph itself keeps its twin classes.
+    ``aut_i`` is the full group's object when the full group was built first and each of its
+    orbits lies inside U or inside W: an element maps each vertex inside its orbit, so its
+    elements then keep colors and the two groups are one. Otherwise Aut_I is searched."""
 
     def __init__(self, g: ColoredDigraph):
         self.g = g
@@ -81,6 +84,10 @@ class GraphFacts:
 
     @cached_property
     def aut_i(self) -> PermGroup:
+        # The instance dict, not the attribute: reading ``self.full`` would build the group.
+        full, u = self.__dict__.get("full"), self.g.u_mask
+        if full is not None and all(m & u in (0, m) for m in full.orbit_masks()):
+            return full
         return aut_color_preserving(self.g)
 
     @cached_property

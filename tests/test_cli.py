@@ -203,12 +203,11 @@ def test_aut_full_on_a_72_vertex_blow_up(tmp_path, capsys):
     assert out.startswith("all automorphisms: order 10321920\n")
 
 
-# The checks on the 72-vertex blow-up that still read past a cap: the
-# induced path search counts g's vertices, and the hereditary check walks
-# Aut_I's 10,321,920 elements. canonical_gamma_normal and
-# common_out_neighbor_equivalence read the full group, now built around Gamma.
+# The check on the 72-vertex blow-up that still reads past a cap: the
+# hereditary check walks Aut_I's 10,321,920 elements. The induced path search
+# counts its 64 classes, and canonical_gamma_normal and
+# common_out_neighbor_equivalence read the full group, built around Gamma.
 _BLOW_UP_72_CAPPED = {
-    "underlying_p6c6_free": "induced path search capped at 64 vertices, got 72",
     "gamma_quotient_hereditary": "group order exceeds the element cap of "
                                  f"{perms.DEFAULT_ELEMENT_CAP}",
 }

@@ -190,10 +190,35 @@ def test_long_induced_path_equals_the_dfs_on_a_non_member_with_twins():
     assert witness is not None and witness == oracles.induced_path_or_cycle_dfs(g)
 
 
+def _end_blown_up(g: ColoredDigraph, twins: int) -> ColoredDigraph:
+    """g with vertex 1 replaced by ``twins`` twins t1, t2, ...; 1 must be in U with out-edges
+    only."""
+    ts = [f"t{k}" for k in range(1, twins + 1)]
+    edges = [(t, b) for a, b in g.edges if a == "1" for t in ts]
+    edges += [e for e in g.edges if e[0] != "1"]
+    return ColoredDigraph([*ts, *(g.color_u - {"1"})], g.color_w, edges)
+
+
 def test_long_induced_path_cap():
-    vs = [str(i) for i in range(100)]
-    with pytest.raises(SizeCapError):
-        long_induced_path_or_cycle(ColoredDigraph(vs[:50], vs[50:], []))
+    # The search counts g's twin classes, and g's vertices only when a member
+    # of each class holds a witness: 33 symmetric edges have 66 classes, and
+    # P6 with one end blown up into 60 twins has 6 classes, a witness, and 65
+    # vertices.
+    matching = ColoredDigraph(
+        [f"u{k}" for k in range(33)], [f"w{k}" for k in range(33)],
+        [e for k in range(33) for e in ((f"u{k}", f"w{k}"), (f"w{k}", f"u{k}"))])
+    for g, n in ((matching, 66), (_end_blown_up(_path_graph(6), 60), 65)):
+        with pytest.raises(SizeCapError, match=f"capped at 64 vertices, got {n}$"):
+            long_induced_path_or_cycle(g)
+
+
+@pytest.mark.parametrize("g", [
+    ColoredDigraph([str(i) for i in range(50)], [str(i) for i in range(50, 100)], []),
+    _end_blown_up(ColoredDigraph(("1", "3", "4", "6"), ("2", "5"),
+                                 [("1", "2"), ("2", "3"), ("4", "5"), ("5", "6")]), 60),
+], ids=["edgeless-50-50", "two-p3-end-blown-up"])
+def test_long_induced_path_past_64_vertices_without_a_witness_among_the_classes(g):
+    assert g.n_vertices > 64 and long_induced_path_or_cycle(g) is None
 
 
 def test_parse_format_roundtrip():

@@ -16,6 +16,7 @@ from qbmg import (
     PermGroup,
     Permutation,
     QbmgError,
+    aut_color_preserving,
     blow_up,
     classical_quotient,
     layered,
@@ -33,6 +34,7 @@ from tests import oracles, refdata
 from tests.test_digraph import record_class_masks
 
 ROOT = Path(__file__).resolve().parent.parent
+MATCHING5 = parse_graph((ROOT / "fixtures" / "symmetry" / "matching5.qbmg").read_text())
 
 
 def test_all_checks_pass_on_reference_member():
@@ -70,6 +72,12 @@ def test_graphs_match_up_to_rename():
     b = ColoredDigraph(("x",), ("y",), [("x", "y")])
     assert graphs_match_up_to_rename(a, b, {"1": "x", "2": "y"})
     assert not graphs_match_up_to_rename(a, b, {"1": "y", "2": "x"})
+    # Maps that carry colors and edges but are not bijections.
+    a, b = ColoredDigraph(("1", "2"), (), ()), ColoredDigraph(("1",), (), ())
+    assert not graphs_match_up_to_rename(a, b, {"1": "1", "2": "1"})
+    a = ColoredDigraph(("1", "2"), ("3",), [("1", "3"), ("2", "3")])
+    b = ColoredDigraph(("1",), ("3",), [("1", "3")])
+    assert not graphs_match_up_to_rename(a, b, {"1": "1", "2": "1", "3": "3"})
 
 
 def test_known_false_identity_is_flagged_not_crashed():
@@ -110,8 +118,8 @@ def test_each_group_is_built_once_per_graph(monkeypatch):
     results = run_suite(refdata.BLOWUP_TWICE)
     assert all(r.passed for r in results)
     # The UW-orientation's refined cells keep its symmetric pairs, so its
-    # group is not searched: the color-preserving group is built for g only.
-    assert counts == {"aut_color_preserving": 1, "aut_full": 1, "canonical_gamma": 1}
+    # group is not searched; the full group keeps colors, so it is Aut_I too.
+    assert counts == {"aut_full": 1, "canonical_gamma": 1}
 
 
 @pytest.mark.parametrize("g, searches", [
@@ -130,8 +138,67 @@ def test_group_is_reused_for_an_orientation_without_symmetric_edges(monkeypatch)
     counts = _count_group_calls(monkeypatch)
     results = run_suite(layered(refdata.TWO_LAYER_M4_SPEC))
     assert all(r.passed for r in results)
-    # No symmetric edges: the UW-orientation is g, so g's group is not searched again.
+    # No symmetric edges: the UW-orientation is g, so g's group is not searched again,
+    # and the full group, which keeps colors, is read as Aut_I.
+    assert counts == {"aut_full": 1, "canonical_gamma": 1}
+
+
+def test_aut_i_is_the_full_group_wherever_it_keeps_colors(enumerated_pool):
+    # Aut_I lies in the full group, so the full group keeps colors exactly
+    # when their orders agree.
+    kept = 0
+    for g in enumerated_pool:
+        facts = GraphFacts(g)
+        full = facts.full
+        searched = aut_color_preserving(g)
+        if searched.order == full.order:
+            kept += 1
+            assert facts.aut_i is full
+            assert (full.order, full.generators, full.orbit_masks()) == (
+                searched.order, searched.generators, searched.orbit_masks())
+        else:
+            assert facts.aut_i is not full and facts.aut_i.order == searched.order
+    assert kept == 15482
+
+
+@pytest.mark.parametrize("g", [
+    refdata.complete_symmetric(2, 2),
+    MATCHING5,
+    ColoredDigraph(("1", "2"), ("3",), ()),  # one twin class of both colors
+], ids=["K22", "matching5", "edgeless-both-colors"])
+def test_aut_i_is_searched_when_the_full_group_switches_colors(monkeypatch, g):
+    counts = _count_group_calls(monkeypatch)
+    assert all(r.passed for r in run_suite(g))
     assert counts == {"aut_color_preserving": 1, "aut_full": 1, "canonical_gamma": 1}
+    facts = GraphFacts(g)
+    assert facts.full.order > facts.aut_i.order
+
+
+@pytest.mark.parametrize("g", [
+    refdata.BLOWUP_TWICE,
+    MATCHING5,
+], ids=["blowup-twice", "matching5"])
+def test_orientation_theorems_alone_build_no_full_group(monkeypatch, g):
+    counts = _count_group_calls(monkeypatch)
+    assert all(r.passed for r in run_suite(g, checks=["orientation_theorems"]))
+    assert counts == {"aut_color_preserving": 1}
+
+
+def test_a_planted_full_group_is_not_read_as_aut_i(monkeypatch):
+    # A class attribute is no full group built for this graph: Aut_I is searched.
+    g = refdata.complete_symmetric(2, 3)
+    monkeypatch.setattr(GraphFacts, "full", PermGroup.from_generators([], g.vertices))
+    facts = GraphFacts(g)
+    assert facts.full.order == 1 and facts.aut_i.order == 12
+
+
+def test_checks_in_reverse_order_give_the_default_results(enumerated_pool):
+    # Reversed, the hereditary and orientation checks read Aut_I before the
+    # full group is built, so Aut_I is searched instead of read off it.
+    corpus = [parse_graph(p.read_text()) for p in sorted((ROOT / "fixtures").glob("*/*.qbmg"))]
+    for g in corpus + enumerated_pool[::10]:
+        reverse = {r.name: r for r in run_suite(g, checks=CHECK_NAMES[::-1])}
+        assert reverse == {r.name: r for r in run_suite(g)}
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "fixtures" / "corpus").glob("*.qbmg")),
@@ -225,7 +292,7 @@ def _count_element_walks(monkeypatch) -> Counter:
 
 @pytest.mark.parametrize("g", [
     layered(refdata.TWO_LAYER_M4_SPEC),
-    parse_graph((ROOT / "fixtures" / "symmetry" / "matching5.qbmg").read_text()),
+    MATCHING5,
 ], ids=["two-layer-m4", "matching5"])
 def test_fixed_vertex_in_neighborhood_walks_no_element_on_a_passing_graph(monkeypatch, g):
     counts = _count_element_walks(monkeypatch)

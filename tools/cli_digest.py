@@ -4,8 +4,10 @@ directories, so that two checkouts can be compared byte for byte with ``diff``.
     python3 tools/cli_digest.py DIR [DIR ...]
 
 For each file, in sorted path order, it runs ``qbmg.cli.main`` in-process for
-``check --json``, ``aut --json --stats``, ``aut --full --json --stats`` and
-``verify --json``, and prints the argv, the SHA-256 of the exit code with
+``check --json``, ``aut --json --stats``, ``aut --full --json --stats``,
+``verify --json``, which reads Aut_I off the full group where the two are one, and
+``verify`` of three checks that read Aut_I with no full group built, so it is
+searched. It prints the argv, the SHA-256 of the exit code with
 stdout, and the SHA-256 of stderr, so that a diff tells a change in what a
 command answers from a change in its ``--stats`` lines alone. ``qbmg`` is
 imported from ``sys.path`` (set ``PYTHONPATH`` to compare another checkout's
@@ -26,6 +28,8 @@ COMMANDS = (
     ("aut", "--json", "--stats"),
     ("aut", "--full", "--json", "--stats"),
     ("verify", "--json"),
+    ("verify", "--theorems=gamma_quotient_hereditary,orientation_theorems,thin_orbit_pairs",
+     "--json"),
 )
 
 
