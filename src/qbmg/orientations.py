@@ -11,7 +11,9 @@ graph isomorphism, II", 2014) where it can be: every automorphism of the
 UW-orientation o maps each refined cell of o onto itself, so when no U->W
 edge of a symmetric pair shares its pair of cells with a one-way U->W edge,
 it maps the symmetric pairs onto themselves and is an automorphism of the
-graph too. Only otherwise is o's group searched, from those cells.
+graph too. When every U->W edge lies on a symmetric pair, no cells hold a
+one-way one, so o is not even built. Only otherwise is o's group searched,
+from those cells.
 
 ``check_orientation_theorems`` tests the group identity together with
 membership and acyclicity of every orientation when the symmetric edges form
@@ -29,12 +31,13 @@ with a smallest-image search over a stabilizer chain of the action on pairs
 all 2^s masks. The action is read off the rank tuples the group was
 generated from; of the group itself only its order is read, never its
 stabilizer chain. The action permutes its orbits O on pairs, so it lies in
-the product of the Sym(O). When every vertex the group moves lies on a pair,
-only the identity fixes every pair, so the action has the group's order;
-when that order is the product of the |O|!, the action is that product. Its
-chain is then written down, with no Schreier-Sims, and a set is least in its
-orbit iff in each O its points come after the points outside it, with no
-image search.
+the product of the Sym(O). When every generator fixes each vertex off the
+pairs, only the identity fixes every pair, so the action has the group's
+order; when that order is the product of the |O|!, the action is that
+product. A set is then least in its orbit iff in each O its points come
+after the points outside it, with no image search and no Schreier-Sims. The
+chain is written down only for a smallest-image search, which maps each
+least set to its orbit's least mask when some pair starts in W.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, NamedTuple
 
 from .axioms import is_2qbmg, is_thin, satisfies_star
@@ -121,23 +125,29 @@ def orientation_representatives(g: ColoredDigraph, aut_g: PermGroup) -> list[int
     children dropping one point after its last missing one, and only least
     children are kept. Each is then mapped to its orbit's least mask.
     """
-    pairs = symmetric_pairs(g)
+    return _representatives(g, aut_g, symmetric_pairs(g))
+
+
+def _representatives(g: ColoredDigraph, aut_g: PermGroup,
+                     pairs: list[tuple[int, int]]) -> list[int]:
+    """``orientation_representatives(g, aut_g)``, given ``pairs = symmetric_pairs(g)``."""
     s = len(pairs)
     point = {pair: s - 1 - k for k, pair in enumerate(pairs)}
-    gens, moved = [], 0
+    gens = []
     for x in aut_g.generating_ranks:
         img = [0] * s
         for (a, b), i in point.items():
             img[i] = point[(x[a], x[b]) if x[a] < x[b] else (x[b], x[a])]
         gens.append(tuple(img))
-        moved |= sum(1 << v for v, y in enumerate(x) if v != y)
     if all(img == tuple(range(s)) for img in gens):  # every orbit is one mask
         if 1 << s > ORIENTATION_CAP:
             raise _representatives_capped(s)
         return list(range(1 << s))
-    # When every moved vertex lies on a pair, only the identity fixes all
-    # pairs, so the action has the group's order.
-    chain = _Chain(s, gens, None if moved & ~_ends(pairs) else aut_g.order)
+    # When every generator fixes each vertex off the pairs, only the identity
+    # fixes all pairs, so the action has the group's order.
+    off = (1 << g.n_vertices) - 1 & ~_ends(pairs)
+    on_pairs = all(x[v] == v for x in aut_g.generating_ranks for v in bits(off))
+    chain = _Chain(s, gens, aut_g.order if on_pairs else None)
     full = (1 << s) - 1
     least, todo = [], [full]
     while todo:
@@ -183,23 +193,21 @@ class _Chain:
 
     ``order`` is the group's order when known. When the group is the
     product of Sym(O) over its orbits O, its order the product of the |O|!,
-    the blocks are its orbits, and the chain is written down if ``order``
-    says so, else computed by Schreier-Sims.
+    the blocks are its orbits. If ``order`` says so, the chain is written
+    down on first read, which only a ``least_image`` call makes; else it is
+    computed by Schreier-Sims.
     """
 
     def __init__(self, n: int, gens: list[tuple[int, ...]], order: int | None):
-        orbits = _orbit_masks(n, gens)
-        product = math.prod(math.factorial(o.bit_count()) for o in orbits)
-        if order == product:
-            levels = _symmetric_chain(n, orbits)[0]
-        else:
-            levels = _schreier_sims(n, gens, order)
-        self.levels = levels
+        self.orbits = _orbit_masks(n, gens)
+        product = math.prod(math.factorial(o.bit_count()) for o in self.orbits)
+        if order != product:
+            self.levels = _schreier_sims(n, gens, order)
         self.images = 0
-        self.symmetric = math.prod(len(level) for level in levels) == product
+        self.symmetric = order == product or math.prod(map(len, self.levels)) == product
         self.block = [0] * n  # the block of each point, as a mask
         if self.symmetric:
-            for o in orbits:
+            for o in self.orbits:
                 for x in bits(o):
                     self.block[x] = o
         for x in range(n):
@@ -208,11 +216,16 @@ class _Chain:
                 for y in range(x + 1, n):
                     swap = list(range(n))
                     swap[x], swap[y] = y, x
-                    if not self.block[y] and _sift(levels, tuple(swap)) is None:
+                    if not self.block[y] and _sift(self.levels, tuple(swap)) is None:
                         mask |= 1 << y
                 for y in bits(mask):
                     self.block[y] = mask
         self.blocks = [b for b in set(self.block) if b & (b - 1)]
+
+    @cached_property
+    def levels(self):
+        """The chain of the product of the Sym(O), written down when ``order`` says it is one."""
+        return _symmetric_chain(len(self.block), self.orbits)[0]
 
     def is_least(self, c: int) -> bool:
         """Whether c is least in its orbit.
@@ -346,8 +359,10 @@ def check_orientation_theorems(g: ColoredDigraph, aut_g: PermGroup) -> Orientati
         ``aut_g`` only, in flip-mask order, stopping at the first failure; a
         matching-case violation names it as ``orientation #N``, N its flip
         mask plus one, which is also the first failing orientation of
-        ``enumerate_orientations``. A cycle on a thin graph is reported
-        last, after the UW verdict, without naming the orientation.
+        ``enumerate_orientations``. Without symmetric edges the only
+        orientation is g, which is not recognised again. A cycle on a thin
+        graph is reported last, after the UW verdict, without naming the
+        orientation.
     (b) Always: the UW-orientation is checked for having exactly the same
         color-preserving automorphisms as the graph itself. Containment in
         one direction is guaranteed (an automorphism maps symmetric pairs to
@@ -355,12 +370,14 @@ def check_orientation_theorems(g: ColoredDigraph, aut_g: PermGroup) -> Orientati
         decide it. The reverse containment can genuinely fail: dropping the
         back-edges can make previously distinguishable vertices
         interchangeable. The smallest example is 1->{2,3} with 2->1, where
-        the orientation gains (2 3). The orientation's color classes are
-        refined first. When the cell pairs of its U->W edges that come from
-        symmetric pairs are disjoint from those of its one-way U->W edges,
-        every automorphism of the orientation keeps the symmetric pairs, so
-        the two groups are equal and no search runs; otherwise the
-        orientation's group is searched from the refined cells.
+        the orientation gains (2 3). When every U->W edge lies on a
+        symmetric pair, the groups are equal and the orientation is not
+        built. Otherwise its color classes are refined first. When the cell
+        pairs of its U->W edges that come from symmetric pairs are disjoint
+        from those of its one-way U->W edges, every automorphism of the
+        orientation keeps the symmetric pairs, so the two groups are equal
+        and no search runs; otherwise the orientation's group is searched
+        from the refined cells.
 
     A failure of (a), or of the acyclicity checks, indicates a bug in this
     package rather than a property of the input.
@@ -375,10 +392,10 @@ def check_orientation_theorems(g: ColoredDigraph, aut_g: PermGroup) -> Orientati
     all_member: bool | None = True if star else None
     all_acyclic: bool | None = True if star or thin else None
     if star or thin:
-        for mask in orientation_representatives(g, aut_g):
+        for mask in _representatives(g, aut_g, pairs):
             o = orient(mask)
             checked += 1
-            if star and not is_2qbmg(o):
+            if star and pairs and not is_2qbmg(o):
                 all_member = False
                 violations.append(f"orientation #{mask + 1} is not a 2-qBMG")
                 break
@@ -411,6 +428,8 @@ def check_orientation_theorems(g: ColoredDigraph, aut_g: PermGroup) -> Orientati
 
 def _uw_order(g: ColoredDigraph, aut_g: PermGroup) -> int:
     """The order of the color-preserving group of g's UW-orientation."""
+    if not any(g.out_masks[a] & ~g.in_masks[a] for a in bits(g.u_mask)):
+        return aut_g.order  # no one-way U->W edge: any cells keep the symmetric pairs
     o = uw_orientation(g)
     stats = SearchStats()
     cells = _refine(o, _color_cells(o), stats)

@@ -254,10 +254,12 @@ def _thin_orbit_pairs(f: GraphFacts) -> Outcome:
         # color-preserving automorphisms by construction. The structure
         # statement holds for monochromatic orbits of any automorphism group;
         # the full group's orbits are coarser, so this is a genuinely
-        # different instance on graphs with mixed symmetries.
+        # different instance on graphs with mixed symmetries. The full group
+        # is read first, so that Aut_I can be read off it.
+        full = f.full.orbit_masks()
         _orbit_pair_shapes(f.g, f.aut_i.orbit_masks())
-        if f.full.orbit_masks() != f.aut_i.orbit_masks():
-            _orbit_pair_shapes(f.g, f.full.orbit_masks())
+        if full != f.aut_i.orbit_masks():
+            _orbit_pair_shapes(f.g, full)
     except PreconditionError as exc:
         return False, str(exc)
     return True, ""

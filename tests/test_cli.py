@@ -359,6 +359,16 @@ def test_aut_large_edgeless_exit_3(tmp_path, capsys):
         3, "", "error: full automorphism group capped at 128 vertices, got 2000\n")
 
 
+def test_verify_thin_orbit_pairs_cap_names_the_full_group(tmp_path, capsys):
+    # 65 disjoint symmetric edges: thin, no twins and 130 vertices, past the
+    # cap of both groups. The check reads the full group first, so that Aut_I
+    # can be read off it, and the full group's cap is the one reported.
+    u, w = [str(i) for i in range(1, 66)], [str(i) for i in range(66, 131)]
+    path = _write(tmp_path, "matching65.qbmg", u, w, _symmetric_matching(u, w))
+    assert run(capsys, "verify", "--theorems", "thin_orbit_pairs", path) == (
+        3, "", "error: full automorphism group capped at 128 vertices, got 130\n")
+
+
 # -- quotient --------------------------------------------------------------------
 
 def test_quotient_canonical_gamma_large_edgeless_exit_3(tmp_path, capsys):

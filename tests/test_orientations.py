@@ -5,7 +5,7 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qbmg import (
@@ -280,12 +280,15 @@ def test_representatives_are_orbit_minima_on_the_corpus(corpus):
 
 
 @st.composite
-def shuffled_digraphs(draw):
-    """Graphs on up to 3+3 vertices, with the tokens dealt to the classes at random."""
+def shuffled_digraphs(draw, kind=st.integers(0, 3)):
+    """Graphs on up to 3+3 vertices, with the tokens dealt to the classes at random.
+
+    Each U-W pair draws a ``kind``: bit 0 for the U->W edge, bit 1 for W->U.
+    """
     r, s = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     tokens = draw(st.permutations([str(i) for i in range(1, r + s + 1)]))
     u, w = tokens[:r], tokens[r:]
-    kinds = draw(st.lists(st.integers(0, 3), min_size=r * s, max_size=r * s))
+    kinds = draw(st.lists(kind, min_size=r * s, max_size=r * s))
     edges = []
     for (a, b), kind in zip([(a, b) for a in u for b in w], kinds):
         edges += [(a, b)] * (kind & 1) + [(b, a)] * (kind >> 1)
@@ -297,7 +300,9 @@ def shuffled_digraphs(draw):
 def test_representatives_are_orbit_minima_on_random_graphs(g):
     # Most of these graphs are not members, which breaks the caller's
     # contract on purpose: the first failing orientation must still be the
-    # one a scan of all of them names.
+    # one a scan of all of them names. Without symmetric edges the only
+    # orientation is g itself, whose membership the caller vouches for.
+    assume(symmetric_edges(g) or is_2qbmg(g))
     _agrees_with_brute_force(g)
 
 
@@ -401,20 +406,36 @@ def _matching(k):
 
 
 def test_matching_check_runs_no_schreier_sims(monkeypatch):
+    # Every pair starts in U, so the flip is 0: no smallest-image search
+    # runs, and the chain is never written.
     g = _matching(7)
     grp = aut_color_preserving(g)
     chain = _Calls(monkeypatch, orientations, "_schreier_sims", "_symmetric_chain")
     report = check_orientation_theorems(g, grp)
     assert report.ok and report.orientations_checked == 8
+    assert chain.counts == {"_schreier_sims": 0, "_symmetric_chain": 0}
+
+
+def test_matching_from_w_writes_the_chain_once(monkeypatch):
+    # Every pair starts in W, so each representative's least mask comes from
+    # a smallest-image search, and the chain is written on the first.
+    u, w = [str(i) for i in range(8, 15)], [str(i) for i in range(1, 8)]
+    g = ColoredDigraph(u, w, [e for a, b in zip(u, w) for e in ((a, b), (b, a))])
+    grp = aut_color_preserving(g)
+    chain = _Calls(monkeypatch, orientations, "_schreier_sims", "_symmetric_chain")
+    report = check_orientation_theorems(g, grp)
+    assert report.ok and report.orientations_checked == 8
     assert chain.counts == {"_schreier_sims": 0, "_symmetric_chain": 1}
+    assert orientation_representatives(g, grp) == [(1 << k) - 1 for k in range(8)]
 
 
 def test_written_chain_gives_the_schreier_sims_representatives(enumerated_pool, monkeypatch):
     graphs = [g for g in enumerated_pool[::3] if len(symmetric_edges(g)) <= 8]
     groups = [aut_color_preserving(g) for g in graphs]
-    written = _Calls(monkeypatch, orientations, "_symmetric_chain")
+    # A chain on the symmetric route runs no Schreier-Sims.
+    built = _Calls(monkeypatch, orientations, "_Chain", "_schreier_sims")
     reps = [orientation_representatives(g, grp) for g, grp in zip(graphs, groups)]
-    assert written.counts["_symmetric_chain"] > 300
+    assert built.counts["_Chain"] - built.counts["_schreier_sims"] > 300
     # With every orbit a single point, no product of symmetric groups is
     # recognised: the chain comes from Schreier-Sims and the blocks from sifts.
     monkeypatch.setattr(orientations, "_orbit_masks", lambda n, gens: [1 << i for i in range(n)])
@@ -437,16 +458,19 @@ def test_blowup_twice_runs_schreier_sims(monkeypatch):
 def test_vertex_on_two_pairs_counts_once_in_the_ends(monkeypatch):
     # Pairs 1-5, 2-4, 2-6, 3-5 (ranks (0, 4), (1, 3), (1, 5), (2, 4)): 2 and
     # 5 lie on two pairs each. Aut_I = <(1 3), (4 6)> moves only vertices on
-    # pairs, and acts as Sym(2) x Sym(2) on them, so the chain is written down.
+    # pairs, and acts as Sym(2) x Sym(2) on them, so the chain takes the
+    # symmetric route with no Schreier-Sims; every pair starts in U, so it is
+    # not written down. The pairs are no matching and g is not thin, so the
+    # check builds no chain.
     g = ColoredDigraph(("1", "2", "3"), ("4", "5", "6"), [
         ("1", "5"), ("2", "4"), ("2", "5"), ("2", "6"), ("3", "5"), ("4", "1"), ("4", "2"),
         ("4", "3"), ("5", "1"), ("5", "3"), ("6", "1"), ("6", "2"), ("6", "3")])
     pairs = symmetric_pairs(g)
     assert pairs == [(0, 4), (1, 3), (1, 5), (2, 4)]
     assert orientations._ends(pairs) == 0b111111
-    chain = _Calls(monkeypatch, orientations, "_schreier_sims", "_symmetric_chain")
+    chain = _Calls(monkeypatch, orientations, "_Chain", "_schreier_sims", "_symmetric_chain")
     _agrees_with_brute_force(g)
-    assert chain.counts == {"_schreier_sims": 0, "_symmetric_chain": 1}
+    assert chain.counts == {"_Chain": 1, "_schreier_sims": 0, "_symmetric_chain": 0}
 
 
 def test_matching_verify_builds_no_chain_of_aut_i(tmp_path, capsys, monkeypatch):
@@ -525,6 +549,35 @@ def test_uw_order_equals_a_search_on_the_orientation(enumerated_pool):
     for g in enumerated_pool[::6]:
         assert (orientations._uw_order(g, aut_color_preserving(g))
                 == aut_color_preserving(uw_orientation(g)).order)
+
+
+def _no_one_way_uw_edge(g):
+    return all(g.out_masks[a] & ~g.in_masks[a] == 0 for a in range(g.n_vertices)
+               if g.u_mask >> a & 1)
+
+
+def _assert_uw_order_needs_no_refinement(g):
+    # Every U->W edge lies on a symmetric pair, so the certificate holds on
+    # the refined cells, and _uw_order answers without them.
+    assert _certificate(g)
+    o = uw_orientation(g)
+    direct = autgroup._search_automorphisms(o, autgroup._color_cells(o), autgroup.SearchStats())
+    assert orientations._uw_order(g, aut_color_preserving(g)) == direct[1]
+
+
+def test_uw_order_without_one_way_uw_edges_on_the_pool(enumerated_pool):
+    graphs = [g for g in enumerated_pool if symmetric_edges(g) and _no_one_way_uw_edge(g)]
+    assert len(graphs) == 2201
+    for g in graphs:
+        _assert_uw_order_needs_no_refinement(g)
+
+
+@settings(deadline=None)
+@given(shuffled_digraphs(st.sampled_from((0, 2, 3))))  # no one-way U->W edge
+def test_uw_order_without_one_way_uw_edges_on_random_members(g):
+    assume(symmetric_edges(g) and is_2qbmg(g))
+    assert _no_one_way_uw_edge(g)
+    _assert_uw_order_needs_no_refinement(g)
 
 
 def test_uw_certificate_does_not_fire_on_the_smallest_gain():

@@ -22,7 +22,7 @@ def test_src_size_counts_every_line_once():
 
 
 def test_cli_digest_prints_the_same_lines_on_two_runs():
-    # Five invocations per fixture, each an argv and two SHA-256s, one of the
+    # Six invocations per fixture, each an argv and two SHA-256s, one of the
     # exit code with stdout and one of stderr; a second run prints the same
     # lines, so a diff of two checkouts' runs is empty.
     runs = [subprocess.run([sys.executable, "tools/cli_digest.py", "fixtures"], cwd=ROOT,
@@ -31,7 +31,7 @@ def test_cli_digest_prints_the_same_lines_on_two_runs():
     lines = runs[0].stdout.splitlines()
     assert runs[1].stdout.splitlines() == lines
     files = sorted((ROOT / "fixtures").rglob("*.qbmg"))
-    assert len(lines) == 5 * len(files)
+    assert len(lines) == 6 * len(files)
     assert all(re.fullmatch(
         r"(check|aut|verify) fixtures/\S+\.qbmg( --\S+)+ [0-9a-f]{64} [0-9a-f]{64}", line)
         for line in lines)

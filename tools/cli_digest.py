@@ -7,7 +7,8 @@ For each file, in sorted path order, it runs ``qbmg.cli.main`` in-process for
 ``check --json``, ``aut --json --stats``, ``aut --full --json --stats``,
 ``verify --json``, which reads Aut_I off the full group where the two are one, and
 ``verify`` of three checks that read Aut_I with no full group built, so it is
-searched. It prints the argv, the SHA-256 of the exit code with
+searched, and ``verify`` of ``thin_orbit_pairs`` alone, which reads the full
+group first and Aut_I off it. It prints the argv, the SHA-256 of the exit code with
 stdout, and the SHA-256 of stderr, so that a diff tells a change in what a
 command answers from a change in its ``--stats`` lines alone. ``qbmg`` is
 imported from ``sys.path`` (set ``PYTHONPATH`` to compare another checkout's
@@ -30,6 +31,7 @@ COMMANDS = (
     ("verify", "--json"),
     ("verify", "--theorems=gamma_quotient_hereditary,orientation_theorems,thin_orbit_pairs",
      "--json"),
+    ("verify", "--theorems=thin_orbit_pairs", "--json"),
 )
 
 
