@@ -13,24 +13,8 @@ from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import __version__
-from .axioms import axiom_report, is_thin, satisfies_star
-from .autgroup import SearchStats, aut_color_preserving, aut_full, canonical_gamma
-from .constructions import (
-    blow_up,
-    default_layered_spec,
-    default_n2_trivial_tables,
-    format_layered_spec,
-    layered,
-    n2_trivial_layer,
-    parse_layered_spec,
-    random_layered_spec,
-    random_n2_trivial_tables,
-)
 from .digraph import bits, format_graph, parse_graph, to_dot, token_key
 from .errors import GraphFormatError, QbmgError, SizeCapError
-from .perms import format_permutation
-from .quotients import classical_quotient, gamma_quotient, parse_partition, partition_quotient
-from .verify import CHECK_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -41,9 +25,13 @@ SCHEMA = 1
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+    """The text of ``path`` (stdin for ``-``); input that cannot be read is an input error."""
+    try:
+        return sys.stdin.read() if path == "-" else Path(path).read_text()
+    except OSError as exc:  # names the path: "[Errno 21] Is a directory: 'x'"
+        raise QbmgError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise QbmgError(f"{path}: {exc}") from exc
 
 
 def _load_graph(path: str):
@@ -97,6 +85,8 @@ def _verdict_doc(v) -> dict:
 
 
 def cmd_check(args) -> int:
+    from .axioms import axiom_report, is_thin, satisfies_star
+
     g = _load_graph(args.path)
     report = axiom_report(g)
     thin = is_thin(g)
@@ -155,6 +145,8 @@ def _orbit_tokens(grp) -> list[list[str]]:
 
 
 def _group_doc(grp) -> dict:
+    from .perms import format_permutation
+
     return {
         "schema": SCHEMA,
         "order": grp.order,
@@ -164,6 +156,8 @@ def _group_doc(grp) -> dict:
 
 
 def cmd_aut(args) -> int:
+    from .autgroup import SearchStats, aut_color_preserving, aut_full
+
     g = _load_graph(args.path)
     stats = SearchStats()
     grp = aut_full(g, stats) if args.full else aut_color_preserving(g, stats)
@@ -190,6 +184,9 @@ def cmd_aut(args) -> int:
 
 
 def cmd_quotient(args) -> int:
+    from .autgroup import canonical_gamma
+    from .quotients import classical_quotient, gamma_quotient, parse_partition, partition_quotient
+
     g = _load_graph(args.path)
     if args.partition:
         partition = parse_partition(_read_text(args.partition))
@@ -228,6 +225,17 @@ def cmd_quotient(args) -> int:
 
 
 def _generated_graph(args):
+    from .constructions import (
+        blow_up,
+        default_layered_spec,
+        default_n2_trivial_tables,
+        layered,
+        n2_trivial_layer,
+        parse_layered_spec,
+        random_layered_spec,
+        random_n2_trivial_tables,
+    )
+
     if args.family == "layered":
         spec = parse_layered_spec(_read_text(args.spec))
         return layered(spec), [f"layered, s={spec.s}, m={spec.m}"]
@@ -247,6 +255,8 @@ def _generated_graph(args):
 
 
 def cmd_generate(args) -> int:
+    from .constructions import format_layered_spec, random_layered_spec
+
     if args.family == "random":
         spec = random_layered_spec(args.s, args.m, args.seed)
         sys.stdout.write(format_layered_spec(
@@ -261,6 +271,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
+
     if args.corpus:
         if not Path(args.corpus).is_dir():
             raise QbmgError(f"corpus {args.corpus} is not a directory")
@@ -275,7 +287,7 @@ def cmd_verify(args) -> int:
     docs = []
     for path in paths:
         try:
-            g = parse_graph(path.read_text())
+            g = parse_graph(_read_text(str(path)))
         except GraphFormatError as exc:
             if not args.corpus:
                 raise
@@ -295,6 +307,17 @@ def cmd_verify(args) -> int:
     else:
         print(f"checked {len(paths)} graph(s): " + ("all passed" if not any_fail else "FAILURES"))
     return EXIT_OK if not any_fail else EXIT_FAIL
+
+
+class _VerifyHelp(argparse.HelpFormatter):
+    """Ends the ``--theorems`` help with the suite's check names, read only when help prints."""
+
+    def _get_help_string(self, action):
+        if action.dest != "theorems":
+            return action.help
+        from .verify import CHECK_NAMES
+
+        return action.help + ",".join(CHECK_NAMES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,11 +392,12 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--seed", type=int, required=True)
     f.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("verify", help="run the theorem suite over graphs")
+    p = sub.add_parser("verify", help="run the theorem suite over graphs",
+                       formatter_class=_VerifyHelp)
     p.add_argument("path", nargs="?", help="a single graph file")
     p.add_argument("--corpus", metavar="DIR", help="check every *.qbmg file in DIR")
     p.add_argument("--theorems", metavar="LIST",
-                   help="comma-separated subset of: " + ",".join(CHECK_NAMES))
+                   help="comma-separated subset of: ")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
@@ -396,7 +420,7 @@ def main(argv=None) -> int:
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (FileNotFoundError, QbmgError) as exc:
+    except QbmgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "GraphFormatError",
+    "InternalCheckError",
+    "NotAutomorphismError",
+    "PartitionError",
+    "PreconditionError",
+    "QbmgError",
+    "SizeCapError",
+    "UnknownVertexError",
+]
+
 
 class QbmgError(Exception):
     """Base class for all errors raised by this package."""

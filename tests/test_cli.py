@@ -84,6 +84,33 @@ def test_check_duplicate_edge_exit_2(tmp_path, capsys):
 def test_check_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "check", "no_such_file.qbmg")
     assert code == 2
+    assert err == "error: [Errno 2] No such file or directory: 'no_such_file.qbmg'\n"
+
+
+@pytest.mark.parametrize("argv", [("check",), ("aut", "--json")], ids=["check", "aut"])
+def test_directory_input_exit_2(tmp_path, capsys, argv):
+    code, out, err = run(capsys, argv[0], str(tmp_path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_non_utf8_input_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bytes.qbmg"
+    bad.write_bytes(b"qbmg 1\nU: \xff\n")
+    code, out, err = run(capsys, "check", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
+def test_broken_stdout_is_not_an_input_error(monkeypatch):
+    class Broken:
+        def write(self, _text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("sys.stdout", Broken())
+    with pytest.raises(BrokenPipeError):
+        main(["check", str(CORPUS / "k23.qbmg")])
 
 
 # -- aut -----------------------------------------------------------------------
@@ -581,6 +608,50 @@ def test_verify_corpus_names_the_malformed_file(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(tmp_path / "b.qbmg"))
     assert code == 2
     assert err == "error: edge references undeclared vertex '3' (line 4, column 5)\n"
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"qbmg 1\nU: 1\nW: \xe9\n"),
+], ids=["directory", "non-utf8"])
+def test_verify_corpus_names_the_unreadable_file(tmp_path, capsys, make):
+    (tmp_path / "a.qbmg").write_text((CORPUS / "k23.qbmg").read_text())
+    make(tmp_path / "b.qbmg")
+    code, out, err = run(capsys, "verify", "--corpus", str(tmp_path))
+    assert code == 2
+    assert "PASS a.qbmg" in out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path / "b.qbmg") in err
+
+
+def test_verify_help_lists_the_checks_in_registry_order(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    # The names wrap mid-word at 80 columns; joined again they are the registry, in order.
+    assert "comma-separatedsubsetof:" + ",".join(CHECK_NAMES) + "--json" in "".join(out.split())
+    assert out == VERIFY_HELP
+
+
+VERIFY_HELP = """\
+usage: qbmg verify [-h] [--corpus DIR] [--theorems LIST] [--json] [path]
+
+positional arguments:
+  path             a single graph file
+
+options:
+  -h, --help       show this help message and exit
+  --corpus DIR     check every *.qbmg file in DIR
+  --theorems LIST  comma-separated subset of: membership,route_equivalence,und
+                   erlying_p6c6_free,classical_idempotent,classical_equals_can
+                   onical_gamma,canonical_gamma_normal,canonical_orbits_are_cl
+                   asses,gamma_quotient_hereditary,common_out_neighbor_equival
+                   ence,fixed_vertex_in_neighborhood,thin_orbit_pairs,orientat
+                   ion_theorems
+  --json
+"""
 
 
 def test_verify_json(capsys):

@@ -5,7 +5,10 @@
 - Every imported name is used, except the re-exports of ``__init__.py`` and
   names a module lists in ``__all__``.
 - Each name is listed in at most one module's ``__all__``, and ``__init__.py``
-  imports it from that module: every public name has one import path.
+  maps it to that module: every public name has one import path. The
+  package's ``__all__`` is a literal equal to the map's keys.
+- ``import qbmg`` loads no submodule, and each command loads only the
+  modules it runs.
 - Every third-party module the tests import is declared in the ``test``
   extra of ``pyproject.toml``.
 - The modules that derive graphs from graphs read masks, never a graph's
@@ -15,7 +18,11 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,6 +30,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "qbmg").glob("*.py"))
+INIT = ROOT / "src" / "qbmg" / "__init__.py"
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -56,12 +64,17 @@ def _used_names(tree: ast.Module) -> set[str]:
     return used
 
 
-def _declared_all(tree: ast.Module) -> set[str]:
+def _literal(tree: ast.Module, name: str):
+    """The literal a top-level ``name = ...`` assigns, else None."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            return set(ast.literal_eval(node.value))
-    return set()
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def _declared_all(tree: ast.Module) -> set[str]:
+    return set(_literal(tree, "__all__") or ())
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -83,15 +96,74 @@ def test_imports_are_stdlib_or_relative(path):
 def test_each_public_name_has_one_home():
     homes: dict[str, list[str]] = {}
     for path in SOURCES:
-        for name in _declared_all(ast.parse(path.read_text(), filename=str(path))):
-            homes.setdefault(name, []).append(path.stem)
+        if path != INIT:
+            for name in _declared_all(ast.parse(path.read_text(), filename=str(path))):
+                homes.setdefault(name, []).append(path.stem)
     shared = {name: mods for name, mods in homes.items() if len(mods) > 1}
     assert not shared, f"names listed in more than one __all__: {shared}"
-    init = ROOT / "src" / "qbmg" / "__init__.py"
-    astray = [f"line {node.lineno}: {name} from .{node.module}"
-              for node, name in _imports(ast.parse(init.read_text(), filename=str(init)))
-              if name in homes and homes[name] != [node.module]]
-    assert not astray, f"__init__.py imports names from outside their __all__: {astray}"
+    tree = ast.parse(INIT.read_text(), filename=str(INIT))
+    mapped = _literal(tree, "_HOMES")
+    assert mapped, "__init__.py has no literal _HOMES map"
+    astray = [f"{name} -> .{home}, listed in {homes.get(name, [])}"
+              for name, home in mapped.items() if homes.get(name) != [home]]
+    assert not astray, f"__init__.py maps names outside their home's __all__: {astray}"
+    assert _literal(tree, "__all__") == list(mapped)
+
+
+def _fresh_python(code: str, *argv: str) -> str:
+    """Stdout of ``python -c code argv...`` in a new process that imports this checkout's qbmg."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_public_names_load_from_their_home_on_first_access():
+    import qbmg
+
+    # Before any name is read, ``dir`` already lists them all.
+    assert _fresh_python("import qbmg; print(sorted(set(qbmg.__all__) - set(dir(qbmg))))") \
+        == "[]\n"
+    for name in qbmg.__all__:
+        home = importlib.import_module(f"qbmg.{qbmg._HOMES[name]}")
+        assert getattr(qbmg, name) is getattr(home, name), name
+    star: dict = {}
+    exec("from qbmg import *", star)
+    assert set(qbmg.__all__) <= star.keys()
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        qbmg.no_such_name  # noqa: B018
+
+
+# Prints the qbmg modules that ``import qbmg.cli`` loads, then those that
+# ``main(argv)`` adds, as two JSON lists.
+FOOTPRINT = """\
+import contextlib, io, json, sys
+def loaded():
+    return {m for m in sys.modules if m == "qbmg" or m.startswith("qbmg.")}
+import qbmg.cli
+before = loaded()
+print(json.dumps(sorted(before)))
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        qbmg.cli.main(sys.argv[1:])
+print(json.dumps(sorted(loaded() - before)))
+"""
+
+FIXTURE = "fixtures/corpus/blowup_base.qbmg"
+
+
+@pytest.mark.parametrize("argv, added", [
+    ([], []),
+    (["check", FIXTURE], ["qbmg.axioms"]),
+    (["aut", FIXTURE, "--json"], ["qbmg.autgroup", "qbmg.perms"]),
+    (["generate", "two-layer", "--m", "3"], ["qbmg.constructions", "qbmg.perms"]),
+], ids=["import", "check", "aut", "generate"])
+def test_each_command_loads_only_its_modules(argv, added):
+    at_import, by_main = map(json.loads, _fresh_python(FOOTPRINT, *argv).splitlines())
+    assert at_import == ["qbmg", "qbmg.cli", "qbmg.digraph", "qbmg.errors"]
+    assert by_main == added
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],

@@ -1,4 +1,4 @@
-"""``tools/src_size.py``, which prints the two sizes of ``src/qbmg`` the ROADMAP tracks."""
+"""The scripts under ``tools/``: sizes, CLI digests and fresh-process start-up times."""
 
 import re
 import subprocess
@@ -35,3 +35,12 @@ def test_cli_digest_prints_the_same_lines_on_two_runs():
     assert all(re.fullmatch(
         r"(check|aut|verify) fixtures/\S+\.qbmg( --\S+)+ [0-9a-f]{64} [0-9a-f]{64}", line)
         for line in lines)
+
+
+def test_startup_prints_one_median_per_command():
+    done = subprocess.run([sys.executable, "tools/startup.py", "--runs", "2"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["check", "aut", "verify", "generate"]
+    assert all(re.fullmatch(r"\w+ +median_ms \d+\.\d runs 2", line) for line in lines), lines
