@@ -253,10 +253,11 @@ class _Chain:
             miss: set[int] = set()
             for t in todo:
                 seen = set()
-                for b, (_, inv) in level.items():
+                for b in level:
                     key = (block[b], t >> b & 1)
                     if key not in seen:
                         seen.add(key)
+                        inv = level.inverse(b)
                         image = t if b == i else sum(1 << inv[q] for q in bits(t))
                         (hit if key[1] == want else miss).add(image)
             self.images += len(todo)

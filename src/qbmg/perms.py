@@ -15,10 +15,14 @@ else (membership, other canonical generators, the elements) builds a
 stabilizer chain whose base is the whole domain in rank order (Sims; Seress,
 *Permutation Group Algorithms*, 2003, ch. 4-5): level i holds the orbit of
 rank i under the pointwise stabilizer of ranks 0..i-1, with one coset
-representative per orbit point. Levels whose orbit is a single point are
-kept; domains are small. A deterministic Schreier-Sims builds the chain from
-the generating ranks, membership is a sift through the levels, and the
-order, when not given, is the product of the orbit lengths.
+representative per orbit point, whose inverse is computed when a sift first
+reads it. Levels whose orbit is a single point are kept; domains are small.
+Schreier-Sims builds the chain. With a known order it sifts the generating
+ranks, then random elements made from them, until the orbit lengths multiply
+to that order; the deterministic scan of every Schreier generator runs only
+for an unknown order, or when the random elements stop adding to the chain.
+Membership is a sift through the levels, and the order, when not given, is
+the product of the orbit lengths.
 
 A group's elements have one order: their rank tuples, compared
 lexicographically. The generator list is canonical: each next generator is
@@ -31,11 +35,14 @@ beyond it the request fails loudly.
 from __future__ import annotations
 
 import math
-from itertools import pairwise
+import random
+from itertools import count, pairwise
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .digraph import ColoredDigraph, _token_column, bits, rank_index, token_key
-from .errors import GraphFormatError, NotAutomorphismError, QbmgError, SizeCapError
+from .errors import (GraphFormatError, InternalCheckError, NotAutomorphismError, QbmgError,
+                     SizeCapError)
 
 __all__ = [
     "Permutation",
@@ -210,8 +217,9 @@ class PermGroup:
     ``generating_ranks`` are the rank tuples the group was built from, the
     blocks' transpositions last.
     ``levels[i]`` maps each point b of the orbit of rank i under the
-    pointwise stabilizer of ranks 0..i-1 to a pair (u, u^-1), where u maps i
-    to b and fixes ranks 0..i-1; a point is a vertex's rank in ``domain``.
+    pointwise stabilizer of ranks 0..i-1 to u, which maps i to b and fixes
+    ranks 0..i-1, and gives u^-1 as ``levels[i].inverse(b)``; a point is a
+    vertex's rank in ``domain``.
     The chain and the canonical ``generators`` are built on first read.
     """
 
@@ -298,8 +306,10 @@ class PermGroup:
         """The group generated by rank tuples over ``domain`` and by Sym(B) for each block B.
 
         ``order`` must be the group's order when given; it is then read
-        without a chain, and it ends Schreier-Sims as soon as the chain
-        reaches it, since a chain whose orbits are all full is complete.
+        without a chain, and Schreier-Sims sifts random elements until the
+        chain reaches it, since a chain whose orbits are all full is
+        complete. Building the chain of a group whose given order is larger
+        than its own raises ``InternalCheckError``.
         ``orbits``, when given, must be ``orbit_masks()``'s answer; it is
         then read as is.
         ``blocks`` are disjoint rank masks; the transpositions of their
@@ -334,10 +344,29 @@ class PermGroup:
 
 # -- stabilizer chains on rank tuples: x[i] is the rank of the image of rank i --
 
+# Random Schreier-Sims: the product replacement pool and its warm-up moves,
+# the seed, and how many random elements in a row may sift before the
+# deterministic scan takes over.
+_POOL, _WARMUP, _SEED, _MISSES = 10, 25, 1, 30
+
+
+class _Level(dict):
+    """Level i of a chain: each orbit point b maps to its representative u, which fixes
+    ranks 0..i-1 and maps i to b. ``inverse(b)`` is u^-1, computed on first read and kept
+    in ``inverses``, which its builder sets."""
+
+    __slots__ = ("inverses",)
+
+    def inverse(self, b: int) -> _Ranks:
+        inv = self.inverses.get(b)
+        if inv is None:
+            inv = self.inverses[b] = _invert(self[b])
+        return inv
+
 
 def _compose(a: _Ranks, b: _Ranks) -> _Ranks:
-    """a after b."""
-    return tuple(map(a.__getitem__, b))
+    """a after b, as one gather."""
+    return itemgetter(*b)(a) if len(b) > 1 else tuple(map(a.__getitem__, b))
 
 
 def _invert(a: _Ranks) -> _Ranks:
@@ -357,11 +386,28 @@ def _sift(levels, x: _Ranks, start: int = 0) -> tuple[_Ranks, int] | None:
     for i in range(start, len(levels)):
         b = x[i]
         if b != i:
-            pair = levels[i].get(b)
-            if pair is None:
+            level = levels[i]
+            if b not in level:
                 return x, i
-            x = _compose(pair[1], x)
+            x = _compose(level.inverse(b), x)
     return None
+
+
+def _random_elements(gens: tuple[_Ranks, ...], n: int) -> Iterator[_Ranks]:
+    """Endless elements of <gens> by product replacement with an accumulator, from a fixed
+    seed (Celler, Leedham-Green, Murray, Niemeyer and O'Brien, 1995; Holt, Eick and
+    O'Brien, *Handbook of Computational Group Theory*, 2005, §3.2.2)."""
+    rng, r = random.Random(_SEED), max(_POOL, len(gens))
+    pool, acc = [gens[k % len(gens)] for k in range(r)], tuple(range(n))
+    for step in count(-_WARMUP):
+        k = rng.getrandbits(24)  # one draw picks i != j and the side
+        i, j = k % r, k // r % (r - 1)
+        j += j >= i
+        # pool[i] becomes pool[i] pool[j] or pool[j] pool[i], each one gather
+        pool[i] = itemgetter(*pool[j])(pool[i]) if k >> 23 else itemgetter(*pool[i])(pool[j])
+        if step >= 0:
+            acc = itemgetter(*pool[i])(acc)
+            yield acc
 
 
 def _orbit(x: int, gens: Iterable[_Ranks]) -> set[int]:
@@ -412,7 +458,9 @@ def _symmetric_chain(n: int, blocks: Iterable[int]):
     ``(levels, strong)``.
     """
     ident = tuple(range(n))
-    levels = tuple({i: (ident, ident)} for i in range(n))
+    levels = tuple(_Level({i: ident}) for i in range(n))
+    for i, level in enumerate(levels):
+        level.inverses = {i: ident}
     strong: list[tuple[_Ranks, int]] = []
     for block in blocks:
         members = list(bits(block))
@@ -420,9 +468,9 @@ def _symmetric_chain(n: int, blocks: Iterable[int]):
             for b in members[k + 1:]:
                 swap = list(ident)
                 swap[a], swap[b] = b, a
-                levels[a][b] = (tuple(swap),) * 2
+                levels[a][b] = levels[a].inverses[b] = tuple(swap)
             if k + 1 < len(members):
-                strong.append((levels[a][members[k + 1]][0], a))
+                strong.append((levels[a][members[k + 1]], a))
     return levels, strong
 
 
@@ -447,14 +495,19 @@ def _schreier_sims(n: int, generators: Iterable[_Ranks], order: int | None = Non
     """The levels of a complete chain of <generators> with base 0..n-1.
 
     A generator that does not sift becomes a strong generator; one that fixes
-    0..j-1 and moves j belongs to levels 0..j. Then, deepest level first,
-    every Schreier generator u_c^-1 s u_b of a level is sifted through the
-    levels below it; a residue becomes a strong generator, and the scan
-    resumes at the level where the residue stopped. ``tested`` keeps each
-    level's (orbit point, generator) pairs, so none is sifted twice. With
-    ``order`` the scan ends once the orbit lengths multiply to it: every
-    orbit is then full, so the chain is complete. The product is read once
-    and then updated for each level an adjoin grows.
+    0..j-1 and moves j belongs to levels 0..j. With ``order`` the chain is
+    complete once its orbit lengths multiply to it, since every orbit is then
+    full; the product is read once and updated for each level an adjoin
+    grows. Until then, random elements of the group are sifted and each
+    residue is adjoined (random Schreier-Sims, which a known order makes Las
+    Vegas: Seress, *Permutation Group Algorithms*, 2003, §4.3). After
+    ``_MISSES`` of them in a row sift, or when the order is not given, the
+    deterministic scan decides: deepest level first, every Schreier generator
+    u_c^-1 s u_b of a level is sifted through the levels below it; a residue
+    becomes a strong generator, and the scan resumes at the level where the
+    residue stopped. ``tested[i][b]`` counts level i's generators already
+    tried with orbit point b, so no pair is sifted twice. A given order that
+    the finished scan does not reach raises ``InternalCheckError``.
 
     ``known`` is ``(levels, strong)``, a complete chain of a subgroup H with
     its strong generators, each with its first moved point; it is the
@@ -468,53 +521,59 @@ def _schreier_sims(n: int, generators: Iterable[_Ranks], order: int | None = Non
     size = math.prod(len(level) for level in levels)  # the order the chain spans so far
     if known and size == order:
         return levels
-    tested: list[set[tuple[int, int]]] = [set() for _ in range(n)]
-    for k, (_, first) in enumerate(strong):
-        for j in range(first + 1):
-            tested[j].update((b, k) for b in levels[j])
+    gens: list[list[_Ranks]] = [[] for _ in range(n)]  # level i's: first moved point >= i
+    for s, first in strong:
+        for i in range(first + 1):
+            gens[i].append(s)
+    tested = [dict.fromkeys(level, len(g)) for level, g in zip(levels, gens)]
+    top = -1
 
     def adjoin(x: _Ranks, j: int) -> bool:
-        nonlocal size
-        strong.append((x, j))
+        nonlocal size, top
+        top = max(top, j)
         for i in range(j + 1):
-            level = levels[i]
+            level, level_gens = levels[i], gens[i]
+            level_gens.append(x)
+            if i < j and len(level) == 1:  # x and the level's generators all fix i
+                continue
             before = len(level)
-            gens = [s for s, first in strong if first >= i]
             fresh = []
-            for b, (u, _) in list(level.items()):
+            for b, u in list(level.items()):
                 if x[b] not in level:
-                    v = _compose(x, u)
-                    level[x[b]] = (v, _invert(v))
+                    level[x[b]] = _compose(x, u)
                     fresh.append(x[b])
-            while fresh:
-                u = level[fresh.pop()][0]
-                for s in gens:
-                    c = s[u[i]]
-                    if c not in level:
-                        v = _compose(s, u)
-                        level[c] = (v, _invert(v))
-                        fresh.append(c)
+            for c in fresh:
+                gather = itemgetter(*level[c])
+                for s in level_gens:
+                    if s[c] not in level:
+                        level[s[c]] = gather(s)
+                        fresh.append(s[c])
             size = size // before * len(level)
         return size == order
 
-    top = -1
+    generators = tuple(generators)
     for x in generators:
         stripped = _sift(levels, x)
-        if stripped is not None:
-            top = max(top, stripped[1])
-            if adjoin(*stripped):
+        if stripped is not None and adjoin(*stripped):
+            return levels
+    if order is not None and size != order and generators:
+        misses = 0
+        for x in _random_elements(generators, n):
+            stripped = _sift(levels, x)
+            if stripped is not None and adjoin(*stripped):
                 return levels
+            misses = 0 if stripped else misses + 1
+            if misses == _MISSES:
+                break
     i = top
     while i >= 0:
-        level, done = levels[i], tested[i]
+        level, done, level_gens = levels[i], tested[i], gens[i]
         resume = None
-        for b, (u, _) in list(level.items()):
-            for k, (s, first) in enumerate(strong):
-                if first < i or (b, k) in done:
-                    continue
-                done.add((b, k))
-                su = _compose(s, u)
-                stripped = _sift(levels, _compose(level[su[i]][1], su), i + 1)
+        for b, u in list(level.items()):
+            for k in range(done.get(b, 0), len(level_gens)):
+                done[b] = k + 1
+                su = _compose(level_gens[k], u)
+                stripped = _sift(levels, _compose(level.inverse(su[i]), su), i + 1)
                 if stripped is not None:
                     if adjoin(*stripped):
                         return levels
@@ -523,6 +582,9 @@ def _schreier_sims(n: int, generators: Iterable[_Ranks], order: int | None = Non
             if resume is not None:
                 break
         i = i - 1 if resume is None else resume
+    if order is not None and size != order:
+        raise InternalCheckError(f"the chain's orbits multiply to {size}, not the given "
+                                 f"order {order}")
     return levels
 
 
@@ -541,7 +603,7 @@ def _walk(levels) -> Iterator[_Ranks]:
             return
         level = moving[k]
         for b in sorted(level, key=x.__getitem__):
-            yield from walk(k + 1, _compose(x, level[b][0]))
+            yield from walk(k + 1, _compose(x, level[b]))
 
     return walk(0, tuple(range(len(levels))))
 
@@ -564,11 +626,11 @@ def canonical_generators(levels) -> list[_Ranks]:
         i = moving[k]
         level, orbit = levels[i], {i}
         while len(orbit) < len(level):
-            x = level[min(b for b in level if b not in orbit)][0]
+            x = level[min(b for b in level if b not in orbit)]
             for j in moving[k + 1:]:
                 b = min(levels[j], key=x.__getitem__)
                 if b != j:
-                    x = _compose(x, levels[j][b][0])
+                    x = _compose(x, levels[j][b])
             gens.append(x)
             orbit = _orbit(i, gens)
     return gens

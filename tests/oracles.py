@@ -335,11 +335,11 @@ def brute_force_twin_quotient_order(g: ColoredDigraph) -> int:
 def greedy_descent_generators(levels) -> list[tuple[int, ...]]:
     """Canonical generators of a stabilizer chain by the plain greedy descent.
 
-    ``levels[i]`` maps each point b of level i's orbit to (u, u^-1), u
-    mapping i to b. From the deepest level up, while the orbit of the
-    level's point under the generators so far misses a point of the level,
-    the next generator takes the least missing point there and the least
-    image at every level below, each level's orbit recomputed and every
+    ``levels[i]`` maps each point b of level i's orbit to u, mapping i to
+    b. From the deepest level up, while the orbit of the level's point
+    under the generators so far misses a point of the level, the next
+    generator takes the least missing point there and the least image at
+    every level below, each level's orbit recomputed and every
     representative composed.
     """
     def orbit(x, gens):
@@ -361,10 +361,10 @@ def greedy_descent_generators(levels) -> list[tuple[int, ...]]:
         if len(seen) == len(level):
             deep -= 1
             continue
-        x = level[min(b for b in level if b not in seen)][0]
+        x = level[min(b for b in level if b not in seen)]
         for below in levels[deep:]:
             if len(below) > 1:
-                u = below[min(below, key=x.__getitem__)][0]
+                u = below[min(below, key=x.__getitem__)]
                 x = tuple(x[y] for y in u)
         gens.append(x)
     return gens

@@ -30,9 +30,16 @@ from qbmg import (
     random_layered_spec,
     uw_orientation,
 )
+from qbmg import perms
 from qbmg.autgroup import _color_cells, _refine, _search_automorphisms
-from qbmg.errors import NotAutomorphismError
-from qbmg.perms import PermGroup, _orbit_masks, canonical_generators
+from qbmg.errors import InternalCheckError, NotAutomorphismError
+from qbmg.perms import (
+    PermGroup,
+    _orbit_masks,
+    _schreier_sims,
+    _symmetric_chain,
+    canonical_generators,
+)
 from qbmg.quotients import class_masks
 from qbmg.verify import GraphFacts, run_suite
 
@@ -814,3 +821,88 @@ def test_descent_equals_the_plain_descent_on_the_ladders_and_a_72_vertex_blow_up
     g = _layered_4_8_blown_up()
     _assert_descents_agree(aut_color_preserving(g))
     _assert_descents_agree(aut_full(g))
+
+
+# -- chains from the known order: random elements against the deterministic scan --
+
+
+def _chain_from_the_order(grp):
+    # grp's chain, and whether building it drew random elements.
+    real, drawn = perms._random_elements, []
+
+    def counted(gens, n):
+        drawn.append(n)
+        return real(gens, n)
+
+    perms._random_elements = counted
+    try:
+        return grp.levels, bool(drawn)
+    finally:
+        perms._random_elements = real
+
+
+def _assert_chains_agree(grp) -> bool:
+    # The chain built from the known order and the deterministic scan's chain,
+    # from the same generating ranks and starting chain, span the same group:
+    # the same orbit lengths and canonical generators. Returns whether the
+    # random phase ran.
+    levels, drawn = _chain_from_the_order(grp)
+    n = len(grp.domain)
+    scan = _schreier_sims(n, grp.generating_ranks, None, _symmetric_chain(n, grp._blocks))
+    assert [len(level) for level in levels] == [len(level) for level in scan]
+    assert math.prod(map(len, levels)) == grp.order
+    assert canonical_generators(levels) == canonical_generators(scan)
+    return drawn
+
+
+def test_chain_from_the_order_agrees_with_the_scan_on_the_pool(enumerated_pool):
+    for g in enumerated_pool[::6]:
+        for grp in (aut_color_preserving(g), aut_full(g), canonical_gamma(g)):
+            _assert_chains_agree(grp)
+
+
+def test_chain_from_the_order_agrees_with_the_scan_on_families_and_ladders(family_instances):
+    graphs = [*family_instances.values(), *_ladder_shapes(), _layered_4_8_blown_up()]
+    drawn = [_assert_chains_agree(aut(g)) for g in graphs for aut in (aut_color_preserving,
+                                                                       aut_full)]
+    assert any(drawn) and not all(drawn)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_chain_from_the_order_agrees_with_the_scan_on_blown_up_members(family_instances,
+                                                                         enumerated_pool, data):
+    # A pool member or a family instance with up to six twins added, at most 64 vertices.
+    graphs = [*enumerated_pool[::6], *sorted(family_instances.values(),
+                                             key=lambda h: h.n_vertices)]
+    g = data.draw(st.sampled_from(graphs))
+    for k in range(data.draw(st.integers(0, min(6, 64 - g.n_vertices)))):
+        g = blow_up(g, data.draw(st.sampled_from(sorted(g.sorted_vertices))), f"t{k}")
+    _assert_chains_agree(aut_color_preserving(g))
+    _assert_chains_agree(aut_full(g))
+
+
+@pytest.mark.parametrize("g", [*(layered(random_layered_spec(s, m, 1))
+                                 for s, m in ((4, 8), (3, 10), (2, 12), (2, 16))),
+                               _symmetric_matching(8)],
+                         ids=["layered-s4m8", "layered-s3m10", "layered-s2m12", "layered-s2m16",
+                              "matching8"])
+def test_chains_from_the_order_match_sympy_on_the_frontier(g):
+    # sympy's own Schreier-Sims on the canonical generators read off the chain
+    # gives the order the search found, and its group holds every generating rank.
+    for aut in (aut_color_preserving, aut_full):
+        grp = aut(g)
+        oracle = _sympy_group(grp.domain, grp.generators)
+        assert oracle.order() == grp.order == math.prod(map(len, grp.levels))
+        assert all(oracle.contains(SympyPermutation(list(x))) for x in grp.generating_ranks)
+
+
+def test_a_wrong_order_fails_loudly():
+    # Twice the true order: the random phase runs out of residues, the scan
+    # completes the chain, and its orbit lengths multiply to the true order.
+    grp = aut_color_preserving(layered(random_layered_spec(3, 4, 1)))
+    assert grp.order == 24
+    for read in ("levels", "generators"):
+        wrong = PermGroup._from_ranks(grp.domain, grp.generating_ranks, order=48)
+        with pytest.raises(InternalCheckError, match="multiply to 24, not the given order 48"):
+            getattr(wrong, read)

@@ -318,10 +318,12 @@ def test_aut_builds_a_chain_only_when_its_generators_need_one(tmp_path, capsys, 
                                                                case):
     # K_{5,5}'s group is Sym(5) x Sym(5): its generating transpositions are
     # its canonical generators, so no chain is built. The matching's group
-    # is searched, and its generators are read off the chain.
+    # is searched, and its generators are read off the chain, which the
+    # searched generators complete with no random element drawn.
     graph, doc, calls = case
     counts = {}
-    for name in ("_schreier_sims", "_symmetric_chain", "canonical_generators"):
+    for name in ("_schreier_sims", "_symmetric_chain", "_random_elements",
+                 "canonical_generators"):
         def counted(*args, _fn=getattr(perms, name), _name=name):
             counts[_name] = counts.get(_name, 0) + 1
             return _fn(*args)

@@ -5,6 +5,13 @@ its exit code and stdout must match the frozen copy exactly. After a change
 that is meant to alter output, rewrite the frozen copy with
 
     PYTHONPATH=src python -m tests.test_golden
+
+The capture holds no stderr. ``fixtures/golden/cli_digest.txt`` covers it: the
+digest lines of ``tools/cli_digest.py`` over ``fixtures/``, which hash the
+stderr of each invocation (``--stats`` lines, cap messages) apart from its exit
+code and stdout. Rewrite it, from the repository root, with
+
+    python3 tools/cli_digest.py fixtures > fixtures/golden/cli_digest.txt
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +30,7 @@ from qbmg.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "fixtures" / "golden" / "cli.json"
+DIGEST = ROOT / "fixtures" / "golden" / "cli_digest.txt"
 CORPUS_FILES = sorted(p.name for p in (ROOT / "fixtures" / "corpus").glob("*.qbmg"))
 SYMMETRY_FILES = sorted(p.name for p in (ROOT / "fixtures" / "symmetry").glob("*.qbmg"))
 NEGATIVE_FILES = sorted(p.name for p in (ROOT / "fixtures" / "negative").glob("*.qbmg"))
@@ -91,6 +101,20 @@ def test_golden_covers_every_case(golden):
 @pytest.mark.parametrize("argv", _cases(), ids=" ".join)
 def test_cli_output_is_unchanged(golden, argv):
     assert _run(argv) == golden[" ".join(argv)]
+
+
+def test_cli_digest_is_unchanged():
+    done = subprocess.run([sys.executable, "tools/cli_digest.py", "fixtures"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    lines, frozen = done.stdout.splitlines(), DIGEST.read_text().splitlines()
+    for line, want in zip(lines, frozen):
+        if line != want:
+            (argv, answer, _), (got_argv, got_answer, _) = want.rsplit(" ", 2), line.rsplit(" ", 2)
+            what = ("the argv list" if got_argv != argv else
+                    "its stderr" if got_answer == answer else "its exit code or stdout")
+            pytest.fail(f"{argv}: {what} differs from {DIGEST.name}")
+    assert len(lines) == len(frozen), f"the argv list differs from {DIGEST.name}"
 
 
 if __name__ == "__main__":

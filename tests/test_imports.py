@@ -159,7 +159,8 @@ FIXTURE = "fixtures/corpus/blowup_base.qbmg"
     (["check", FIXTURE], ["qbmg.axioms"]),
     (["aut", FIXTURE, "--json"], ["qbmg.autgroup", "qbmg.perms"]),
     (["generate", "two-layer", "--m", "3"], ["qbmg.constructions", "qbmg.perms"]),
-], ids=["import", "check", "aut", "generate"])
+    (["verify", FIXTURE, "--theorems", "membership"], ["qbmg.axioms", "qbmg.verify"]),
+], ids=["import", "check", "aut", "generate", "verify-membership"])
 def test_each_command_loads_only_its_modules(argv, added):
     at_import, by_main = map(json.loads, _fresh_python(FOOTPRINT, *argv).splitlines())
     assert at_import == ["qbmg", "qbmg.cli", "qbmg.digraph", "qbmg.errors"]

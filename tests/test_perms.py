@@ -1,6 +1,7 @@
 """Permutation algebra, text format, and group closure."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from sympy.combinatorics import PermutationGroup as SympyGroup
 
 from qbmg import GraphFormatError, Permutation, QbmgError, format_permutation, parse_permutation
 from qbmg.errors import SizeCapError
-from qbmg.perms import PermGroup, _symmetric_chain, canonical_generators
+from qbmg.perms import PermGroup, _compose, _symmetric_chain, canonical_generators
 
 from tests.oracles import greedy_descent_generators
 
@@ -46,6 +47,13 @@ def test_compose_applies_right_factor_first():
     a = Permutation.from_mapping({"1": "2", "2": "1"}, DOM)
     b = Permutation.from_mapping({"2": "3", "3": "2"}, DOM)
     assert (a * b)("3") == a(b("3")) == "1"
+
+
+@pytest.mark.parametrize("dom", [(), ("1",)], ids=["empty", "one-vertex"])
+def test_compose_on_domains_too_small_for_a_gather(dom):
+    # A gather of one rank returns a rank, not a tuple, and of none fails.
+    e = Permutation.identity(dom)
+    assert (e * e).ranks == e.ranks == tuple(range(len(dom)))
 
 
 def test_inverse():
@@ -208,3 +216,22 @@ def test_product_of_symmetric_groups_lists_its_transpositions(labels, rng):
     assert ranks == canonical_generators(levels) == greedy_descent_generators(levels)
     assert [min(i for i, x in enumerate(r) if x != i) for r in ranks] == sorted(
         (i for i, k in enumerate(labels) if k in labels[i + 1:]), reverse=True)
+
+
+def test_a_chain_from_the_order_keeps_only_the_inverses_its_sifts_read():
+    # Sym(12) from a transposition and a 12-cycle, its order given: the two
+    # generators leave the chain incomplete, random elements complete it, and
+    # fewer inverses are kept than there are representatives. Each
+    # representative fixes the points before its level and maps the level's
+    # point to its own, and each inverse, kept or computed on read, inverts it.
+    n = 12
+    ident = tuple(range(n))
+    swap, cycle = (1, 0, *ident[2:]), (*ident[1:], 0)
+    dom = tuple(str(i) for i in range(1, n + 1))
+    levels = PermGroup._from_ranks(dom, (swap, cycle), math.factorial(n)).levels
+    assert [len(level) for level in levels] == list(range(n, 0, -1))
+    assert sum(len(level.inverses) for level in levels) < sum(map(len, levels))
+    for i, level in enumerate(levels):
+        for b, u in level.items():
+            assert u[:i] == ident[:i] and u[i] == b
+            assert _compose(level.inverse(b), u) == ident

@@ -1,4 +1,5 @@
-"""The scripts under ``tools/``: sizes, CLI digests and fresh-process start-up times."""
+"""The scripts under ``tools/``: sizes, CLI digests, fresh-process start-up times and
+in-process times on the largest graphs."""
 
 import re
 import subprocess
@@ -44,3 +45,15 @@ def test_startup_prints_one_median_per_command():
     lines = done.stdout.splitlines()
     assert [line.split()[0] for line in lines] == ["check", "aut", "verify", "generate"]
     assert all(re.fullmatch(r"\w+ +median_ms \d+\.\d runs 2", line) for line in lines), lines
+
+
+def test_frontier_prints_one_median_per_graph_and_command():
+    done = subprocess.run([sys.executable, "tools/frontier.py", "--runs", "1"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    graphs = ["layered(4,8)", "layered(3,10)", "layered(2,12)", "layered(2,16)", "matching(8)"]
+    assert [line.split()[0] for line in lines] == [g for g in graphs for _ in range(2)]
+    assert all(re.fullmatch(r"\S+ +aut (--full )?--json +median_ms \d+\.\d\d runs 1", line)
+               for line in lines), lines
+    assert [" --full " in line for line in lines] == [False, True] * len(graphs)
