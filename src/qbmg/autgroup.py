@@ -361,7 +361,10 @@ def canonical_gamma(g: ColoredDigraph) -> PermGroup:
     the classes.
     When isolated vertices of both colors share the isolated class, some
     elements swap vertices across colors; they are still automorphisms.
-    A chain longer than the edgeless ``DEFAULT_LIFT_CAP``-vertex graph's is refused.
+    The cap is checked here, when the group is built, against the length the
+    chain would have if something read it: a group whose chain would be
+    longer than the edgeless ``DEFAULT_LIFT_CAP``-vertex graph's is refused,
+    even by callers that read only its orbits.
     """
     masks = class_masks(g)
     ranks = sum(math.comb(m.bit_count(), 2) for m in masks) * g.n_vertices

@@ -4,24 +4,25 @@ Each check reads its inputs from a per-graph ``GraphFacts`` and returns
 whether it passed with a detail line; a failure means a bug somewhere in this
 package or a corpus file that is not what it claims to be, never a legitimate
 property of some 2-qBMG. The suite is what ``qbmg verify`` runs per file and
-what the acceptance tests run over the built-in corpus. Each fact and check
-imports the group, quotient and orientation modules it runs where it first
-needs them, so that a run of membership alone loads none of them.
+what the acceptance tests run over the built-in corpus. The module imports
+the group, quotient and orientation modules at load, so ``qbmg verify`` loads
+all of them whatever ``--theorems`` selects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
+from .autgroup import aut_color_preserving, aut_full, canonical_gamma, is_normal
 from .axioms import is_2qbmg, is_thin
 from .digraph import ColoredDigraph, bits, class_masks, long_induced_path_or_cycle, low_bit
 from .errors import PreconditionError, QbmgError
-
-if TYPE_CHECKING:
-    from .perms import PermGroup
-    from .quotients import QuotientResult
+from .orientations import check_orientation_theorems
+from .perms import PermGroup, Permutation, _cycle_masks
+from .quotients import (QuotientResult, _check_generators, _orbit_pair_shapes, _quotient,
+                        classical_quotient)
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_suite", "graphs_match_up_to_rename"]
 
@@ -66,15 +67,11 @@ class GraphFacts:
     def quotient(self, masks: tuple[int, ...]) -> QuotientResult:
         """g's quotient by the blocks ``masks``, disjoint rank masks that cover g."""
         if masks not in self._quotients:
-            from .quotients import _quotient  # once per quotient built
-
             self._quotients[masks] = _quotient(self.g, masks)
         return self._quotients[masks]
 
     def orbit_quotient(self, grp: PermGroup) -> QuotientResult:
         """``gamma_quotient(g, grp)``, its generators tested and its quotient shared."""
-        from .quotients import _check_generators
-
         _check_generators(self.g, grp)
         return self.quotient(grp.orbit_masks())
 
@@ -88,20 +85,14 @@ class GraphFacts:
         full, u = self.__dict__.get("full"), self.g.u_mask
         if full is not None and all(m & u in (0, m) for m in full.orbit_masks()):
             return full
-        from .autgroup import aut_color_preserving
-
         return aut_color_preserving(self.g)
 
     @cached_property
     def full(self) -> PermGroup:
-        from .autgroup import aut_full
-
         return aut_full(self.g)
 
     @cached_property
     def gamma(self) -> PermGroup:
-        from .autgroup import canonical_gamma
-
         return canonical_gamma(self.g)
 
     @cached_property
@@ -128,8 +119,6 @@ def _p6c6_free(f: GraphFacts) -> Outcome:
 
 
 def _classical_idempotent(f: GraphFacts) -> Outcome:
-    from .quotients import classical_quotient
-
     first = f.classical
     if not is_thin(first.quotient):
         return False, "classical quotient is not thin"
@@ -146,8 +135,6 @@ def _classical_equals_canonical(f: GraphFacts) -> Outcome:
 
 
 def _canonical_normal(f: GraphFacts) -> Outcome:
-    from .autgroup import is_normal
-
     # The groups are built outside the ``try``: a cap on either is exit 3, not a failure.
     gamma, full = f.gamma, f.full
     try:
@@ -171,8 +158,6 @@ def _gamma_hereditary(f: GraphFacts) -> Outcome:
     distinct partition is tested once, in that order, and the partition into
     singletons never: its quotient is g itself, which passed membership.
     """
-    from .perms import Permutation, _cycle_masks
-
     g, n = f.g, f.g.n_vertices
     seen = {tuple(1 << v for v in range(n))}
     if f.aut_i.orbit_masks() not in seen:
@@ -247,8 +232,6 @@ def _moved_in_neighbor(f: GraphFacts) -> Outcome:
     # The first element, in rank-tuple order, that fixes a vertex and moves
     # an in-neighbor of it; the detail names the least such vertex and its
     # least moved in-neighbor, in token order.
-    from .perms import Permutation
-
     vs, inn = f.g.sorted_vertices, f.g.in_masks
     for ranks in f.full._element_ranks():
         moved = sum(1 << v for v, x in enumerate(ranks) if v != x)
@@ -261,8 +244,6 @@ def _moved_in_neighbor(f: GraphFacts) -> Outcome:
 
 
 def _thin_orbit_pairs(f: GraphFacts) -> Outcome:
-    from .quotients import _orbit_pair_shapes
-
     if not is_thin(f.g):
         return True, "skipped: not thin"
     try:
@@ -282,8 +263,6 @@ def _thin_orbit_pairs(f: GraphFacts) -> Outcome:
 
 
 def _orientations(f: GraphFacts) -> Outcome:
-    from .orientations import check_orientation_theorems
-
     report = check_orientation_theorems(f.g, f.aut_i)
     return report.ok, "; ".join(report.violations)
 

@@ -9,6 +9,10 @@
   package's ``__all__`` is a literal equal to the map's keys.
 - ``import qbmg`` loads no submodule, and each command loads only the
   modules it runs.
+- Every module but ``cli.py`` and ``__init__.py`` imports at its top level
+  only, with no ``if TYPE_CHECKING:`` block: ``cli.py`` defers each
+  command's imports to the command, and ``__init__.py`` resolves its public
+  names on first access.
 - Every third-party module the tests import is declared in the ``test``
   extra of ``pyproject.toml``.
 - The modules that derive graphs from graphs read masks, never a graph's
@@ -159,12 +163,26 @@ FIXTURE = "fixtures/corpus/blowup_base.qbmg"
     (["check", FIXTURE], ["qbmg.axioms"]),
     (["aut", FIXTURE, "--json"], ["qbmg.autgroup", "qbmg.perms"]),
     (["generate", "two-layer", "--m", "3"], ["qbmg.constructions", "qbmg.perms"]),
-    (["verify", FIXTURE, "--theorems", "membership"], ["qbmg.axioms", "qbmg.verify"]),
+    (["verify", FIXTURE, "--theorems", "membership"],
+     ["qbmg.autgroup", "qbmg.axioms", "qbmg.orientations", "qbmg.perms", "qbmg.quotients",
+      "qbmg.verify"]),
 ], ids=["import", "check", "aut", "generate", "verify-membership"])
 def test_each_command_loads_only_its_modules(argv, added):
     at_import, by_main = map(json.loads, _fresh_python(FOOTPRINT, *argv).splitlines())
     assert at_import == ["qbmg", "qbmg.cli", "qbmg.digraph", "qbmg.errors"]
     assert by_main == added
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name not in ("cli.py", "__init__.py")],
+                         ids=lambda p: p.name)
+def test_imports_sit_at_the_top_level(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    top = {id(node) for node in tree.body}
+    nested = [f"line {node.lineno}" for node, _ in _imports(tree) if id(node) not in top]
+    guarded = [f"line {node.lineno}" for node in ast.walk(tree)
+               if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test)]
+    assert not nested + guarded, (f"{path.name} imports inside a function or block: {nested}; "
+                                  f"under TYPE_CHECKING: {guarded}")
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
