@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxiomReport", "Verdict", "axiom_report", "is_2qbmg", "is_thin", "satisfies_star",
-    "SearchStats", "aut_color_preserving", "aut_full", "canonical_gamma", "is_normal",
+    "SearchStats", "aut_color_preserving", "aut_full", "canonical_gamma",
     "BijectionTable", "LayeredSpec", "blow_up", "composite_maps", "layered",
     "lift_permutation", "lifted_group", "n2_trivial_layer", "n2_trivial_lift",
     "random_layered_spec",
@@ -35,7 +35,7 @@ _HOMES = {
     "AxiomReport": "axioms", "Verdict": "axioms", "axiom_report": "axioms",
     "is_2qbmg": "axioms", "is_thin": "axioms", "satisfies_star": "axioms",
     "SearchStats": "autgroup", "aut_color_preserving": "autgroup", "aut_full": "autgroup",
-    "canonical_gamma": "autgroup", "is_normal": "autgroup",
+    "canonical_gamma": "autgroup",
     "BijectionTable": "constructions", "LayeredSpec": "constructions",
     "blow_up": "constructions", "composite_maps": "constructions", "layered": "constructions",
     "lift_permutation": "constructions", "lifted_group": "constructions",

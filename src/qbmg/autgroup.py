@@ -45,15 +45,14 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .digraph import ColoredDigraph, bits, class_masks, low_bit
-from .errors import QbmgError, SizeCapError
-from .perms import PermGroup, _compose, _invert, _sift
+from .errors import SizeCapError
+from .perms import PermGroup
 
 __all__ = [
     "SearchStats",
     "aut_color_preserving",
     "aut_full",
     "canonical_gamma",
-    "is_normal",
 ]
 
 DEFAULT_VERTEX_CAP = 64
@@ -373,17 +372,3 @@ def canonical_gamma(g: ColoredDigraph) -> PermGroup:
             f"class product group capped at {_GAMMA_RANK_CAP} chain ranks, got {ranks}")
     order = math.prod(math.factorial(m.bit_count()) for m in masks)
     return PermGroup._from_ranks(g.sorted_vertices, (), order, masks)
-
-
-def is_normal(sub: PermGroup, grp: PermGroup) -> bool:
-    """Conjugation test on the generating ranks; requires sub's to lie in grp.
-
-    Both answers are facts of the two groups, so any generating sets decide
-    them; no canonical generators are built.
-    """
-    if sub.domain != grp.domain:
-        raise QbmgError("subgroup and group act on different domains")
-    if any(_sift(grp.levels, s) is not None for s in sub.generating_ranks):
-        raise QbmgError("claimed subgroup is not contained in the group")
-    return all(_sift(sub.levels, _compose(_compose(a, s), _invert(a))) is None
-               for a in grp.generating_ranks for s in sub.generating_ranks)

@@ -292,7 +292,12 @@ def cmd_verify(args) -> int:
             if not args.corpus:
                 raise
             raise QbmgError(f"{path.name}: {exc}") from exc
-        results = run_suite(g, checks=checks)
+        try:
+            results = run_suite(g, checks=checks)
+        except SizeCapError as exc:
+            if not args.corpus:
+                raise
+            raise SizeCapError(f"{path.name}: {exc}") from exc
         for r in results:
             any_fail = any_fail or not r.passed
             if args.json:

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
-from qbmg import ColoredDigraph, Permutation, token_key
+from qbmg import ColoredDigraph, Permutation, QbmgError, token_key
+from qbmg.digraph import bits
+from qbmg.perms import _compose, _invert, _sift
 
 
 def brute_force_color_preserving(g: ColoredDigraph) -> set[Permutation]:
@@ -46,6 +48,38 @@ def compose(*maps: dict[str, str]) -> dict[str, str]:
         assert set(out.values()) == set(outer), "maps do not compose"
         out = {a: outer[b] for a, b in out.items()}
     return out
+
+
+def graphs_match_up_to_rename(a: ColoredDigraph, b: ColoredDigraph,
+                              rename: dict[str, str]) -> bool:
+    """Is the given vertex map a bijection that carries a onto b exactly (colors and edges)?
+
+    Compares a's masks, carried through ``rename`` as a map of ranks, with b's.
+    """
+    x = [b.rank.get(rename.get(v)) for v in a.sorted_vertices]
+    if len(rename) != len(x) or None in x or sorted(x) != list(range(b.n_vertices)):
+        return False
+    colors, out = [0, 0], [0] * b.n_vertices
+    for v, o in enumerate(a.out_masks):
+        colors[a.u_mask >> v & 1] |= 1 << x[v]
+        for h in bits(o):
+            out[x[v]] |= 1 << x[h]
+    return colors == [b.w_mask, b.u_mask] and tuple(out) == b.out_masks
+
+
+def is_normal(sub, grp) -> bool:
+    """Conjugation test on the generating ranks; requires sub's to lie in grp.
+
+    Both answers are facts of the two groups, so any generating sets decide
+    them; no canonical generators are built. Membership is sifting through
+    each group's stabilizer chain.
+    """
+    if sub.domain != grp.domain:
+        raise QbmgError("subgroup and group act on different domains")
+    if any(_sift(grp.levels, s) is not None for s in sub.generating_ranks):
+        raise QbmgError("claimed subgroup is not contained in the group")
+    return all(_sift(sub.levels, _compose(_compose(a, s), _invert(a))) is None
+               for a in grp.generating_ranks for s in sub.generating_ranks)
 
 
 def enumerate_bipartite_digraphs(r: int, s: int):

@@ -23,7 +23,6 @@ from qbmg import (
     classical_quotient,
     equivalence_classes,
     is_automorphism,
-    is_normal,
     layered,
     lift_permutation,
     lifted_group,
@@ -52,6 +51,7 @@ from tests.oracles import (
     enumerate_bipartite_digraphs,
     fits_search,
     greedy_descent_generators,
+    is_normal,
     networkx_color_preserving,
     refine_every_vertex,
 )

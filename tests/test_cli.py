@@ -232,8 +232,8 @@ def test_aut_full_on_a_72_vertex_blow_up(tmp_path, capsys):
 
 # The check on the 72-vertex blow-up that still reads past a cap: the
 # hereditary check walks Aut_I's 10,321,920 elements. The induced path search
-# counts its 64 classes, and canonical_gamma_normal and
-# common_out_neighbor_equivalence read the full group, built around Gamma.
+# counts its 64 classes, and common_out_neighbor_equivalence reads the full
+# group, built around Gamma.
 _BLOW_UP_72_CAPPED = {
     "gamma_quotient_hereditary": "group order exceeds the element cap of "
                                  f"{perms.DEFAULT_ELEMENT_CAP}",
@@ -612,6 +612,16 @@ def test_verify_corpus_names_the_malformed_file(tmp_path, capsys):
     assert err == "error: edge references undeclared vertex '3' (line 4, column 5)\n"
 
 
+def test_verify_corpus_names_the_file_that_hits_a_cap(tmp_path, capsys):
+    for name in ("k23.qbmg", "single_edge.qbmg"):
+        (tmp_path / name).write_text((CORPUS / name).read_text())
+    (tmp_path / "matching10.qbmg").write_text((FIXTURES / "caps" / "matching10.qbmg").read_text())
+    code, out, err = run(capsys, "verify", "--corpus", str(tmp_path))
+    assert code == 3
+    assert err == "error: matching10.qbmg: group order exceeds the element cap of 1000000\n"
+    assert "PASS k23.qbmg" in out and "single_edge" not in out
+
+
 @pytest.mark.parametrize("make", [
     lambda path: path.mkdir(),
     lambda path: path.write_bytes(b"qbmg 1\nU: 1\nW: \xe9\n"),
@@ -706,9 +716,9 @@ def test_verify_empty_theorem_name_exit_2(capsys, theorems):
 # the others need no search there and pass.
 _CAPPED_ALONE = {
     "underlying_p6c6_free": "induced path search capped at 64 vertices, got 66",
-    **dict.fromkeys(("canonical_gamma_normal", "gamma_quotient_hereditary",
-                     "common_out_neighbor_equivalence", "fixed_vertex_in_neighborhood",
-                     "thin_orbit_pairs", "orientation_theorems"),
+    **dict.fromkeys(("gamma_quotient_hereditary", "common_out_neighbor_equivalence",
+                     "fixed_vertex_in_neighborhood", "thin_orbit_pairs",
+                     "orientation_theorems"),
                     "automorphism search capped at 64 vertices, got 66"),
 }
 

@@ -29,9 +29,10 @@ from qbmg import (
 from qbmg.constructions import default_layered_spec, default_n2_trivial_tables, n2_trivial_layer
 from qbmg.axioms import is_thin
 from qbmg.errors import SizeCapError
-from qbmg.verify import CHECK_NAMES, CHECKS, GraphFacts, graphs_match_up_to_rename, run_suite
+from qbmg.verify import CHECK_NAMES, CHECKS, GraphFacts, run_suite
 
 from tests import oracles, refdata
+from tests.oracles import graphs_match_up_to_rename
 from tests.test_digraph import record_class_masks
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -120,7 +121,7 @@ def test_each_group_is_built_once_per_graph(monkeypatch):
     assert all(r.passed for r in results)
     # The UW-orientation's refined cells keep its symmetric pairs, so its
     # group is not searched; the full group keeps colors, so it is Aut_I too.
-    assert counts == {"aut_full": 1, "canonical_gamma": 1}
+    assert counts == {"aut_full": 1}
 
 
 @pytest.mark.parametrize("g, searches", [
@@ -141,7 +142,7 @@ def test_group_is_reused_for_an_orientation_without_symmetric_edges(monkeypatch)
     assert all(r.passed for r in results)
     # No symmetric edges: the UW-orientation is g, so g's group is not searched again,
     # and the full group, which keeps colors, is read as Aut_I.
-    assert counts == {"aut_full": 1, "canonical_gamma": 1}
+    assert counts == {"aut_full": 1}
 
 
 def test_aut_i_is_the_full_group_wherever_it_keeps_colors(enumerated_pool):
@@ -170,7 +171,7 @@ def test_aut_i_is_the_full_group_wherever_it_keeps_colors(enumerated_pool):
 def test_aut_i_is_searched_when_the_full_group_switches_colors(monkeypatch, g):
     counts = _count_group_calls(monkeypatch)
     assert all(r.passed for r in run_suite(g))
-    assert counts == {"aut_color_preserving": 1, "aut_full": 1, "canonical_gamma": 1}
+    assert counts == {"aut_color_preserving": 1, "aut_full": 1}
     facts = GraphFacts(g)
     assert facts.full.order > facts.aut_i.order
 
@@ -213,11 +214,19 @@ def test_checks_in_reverse_order_give_the_default_results(enumerated_pool):
         assert _results_or_cap(g, CHECK_NAMES[::-1]) == default
 
 
+def test_the_suite_builds_no_class_product_group(monkeypatch):
+    # The statements about Gamma hold by construction, so no check reads it.
+    counts = _count_calls(monkeypatch, "qbmg.autgroup", ("canonical_gamma",))
+    for path in sorted((ROOT / "fixtures").glob("*/*.qbmg")):
+        _results_or_cap(parse_graph(path.read_text()))
+    assert counts == {}
+
+
 @pytest.mark.parametrize("path", sorted((ROOT / "fixtures" / "corpus").glob("*.qbmg")),
                          ids=lambda p: p.stem)
 def test_suite_computes_the_twin_classes_once_per_graph(monkeypatch, path):
-    # One pass for g, read by thinness, both quotients, Gamma and Aut_I, and
-    # one for its classical quotient, which classical_idempotent re-tests.
+    # One pass for g, read by thinness, the classical quotient and Aut_I, and
+    # one for its classical quotient, whose thinness classical_idempotent tests.
     g = parse_graph(path.read_text())
     filled, _ = record_class_masks(monkeypatch)
     assert all(r.passed for r in run_suite(g))
@@ -277,13 +286,13 @@ def _record_quotients(monkeypatch) -> list[tuple[ColoredDigraph, tuple[int, ...]
 
 
 @pytest.mark.parametrize("g, partitions", [
-    # Classes, Gamma's and Aut_I's orbits are one partition; the classical
-    # quotient's own classes; and eight cycle partitions (see above).
-    (refdata.complete_symmetric(2, 3), 10),
-    # Aut_I is the class product group of two twin pairs: the classes; the
-    # classical quotient's own classes; and the cycle partitions of the two
-    # single swaps, their product's being the classes.
-    (refdata.BLOWUP_TWICE, 4),
+    # The classes, which are also Aut_I's orbits, and eight cycle partitions
+    # (see above).
+    (refdata.complete_symmetric(2, 3), 9),
+    # Aut_I is the class product group of two twin pairs: the classes, and
+    # the cycle partitions of the two single swaps, their product's being the
+    # classes.
+    (refdata.BLOWUP_TWICE, 3),
 ], ids=["K23", "blowup-twice"])
 def test_suite_quotients_each_partition_once(monkeypatch, g, partitions):
     calls = _record_quotients(monkeypatch)
@@ -429,20 +438,6 @@ def test_gamma_hereditary_reports_a_cyclic_subgroup_on_a_non_thin_graph(monkeypa
         False, "quotient by cyclic<(2 3)> is not a 2-qBMG")
 
 
-def test_canonical_orbits_are_classes_reports_a_planted_group(monkeypatch):
-    g = refdata.complete_symmetric(2, 3)
-    monkeypatch.setattr(GraphFacts, "gamma", PermGroup.from_generators([], g.vertices))
-    assert _only(g, "canonical_orbits_are_classes") == (
-        False, "orbits of the class product group differ from the classes")
-
-
-def test_classical_equals_canonical_gamma_reports_a_planted_group(monkeypatch):
-    g = refdata.complete_symmetric(2, 3)
-    monkeypatch.setattr(GraphFacts, "gamma", PermGroup.from_generators([], g.vertices))
-    assert _only(g, "classical_equals_canonical_gamma") == (
-        False, "orbit quotient differs from the equivalence quotient")
-
-
 @pytest.mark.parametrize("planted", ["aut_i", "full"])
 def test_thin_orbit_pairs_reports_the_misfit_pair(monkeypatch, planted):
     # The thin member 1 -> 2 -> 3 with a planted group <(1 3)>, the other
@@ -470,21 +465,6 @@ def _plant_groups(monkeypatch, g, **gens) -> None:
         group = PermGroup.from_generators(
             [Permutation.from_mapping(p, g.vertices) for p in perms], g.vertices)
         monkeypatch.setattr(GraphFacts, name, group)
-
-
-def test_canonical_gamma_normal_reports_a_subgroup_outside_the_group(monkeypatch):
-    g = refdata.complete_symmetric(2, 3)
-    _plant_groups(monkeypatch, g, full=[])
-    assert _only(g, "canonical_gamma_normal") == (
-        False, "claimed subgroup is not contained in the group")
-
-
-def test_canonical_gamma_normal_reports_a_subgroup_that_is_not_normal(monkeypatch):
-    # <(3 4)> lies in S_2 x S_3 but is not normal in it.
-    g = refdata.complete_symmetric(2, 3)
-    _plant_groups(monkeypatch, g, gamma=[{"3": "4", "4": "3"}])
-    assert _only(g, "canonical_gamma_normal") == (
-        False, "class product group is not normal in the full group")
 
 
 def test_common_out_neighbor_reports_inequivalent_orbit_mates(monkeypatch):

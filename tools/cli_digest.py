@@ -6,9 +6,9 @@ directories, so that two checkouts can be compared byte for byte with ``diff``.
 For each file, in sorted path order, it runs ``qbmg.cli.main`` in-process for
 ``check --json``, ``aut --json --stats``, ``aut --full --json --stats``,
 ``verify --json``, which reads Aut_I off the full group where the two are one, and
-``verify`` of three checks that read Aut_I with no full group built, so it is
-searched, and ``verify`` of ``thin_orbit_pairs`` alone, which reads the full
-group first and Aut_I off it. It prints the argv, the SHA-256 of the exit code with
+``verify`` of the hereditary, orientation and orbit-pair checks, and of
+``thin_orbit_pairs`` alone; each of these reads the full group first and Aut_I
+off it. It prints the argv, the SHA-256 of the exit code with
 stdout, and the SHA-256 of stderr, so that a diff tells a change in what a
 command answers from a change in its ``--stats`` lines alone. ``qbmg`` is
 imported from ``sys.path`` (set ``PYTHONPATH`` to compare another checkout's
