@@ -222,6 +222,16 @@ def test_the_suite_builds_no_class_product_group(monkeypatch):
     assert counts == {}
 
 
+@pytest.mark.parametrize("check", ["route_equivalence", "classical_equals_canonical_gamma",
+                                   "canonical_gamma_normal", "canonical_orbits_are_classes"])
+def test_a_line_that_holds_by_construction_passes_without_a_group(monkeypatch, check):
+    # Each line's statement is pinned by the unit test CHECKS names for it;
+    # run alone, it passes and builds no group, even where the groups are large.
+    counts = _count_group_calls(monkeypatch)
+    assert _only(refdata.BLOWUP_TWICE, check) == (True, "")
+    assert counts == {}
+
+
 @pytest.mark.parametrize("path", sorted((ROOT / "fixtures" / "corpus").glob("*.qbmg")),
                          ids=lambda p: p.stem)
 def test_suite_computes_the_twin_classes_once_per_graph(monkeypatch, path):
