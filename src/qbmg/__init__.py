@@ -24,9 +24,8 @@ __all__ = [
     "enumerate_orientations", "orientation_representatives", "topological_order",
     "uw_orientation",
     "PermGroup", "Permutation", "format_permutation", "is_automorphism",
-    "parse_permutation",
     "Partition", "QuotientResult", "classical_quotient", "equivalence_classes",
-    "format_partition", "gamma_quotient", "parse_partition", "partition_quotient",
+    "gamma_quotient", "parse_partition", "partition_quotient",
     "CHECK_NAMES", "CheckResult", "run_suite",
 ]
 
@@ -53,10 +52,10 @@ _HOMES = {
     "orientation_representatives": "orientations", "topological_order": "orientations",
     "uw_orientation": "orientations",
     "PermGroup": "perms", "Permutation": "perms", "format_permutation": "perms",
-    "is_automorphism": "perms", "parse_permutation": "perms",
+    "is_automorphism": "perms",
     "Partition": "quotients", "QuotientResult": "quotients",
     "classical_quotient": "quotients", "equivalence_classes": "quotients",
-    "format_partition": "quotients", "gamma_quotient": "quotients",
+    "gamma_quotient": "quotients",
     "parse_partition": "quotients", "partition_quotient": "quotients",
     "CHECK_NAMES": "verify", "CheckResult": "verify", "run_suite": "verify",
 }

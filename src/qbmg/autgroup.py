@@ -31,7 +31,8 @@ of the symmetric groups on the twin classes is normal in the group, with
 quotient the automorphisms of the twin quotient q that keep class size
 (and, for Aut_I, color, with the classes split by color). So only q is
 searched, and the stats and the 64-vertex search cap count q (q is the
-graph itself when it has no twins); when a chain is read, Gamma's is
+graph itself when it has no twins, else ``digraph.block_quotient`` of the
+classes); when a chain is read, Gamma's is
 written down and the lifts of q's generators are adjoined to it. The graph
 itself is capped at 128 vertices, which bounds that chain and
 ``canonical_gamma``'s; both read ``class_masks``, one pass per graph.
@@ -44,7 +45,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .digraph import ColoredDigraph, bits, class_masks, low_bit
+from .digraph import ColoredDigraph, bits, block_quotient, class_masks, low_bit
 from .errors import SizeCapError
 from .perms import PermGroup
 
@@ -281,8 +282,8 @@ def _aut_by_twins(g: ColoredDigraph, classes: tuple[int, ...], cells: list[int],
     consecutive class members, with the order |Aut(q)| prod |C|!; its chain,
     on first read, adjoins the lifts to Gamma's, which is written down. When
     every class is a single vertex, q is g itself, and g is searched from
-    the cells with no lift and no written chain. Otherwise q's vertex k is
-    named by class k's least token.
+    the cells with no lift and no written chain. Otherwise q is
+    ``block_quotient(g, classes)``, whose vertex k is class k.
     When ``stats`` is given, the search adds its counts to it and sets the
     base and orbit fields, which describe q's group, and the twin fields.
     ``group`` names the group in the message that refuses g past
@@ -298,13 +299,7 @@ def _aut_by_twins(g: ColoredDigraph, classes: tuple[int, ...], cells: list[int],
         return PermGroup._from_ranks(g.sorted_vertices, strong, order, orbits=orbits)
     stats.class_product = math.prod(math.factorial(m.bit_count()) for m in classes)
     members = [list(bits(m)) for m in classes]
-    class_of = {a: k for k, xs in enumerate(members) for a in xs}
-    # Twins share their neighbors, so one member's out-mask gives its class's;
-    # the set keeps each neighboring class once.
-    q_out = [sum({1 << class_of[b] for b in bits(g.out_masks[xs[0]])}) for xs in members]
-    q_u = sum(1 << k for k, m in enumerate(classes) if m & g.u_mask)
-    q = ColoredDigraph._from_masks(tuple(g.sorted_vertices[xs[0]] for xs in members), q_u, q_out)
-    strong, q_order, q_orbits = _search_automorphisms(q, cells, stats)
+    strong, q_order, q_orbits = _search_automorphisms(block_quotient(g, classes), cells, stats)
     lifts = []
     for x in strong:
         image = [0] * n

@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import __version__
-from .digraph import bits, format_graph, parse_graph, to_dot, token_key
+from .digraph import bits, format_graph, parse_graph, to_dot
 from .errors import GraphFormatError, QbmgError, SizeCapError
 
 EXIT_OK = 0
@@ -214,12 +214,12 @@ def cmd_quotient(args) -> int:
     if args.dot:
         sys.stdout.write(to_dot(q))
         return EXIT_OK
-    comments = [
-        f"{name} <- " + " ".join(
-            sorted((v for v in result.projection if result.projection[v] == name),
-                   key=token_key))
-        for name in sorted({*result.projection.values()}, key=lambda n: token_key(n[2:]))
-    ]
+    # Vertices in token order: each block first appears at its least token, and
+    # lists its members in token order.
+    blocks: dict[str, list[str]] = {}
+    for v in g.sorted_vertices:
+        blocks.setdefault(result.projection[v], []).append(v)
+    comments = [f"{name} <- " + " ".join(members) for name, members in blocks.items()]
     sys.stdout.write(format_graph(q, comments=comments))
     return EXIT_OK
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphFormatError, QbmgError, SizeCapError, UnknownVertexError
 
@@ -247,6 +247,33 @@ def class_masks(g: ColoredDigraph) -> tuple[int, ...]:
             groups[sig] = groups.get(sig, 0) | 1 << a
         g._classes = tuple(groups.values())
     return g._classes
+
+
+def block_quotient(g: ColoredDigraph, masks: Sequence[int]) -> ColoredDigraph:
+    """g with each block collapsed to one vertex; blocks are adjacent when any members are.
+
+    ``masks`` are disjoint rank masks that cover g, least rank first (as ``class_masks`` and
+    orbit masks come): block k becomes rank k, named by its least token, in U when any member
+    is. The caller vouches that a block mixing colors has no edge.
+    """
+    to_q = [0] * g.n_vertices  # each rank's block
+    for k, m in enumerate(masks):
+        for a in bits(m):
+            to_q[a] = k
+    q_out = []
+    for m in masks:
+        reach = 0
+        for a in bits(m):
+            reach |= g.out_masks[a]
+        q = 0
+        while reach:  # one step per neighboring block, not per edge
+            j = to_q[low_bit(reach)]
+            q |= 1 << j
+            reach &= ~masks[j]
+        q_out.append(q)
+    q_u = sum(1 << k for k, m in enumerate(masks) if m & g.u_mask)
+    return ColoredDigraph._from_masks(tuple(g.sorted_vertices[low_bit(m)] for m in masks),
+                                      q_u, q_out)
 
 
 def symmetric_edges(g: ColoredDigraph) -> set[frozenset[str]]:

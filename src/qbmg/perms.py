@@ -40,14 +40,12 @@ from itertools import count, pairwise
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
-from .digraph import ColoredDigraph, _token_column, bits, rank_index, token_key
-from .errors import (GraphFormatError, InternalCheckError, NotAutomorphismError, QbmgError,
-                     SizeCapError)
+from .digraph import ColoredDigraph, bits, rank_index, token_key
+from .errors import InternalCheckError, NotAutomorphismError, QbmgError, SizeCapError
 
 __all__ = [
     "Permutation",
     "PermGroup",
-    "parse_permutation",
     "format_permutation",
     "is_automorphism",
 ]
@@ -183,27 +181,6 @@ def _maps_edges(out: list[int], x: _Ranks) -> bool:
 
 
 # -- permutation text format: ``p: a->b c->d ...`` (unlisted vertices fixed) --
-
-
-def parse_permutation(text: str, domain: Iterable[str]) -> Permutation:
-    body = text.strip()
-    if not body.startswith("p:"):
-        raise GraphFormatError(f"expected permutation line 'p: a->b ...', got {text!r}", line=1)
-    mapping: dict[str, str] = {}
-    for k, tok in enumerate(body[2:].split()):
-        if "->" not in tok:
-            raise GraphFormatError(f"bad mapping token {tok!r}, expected 'a->b'", line=1,
-                                   column=_token_column(text.replace("p:", "  ", 1), k))
-        a, b = tok.split("->", 1)
-        if not a or not b:
-            raise GraphFormatError(f"bad mapping token {tok!r}", line=1)
-        if a in mapping:
-            raise GraphFormatError(f"vertex {a!r} mapped twice", line=1)
-        mapping[a] = b
-    try:
-        return Permutation.from_mapping(mapping, domain)
-    except QbmgError as exc:
-        raise GraphFormatError(str(exc), line=1) from exc
 
 
 def format_permutation(p: Permutation) -> str:

@@ -11,9 +11,11 @@ test their group's generating ranks as ``perms.is_automorphism`` does and
 leave the colors to that rule, since an automorphism that moves an
 edge-bearing vertex across the classes puts it in a mixed orbit.
 
-Everything here is computed on rank masks: one private core, ``_quotient``,
-builds every quotient from block masks, without revalidation, and classes and
-orbits are read as masks (``class_masks``, ``PermGroup.orbit_masks``).
+Everything here is computed on rank masks. ``digraph.block_quotient`` builds
+every quotient graph, here and in the twin search and the theorem suite;
+``_quotient`` adds the public edge: the block rule, the ``q_x`` names and the
+projection. Classes and orbits are read as masks (``class_masks``,
+``PermGroup.orbit_masks``).
 ``Partition`` is the input type at the public edge, where blocks arrive as
 tokens: ``partition_quotient``, ``parse_partition``, ``quotient --partition``.
 """
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .digraph import ColoredDigraph, bits, class_masks, low_bit, rank_index, token_key
+from .digraph import ColoredDigraph, bits, block_quotient, class_masks, rank_index, token_key
 from .errors import GraphFormatError, NotAutomorphismError, PartitionError, PreconditionError
 from .perms import PermGroup, _maps_edges, is_automorphism
 
@@ -35,7 +37,6 @@ __all__ = [
     "classical_quotient",
     "gamma_quotient",
     "parse_partition",
-    "format_partition",
 ]
 
 
@@ -64,10 +65,6 @@ class Partition:
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[str]]) -> "Partition":
         return cls(tuple(frozenset(b) for b in blocks))
-
-    @classmethod
-    def singletons(cls, vertices: Iterable[str]) -> "Partition":
-        return cls(tuple(frozenset((v,)) for v in vertices))
 
     @property
     def support(self) -> frozenset[str]:
@@ -119,28 +116,24 @@ def _check_support(g: ColoredDigraph, support: frozenset[str]) -> None:
 
 
 def _quotient(g: ColoredDigraph, masks: Sequence[int]) -> QuotientResult:
-    """``partition_quotient`` by blocks given as disjoint rank masks that cover g."""
+    """``partition_quotient`` by blocks given as disjoint rank masks that cover g, least rank
+    first: ``block_quotient``'s graph, with block k's vertex x renamed ``q_x``."""
     vs, out, inn, u_mask = g.sorted_vertices, g.out_masks, g.in_masks, g.u_mask
-    names = ["q_" + vs[low_bit(m)] for m in masks]
-    q_vs = tuple(sorted(names, key=token_key))
-    q_rank = rank_index(q_vs)
-    to_q = [0] * len(vs)  # each rank's quotient rank
-    q_u = 0
-    for m, name in zip(masks, names):
-        q = q_rank[name]
-        for a in bits(m):
-            to_q[a] = q
+    for m in masks:
         if m & u_mask and m & ~u_mask and any(out[a] | inn[a] for a in bits(m)):
             raise PartitionError(
                 f"block {g.tokens(m)} mixes colors and contains an edge-bearing vertex")
-        if m & u_mask:
-            q_u |= 1 << q
-    q_out = [0] * len(q_vs)
-    for a, o in enumerate(out):
-        for b in bits(o):
-            q_out[to_q[a]] |= 1 << to_q[b]
-    return QuotientResult(ColoredDigraph._from_masks(q_vs, q_u, q_out),
-                          {v: q_vs[to_q[a]] for a, v in enumerate(vs)})
+    q = block_quotient(g, masks)
+    names = ["q_" + v for v in q.sorted_vertices]
+    q_vs = tuple(sorted(names, key=token_key))
+    to = list(map(rank_index(q_vs).__getitem__, names))  # block k is the quotient's rank to[k]
+    q_out = [0] * len(names)
+    for k, o in enumerate(q.out_masks):
+        q_out[to[k]] = sum(1 << to[j] for j in bits(o))
+    block = {a: k for k, m in enumerate(masks) for a in bits(m)}
+    return QuotientResult(
+        ColoredDigraph._from_masks(q_vs, sum(1 << to[k] for k in bits(q.u_mask)), q_out),
+        {v: names[block[a]] for a, v in enumerate(vs)})
 
 
 def classical_quotient(g: ColoredDigraph) -> QuotientResult:
@@ -243,9 +236,3 @@ def parse_partition(text: str) -> Partition:
         seen |= block
         blocks.append(block)
     return Partition.from_blocks(blocks)
-
-
-def format_partition(p: Partition) -> str:
-    return "\n".join(
-        " ".join(sorted(b, key=token_key)) for b in p.blocks
-    ) + ("\n" if p.blocks else "")

@@ -7,7 +7,9 @@ property of some 2-qBMG. The suite is what ``qbmg verify`` runs per file and
 what the acceptance tests run over the built-in corpus. Five statements hold
 by how the package builds its groups and quotients; their lines pass as
 constants, and the unit tests named in ``CHECKS`` test each statement against
-an independent oracle. The module imports the group, quotient and orientation
+an independent oracle. The suite's quotients come from
+``digraph.block_quotient``: no check reads the ``q_x`` names or the projection
+that ``quotients`` adds. The module imports the group, quotient and orientation
 modules at load, so ``qbmg verify`` loads all of them whatever ``--theorems``
 selects.
 """
@@ -20,11 +22,12 @@ from typing import Callable, Iterable
 
 from .autgroup import aut_color_preserving, aut_full
 from .axioms import is_2qbmg, is_thin
-from .digraph import ColoredDigraph, bits, class_masks, long_induced_path_or_cycle, low_bit
+from .digraph import (ColoredDigraph, bits, block_quotient, class_masks,
+                      long_induced_path_or_cycle, low_bit)
 from .errors import PreconditionError, QbmgError
 from .orientations import check_orientation_theorems
 from .perms import PermGroup, Permutation, _cycle_masks
-from .quotients import QuotientResult, _check_generators, _orbit_pair_shapes, _quotient
+from .quotients import _check_generators, _orbit_pair_shapes
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_suite"]
 
@@ -37,27 +40,19 @@ class CheckResult:
 
 
 class GraphFacts:
-    """The groups and quotients the checks share for one graph, each built at most once, on
-    first use: Aut_I and the full group (each keeps its orbit masks) and g's quotients, one
-    per partition of its ranks, however many checks read it: the classical quotient, Aut_I's
-    orbit quotient and the cycle partitions. The graph itself keeps its twin classes.
+    """What the checks share for one graph, each built at most once, on first use: Aut_I and
+    the full group (each keeps its orbit masks) and the classical quotient, the
+    ``block_quotient`` by g's twin classes (the graph keeps its classes).
     ``aut_i`` is the full group's object when the full group was built first and each of its
     orbits lies inside U or inside W: an element maps each vertex inside its orbit, so its
     elements then keep colors and the two groups are one. Otherwise Aut_I is searched."""
 
     def __init__(self, g: ColoredDigraph):
         self.g = g
-        self._quotients: dict[tuple[int, ...], QuotientResult] = {}
-
-    def quotient(self, masks: tuple[int, ...]) -> QuotientResult:
-        """g's quotient by the blocks ``masks``, disjoint rank masks that cover g."""
-        if masks not in self._quotients:
-            self._quotients[masks] = _quotient(self.g, masks)
-        return self._quotients[masks]
 
     @cached_property
-    def classical(self) -> QuotientResult:
-        return self.quotient(class_masks(self.g))
+    def classical(self) -> ColoredDigraph:
+        return block_quotient(self.g, class_masks(self.g))
 
     @cached_property
     def aut_i(self) -> PermGroup:
@@ -94,7 +89,7 @@ def _p6c6_free(f: GraphFacts) -> Outcome:
 def _classical_idempotent(f: GraphFacts) -> Outcome:
     # A thin quotient's classes are single vertices, so quotienting it again is
     # a renaming (tests/test_properties.py::test_classical_quotient_idempotent).
-    ok = is_thin(f.classical.quotient)
+    ok = is_thin(f.classical)
     return ok, "" if ok else "classical quotient is not thin"
 
 
@@ -109,17 +104,18 @@ def _gamma_hereditary(f: GraphFacts) -> Outcome:
     order, and the partition into singletons never: its quotient is g itself,
     which passed membership.
     """
-    g, n = f.g, f.g.n_vertices
+    g, n, classes = f.g, f.g.n_vertices, class_masks(f.g)
     f.full  # built first, so that Aut_I is read off it where the two are one
     seen = {tuple(1 << v for v in range(n))}
-    if f.aut_i.orbit_masks() not in seen:
-        seen.add(f.aut_i.orbit_masks())
+    if (orbits := f.aut_i.orbit_masks()) not in seen:
+        seen.add(orbits)
         _check_generators(g, f.aut_i)
-        if not is_2qbmg(f.quotient(f.aut_i.orbit_masks()).quotient):
+        # Where Aut_I's orbits are the twin classes, the classical quotient is theirs.
+        if not is_2qbmg(f.classical if orbits == classes else block_quotient(g, orbits)):
             return False, "quotient by full Aut_I is not a 2-qBMG"
-    if class_masks(g) not in seen:
-        seen.add(class_masks(g))
-        if not is_2qbmg(f.classical.quotient):
+    if classes not in seen:
+        seen.add(classes)
+        if not is_2qbmg(f.classical):
             return False, "quotient by canonical gamma is not a 2-qBMG"
     if f.aut_i.order == 1:
         return True, ""
@@ -128,7 +124,7 @@ def _gamma_hereditary(f: GraphFacts) -> Outcome:
         if cycles in seen:
             continue
         seen.add(cycles)
-        if not is_2qbmg(f.quotient(cycles).quotient):
+        if not is_2qbmg(block_quotient(g, cycles)):
             a = Permutation._trusted(f.aut_i.domain, x, g.rank)
             return False, f"quotient by cyclic<{a.cycle_string()}> is not a 2-qBMG"
     return True, ""
@@ -228,8 +224,8 @@ CHECKS: dict[str, Callable[[GraphFacts], Outcome]] = {
     "route_equivalence": _holds_by_construction,
     "underlying_p6c6_free": _p6c6_free,
     "classical_idempotent": _classical_idempotent,
-    # canonical_gamma's orbits are class_masks(g), so its quotient is the same
-    # _quotient call as the classical one (tests/test_quotients.py::
+    # canonical_gamma's orbits are class_masks(g), so its quotient collapses
+    # the same blocks as the classical one (tests/test_quotients.py::
     # test_canonical_gamma_quotient_matches_classical).
     "classical_equals_canonical_gamma": _holds_by_construction,
     # aut_full is Gamma with lifts of q's automorphisms, which map twin classes

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,11 +27,13 @@ from qbmg import (
     layered,
     lift_permutation,
     lifted_group,
+    parse_graph,
     random_layered_spec,
     uw_orientation,
 )
-from qbmg import perms
+from qbmg import autgroup, perms
 from qbmg.autgroup import _color_cells, _refine, _search_automorphisms
+from qbmg.digraph import block_quotient
 from qbmg.errors import InternalCheckError, NotAutomorphismError
 from qbmg.perms import (
     PermGroup,
@@ -55,6 +58,8 @@ from tests.oracles import (
     networkx_color_preserving,
     refine_every_vertex,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +259,24 @@ def test_aut_edgeless_125_vertices_searches_only_its_quotient():
     stats = SearchStats()
     assert aut_color_preserving(big, stats).order == math.factorial(59) * math.factorial(66)
     assert (stats.nodes, stats.base_length) == (0, 0)
+
+
+def test_aut_full_searches_the_block_quotient_of_the_twin_classes(
+        monkeypatch, enumerated_pool):
+    # q is the core's graph on class_masks(g), which is g itself when g is thin.
+    searched = []
+    search = autgroup._search_automorphisms
+
+    def recorded(q, cells, stats):
+        searched.append(q)
+        return search(q, cells, stats)
+
+    monkeypatch.setattr(autgroup, "_search_automorphisms", recorded)
+    files = sorted((ROOT / "fixtures").rglob("*.qbmg"))
+    for g in [*enumerated_pool, *(parse_graph(p.read_text()) for p in files)]:
+        searched.clear()
+        aut_full(g)
+        assert searched == [block_quotient(g, class_masks(g))]
 
 
 def test_aut_lift_cap():

@@ -18,7 +18,6 @@ from qbmg import (
     canonical_gamma,
     classical_quotient,
     equivalence_classes,
-    format_partition,
     gamma_quotient,
     is_2qbmg,
     is_thin,
@@ -29,6 +28,7 @@ from qbmg import (
     partition_quotient,
     random_layered_spec,
 )
+from qbmg.digraph import block_quotient, class_masks, low_bit
 from qbmg.errors import NotAutomorphismError, PreconditionError
 from qbmg.perms import PermGroup, Permutation
 from qbmg.quotients import _orbit_pair_shapes
@@ -78,7 +78,7 @@ def test_partition_rejects_overlap_and_empty():
 
 def test_singleton_partition_quotient_is_renaming():
     g = refdata.BLOWUP_BASE
-    result = partition_quotient(g, Partition.singletons(g.vertices))
+    result = partition_quotient(g, Partition.from_blocks([{v} for v in g.vertices]))
     assert graphs_match_up_to_rename(g, result.quotient,
                                      {v: f"q_{v}" for v in g.vertices})
 
@@ -309,6 +309,20 @@ def test_canonical_gamma_quotient_matches_classical(enumerated_pool):
         assert a.quotient == b.quotient and a.projection == b.projection
 
 
+def test_classical_quotient_is_the_block_quotient_renamed(enumerated_pool):
+    # The public quotient is the core's graph with block x's vertex named q_x,
+    # in the q_x names' own token order ("q_10" sorts before "q_2").
+    files = sorted(CORPUS.parent.rglob("*.qbmg"))
+    for g in (*enumerated_pool, *(parse_graph(p.read_text()) for p in files)):
+        q = block_quotient(g, class_masks(g))
+        renamed = ColoredDigraph({"q_" + v for v in q.color_u}, {"q_" + v for v in q.color_w},
+                                 [("q_" + t, "q_" + h) for t, h in q.edges])
+        result = classical_quotient(g)
+        assert result.quotient == renamed
+        assert result.projection == {
+            v: "q_" + g.sorted_vertices[low_bit(m)] for m in class_masks(g) for v in g.tokens(m)}
+
+
 def test_search_finds_non_hereditary_partition_quotient():
     # Independent derivation of the non-hereditariness demonstration: scan
     # small members and monochromatic partitions until a quotient breaks
@@ -362,9 +376,9 @@ def test_subgroup_lattice_hereditariness_on_small_fixtures():
             assert is_2qbmg(gamma_quotient(g, sub).quotient), (g, sub.order)
 
 
-def test_partition_text_roundtrip():
-    p = Partition.from_blocks(refdata.NONORBIT_BLOCKS)
-    assert parse_partition(format_partition(p)) == p
+def test_parse_partition_reads_one_block_per_line():
+    text = "# blocks\n" + "".join(" ".join(b) + "\n\n" for b in refdata.NONORBIT_BLOCKS)
+    assert parse_partition(text) == Partition.from_blocks(refdata.NONORBIT_BLOCKS)
 
 
 def test_parse_partition_rejects_duplicates():

@@ -18,16 +18,14 @@ from qbmg import (
     QbmgError,
     aut_color_preserving,
     blow_up,
-    classical_quotient,
     layered,
     orientations,
     parse_graph,
-    partition_quotient,
-    quotients,
     verify,
 )
 from qbmg.constructions import default_layered_spec, default_n2_trivial_tables, n2_trivial_layer
 from qbmg.axioms import is_thin
+from qbmg.digraph import block_quotient, class_masks
 from qbmg.errors import SizeCapError
 from qbmg.verify import CHECK_NAMES, CHECKS, GraphFacts, run_suite
 
@@ -241,7 +239,7 @@ def test_suite_computes_the_twin_classes_once_per_graph(monkeypatch, path):
     filled, _ = record_class_masks(monkeypatch)
     assert all(r.passed for r in run_suite(g))
     assert len(filled) == 2 and filled[0] is g
-    assert filled[1] == classical_quotient(g).quotient
+    assert filled[1] == block_quotient(g, class_masks(g))
 
 
 def test_thin_orbit_pairs_builds_only_the_groups_it_reads(monkeypatch):
@@ -280,18 +278,16 @@ def test_gamma_hereditary_quotients_each_cycle_partition_once(monkeypatch):
 
 
 def _record_quotients(monkeypatch) -> list[tuple[ColoredDigraph, tuple[int, ...]]]:
-    """From now on: the graph and blocks of every ``_quotient`` call, through every qbmg
-    module that binds it."""
+    """From now on: the graph and blocks of every quotient the suite builds, that is, of
+    every ``block_quotient`` call through ``verify``. The group search builds its own twin
+    quotient, through ``autgroup``, to search it."""
     calls = []
-    orig = quotients._quotient
 
     def recorded(g, masks):
         calls.append((g, tuple(masks)))
-        return orig(g, masks)
+        return block_quotient(g, masks)
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("qbmg") and vars(mod).get("_quotient") is orig:
-            monkeypatch.setattr(mod, "_quotient", recorded)
+    monkeypatch.setattr(verify, "block_quotient", recorded)
     return calls
 
 
@@ -442,8 +438,8 @@ def test_gamma_hereditary_reports_a_cyclic_subgroup_on_a_non_thin_graph(monkeypa
     # Reject only the quotients in which vertex 1 stays a singleton and
     # 2 and 3 are merged; (2 3) is the first element that does both.
     g = refdata.complete_symmetric(3, 3)
-    _reject_quotients(monkeypatch, lambda h: "q_1" in h.vertices and "q_3" not in h.vertices
-                      and "q_2" in h.vertices)
+    _reject_quotients(monkeypatch, lambda h: "1" in h.vertices and "3" not in h.vertices
+                      and "2" in h.vertices)
     assert _only(g, "gamma_quotient_hereditary") == (
         False, "quotient by cyclic<(2 3)> is not a 2-qBMG")
 
@@ -465,8 +461,8 @@ def test_thin_orbit_pairs_reports_the_misfit_pair(monkeypatch, planted):
 def test_classical_idempotent_reports_a_quotient_that_is_not_thin(monkeypatch):
     # Planted as the classical quotient: K_{2,3} itself, by the singleton partition.
     g = refdata.complete_symmetric(2, 3)
-    singletons = Partition.from_blocks([{v} for v in g.vertices])
-    monkeypatch.setattr(GraphFacts, "classical", partition_quotient(g, singletons))
+    singletons = [1 << v for v in range(g.n_vertices)]
+    monkeypatch.setattr(GraphFacts, "classical", block_quotient(g, singletons))
     assert _only(g, "classical_idempotent") == (False, "classical quotient is not thin")
 
 

@@ -5,10 +5,12 @@ directories, so that two checkouts can be compared byte for byte with ``diff``.
 
 For each file, in sorted path order, it runs ``qbmg.cli.main`` in-process for
 ``check --json``, ``aut --json --stats``, ``aut --full --json --stats``,
-``verify --json``, which reads Aut_I off the full group where the two are one, and
+``verify --json``, which reads Aut_I off the full group where the two are one,
 ``verify`` of the hereditary, orientation and orbit-pair checks, and of
-``thin_orbit_pairs`` alone; each of these reads the full group first and Aut_I
-off it. It prints the argv, the SHA-256 of the exit code with
+``thin_orbit_pairs`` alone, each of which reads the full group first and Aut_I
+off it, and ``verify`` of ``orientation_theorems`` alone, which searches Aut_I
+with no full group built, through the twin quotient of the classes split by
+color. It prints the argv, the SHA-256 of the exit code with
 stdout, and the SHA-256 of stderr, so that a diff tells a change in what a
 command answers from a change in its ``--stats`` lines alone. ``qbmg`` is
 imported from ``sys.path`` (set ``PYTHONPATH`` to compare another checkout's
@@ -32,6 +34,7 @@ COMMANDS = (
     ("verify", "--theorems=gamma_quotient_hereditary,orientation_theorems,thin_orbit_pairs",
      "--json"),
     ("verify", "--theorems=thin_orbit_pairs", "--json"),
+    ("verify", "--theorems=orientation_theorems", "--json"),
 )
 
 
