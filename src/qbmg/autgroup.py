@@ -32,10 +32,11 @@ quotient the automorphisms of the twin quotient q that keep class size
 (and, for Aut_I, color, with the classes split by color). So only q is
 searched, and the stats and the 64-vertex search cap count q (q is the
 graph itself when it has no twins, else ``digraph.block_quotient`` of the
-classes); when a chain is read, Gamma's is
-written down and the lifts of q's generators are adjoined to it. The graph
-itself is capped at 128 vertices, which bounds that chain and
-``canonical_gamma``'s; both read ``class_masks``, one pass per graph.
+classes, which the graph keeps as ``digraph.twin_quotient`` when they are
+not split by color); when a chain is read, Gamma's is written down and the
+lifts of q's generators are adjoined to it. The graph itself is capped at
+128 vertices, which bounds that chain and ``canonical_gamma``'s; both read
+``class_masks``, one pass per graph.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .digraph import ColoredDigraph, bits, block_quotient, class_masks, low_bit
+from .digraph import ColoredDigraph, bits, block_quotient, class_masks, low_bit, twin_quotient
 from .errors import SizeCapError
 from .perms import PermGroup
 
@@ -268,22 +269,22 @@ def _search_automorphisms(g: ColoredDigraph, cells: list[int], stats: SearchStat
     return strong, math.prod(lengths), tuple(dict.fromkeys(orbit))
 
 
-def _aut_by_twins(g: ColoredDigraph, classes: tuple[int, ...], cells: list[int], group: str,
-                  stats: SearchStats | None) -> PermGroup:
+def _aut_by_twins(g: ColoredDigraph, classes: tuple[int, ...], q: ColoredDigraph,
+                  cells: list[int], group: str, stats: SearchStats | None) -> PermGroup:
     """The automorphisms of g that keep each cell, through the twin quotient q = g/C.
 
-    ``classes`` are rank masks, least rank first, of twin classes of g, and
-    ``cells[k]`` is class k's initial cell. Any automorphism maps the classes
-    onto classes of the same size and cell, so Gamma = prod Sym(C) is normal
-    in the group and the group over Gamma is the automorphisms of q keeping
-    each cell. So only q is searched; each strong generator of q's group
-    lifts to g by mapping the members of class k, in rank order, to those of
-    its image. The group is generated by the lifts and the transpositions of
-    consecutive class members, with the order |Aut(q)| prod |C|!; its chain,
-    on first read, adjoins the lifts to Gamma's, which is written down. When
-    every class is a single vertex, q is g itself, and g is searched from
-    the cells with no lift and no written chain. Otherwise q is
-    ``block_quotient(g, classes)``, whose vertex k is class k.
+    ``classes`` are rank masks, least rank first, of twin classes of g, q is
+    ``block_quotient(g, classes)``, whose vertex k is class k, or g itself
+    when g is thin, and ``cells[k]`` is class k's initial cell. Any
+    automorphism maps the classes onto classes of the same size and cell, so
+    Gamma = prod Sym(C) is normal in the group and the group over Gamma is
+    the automorphisms of q keeping each cell. So only q is searched; each
+    strong generator of q's group lifts to g by mapping the members of class
+    k, in rank order, to those of its image. The group is generated by the
+    lifts and the transpositions of consecutive class members, with the order
+    |Aut(q)| prod |C|!; its chain, on first read, adjoins the lifts to
+    Gamma's, which is written down. When q is g, g is searched from the cells
+    with no lift and no written chain.
     When ``stats`` is given, the search adds its counts to it and sets the
     base and orbit fields, which describe q's group, and the twin fields.
     ``group`` names the group in the message that refuses g past
@@ -294,12 +295,12 @@ def _aut_by_twins(g: ColoredDigraph, classes: tuple[int, ...], cells: list[int],
         raise SizeCapError(f"{group} group capped at {DEFAULT_LIFT_CAP} vertices, got {n}")
     stats = stats or SearchStats()
     stats.classes, stats.class_product = len(classes), 1
-    if len(classes) == n:  # g is thin: every class is one vertex, so q is g
+    if q is g:  # g is thin: every class is one vertex
         strong, order, orbits = _search_automorphisms(g, cells, stats)
         return PermGroup._from_ranks(g.sorted_vertices, strong, order, orbits=orbits)
     stats.class_product = math.prod(math.factorial(m.bit_count()) for m in classes)
     members = [list(bits(m)) for m in classes]
-    strong, q_order, q_orbits = _search_automorphisms(block_quotient(g, classes), cells, stats)
+    strong, q_order, q_orbits = _search_automorphisms(q, cells, stats)
     lifts = []
     for x in strong:
         image = [0] * n
@@ -321,13 +322,18 @@ def aut_color_preserving(g: ColoredDigraph, stats: SearchStats | None = None) ->
     normal in Aut_I and Aut_I / Gamma_I is Aut_w(q), the automorphisms of
     the twin quotient q = g/C that keep color and class size: one
     ``_aut_by_twins`` call, with one cell per (color, class size). g itself
-    is searched when no two vertices of one color are twins.
+    is searched when no two vertices of one color are twins. Only the class of
+    isolated vertices can hold both colors; unless it does, q is the graph's
+    ``twin_quotient``.
     """
     n, u, classes = g.n_vertices, g.u_mask, class_masks(g)
-    if len(classes) < n:  # a thin g's classes are single vertices, split already
+    if any(m & u and m & ~u for m in classes):
         classes = tuple(sorted((p for m in classes for p in (m & u, m & ~u) if p), key=low_bit))
+        q = block_quotient(g, classes) if len(classes) < n else g
+    else:
+        q = twin_quotient(g)
     cells = [(0 if m & u else n) + m.bit_count() for m in classes]  # (color, size)
-    return _aut_by_twins(g, classes, cells, "color-preserving", stats)
+    return _aut_by_twins(g, classes, q, cells, "color-preserving", stats)
 
 
 def aut_full(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
@@ -343,7 +349,8 @@ def aut_full(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
     color-preserving subgroup has index 1 or 2.
     """
     classes = class_masks(g)
-    return _aut_by_twins(g, classes, [m.bit_count() for m in classes], "full automorphism", stats)
+    return _aut_by_twins(g, classes, twin_quotient(g), [m.bit_count() for m in classes],
+                         "full automorphism", stats)
 
 
 def canonical_gamma(g: ColoredDigraph) -> PermGroup:

@@ -9,12 +9,13 @@ A graph numbers its vertices once: a vertex's rank is its position in token
 order, and the rank index is shared with every graph and permutation over the
 same vertex set (``rank_index``). The graph is stored as ``int`` masks over the
 ranks: the color class U and each vertex's out- and in-neighborhood, and, once
-``class_masks`` has read them, its twin classes. The token sets ``color_u``,
-``color_w`` and ``edges`` are views derived from the masks. Since rank order is
-token order, the least set bit of a mask is its least token, and walking the
-masks emits the edges sorted. Outside input is validated once, by the token
-constructor or, for text, by ``parse_graph`` as it reads the lines; parsed and
-derived graphs are built from masks.
+``class_masks`` and ``twin_quotient`` have read them, its twin classes and the
+quotient by them. The token sets ``color_u``, ``color_w`` and ``edges`` are
+views derived from the masks. Since rank order is token order, the least set
+bit of a mask is its least token, and walking the masks emits the edges sorted.
+Outside input is validated once, by the token constructor or, for text, by
+``parse_graph`` as it reads the lines; parsed and derived graphs are built from
+masks.
 """
 
 from __future__ import annotations
@@ -89,10 +90,12 @@ class ColoredDigraph:
     and ``vertices`` are token views derived from the masks on each access.
 
     Only the token constructor validates. Parsed and derived graphs are built
-    from masks by ``_from_masks``; both end in ``_set_masks``, which unsets the twin classes.
+    from masks by ``_from_masks``; both end in ``_set_masks``, which unsets the twin
+    classes and their quotient.
     """
 
-    __slots__ = ("sorted_vertices", "rank", "u_mask", "out_masks", "in_masks", "_classes")
+    __slots__ = ("sorted_vertices", "rank", "u_mask", "out_masks", "in_masks", "_classes",
+                 "_quotient")
 
     def __init__(
         self,
@@ -143,6 +146,7 @@ class ColoredDigraph:
         self.out_masks = tuple(out)
         self.in_masks = tuple(inn)
         self._classes = None  # the twin classes, filled by ``class_masks``
+        self._quotient = None  # the quotient by them, filled by ``twin_quotient``
 
     # -- token views ----------------------------------------------------------
 
@@ -276,6 +280,16 @@ def block_quotient(g: ColoredDigraph, masks: Sequence[int]) -> ColoredDigraph:
                                       q_u, q_out)
 
 
+def twin_quotient(g: ColoredDigraph) -> ColoredDigraph:
+    """``block_quotient(g, class_masks(g))``, or g itself when every class is one vertex, as
+    the two are then equal. Built once per graph, on first use, for the twin search and the
+    theorem suite alike."""
+    if g._quotient is None:
+        classes = class_masks(g)
+        g._quotient = g if len(classes) == g.n_vertices else block_quotient(g, classes)
+    return g._quotient
+
+
 def symmetric_edges(g: ColoredDigraph) -> set[frozenset[str]]:
     """All unordered pairs {u, w} with both directed edges present."""
     vs = g.sorted_vertices
@@ -290,32 +304,70 @@ def long_induced_path_or_cycle(g: ColoredDigraph) -> list[str] | None:
     """Search g's underlying graph for an induced path or cycle on at least 6 vertices.
 
     Returns the vertex sequence of one such subgraph (cycle witnesses close back
-    to the first vertex implicitly), or None. This is a cross-check tool with a
-    bounded DFS over induced paths, in rank order. Each DFS is capped at 64
-    vertices: the one over a member of each twin class counts the classes, and
-    the one over g, run only when the first finds a witness, counts g's vertices.
+    to the first vertex implicitly), or None. Whether one exists is decided with
+    neighbor masks on a member of each twin class (``_has_long_induced_path``),
+    with no path walked; only when one does is a bounded DFS over g's induced
+    paths run, in rank order, to name the first witness. The decision is capped
+    at 64 twin classes and the DFS at 64 vertices.
     """
     # Twins have equal neighborhoods, and no two vertices of an induced path
     # or cycle on 5 or more do, so such a subgraph has one vertex per class,
     # and any twin can stand in for it: g has one iff the subgraph induced on
-    # each class's least member has. That is searched first, and g itself,
-    # for the rank-order witness, only when it has one.
+    # each class's least member has.
     least = sum(m & -m for m in class_masks(g))
-    if least.bit_count() < _PATH_CYCLE_MIN:
+    if (k := least.bit_count()) < _PATH_CYCLE_MIN:
         return None
+    if k > _PATH_CYCLE_CAP:
+        raise SizeCapError(f"induced path search capped at {_PATH_CYCLE_CAP} vertices, got {k}")
+    among = [(o | i) & least for o, i in zip(g.out_masks, g.in_masks)]  # their neighbors
+    if not _has_long_induced_path(among, least):
+        return None
+    if (n := g.n_vertices) > _PATH_CYCLE_CAP:
+        raise SizeCapError(f"induced path search capped at {_PATH_CYCLE_CAP} vertices, got {n}")
     adj = [o | i for o, i in zip(g.out_masks, g.in_masks)]
-    for within in dict.fromkeys((least, (1 << g.n_vertices) - 1)):
-        if (n := within.bit_count()) > _PATH_CYCLE_CAP:
-            raise SizeCapError(
-                f"induced path search capped at {_PATH_CYCLE_CAP} vertices, got {n}")
-        if (found := _induced_path_dfs(adj, within)) is None:
-            return None
-    return [g.sorted_vertices[v] for v in found]
+    return [g.sorted_vertices[v] for v in _induced_path_dfs(adj)]
 
 
-def _induced_path_dfs(adj: list[int], within: int) -> list[int] | None:
-    """The first induced path or cycle on 6 or more of the ranks in ``within``, in rank order,
-    in the undirected graph whose neighbor masks are ``adj``."""
+def _has_long_induced_path(adj: list[int], within: int) -> bool:
+    """Whether the ranks in ``within`` induce a path or cycle on 6 or more vertices in the
+    bipartite undirected graph whose neighbor masks, inside ``within``, are ``adj``.
+
+    A longer induced path or cycle holds an induced path on 6, so the question is
+    whether an induced P6 or C6 a-b-c-d-e-f exists; its middle edge c-d fixes it.
+    In a bipartite graph a neighbor b of c other than d is never adjacent to d,
+    and any neighbor a of b outside N(d) is adjacent to none of c, d and e.
+    Likewise a neighbor e of d other than c, and any neighbor f of e outside
+    N(c). a and f lie on opposite sides, so they differ, and they close a P6, or
+    a C6 when adjacent. So a witness exists iff some edge c-d has such a b and
+    such an e that are not adjacent. No path is walked.
+    """
+    for c in bits(within):  # ``bits`` inlined below: the inner loops run once per edge
+        nc = adj[c]
+        ds = nc >> c + 1 << c + 1  # each edge c-d once, c < d
+        while ds:
+            d = ds & -ds  # d, e and b are one-bit masks
+            ds ^= d
+            nd = adj[d.bit_length() - 1]
+            ends = 0  # the e, on d's side, with a neighbor f outside N(c); c has none
+            es = nd
+            while es:
+                e = es & -es
+                es ^= e
+                if adj[e.bit_length() - 1] & ~nc:
+                    ends |= e
+            bs = nc if ends else 0  # nor has d a neighbor outside N(d)
+            while bs:
+                b = bs & -bs
+                bs ^= b
+                nb = adj[b.bit_length() - 1]
+                if ends & ~nb and nb & ~nd:
+                    return True
+    return False
+
+
+def _induced_path_dfs(adj: list[int]) -> list[int] | None:
+    """The first induced path or cycle on 6 or more vertices, in rank order, in the
+    undirected graph whose neighbor masks are ``adj``."""
     path: list[int] = []
     on_path = 0
 
@@ -326,7 +378,7 @@ def _induced_path_dfs(adj: list[int], within: int) -> list[int] | None:
         last = path[-1]
         first = path[0]
         ends = 1 << last | 1 << first
-        for nxt in bits(adj[last] & within & ~on_path):
+        for nxt in bits(adj[last] & ~on_path):
             if adj[nxt] & on_path & ~ends:
                 continue
             if adj[nxt] >> first & 1 and len(path) >= 2:
@@ -343,7 +395,7 @@ def _induced_path_dfs(adj: list[int], within: int) -> list[int] | None:
                 return found
         return None
 
-    for start in bits(within):
+    for start in range(len(adj)):
         path = [start]
         on_path = 1 << start
         found = extend()

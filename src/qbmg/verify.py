@@ -8,10 +8,11 @@ what the acceptance tests run over the built-in corpus. Five statements hold
 by how the package builds its groups and quotients; their lines pass as
 constants, and the unit tests named in ``CHECKS`` test each statement against
 an independent oracle. The suite's quotients come from
-``digraph.block_quotient``: no check reads the ``q_x`` names or the projection
-that ``quotients`` adds. The module imports the group, quotient and orientation
-modules at load, so ``qbmg verify`` loads all of them whatever ``--theorems``
-selects.
+``digraph.block_quotient``, and the classical one from ``digraph.twin_quotient``,
+which the graph keeps for the twin search too: no check reads the ``q_x`` names
+or the projection that ``quotients`` adds. The module imports the group,
+quotient and orientation modules at load, so ``qbmg verify`` loads all of them
+whatever ``--theorems`` selects.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, Iterable
 from .autgroup import aut_color_preserving, aut_full
 from .axioms import is_2qbmg, is_thin
 from .digraph import (ColoredDigraph, bits, block_quotient, class_masks,
-                      long_induced_path_or_cycle, low_bit)
+                      long_induced_path_or_cycle, low_bit, twin_quotient)
 from .errors import PreconditionError, QbmgError
 from .orientations import check_orientation_theorems
 from .perms import PermGroup, Permutation, _cycle_masks
@@ -41,18 +42,14 @@ class CheckResult:
 
 class GraphFacts:
     """What the checks share for one graph, each built at most once, on first use: Aut_I and
-    the full group (each keeps its orbit masks) and the classical quotient, the
-    ``block_quotient`` by g's twin classes (the graph keeps its classes).
+    the full group, each of which keeps its orbit masks. The graph itself keeps its twin
+    classes and the classical quotient (``twin_quotient``), which the twin search shares.
     ``aut_i`` is the full group's object when the full group was built first and each of its
     orbits lies inside U or inside W: an element maps each vertex inside its orbit, so its
     elements then keep colors and the two groups are one. Otherwise Aut_I is searched."""
 
     def __init__(self, g: ColoredDigraph):
         self.g = g
-
-    @cached_property
-    def classical(self) -> ColoredDigraph:
-        return block_quotient(self.g, class_masks(self.g))
 
     @cached_property
     def aut_i(self) -> PermGroup:
@@ -89,7 +86,7 @@ def _p6c6_free(f: GraphFacts) -> Outcome:
 def _classical_idempotent(f: GraphFacts) -> Outcome:
     # A thin quotient's classes are single vertices, so quotienting it again is
     # a renaming (tests/test_properties.py::test_classical_quotient_idempotent).
-    ok = is_thin(f.classical)
+    ok = is_thin(twin_quotient(f.g))
     return ok, "" if ok else "classical quotient is not thin"
 
 
@@ -111,11 +108,11 @@ def _gamma_hereditary(f: GraphFacts) -> Outcome:
         seen.add(orbits)
         _check_generators(g, f.aut_i)
         # Where Aut_I's orbits are the twin classes, the classical quotient is theirs.
-        if not is_2qbmg(f.classical if orbits == classes else block_quotient(g, orbits)):
+        if not is_2qbmg(twin_quotient(g) if orbits == classes else block_quotient(g, orbits)):
             return False, "quotient by full Aut_I is not a 2-qBMG"
     if classes not in seen:
         seen.add(classes)
-        if not is_2qbmg(f.classical):
+        if not is_2qbmg(twin_quotient(g)):
             return False, "quotient by canonical gamma is not a 2-qBMG"
     if f.aut_i.order == 1:
         return True, ""
@@ -249,8 +246,8 @@ def run_suite(g: ColoredDigraph, checks: Iterable[str] | None = None) -> list[Ch
     """Run the selected checks (default: all) against one graph, in the given order.
 
     Membership is reported first, once, when selected. A graph that fails it
-    gets that single failing result; the remaining theorems presume membership
-    and are not run.
+    gets that single failing result, whatever ``checks`` selects; the remaining
+    theorems presume membership and are not run.
     """
     wanted = tuple(checks) if checks is not None else CHECK_NAMES
     unknown = set(wanted) - set(CHECK_NAMES)
@@ -259,8 +256,9 @@ def run_suite(g: ColoredDigraph, checks: Iterable[str] | None = None) -> list[Ch
                         f"known: {', '.join(CHECK_NAMES)}")
     facts = GraphFacts(g)
     membership = CheckResult("membership", *_membership(facts))
+    if not membership.passed:
+        return [membership]
     results = [membership] if "membership" in wanted else []
-    if membership.passed:
-        results.extend(CheckResult(name, *CHECKS[name](facts))
-                       for name in wanted if name != "membership")
+    results.extend(CheckResult(name, *CHECKS[name](facts))
+                   for name in wanted if name != "membership")
     return results

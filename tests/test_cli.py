@@ -586,6 +586,16 @@ def test_verify_non_member_reports_failure(capsys):
     assert "FAIL" in out and "membership" in out
 
 
+def test_verify_non_member_fails_membership_when_the_theorems_leave_it_out(tmp_path, capsys):
+    p6 = tmp_path / "p6.qbmg"
+    p6.write_text("qbmg 1\nU: 1 3 5\nW: 2 4 6\n"
+                  + "".join(f"e {i} {i + 1}\n" for i in range(1, 6)))
+    code, out, _ = run(capsys, "verify", str(p6), "--theorems", "underlying_p6c6_free")
+    assert code == 1
+    assert out == ("FAIL p6.qbmg: membership (graph is not a 2-qBMG)\n"
+                   "checked 1 graph(s): FAILURES\n")
+
+
 def test_verify_empty_corpus_warns(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "--corpus", str(tmp_path))
     assert code == 0

@@ -31,7 +31,7 @@ from qbmg.digraph import class_masks
 from qbmg.errors import SizeCapError
 
 from tests import oracles, refdata
-from tests.test_first_witnesses import relabeled_digraphs
+from tests.test_first_witnesses import EDGE_KINDS, _digraph, relabeled_digraphs
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -156,7 +156,7 @@ def test_long_induced_path_ignores_chorded_path():
 
 
 def test_long_induced_path_equals_the_dfs_on_the_pool(enumerated_pool):
-    # Pool graphs have at most 6 vertices; only thin 3+3 ones reach the DFS.
+    # Pool graphs have at most 6 vertices; only thin 3+3 ones reach the mask decision.
     searched = 0
     for g in enumerated_pool:
         searched += len(class_masks(g)) >= 6
@@ -188,6 +188,48 @@ def test_long_induced_path_equals_the_dfs_on_a_non_member_with_twins():
     assert len(class_masks(g)) == 6
     witness = long_induced_path_or_cycle(g)
     assert witness is not None and witness == oracles.induced_path_or_cycle_dfs(g)
+
+
+@st.composite
+def bipartite_digraphs(draw, side=7):
+    """Up to ``side`` + ``side`` vertices, colors interleaved in rank order; each U-W pair
+    is an edge one way, the other, both, or none, with "none" weighted 1, 3, 6 or 12 to 3."""
+    r, s = draw(st.integers(1, side)), draw(st.integers(1, side))
+    names = draw(st.permutations([str(i) for i in range(1, r + s + 1)]))
+    kinds = ("none",) * draw(st.sampled_from([1, 3, 6, 12])) + EDGE_KINDS[1:]
+    return _digraph(names[:r], names[r:],
+                    draw(st.lists(st.sampled_from(kinds), min_size=r * s, max_size=r * s)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bipartite_digraphs())
+def test_long_induced_path_equals_the_dfs_on_random_graphs(g):
+    # Members and non-members alike: the mask decision and the DFS agree on
+    # whether a witness exists, and the witness is the DFS's first, path or cycle.
+    assert long_induced_path_or_cycle(g) == oracles.induced_path_or_cycle_dfs(g)
+
+
+def _count_path_dfs(monkeypatch) -> list[int]:
+    calls = []
+    dfs = qbmg.digraph._induced_path_dfs
+
+    def counted(adj):
+        calls.append(len(adj))
+        return dfs(adj)
+
+    monkeypatch.setattr(qbmg.digraph, "_induced_path_dfs", counted)
+    return calls
+
+
+def test_a_member_is_decided_without_walking_a_path(monkeypatch):
+    # Layered (3, 3) has 18 classes and no witness: the masks decide it. A
+    # P6 has one, and only then does the DFS run, once, over the whole graph.
+    calls = _count_path_dfs(monkeypatch)
+    member = parse_graph((FIXTURES / "corpus" / "layered_s3m3.qbmg").read_text())
+    assert len(class_masks(member)) == 18 and long_induced_path_or_cycle(member) is None
+    assert calls == []
+    assert long_induced_path_or_cycle(_path_graph(6)) == ["1", "2", "3", "4", "5", "6"]
+    assert calls == [6]
 
 
 def _end_blown_up(g: ColoredDigraph, twins: int) -> ColoredDigraph:
@@ -420,5 +462,6 @@ def test_quotients_gamma_and_aut_i_read_one_tuple(monkeypatch):
                  equivalence_classes, is_thin):
         read(g)
     assert filled == [g]
-    assert len(returned) == 5 and all(classes is g._classes for classes in returned)
+    # Aut_I reads them twice: for its cells, and through twin_quotient for q.
+    assert len(returned) == 6 and all(classes is g._classes for classes in returned)
     assert [g.tokens(m) for m in g._classes] == [["1", "2"], ["3", "4", "5"]]

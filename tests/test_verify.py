@@ -49,6 +49,14 @@ def test_non_member_short_circuits_to_membership_failure():
     assert results[0].name == "membership" and not results[0].passed
 
 
+@pytest.mark.parametrize("checks", [["underlying_p6c6_free"], ["orientation_theorems",
+                                     "thin_orbit_pairs"], []], ids=["one", "two", "none"])
+def test_non_member_gets_its_membership_failure_whatever_the_checks(checks):
+    results = run_suite(refdata.SIMULTANEOUS_DUPLICATION, checks=checks)
+    assert [(r.name, r.passed, r.detail) for r in results] == [
+        ("membership", False, "graph is not a 2-qBMG")]
+
+
 def test_check_subset_selection():
     results = run_suite(refdata.BLOWUP_BASE,
                         checks=["membership", "underlying_p6c6_free"])
@@ -234,12 +242,13 @@ def test_a_line_that_holds_by_construction_passes_without_a_group(monkeypatch, c
                          ids=lambda p: p.stem)
 def test_suite_computes_the_twin_classes_once_per_graph(monkeypatch, path):
     # One pass for g, read by thinness, the classical quotient and Aut_I, and
-    # one for its classical quotient, whose thinness classical_idempotent tests.
+    # one for its classical quotient, whose thinness classical_idempotent tests;
+    # a thin g is its own classical quotient.
     g = parse_graph(path.read_text())
     filled, _ = record_class_masks(monkeypatch)
     assert all(r.passed for r in run_suite(g))
-    assert len(filled) == 2 and filled[0] is g
-    assert filled[1] == block_quotient(g, class_masks(g))
+    assert filled[0] is g
+    assert filled[1:] == ([] if is_thin(g) else [block_quotient(g, class_masks(g))])
 
 
 def test_thin_orbit_pairs_builds_only_the_groups_it_reads(monkeypatch):
@@ -279,8 +288,9 @@ def test_gamma_hereditary_quotients_each_cycle_partition_once(monkeypatch):
 
 def _record_quotients(monkeypatch) -> list[tuple[ColoredDigraph, tuple[int, ...]]]:
     """From now on: the graph and blocks of every quotient the suite builds, that is, of
-    every ``block_quotient`` call through ``verify``. The group search builds its own twin
-    quotient, through ``autgroup``, to search it."""
+    every ``block_quotient`` call through ``verify`` and through ``digraph``, where
+    ``twin_quotient`` builds the classical quotient that the suite and the group search
+    share. A search on classes split by color builds its own, through ``autgroup``."""
     calls = []
 
     def recorded(g, masks):
@@ -288,6 +298,7 @@ def _record_quotients(monkeypatch) -> list[tuple[ColoredDigraph, tuple[int, ...]
         return block_quotient(g, masks)
 
     monkeypatch.setattr(verify, "block_quotient", recorded)
+    monkeypatch.setattr("qbmg.digraph.block_quotient", recorded)
     return calls
 
 
@@ -301,6 +312,7 @@ def _record_quotients(monkeypatch) -> list[tuple[ColoredDigraph, tuple[int, ...]
     (refdata.BLOWUP_TWICE, 3),
 ], ids=["K23", "blowup-twice"])
 def test_suite_quotients_each_partition_once(monkeypatch, g, partitions):
+    g = ColoredDigraph(g.color_u, g.color_w, g.edges)  # keeps no quotient from another test
     calls = _record_quotients(monkeypatch)
     assert all(r.passed for r in run_suite(g))
     assert len(set(calls)) == len(calls) == partitions
@@ -462,7 +474,7 @@ def test_classical_idempotent_reports_a_quotient_that_is_not_thin(monkeypatch):
     # Planted as the classical quotient: K_{2,3} itself, by the singleton partition.
     g = refdata.complete_symmetric(2, 3)
     singletons = [1 << v for v in range(g.n_vertices)]
-    monkeypatch.setattr(GraphFacts, "classical", block_quotient(g, singletons))
+    monkeypatch.setattr(verify, "twin_quotient", lambda h: block_quotient(h, singletons))
     assert _only(g, "classical_idempotent") == (False, "classical quotient is not thin")
 
 
