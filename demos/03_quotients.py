@@ -7,7 +7,6 @@ from qbmg import (
     Permutation,
     axiom_report,
     blow_up,
-    canonical_gamma,
     classical_quotient,
     equivalence_classes,
     format_graph,
@@ -33,8 +32,14 @@ result = classical_quotient(g)
 print(format_graph(result.quotient))
 
 print("The same quotient arises from the orbits of the class product group,")
-print("the direct product of symmetric groups inside the classes:")
-gamma = canonical_gamma(g)
+print("the direct product of symmetric groups inside the classes,")
+print("generated by the transpositions of consecutive class members:")
+swaps = []
+for block in equivalence_classes(g).blocks:
+    members = sorted(block, key=int)
+    swaps += [Permutation.from_mapping({a: b, b: a}, g.vertices)
+              for a, b in zip(members, members[1:])]
+gamma = PermGroup.from_generators(swaps, g.vertices)
 print(f"  class product group order: {gamma.order}")
 via_gamma = gamma_quotient(g, gamma)
 print(f"  identical output: {via_gamma.quotient == result.quotient}")

@@ -12,10 +12,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxiomReport", "Verdict", "axiom_report", "is_2qbmg", "is_thin", "satisfies_star",
-    "SearchStats", "aut_color_preserving", "aut_full", "canonical_gamma",
+    "SearchStats", "aut_color_preserving", "aut_full",
     "BijectionTable", "LayeredSpec", "blow_up", "composite_maps", "layered",
-    "lift_permutation", "lifted_group", "n2_trivial_layer", "n2_trivial_lift",
-    "random_layered_spec",
+    "lift_permutation", "lifted_group", "n2_trivial_layer", "random_layered_spec",
     "ColoredDigraph", "format_graph", "long_induced_path_or_cycle", "parse_graph",
     "symmetric_edges", "to_dot", "token_key",
     "GraphFormatError", "InternalCheckError", "NotAutomorphismError", "PartitionError",
@@ -34,12 +33,10 @@ _HOMES = {
     "AxiomReport": "axioms", "Verdict": "axioms", "axiom_report": "axioms",
     "is_2qbmg": "axioms", "is_thin": "axioms", "satisfies_star": "axioms",
     "SearchStats": "autgroup", "aut_color_preserving": "autgroup", "aut_full": "autgroup",
-    "canonical_gamma": "autgroup",
     "BijectionTable": "constructions", "LayeredSpec": "constructions",
     "blow_up": "constructions", "composite_maps": "constructions", "layered": "constructions",
     "lift_permutation": "constructions", "lifted_group": "constructions",
-    "n2_trivial_layer": "constructions", "n2_trivial_lift": "constructions",
-    "random_layered_spec": "constructions",
+    "n2_trivial_layer": "constructions", "random_layered_spec": "constructions",
     "ColoredDigraph": "digraph", "format_graph": "digraph",
     "long_induced_path_or_cycle": "digraph", "parse_graph": "digraph",
     "symmetric_edges": "digraph", "to_dot": "digraph", "token_key": "digraph",

@@ -35,8 +35,8 @@ graph itself when it has no twins, else ``digraph.block_quotient`` of the
 classes, which the graph keeps as ``digraph.twin_quotient`` when they are
 not split by color); when a chain is read, Gamma's is written down and the
 lifts of q's generators are adjoined to it. The graph itself is capped at
-128 vertices, which bounds that chain and ``canonical_gamma``'s; both read
-``class_masks``, one pass per graph.
+128 vertices, which bounds that chain; it reads ``class_masks``, one pass
+per graph.
 """
 
 from __future__ import annotations
@@ -54,16 +54,13 @@ __all__ = [
     "SearchStats",
     "aut_color_preserving",
     "aut_full",
-    "canonical_gamma",
 ]
 
 DEFAULT_VERTEX_CAP = 64
 # Any stabilizer chain on n points holds at most n(n+1)/2 rank tuples of
 # length n, and Gamma_I's written chain alone reaches n^3/4 on an edgeless
-# graph; 128 vertices keep that near a million ranks. canonical_gamma's chain
-# may hold as many ranks as the edgeless 128-vertex graph's, C(128, 2) * 128.
+# graph; 128 vertices keep that near a million ranks.
 DEFAULT_LIFT_CAP = 2 * DEFAULT_VERTEX_CAP
-_GAMMA_RANK_CAP = math.comb(DEFAULT_LIFT_CAP, 2) * DEFAULT_LIFT_CAP
 
 
 # -- equitable refinement -----------------------------------------------------
@@ -351,26 +348,3 @@ def aut_full(g: ColoredDigraph, stats: SearchStats | None = None) -> PermGroup:
     classes = class_masks(g)
     return _aut_by_twins(g, classes, twin_quotient(g), [m.bit_count() for m in classes],
                          "full automorphism", stats)
-
-
-def canonical_gamma(g: ColoredDigraph) -> PermGroup:
-    """The product of full symmetric groups, one per equivalence class.
-
-    It is generated by the transpositions of consecutive class members, and
-    its stabilizer chain, when read, is written down, not computed; the
-    order is the product of the class factorials and the orbits are exactly
-    the classes.
-    When isolated vertices of both colors share the isolated class, some
-    elements swap vertices across colors; they are still automorphisms.
-    The cap is checked here, when the group is built, against the length the
-    chain would have if something read it: a group whose chain would be
-    longer than the edgeless ``DEFAULT_LIFT_CAP``-vertex graph's is refused,
-    even by callers that read only its orbits.
-    """
-    masks = class_masks(g)
-    ranks = sum(math.comb(m.bit_count(), 2) for m in masks) * g.n_vertices
-    if ranks > _GAMMA_RANK_CAP:
-        raise SizeCapError(
-            f"class product group capped at {_GAMMA_RANK_CAP} chain ranks, got {ranks}")
-    order = math.prod(math.factorial(m.bit_count()) for m in masks)
-    return PermGroup._from_ranks(g.sorted_vertices, (), order, masks)

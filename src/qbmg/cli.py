@@ -184,20 +184,17 @@ def cmd_aut(args) -> int:
 
 
 def cmd_quotient(args) -> int:
-    from .autgroup import canonical_gamma
-    from .quotients import classical_quotient, gamma_quotient, parse_partition, partition_quotient
+    from .quotients import classical_quotient, parse_partition, partition_quotient
 
     g = _load_graph(args.path)
     if args.partition:
         partition = parse_partition(_read_text(args.partition))
         result = partition_quotient(g, partition)
         how = "partition"
-    elif args.canonical_gamma:
-        result = gamma_quotient(g, canonical_gamma(g))
-        how = "canonical-gamma"
     else:
+        # Gamma's orbits are the twin classes, so its quotient is the classical one.
         result = classical_quotient(g)
-        how = "classical"
+        how = "canonical-gamma" if args.canonical_gamma else "classical"
     q = result.quotient
     if args.json:
         _emit({

@@ -41,7 +41,6 @@ __all__ = [
     "LayeredSpec",
     "blow_up",
     "n2_trivial_layer",
-    "n2_trivial_lift",
     "layered",
     "composite_maps",
     "lift_permutation",
@@ -197,12 +196,6 @@ def _diamond_threads(m: int, alpha: BijectionTable, beta: BijectionTable,
         raise QbmgError("gamma must map W2 onto beta's image (U2)")
     _check_disjoint_classes([u1, w1, u2, w2], m)
     return _threads((alpha, gamma.inverse()), (beta,))
-
-
-def n2_trivial_lift(alpha: BijectionTable, beta: BijectionTable, gamma: BijectionTable,
-                    pi: Mapping[str, str]) -> Permutation:
-    """Lift a permutation of U1 to the diamond graph built from these tables."""
-    return _lift(_diamond_threads(len(alpha), alpha, beta, gamma), pi)
 
 
 def n2_trivial_layer(m: int, alpha: BijectionTable, beta: BijectionTable,

@@ -221,16 +221,16 @@ CHECKS: dict[str, Callable[[GraphFacts], Outcome]] = {
     "route_equivalence": _holds_by_construction,
     "underlying_p6c6_free": _p6c6_free,
     "classical_idempotent": _classical_idempotent,
-    # canonical_gamma's orbits are class_masks(g), so its quotient collapses
-    # the same blocks as the classical one (tests/test_quotients.py::
-    # test_canonical_gamma_quotient_matches_classical).
+    # Gamma (tests/oracles.canonical_gamma) has class_masks(g) as its orbits,
+    # so its quotient collapses the same blocks as the classical one
+    # (tests/test_quotients.py::test_canonical_gamma_quotient_matches_classical).
     "classical_equals_canonical_gamma": _holds_by_construction,
     # aut_full is Gamma with lifts of q's automorphisms, which map twin classes
     # onto twin classes (tests/test_autgroup.py::
     # test_canonical_gamma_is_normal_in_the_directly_searched_full_group).
     "canonical_gamma_normal": _holds_by_construction,
-    # canonical_gamma is built with class_masks(g) as its orbits
-    # (tests/test_properties.py::test_canonical_gamma_order_and_orbits).
+    # Gamma, as tests/oracles.canonical_gamma writes it, has the twin classes
+    # as its orbits (tests/test_properties.py::test_canonical_gamma_order_and_orbits).
     "canonical_orbits_are_classes": _holds_by_construction,
     "gamma_quotient_hereditary": _gamma_hereditary,
     "common_out_neighbor_equivalence": _common_out_neighbor,

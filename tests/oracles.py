@@ -294,7 +294,7 @@ def derived_graphs(g: ColoredDigraph, max_orientations: int = 64):
     """
     from itertools import islice
 
-    from qbmg import (aut_color_preserving, canonical_gamma, classical_quotient,
+    from qbmg import (aut_color_preserving, classical_quotient,
                       enumerate_orientations, gamma_quotient, symmetric_edges,
                       uw_orientation)
     from qbmg.orientations import ORIENTATION_CAP
@@ -551,6 +551,30 @@ def direct_full(g: ColoredDigraph, stats=None):
 
     strong, order, orbits = _search_automorphisms(g, [0] * g.n_vertices, stats or SearchStats())
     return PermGroup._from_ranks(g.sorted_vertices, strong, order, orbits=orbits)
+
+
+def canonical_gamma(g: ColoredDigraph):
+    """Gamma, the product of the symmetric groups on g's twin classes, written down.
+
+    Its order is the product of the class factorials, its orbits are the
+    classes, and its chain is written from them on first read, as
+    ``autgroup._aut_by_twins`` writes Gamma's; no cap.
+    """
+    import math
+
+    from qbmg.digraph import class_masks
+    from qbmg.perms import PermGroup
+
+    masks = class_masks(g)
+    order = math.prod(math.factorial(m.bit_count()) for m in masks)
+    return PermGroup._from_ranks(g.sorted_vertices, (), order, masks)
+
+
+def n2_trivial_lift(alpha, beta, gamma, pi: dict[str, str]) -> Permutation:
+    """Lift a permutation of U1 to the diamond graph built from these tables."""
+    from qbmg.constructions import _diamond_threads, _lift
+
+    return _lift(_diamond_threads(len(alpha), alpha, beta, gamma), pi)
 
 
 def fixed_vertex_walk(g: ColoredDigraph, gens: list[tuple[int, ...]]) -> tuple[bool, str]:

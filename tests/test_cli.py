@@ -400,14 +400,15 @@ def test_verify_thin_orbit_pairs_cap_names_the_full_group(tmp_path, capsys):
 
 # -- quotient --------------------------------------------------------------------
 
-def test_quotient_canonical_gamma_large_edgeless_exit_3(tmp_path, capsys):
-    # One class of 160 isolated vertices: Gamma's chain would hold 2,035,200 ranks.
+def test_quotient_canonical_gamma_large_edgeless_is_classical(tmp_path, capsys):
+    # One class of 160 isolated vertices, more than the 128 a group may act on:
+    # Gamma's orbits are the classes, so its quotient is built with no group.
     big = tmp_path / "edgeless.qbmg"
     big.write_text("qbmg 1\nU: " + " ".join(str(i) for i in range(1, 81))
                    + "\nW: " + " ".join(str(i) for i in range(81, 161)) + "\n")
-    code, _, err = run(capsys, "quotient", "--canonical-gamma", str(big))
-    assert code == 3
-    assert "capped at 1040384 chain ranks, got 2035200" in err
+    classical = run(capsys, "quotient", "--classical", str(big))
+    assert classical[0] == 0
+    assert run(capsys, "quotient", "--canonical-gamma", str(big)) == classical
 
 
 def test_quotient_classical_on_blowup(capsys):

@@ -30,13 +30,12 @@ from qbmg import (
 from qbmg.constructions import (
     default_layered_spec,
     format_layered_spec,
-    n2_trivial_lift,
     parse_layered_spec,
     random_n2_trivial_tables,
 )
 
 from tests import refdata
-from tests.oracles import compose
+from tests.oracles import canonical_gamma, compose, n2_trivial_lift
 
 
 # -- bijection tables ----------------------------------------------------------
@@ -420,7 +419,6 @@ def test_sequential_blowup_preserves_membership():
 
 
 def test_blowup_multiplies_canonical_gamma_order():
-    from qbmg import canonical_gamma
     g = refdata.BLOWUP_BASE
     before = canonical_gamma(g).order
     g2 = blow_up(g, "5", "10")

@@ -16,7 +16,6 @@ from qbmg import (
     UnknownVertexError,
     aut_color_preserving,
     blow_up,
-    canonical_gamma,
     classical_quotient,
     equivalence_classes,
     format_graph,
@@ -458,7 +457,7 @@ def test_derived_graphs_compute_their_own_twin_classes(corpus):
 def test_quotients_gamma_and_aut_i_read_one_tuple(monkeypatch):
     g = refdata.complete_symmetric(2, 3)
     filled, returned = record_class_masks(monkeypatch)
-    for read in (classical_quotient, canonical_gamma, aut_color_preserving,
+    for read in (classical_quotient, oracles.canonical_gamma, aut_color_preserving,
                  equivalence_classes, is_thin):
         read(g)
     assert filled == [g]

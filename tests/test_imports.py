@@ -7,6 +7,8 @@
 - Each name is listed in at most one module's ``__all__``, and ``__init__.py``
   maps it to that module: every public name has one import path. The
   package's ``__all__`` is a literal equal to the map's keys.
+- Every public name is used outside the tests: by another part of ``src/``,
+  a demo, the README, the bench harness or a tool.
 - ``import qbmg`` loads no submodule, and each command loads only the
   modules it runs.
 - Every module but ``cli.py`` and ``__init__.py`` imports at its top level
@@ -114,6 +116,37 @@ def test_each_public_name_has_one_home():
     assert _literal(tree, "__all__") == list(mapped)
 
 
+def _src_references() -> set[str]:
+    """Names that a top-level statement of a module other than ``__init__.py`` reads,
+    imports or looks up as an attribute, less the names that statement defines."""
+    found: set[str] = set()
+    for path in SOURCES:
+        if path == INIT:
+            continue
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            refs = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            refs |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+            refs |= {name for _, name in _imports(stmt)}
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                refs.discard(stmt.name)
+            elif isinstance(stmt, ast.Assign):
+                refs -= {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+            found |= refs
+    return found
+
+
+def test_each_public_name_is_used_outside_the_tests():
+    import qbmg
+
+    texts = [(ROOT / "README.md").read_text()]
+    for folder in ("demos", "bench", "tools"):
+        texts += [p.read_text() for p in sorted((ROOT / folder).rglob("*.py"))]
+    in_src = _src_references()
+    unused = [name for name in qbmg.__all__ if name not in in_src
+              and not any(re.search(rf"\b{name}\b", text) for text in texts)]
+    assert not unused, f"public names only the tests use: {unused}"
+
+
 def _fresh_python(code: str, *argv: str) -> str:
     """Stdout of ``python -c code argv...`` in a new process that imports this checkout's qbmg."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -163,10 +196,11 @@ FIXTURE = "fixtures/corpus/blowup_base.qbmg"
     (["check", FIXTURE], ["qbmg.axioms"]),
     (["aut", FIXTURE, "--json"], ["qbmg.autgroup", "qbmg.perms"]),
     (["generate", "two-layer", "--m", "3"], ["qbmg.constructions", "qbmg.perms"]),
+    (["quotient", FIXTURE, "--canonical-gamma"], ["qbmg.perms", "qbmg.quotients"]),
     (["verify", FIXTURE, "--theorems", "membership"],
      ["qbmg.autgroup", "qbmg.axioms", "qbmg.orientations", "qbmg.perms", "qbmg.quotients",
       "qbmg.verify"]),
-], ids=["import", "check", "aut", "generate", "verify-membership"])
+], ids=["import", "check", "aut", "generate", "quotient-canonical-gamma", "verify-membership"])
 def test_each_command_loads_only_its_modules(argv, added):
     at_import, by_main = map(json.loads, _fresh_python(FOOTPRINT, *argv).splitlines())
     assert at_import == ["qbmg", "qbmg.cli", "qbmg.digraph", "qbmg.errors"]

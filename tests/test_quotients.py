@@ -15,7 +15,6 @@ from qbmg import (
     aut_full,
     axiom_report,
     blow_up,
-    canonical_gamma,
     classical_quotient,
     equivalence_classes,
     gamma_quotient,
@@ -34,7 +33,7 @@ from qbmg.perms import PermGroup, Permutation
 from qbmg.quotients import _orbit_pair_shapes
 
 from tests import oracles, refdata
-from tests.oracles import graphs_match_up_to_rename
+from tests.oracles import canonical_gamma, graphs_match_up_to_rename
 
 CORPUS = Path(__file__).resolve().parent.parent / "fixtures" / "corpus"
 

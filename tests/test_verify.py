@@ -117,8 +117,7 @@ def _count_calls(monkeypatch, module: str, names: tuple[str, ...]) -> Counter:
 
 
 def _count_group_calls(monkeypatch) -> Counter:
-    return _count_calls(monkeypatch, "qbmg.autgroup",
-                        ("aut_color_preserving", "aut_full", "canonical_gamma"))
+    return _count_calls(monkeypatch, "qbmg.autgroup", ("aut_color_preserving", "aut_full"))
 
 
 def test_each_group_is_built_once_per_graph(monkeypatch):
@@ -218,14 +217,6 @@ def test_checks_in_reverse_order_give_the_default_results(enumerated_pool):
         default = _results_or_cap(g)
         assert isinstance(default, str) == capped
         assert _results_or_cap(g, CHECK_NAMES[::-1]) == default
-
-
-def test_the_suite_builds_no_class_product_group(monkeypatch):
-    # The statements about Gamma hold by construction, so no check reads it.
-    counts = _count_calls(monkeypatch, "qbmg.autgroup", ("canonical_gamma",))
-    for path in sorted((ROOT / "fixtures").glob("*/*.qbmg")):
-        _results_or_cap(parse_graph(path.read_text()))
-    assert counts == {}
 
 
 @pytest.mark.parametrize("check", ["route_equivalence", "classical_equals_canonical_gamma",
